@@ -464,32 +464,21 @@ func BenchmarkAblation_SemiGlobalL2(b *testing.B) {
 // BenchmarkEngine measures raw simulator throughput on the tracked baseline
 // cases (experiments.BenchCases), once per cycle engine. The fastforward
 // variants exercise event-horizon skipping plus the pooled hot path; the
-// naive variants are the serial one-cycle-at-a-time oracle; the parallel
-// variants run the phase-barrier engine (fast-forward composed in) at four
-// workers, and the adaptive variants add the occupancy-driven controller
-// (the production parallel configuration, which demotes to the serial loop
-// body on a one-core host). cmd/bench runs the same cases to regenerate
-// BENCH_sim.json.
+// naive variants are the serial one-cycle-at-a-time oracle. cmd/bench runs
+// the same cases to regenerate BENCH_sim.json.
 func BenchmarkEngine(b *testing.B) {
 	for _, c := range experiments.BenchCases() {
 		for _, eng := range []struct {
-			name     string
-			ff       bool
-			parallel bool
-			adaptive bool
+			name string
+			ff   bool
 		}{
-			{"fastforward", true, false, false},
-			{"naive", false, false, false},
-			{"parallel-4w", true, true, false},
-			{"adaptive-4w", true, true, true},
+			{"fastforward", true},
+			{"naive", false},
 		} {
 			c, eng := c, eng
 			b.Run(fmt.Sprintf("%s-%d/%s", c.Name, c.Size, eng.name), func(b *testing.B) {
 				cfg := gpu.DefaultConfig()
 				cfg.FastForward = eng.ff
-				cfg.Parallel = eng.parallel
-				cfg.Adaptive = eng.adaptive
-				cfg.Workers = 4
 				b.ReportAllocs()
 				var cycles int64
 				var insts uint64

@@ -1,30 +1,20 @@
 // Command bench regenerates BENCH_sim.json, the tracked simulator
 // performance baseline: for every baseline case it runs the timing model
-// under all three cycle engines — event-horizon fast-forwarding, the naive
-// serial loop, and the phase-barrier parallel engine (adaptive controller
-// on, its production configuration) — and records wall time, simulated
-// cycles per second, warp instructions per second and heap traffic. The
-// parallel engine is measured at every worker count in the -workers list,
-// with the host's GOMAXPROCS and CPU count recorded alongside, so a
-// baseline from a many-core box documents scaling and one from a one-core
-// box documents the adaptive demotion floor. It refuses to write a baseline
-// in which the engines disagree on the simulated work, printing the exact
-// diverging statistics, so the numbers are always for byte-identical
-// simulations.
+// under both cycle engines — event-horizon fast-forwarding and the naive
+// serial loop — and records wall time, simulated cycles per second, warp
+// instructions per second and heap traffic, with the host's GOMAXPROCS and
+// CPU count alongside. It refuses to write a baseline in which the engines
+// disagree on the simulated work, printing the exact diverging statistics,
+// so the numbers are always for byte-identical simulations.
 //
 // Usage:
 //
 //	bench                    # write BENCH_sim.json in the working directory
 //	bench -o /tmp/b.json     # write elsewhere
 //	bench -runs 5            # best-of-5 wall times per engine
-//	bench -workers 4,8       # parallel-engine rows at 4 and 8 workers; the
-//	                         # first value is the primary row
 //	bench -check             # compare against the committed baseline instead
-//	                         # of writing: exit 1 if any engine's geomean
-//	                         # cycles/sec regressed more than -check-tolerance,
-//	                         # or the parallel engine fell below
-//	                         # -min-parallel-speedup vs fast-forward (skipped
-//	                         # when the host has fewer CPUs than workers)
+//	                         # of writing: exit 1 if either engine's geomean
+//	                         # cycles/sec regressed more than -check-tolerance
 package main
 
 import (
@@ -34,66 +24,39 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"critload/internal/experiments"
 	"critload/internal/gpu"
 )
 
-// parallelRow is one extra parallel-engine measurement from the worker
-// matrix (the first -workers value backs caseResult.Parallel instead).
-type parallelRow struct {
-	Workers     int                           `json:"workers"`
-	Measurement experiments.EngineMeasurement `json:"measurement"`
-	// SpeedupVsFFX is this row over the plain fast-forward engine.
-	SpeedupVsFFX float64 `json:"speedup_vs_ff_x"`
-}
-
 type caseResult struct {
 	Workload    string `json:"workload"`
 	Size        int    `json:"size"`
 	MemoryBound bool   `json:"memory_bound"`
-	// Simulated work, identical for all engines by construction.
+	// Simulated work, identical for both engines by construction.
 	Cycles      int64                         `json:"cycles"`
 	WarpInsts   uint64                        `json:"warp_insts"`
 	FastForward experiments.EngineMeasurement `json:"fastforward"`
 	Naive       experiments.EngineMeasurement `json:"naive"`
-	Parallel    experiments.EngineMeasurement `json:"parallel"`
-	// SpeedupX is fast-forward over naive; ParallelSpeedupX is the parallel
-	// engine (fast-forward and the adaptive controller composed in) over
-	// plain fast-forward, at the primary worker count.
-	SpeedupX         float64 `json:"speedup_x"`
-	ParallelSpeedupX float64 `json:"parallel_speedup_x"`
-	// ParallelRows holds the measurements at the remaining -workers values,
-	// the workers×cores scaling matrix.
-	ParallelRows []parallelRow `json:"parallel_rows,omitempty"`
+	// SpeedupX is fast-forward over naive.
+	SpeedupX float64 `json:"speedup_x"`
 }
 
 type summary struct {
 	GeomeanSpeedupX            float64 `json:"geomean_speedup_x"`
 	MemoryBoundGeomeanSpeedupX float64 `json:"memory_bound_geomean_speedup_x"`
-	GeomeanParallelSpeedupX    float64 `json:"geomean_parallel_speedup_x"`
-	// MemoryBoundGeomeanParallelSpeedupX carries the multi-core acceptance
-	// criterion: parallel vs FF on the memory-bound rows.
-	MemoryBoundGeomeanParallelSpeedupX float64 `json:"memory_bound_geomean_parallel_speedup_x"`
-	MaxMallocsPerKCycleFF              float64 `json:"max_mallocs_per_kcycle_fastforward"`
+	MaxMallocsPerKCycleFF      float64 `json:"max_mallocs_per_kcycle_fastforward"`
 }
 
 type baseline struct {
-	Schema    string `json:"schema"`
-	GoVersion string `json:"go_version"`
-	// GoMaxProcs and NumCPU pin the host parallelism the parallel rows were
-	// measured under — a 1-CPU baseline documents the adaptive demotion
-	// floor, not scaling.
-	GoMaxProcs      int          `json:"gomaxprocs"`
-	NumCPU          int          `json:"num_cpu"`
-	Seed            int64        `json:"seed"`
-	Runs            int          `json:"runs"`
-	ParallelWorkers int          `json:"parallel_workers"`
-	WorkerMatrix    []int        `json:"worker_matrix"`
-	Workloads       []caseResult `json:"workloads"`
-	Summary         summary      `json:"summary"`
+	Schema     string       `json:"schema"`
+	GoVersion  string       `json:"go_version"`
+	GoMaxProcs int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"num_cpu"`
+	Seed       int64        `json:"seed"`
+	Runs       int          `json:"runs"`
+	Workloads  []caseResult `json:"workloads"`
+	Summary    summary      `json:"summary"`
 }
 
 // longRunSeconds is the wall time past which a case is measured once.
@@ -134,76 +97,43 @@ func geomean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// parseWorkers turns the -workers comma list into worker counts; the first
-// entry is the primary row.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -workers entry %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -workers list")
-	}
-	return out, nil
-}
-
-// describeDivergence re-runs the engines once through the experiments layer
+// describeDivergence re-runs both engines once through the experiments layer
 // so a refused baseline names the exact diverging statistics instead of a
 // bare cycle count. Errors from the reruns are folded into the report.
-func describeDivergence(c experiments.BenchCase, seed int64, workers int) string {
-	serialCfg := gpu.DefaultConfig()
-	serialCfg.FastForward = false
-	ffCfg := gpu.DefaultConfig()
-	parCfg := gpu.DefaultConfig()
-	parCfg.Parallel = true
-	parCfg.Workers = workers
-	parCfg.Adaptive = true
-
-	labels := []string{"naive", "fastforward", "parallel"}
-	runs := make([]*experiments.Run, 0, 3)
-	for i, cfg := range []gpu.Config{serialCfg, ffCfg, parCfg} {
-		cfg := cfg
-		r, err := experiments.RunTiming(c.Name, experiments.Options{Size: c.Size, Seed: seed, GPU: &cfg})
-		if err != nil {
-			return fmt.Sprintf("  %s rerun failed: %v", labels[i], err)
-		}
-		runs = append(runs, r)
+func describeDivergence(c experiments.BenchCase, seed int64) string {
+	naiveCfg := gpu.DefaultConfig()
+	naiveCfg.FastForward = false
+	naive, err := experiments.RunTiming(c.Name, experiments.Options{Size: c.Size, Seed: seed, GPU: &naiveCfg})
+	if err != nil {
+		return fmt.Sprintf("  naive rerun failed: %v", err)
+	}
+	ff, err := experiments.RunTiming(c.Name, experiments.Options{Size: c.Size, Seed: seed})
+	if err != nil {
+		return fmt.Sprintf("  fastforward rerun failed: %v", err)
 	}
 	out := ""
-	for _, d := range experiments.DiffEngineRuns(labels, runs) {
-		out += "  " + d + "\n"
+	for _, d := range experiments.DiffRuns(naive, ff) {
+		out += "  naive vs fastforward: " + d + "\n"
 	}
 	if out == "" {
 		out = "  (divergence did not reproduce on rerun)\n"
 	}
-	return out + "  naive:       " + experiments.DescribeRun(runs[0]) +
-		"\n  fastforward: " + experiments.DescribeRun(runs[1]) +
-		"\n  parallel:    " + experiments.DescribeRun(runs[2])
+	return out + "  naive:       " + experiments.DescribeRun(naive) +
+		"\n  fastforward: " + experiments.DescribeRun(ff)
 }
 
 // measureAll produces the full baseline in memory; shared by the write and
-// -check paths. workerList[0] is the primary parallel row; the rest fill
-// the scaling matrix.
-func measureAll(seed int64, runs int, workerList []int) (baseline, error) {
+// -check paths.
+func measureAll(seed int64, runs int) (baseline, error) {
 	b := baseline{
-		Schema:          "critload/bench_sim/v3",
-		GoVersion:       runtime.Version(),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Seed:            seed,
-		Runs:            runs,
-		ParallelWorkers: workerList[0],
-		WorkerMatrix:    workerList,
+		Schema:     "critload/bench_sim/v4",
+		GoVersion:  runtime.Version(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Seed:       seed,
+		Runs:       runs,
 	}
-	var all, memBound, parAll, parMemBound []float64
+	var all, memBound []float64
 	for _, c := range experiments.BenchCases() {
 		c := c
 		ff, err := measureBest(runs, func() (experiments.EngineMeasurement, error) {
@@ -221,7 +151,7 @@ func measureAll(seed int64, runs int, workerList []int) (baseline, error) {
 		if ff.Cycles != naive.Cycles || ff.WarpInsts != naive.WarpInsts {
 			return b, fmt.Errorf("%s/%d: engines diverge (naive %d cycles / %d insts, fastforward %d / %d); baseline not written\n%s",
 				c.Name, c.Size, naive.Cycles, naive.WarpInsts, ff.Cycles, ff.WarpInsts,
-				describeDivergence(c, seed, workerList[0]))
+				describeDivergence(c, seed))
 		}
 		r := caseResult{
 			Workload: c.Name, Size: c.Size, MemoryBound: c.MemoryBound,
@@ -231,51 +161,20 @@ func measureAll(seed int64, runs int, workerList []int) (baseline, error) {
 		if ff.WallSeconds > 0 {
 			r.SpeedupX = naive.WallSeconds / ff.WallSeconds
 		}
-		for i, workers := range workerList {
-			workers := workers
-			par, err := measureBest(runs, func() (experiments.EngineMeasurement, error) {
-				return experiments.MeasureParallel(c, seed, workers)
-			})
-			if err != nil {
-				return b, err
-			}
-			if par.Cycles != naive.Cycles || par.WarpInsts != naive.WarpInsts {
-				return b, fmt.Errorf("%s/%d: parallel/%dw diverges (naive %d cycles / %d insts, parallel %d / %d); baseline not written\n%s",
-					c.Name, c.Size, workers, naive.Cycles, naive.WarpInsts, par.Cycles, par.WarpInsts,
-					describeDivergence(c, seed, workers))
-			}
-			speedup := 0.0
-			if par.WallSeconds > 0 {
-				speedup = ff.WallSeconds / par.WallSeconds
-			}
-			if i == 0 {
-				r.Parallel = par
-				r.ParallelSpeedupX = speedup
-			} else {
-				r.ParallelRows = append(r.ParallelRows, parallelRow{
-					Workers: workers, Measurement: par, SpeedupVsFFX: speedup,
-				})
-			}
-		}
 		all = append(all, r.SpeedupX)
-		parAll = append(parAll, r.ParallelSpeedupX)
 		if c.MemoryBound {
 			memBound = append(memBound, r.SpeedupX)
-			parMemBound = append(parMemBound, r.ParallelSpeedupX)
 		}
 		if r.FastForward.MallocsPerKCycle > b.Summary.MaxMallocsPerKCycleFF {
 			b.Summary.MaxMallocsPerKCycleFF = r.FastForward.MallocsPerKCycle
 		}
 		b.Workloads = append(b.Workloads, r)
-		fmt.Fprintf(os.Stderr, "bench: %-5s %9d cycles (%4.1f%% skipped)  ff %6.2f Mcyc/s  naive %6.2f Mcyc/s  par/%dw %6.2f Mcyc/s  speedup %.2fx  par %.2fx\n",
+		fmt.Fprintf(os.Stderr, "bench: %-5s %9d cycles (%4.1f%% skipped)  ff %6.2f Mcyc/s  naive %6.2f Mcyc/s  speedup %.2fx\n",
 			c.Name, r.Cycles, 100*float64(ff.SkippedCycles)/float64(r.Cycles),
-			ff.CyclesPerSec/1e6, naive.CyclesPerSec/1e6, workerList[0], r.Parallel.CyclesPerSec/1e6,
-			r.SpeedupX, r.ParallelSpeedupX)
+			ff.CyclesPerSec/1e6, naive.CyclesPerSec/1e6, r.SpeedupX)
 	}
 	b.Summary.GeomeanSpeedupX = geomean(all)
 	b.Summary.MemoryBoundGeomeanSpeedupX = geomean(memBound)
-	b.Summary.GeomeanParallelSpeedupX = geomean(parAll)
-	b.Summary.MemoryBoundGeomeanParallelSpeedupX = geomean(parMemBound)
 	return b, nil
 }
 
@@ -285,7 +184,7 @@ func engineGeomeans(b baseline) map[string]float64 {
 	per := map[string][]float64{}
 	for _, r := range b.Workloads {
 		for name, m := range map[string]experiments.EngineMeasurement{
-			"fastforward": r.FastForward, "naive": r.Naive, "parallel": r.Parallel,
+			"fastforward": r.FastForward, "naive": r.Naive,
 		} {
 			if m.CyclesPerSec > 0 {
 				per[name] = append(per[name], m.CyclesPerSec)
@@ -299,15 +198,9 @@ func engineGeomeans(b baseline) map[string]float64 {
 	return out
 }
 
-// check measures afresh and fails if any engine's geomean cycles/sec fell
-// more than tolerance below the committed baseline, or the parallel engine's
-// geomean speedup vs fast-forward fell below minParSpeedup. The speedup
-// assertion is skipped — with a message, not a failure — when the host has
-// fewer CPUs than the primary worker count: a 1-core runner cannot exhibit
-// multi-core scaling, and failing there would only measure the runner.
-// Engines absent from the committed file (older schemas) are skipped, so
-// -check works across schema bumps without a flag day.
-func check(path string, seed int64, runs int, workerList []int, tolerance, minParSpeedup float64) error {
+// check measures afresh and fails if either engine's geomean cycles/sec fell
+// more than tolerance below the committed baseline.
+func check(path string, seed int64, runs int, tolerance float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("reading committed baseline: %w", err)
@@ -316,13 +209,13 @@ func check(path string, seed int64, runs int, workerList []int, tolerance, minPa
 	if err := json.Unmarshal(buf, &committed); err != nil {
 		return fmt.Errorf("parsing committed baseline %s: %w", path, err)
 	}
-	fresh, err := measureAll(seed, runs, workerList)
+	fresh, err := measureAll(seed, runs)
 	if err != nil {
 		return err
 	}
 	want, got := engineGeomeans(committed), engineGeomeans(fresh)
 	failed := false
-	for _, name := range []string{"naive", "fastforward", "parallel"} {
+	for _, name := range []string{"naive", "fastforward"} {
 		w, ok := want[name]
 		if !ok || w <= 0 {
 			fmt.Fprintf(os.Stderr, "bench-check: %-11s no committed measurement, skipped\n", name)
@@ -338,27 +231,14 @@ func check(path string, seed int64, runs int, workerList []int, tolerance, minPa
 		fmt.Fprintf(os.Stderr, "bench-check: %-11s committed %8.2f Mcyc/s, now %8.2f Mcyc/s (%+.1f%%) %s\n",
 			name, w/1e6, g/1e6, 100*(ratio-1), status)
 	}
-	if minParSpeedup > 0 {
-		if cpus := runtime.NumCPU(); cpus < workerList[0] {
-			fmt.Fprintf(os.Stderr, "bench-check: parallel-speedup floor skipped: %d CPUs < %d workers (adaptive demotion expected, not scaling)\n",
-				cpus, workerList[0])
-		} else if s := fresh.Summary.GeomeanParallelSpeedupX; s < minParSpeedup {
-			fmt.Fprintf(os.Stderr, "bench-check: parallel geomean speedup %.2fx vs fastforward, floor %.2fx REGRESSED\n",
-				s, minParSpeedup)
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "bench-check: parallel geomean speedup %.2fx vs fastforward (floor %.2fx) ok\n",
-				s, minParSpeedup)
-		}
-	}
 	if failed {
 		return fmt.Errorf("throughput regressed vs %s", path)
 	}
 	return nil
 }
 
-func run(out string, seed int64, runs int, workerList []int) error {
-	b, err := measureAll(seed, runs, workerList)
+func run(out string, seed int64, runs int) error {
+	b, err := measureAll(seed, runs)
 	if err != nil {
 		return err
 	}
@@ -373,20 +253,14 @@ func main() {
 	out := flag.String("o", "BENCH_sim.json", "output path for the baseline (or the committed baseline with -check)")
 	seed := flag.Int64("seed", 1, "input generation seed")
 	runs := flag.Int("runs", 3, "independent runs per engine; best wall time is kept")
-	workers := flag.String("workers", "4", "comma-separated worker counts for the parallel-engine rows; first is the primary row")
 	doCheck := flag.Bool("check", false, "compare against the committed baseline instead of writing")
 	tolerance := flag.Float64("check-tolerance", 0.25, "allowed fractional geomean cycles/sec regression under -check")
-	minParSpeedup := flag.Float64("min-parallel-speedup", 0.9, "under -check, minimum parallel-vs-fastforward geomean speedup; 0 disables, skipped when NumCPU < workers")
 	flag.Parse()
-	workerList, err := parseWorkers(*workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
+	var err error
 	if *doCheck {
-		err = check(*out, *seed, *runs, workerList, *tolerance, *minParSpeedup)
+		err = check(*out, *seed, *runs, *tolerance)
 	} else {
-		err = run(*out, *seed, *runs, workerList)
+		err = run(*out, *seed, *runs)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)

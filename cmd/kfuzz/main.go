@@ -1,6 +1,6 @@
 // Command kfuzz runs long offline differential-fuzzing campaigns over
-// generated PTX kernels: every seed flows through the five difftest oracles
-// (classification, functional, timing, parallel, checkpoint/resume), and any
+// generated PTX kernels: every seed flows through the four difftest oracles
+// (classification, functional, timing, checkpoint/resume), and any
 // divergence is shrunk to a minimal reproducing kernel and written out as a
 // replayable case.
 //

@@ -18,7 +18,7 @@ var ckptSmokeSizes = map[string]int{
 	"bfs": 1024, "sssp": 512, "ccl": 512, "mst": 256, "mis": 512,
 }
 
-// ckptEngines are the three cycle engines the fifth oracle must hold across.
+// ckptEngines are the two cycle engines the checkpoint oracle must hold across.
 var ckptEngines = []struct {
 	name string
 	cfg  func() gpu.Config
@@ -29,16 +29,10 @@ var ckptEngines = []struct {
 		return cfg
 	}},
 	{"ff", gpu.DefaultConfig},
-	{"parallel", func() gpu.Config {
-		cfg := gpu.DefaultConfig()
-		cfg.Parallel = true
-		cfg.Workers = 4
-		return cfg
-	}},
 }
 
 // TestCheckpointResumeMatchesColdAllWorkloads is the workload-scale half of
-// the fifth oracle: for every workload, a serial cold run populates a
+// the checkpoint oracle: for every workload, a serial cold run populates a
 // checkpoint store, then each engine re-runs warm from those checkpoints and
 // must reproduce its own cold run byte-for-byte (collector, cycle counts,
 // verified outputs). Sharing one store across engines also proves checkpoints

@@ -10,16 +10,13 @@
 //  3. timing — the fast-forward and serial cycle engines must produce
 //     byte-identical statistics collectors and cycle counts (the PR 3
 //     comparator, via experiments.DiffRuns);
-//  4. parallel — the phase-barrier parallel engine must match engine A the
-//     same way, so every fuzzed kernel also exercises the concurrent cycle
-//     loop;
-//  5. checkpoint — snapshotting the device at a kernel-launch boundary,
+//  4. checkpoint — snapshotting the device at a kernel-launch boundary,
 //     restoring into a fresh device, and resuming must be byte-identical
 //     (collector, cycle counts, final memory) to simulating straight
 //     through, so every fuzzed kernel also exercises the serialization
 //     contract of internal/checkpoint.
 //
-// A clean Check means all five agree; any Divergence is a bug in exactly
+// A clean Check means all four agree; any Divergence is a bug in exactly
 // one of the generator, the classifier, the emulator, a cycle engine, or
 // the checkpoint codec — which is the point.
 package difftest
@@ -48,19 +45,7 @@ type Options struct {
 	// GPUA and GPUB build the two timing configurations to compare.
 	// Defaults: A = serial loop, B = fast-forward, both Table II.
 	GPUA, GPUB func() gpu.Config
-	// GPUP builds the parallel-engine configuration for the fourth oracle.
-	// Default: fast-forward + Parallel at 4 workers. SkipParallel drops the
-	// oracle entirely (for callers that only study the serial engines).
-	GPUP         func() gpu.Config
-	SkipParallel bool
-	// GPUAd builds the adaptive-engine variant of the fourth oracle.
-	// Default: the parallel configuration plus the adaptive controller with
-	// the negative-threshold test hook, so fuzzed kernels drive the
-	// phase-fusion and inline/pooled transitions on any host instead of
-	// demoting to the (already covered) serial loop body. SkipParallel
-	// drops this variant too.
-	GPUAd func() gpu.Config
-	// SkipCheckpoint drops the fifth oracle (snapshot/restore byte-identity),
+	// SkipCheckpoint drops the fourth oracle (snapshot/restore byte-identity),
 	// for callers that only study the live engines.
 	SkipCheckpoint bool
 	// MaxCycles overrides DefaultMaxCycles (0 = default).
@@ -85,26 +70,6 @@ func (o Options) gpuB() gpu.Config {
 	return gpu.DefaultConfig()
 }
 
-func (o Options) gpuP() gpu.Config {
-	if o.GPUP != nil {
-		return o.GPUP()
-	}
-	cfg := gpu.DefaultConfig()
-	cfg.Parallel = true
-	cfg.Workers = 4
-	return cfg
-}
-
-func (o Options) gpuAd() gpu.Config {
-	if o.GPUAd != nil {
-		return o.GPUAd()
-	}
-	cfg := o.gpuP()
-	cfg.Adaptive = true
-	cfg.AdaptiveThreshold = -4
-	return cfg
-}
-
 func (o Options) maxCycles() int64 {
 	if o.MaxCycles > 0 {
 		return o.MaxCycles
@@ -121,7 +86,7 @@ func (o Options) maxWarpInsts() uint64 {
 
 // Divergence is one oracle disagreement.
 type Divergence struct {
-	Oracle string // "classify", "functional", "timing", "parallel" or "checkpoint"
+	Oracle string // "classify", "functional", "timing" or "checkpoint"
 	Detail string
 }
 
@@ -142,7 +107,7 @@ func (r *Report) add(oracle, format string, args ...any) {
 	r.Divergences = append(r.Divergences, Divergence{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
 }
 
-// Check runs a case through all five oracles.
+// Check runs a case through all four oracles.
 func Check(c *kgen.Case, opts Options) *Report {
 	rep := &Report{Case: c}
 	for _, cls := range c.Want {
@@ -221,32 +186,7 @@ func Check(c *kgen.Case, opts Options) *Report {
 		rep.add("functional", "engine B memory differs from emulator: %s", d)
 	}
 
-	// Oracle 4: the parallel phase-barrier engine against engine A, plus its
-	// final memory against the emulator — once in the plain configuration and
-	// once with the adaptive controller, so both the always-pooled and the
-	// fused/inline/pooled cycle paths see every fuzzed kernel.
-	if !opts.SkipParallel {
-		for _, v := range []struct {
-			name string
-			cfg  gpu.Config
-		}{{"parallel", opts.gpuP()}, {"adaptive", opts.gpuAd()}} {
-			runP, snapP, errP := runTiming(c, v.cfg, opts.maxCycles())
-			if errP != nil {
-				// Engine A succeeded (errors returned above), so any parallel
-				// failure is a divergence on its own.
-				rep.add("parallel", "%s engine failed where A succeeded: %v", v.name, errP)
-				return rep
-			}
-			for _, d := range experiments.DiffRuns(runA, runP) {
-				rep.add("parallel", "%s: %s", v.name, d)
-			}
-			if d := diffSnapshots(snapRef, snapP); d != "" {
-				rep.add("parallel", "%s engine memory differs from emulator: %s", v.name, d)
-			}
-		}
-	}
-
-	// Oracle 5: checkpoint/restore. Launch the kernel twice so the second
+	// Oracle 4: checkpoint/restore. Launch the kernel twice so the second
 	// launch starts from non-trivial persistent state (warm caches, open DRAM
 	// rows, accumulated statistics). The resumed variant snapshots the device
 	// after launch one, restores into a brand-new device over a fresh

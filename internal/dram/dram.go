@@ -100,10 +100,7 @@ func New(cfg Config, done DoneFunc) (*Controller, error) {
 
 // SetReleaser installs a hook receiving store requests at issue time, when
 // their lifecycle ends (nil disables). Read-class requests are never passed
-// to it; they retire through the reply path. The hook runs inside Step: under
-// the parallel cycle engine that is the concurrent partition phase, so hooks
-// must touch only partition-owned state (the gpu layer stages the pool
-// release there and drains it on the serial merge phase).
+// to it; they retire through the reply path. The hook runs inside Step.
 func (c *Controller) SetReleaser(release func(r *memreq.Request)) { c.release = release }
 
 // MustNew builds a controller or panics; for static configurations.

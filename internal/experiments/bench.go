@@ -16,9 +16,8 @@ import (
 // change, and the same cases back BenchmarkEngine in bench_test.go. The 4x
 // and 8x variants of the memory-bound pair deliberately run minutes on the
 // serial engine: they are the long-run targets where engine overheads
-// amortize (the parallel-crossover question) and where checkpoint reuse has
-// real prefixes to skip; cmd/bench measures anything past its long-run
-// cutoff once instead of best-of-N.
+// amortize and where checkpoint reuse has real prefixes to skip; cmd/bench
+// measures anything past its long-run cutoff once instead of best-of-N.
 type BenchCase struct {
 	Name string
 	Size int
@@ -81,25 +80,6 @@ type EngineMeasurement struct {
 func MeasureEngine(c BenchCase, seed int64, fastForward bool) (EngineMeasurement, error) {
 	cfg := gpu.DefaultConfig()
 	cfg.FastForward = fastForward
-	return MeasureEngineConfig(c, seed, cfg)
-}
-
-// MeasureParallel measures the parallel phase-barrier engine (composed with
-// fast-forward and the adaptive controller, its production configuration) at
-// the given worker count. On a host without a core per worker the adaptive
-// controller demotes to the serial loop body, so this row degrades to ~FF
-// throughput instead of measuring barrier overhead the host cannot hide.
-func MeasureParallel(c BenchCase, seed int64, workers int) (EngineMeasurement, error) {
-	cfg := gpu.DefaultConfig()
-	cfg.Parallel = true
-	cfg.Workers = workers
-	cfg.Adaptive = true
-	return MeasureEngineConfig(c, seed, cfg)
-}
-
-// MeasureEngineConfig is the engine-agnostic measurement core: it runs one
-// baseline case under an arbitrary device configuration.
-func MeasureEngineConfig(c BenchCase, seed int64, cfg gpu.Config) (EngineMeasurement, error) {
 	opts := Options{Size: c.Size, Seed: seed, GPU: &cfg}
 
 	w, ok := workloads.Get(c.Name)
@@ -119,8 +99,7 @@ func MeasureEngineConfig(c BenchCase, seed int64, cfg gpu.Config) (EngineMeasure
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 	if err != nil {
-		return EngineMeasurement{}, fmt.Errorf("bench %s (fastforward=%v parallel=%v): %w",
-			c.Name, cfg.FastForward, cfg.Parallel, err)
+		return EngineMeasurement{}, fmt.Errorf("bench %s (fastforward=%v): %w", c.Name, fastForward, err)
 	}
 
 	m := EngineMeasurement{

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"critload/internal/checkpoint"
@@ -17,7 +19,6 @@ func TestPrefixKeyInvariants(t *testing.T) {
 
 	neutral := map[string]func(*gpu.Config){
 		"fastforward": func(c *gpu.Config) { c.FastForward = !c.FastForward },
-		"parallel":    func(c *gpu.Config) { c.Parallel = true; c.Workers = 8 },
 		"max-cycles":  func(c *gpu.Config) { c.MaxCycles = 123 },
 		"max-insts":   func(c *gpu.Config) { c.MaxWarpInsts = 456 },
 	}
@@ -41,6 +42,70 @@ func TestPrefixKeyInvariants(t *testing.T) {
 		if k == ref {
 			t.Errorf("%s did not change the prefix key; foreign state could be restored", name)
 		}
+	}
+}
+
+// TestPrefixKeyGoldenHash pins the on-disk identity of stored checkpoints: a
+// change to the key material (a gpu.Config field added, removed or renamed,
+// a default retuned) silently orphans every file in a checkpoint store, so it
+// must show up here and be made deliberately — bump the schema version in
+// prefixKey, then update the hash.
+func TestPrefixKeyGoldenHash(t *testing.T) {
+	const want = "3467997db3718106b7d03c870a0263244982f2bfdb475108f517ec2bff62efd0"
+	key := prefixKey("2mm", 32, 7, gpu.DefaultConfig())
+	if got := hex.EncodeToString(key[:]); got != want {
+		t.Errorf("prefixKey(2mm, 32, 7, DefaultConfig) = %s, want %s", got, want)
+	}
+}
+
+// TestPrefixKeyFieldAudit forces every gpu.Config field to be classified:
+// architectural (it shapes simulated state, so Arch() must keep it and the
+// prefix key must split on it) or engine/budget (provably state-neutral, so
+// Arch() must clear it). Adding a field without deciding fails here rather
+// than shipping a key that restores foreign state — or one that splits
+// byte-identical configurations.
+func TestPrefixKeyFieldAudit(t *testing.T) {
+	architectural := map[string]bool{
+		"NumSMs": true, "NumPartitions": true, "SM": true, "L2": true,
+		"ICNT": true, "DRAM": true, "CTAPolicy": true, "L2Clusters": true,
+	}
+	// Neutral by the differential-testing contract (FastForward) or checked
+	// against the stored checkpoint at load time (the two budgets).
+	neutral := map[string]bool{
+		"FastForward": true, "MaxCycles": true, "MaxWarpInsts": true,
+	}
+
+	cfg := gpu.DefaultConfig()
+	cfg.CTAPolicy = gpu.CTAClustered
+	cfg.L2Clusters = 2
+	cfg.MaxCycles = 123
+	cfg.MaxWarpInsts = 456
+	full, arch := reflect.ValueOf(cfg), reflect.ValueOf(cfg.Arch())
+	for i := 0; i < full.NumField(); i++ {
+		name := full.Type().Field(i).Name
+		if full.Field(i).IsZero() {
+			t.Errorf("audit fixture leaves Config.%s zero; give it a value so clearing is observable", name)
+		}
+		switch {
+		case architectural[name]:
+			if !reflect.DeepEqual(full.Field(i).Interface(), arch.Field(i).Interface()) {
+				t.Errorf("Arch() altered architectural field %s", name)
+			}
+		case neutral[name]:
+			if !arch.Field(i).IsZero() {
+				t.Errorf("Arch() kept engine/budget field %s; byte-identical runs would get different prefix keys", name)
+			}
+		default:
+			t.Errorf("gpu.Config field %s is not classified: decide whether it shapes simulated state, handle it in Config.Arch(), bump the prefix-key schema, then update this audit", name)
+		}
+		delete(architectural, name)
+		delete(neutral, name)
+	}
+	for name := range architectural {
+		t.Errorf("audit lists architectural field %s that gpu.Config no longer has", name)
+	}
+	for name := range neutral {
+		t.Errorf("audit lists engine/budget field %s that gpu.Config no longer has", name)
 	}
 }
 

@@ -16,23 +16,6 @@ func DescribeRun(r *Run) string {
 		c.L1Outcomes, c.L2Acc, c.L2Miss, c.Turnaround)
 }
 
-// DiffEngineRuns compares N runs of the same work executed by different
-// engines against the first run (the oracle), labelling each divergence with
-// the engine names. An empty slice means every run is byte-identical to the
-// oracle. labels and runs must be the same length, with at least the oracle.
-func DiffEngineRuns(labels []string, runs []*Run) []string {
-	if len(labels) != len(runs) || len(runs) == 0 {
-		return []string{fmt.Sprintf("DiffEngineRuns: %d labels for %d runs", len(labels), len(runs))}
-	}
-	var diffs []string
-	for i := 1; i < len(runs); i++ {
-		for _, d := range DiffRuns(runs[0], runs[i]) {
-			diffs = append(diffs, fmt.Sprintf("%s vs %s: %s", labels[0], labels[i], d))
-		}
-	}
-	return diffs
-}
-
 // DiffRuns compares two runs of the same work executed by different engines
 // (or by the same engine twice) and returns human-readable differences; an
 // empty slice means the runs are byte-identical. This is the PR 3

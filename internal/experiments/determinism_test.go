@@ -60,3 +60,27 @@ func TestTimingRunsAreDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// TestBudgetWindowMatchesSerialLoop pins the bounded-window behaviour: the
+// warp-instruction hard stop must freeze the statistics at the same cycle
+// under both engines, with in-flight work left undrained.
+func TestBudgetWindowMatchesSerialLoop(t *testing.T) {
+	serialCfg := gpu.DefaultConfig()
+	serialCfg.FastForward = false
+	opts := Options{Size: timingSmokeSizes["bfs"], Seed: 7, MaxWarpInsts: 5000}
+	fast, err := RunTiming("bfs", opts)
+	if err != nil {
+		t.Fatalf("fast-forward run: %v", err)
+	}
+	opts.GPU = &serialCfg
+	serial, err := RunTiming("bfs", opts)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	for _, d := range DiffRuns(fast, serial) {
+		t.Errorf("fast-forward vs serial: %s", d)
+	}
+	if fast.Col.WarpInsts < 5000 {
+		t.Fatalf("budget window did not fill: %d warp insts", fast.Col.WarpInsts)
+	}
+}

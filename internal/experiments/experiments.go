@@ -45,8 +45,9 @@ type Options struct {
 	// Checkpoints, when non-nil, enables incremental simulation for timing
 	// runs: each run resumes from the deepest valid checkpoint sharing its
 	// prefix key and saves a checkpoint at every kernel-launch boundary it
-	// simulates. Results are byte-identical to cold runs (the difftest fifth
-	// oracle enforces it); any checkpoint problem falls back to a cold run.
+	// simulates. Results are byte-identical to cold runs (the difftest
+	// checkpoint oracle enforces it); any checkpoint problem falls back to a
+	// cold run.
 	// Ignored while a Tracer is installed — a warm start would skip the
 	// prefix's trace entries.
 	Checkpoints *checkpoint.Store
@@ -99,11 +100,6 @@ type Run struct {
 	// WarmStartCycles is the number of simulated cycles inherited from the
 	// checkpoint instead of re-simulated (0 for cold starts).
 	WarmStartCycles int64
-	// PhaseStats carries the parallel engine's phase diagnostics (fusion and
-	// adaptive-controller decisions); zero for the serial engines. Like
-	// SkippedCycles it is informational and excluded from byte-identity
-	// comparisons.
-	PhaseStats gpu.PhaseStats
 }
 
 // suiteCall is one singleflight execution slot: the first caller runs the
@@ -313,7 +309,7 @@ func runTimingCold(ctx context.Context, w *workloads.Workload, inst *workloads.I
 		opts.Progress(g.Cycle(), col.WarpInsts)
 	}
 	return &Run{Workload: w, Instance: inst, Col: col, Cycles: g.Cycle(),
-		SkippedCycles: g.SkippedCycles, PhaseStats: g.Phases}, nil
+		SkippedCycles: g.SkippedCycles}, nil
 }
 
 // runAll maps fn over the selected workloads.

@@ -17,10 +17,15 @@ import (
 // over canonical JSON of everything that determines simulated state at a
 // kernel-launch boundary — workload identity, problem size, input seed, and
 // the architectural configuration. Engine selection and run-length budgets
-// are deliberately excluded via Config.Arch(): all engines are byte-identical
+// are deliberately excluded via Config.Arch(): both engines are byte-identical
 // by the differential-testing contract, and budget validity is checked at
 // load time (Store.Best), so a sweep varying only those fields shares one
 // prefix.
+//
+// The material embeds the whole gpu.Config, so adding or removing a Config
+// field re-keys every stored checkpoint. Bump the schema string whenever that
+// happens so the re-key is a visible decision; files under an old schema
+// simply miss and age out of the store's LRU.
 func prefixKey(workload string, size int, seed int64, cfg gpu.Config) checkpoint.Key {
 	material, err := json.Marshal(struct {
 		Schema   string     `json:"schema"`
@@ -29,7 +34,7 @@ func prefixKey(workload string, size int, seed int64, cfg gpu.Config) checkpoint
 		Seed     int64      `json:"seed"`
 		GPU      gpu.Config `json:"gpu"`
 	}{
-		Schema:   "critload/checkpoint-prefix/v1",
+		Schema:   "critload/checkpoint-prefix/v2",
 		Workload: workload,
 		Size:     size,
 		Seed:     seed,

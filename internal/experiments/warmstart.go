@@ -15,7 +15,7 @@ type WarmStartPoint struct {
 	MaxWarpInsts uint64 `json:"max_warp_insts"`
 	// Cycles and WarpInsts describe the simulated work at window close —
 	// byte-identical to a cold run of the same budget by the difftest
-	// fifth-oracle contract, so these numbers are deterministic.
+	// checkpoint-oracle contract, so these numbers are deterministic.
 	Cycles    int64  `json:"cycles"`
 	WarpInsts uint64 `json:"warp_insts"`
 	// WarmStartIndex is the kernel-launch boundary the run resumed from

@@ -11,7 +11,7 @@ import (
 
 // conformanceSpecs returns the knob points each family is gated on: the
 // schema defaults plus hand-picked corners that change the D/N structure.
-// Sizes are kept small so the full five-oracle difftest stays fast under
+// Sizes are kept small so the full four-oracle difftest stays fast under
 // -race in CI.
 func conformanceSpecs(f *Family) []*Spec {
 	small := map[string]int{"size": 128, "ctas": 2, "block": 32}
@@ -43,11 +43,11 @@ func conformanceSpecs(f *Family) []*Spec {
 
 // TestFamilyConformance is the CI gate behind the family-conformance matrix
 // job: for every shipped family, each conformance point must (1) carry the
-// ground-truth D/N mix the family's schema promises, (2) pass all five
+// ground-truth D/N mix the family's schema promises, (2) pass all four
 // difftest oracles — classifier vs ground truth, emulator determinism,
-// fast-forward vs serial, parallel+adaptive vs serial, checkpoint/resume —
-// and (3) run end-to-end through the workloads registry the way a job spec
-// would, with the CPU-reference Verify green.
+// fast-forward vs serial, checkpoint/resume — and (3) run end-to-end
+// through the workloads registry the way a job spec would, with the
+// CPU-reference Verify green.
 func TestFamilyConformance(t *testing.T) {
 	for _, f := range List() {
 		f := f

@@ -70,33 +70,6 @@ type Config struct {
 	// disabling it keeps the naive loop as a differential-testing oracle.
 	// DefaultConfig enables it.
 	FastForward bool
-	// Parallel selects the phase-barrier parallel cycle engine: within each
-	// simulated cycle, the SM memory pipelines and the memory partitions step
-	// concurrently on a persistent worker pool, with interconnect injection
-	// and all functional execution merged on serial phases so every artifact
-	// stays byte-identical to the serial loop (see docs/PERFORMANCE.md). It
-	// composes with FastForward: dead cycles are skipped, live ones are
-	// parallelized.
-	Parallel bool
-	// Workers sizes the parallel engine's worker pool (0 = GOMAXPROCS,
-	// capped at the SM count). Ignored unless Parallel is set; any value
-	// produces identical results, by the engine's determinism contract.
-	Workers int
-	// Adaptive enables the parallel engine's occupancy-driven controller:
-	// each cycle, a concurrent phase whose active-component count is below
-	// the threshold runs inline on the engine goroutine instead of fanning
-	// out to the pool, and a launch that can never profit from the pool
-	// (one usable core) demotes to the serial/fast-forward loop body
-	// outright. Decisions are pure functions of pre-phase simulated state,
-	// so results stay byte-identical at every worker count. Ignored unless
-	// Parallel is set.
-	Adaptive bool
-	// AdaptiveThreshold is the minimum number of non-quiet components in a
-	// phase for it to be worth a pool fan-out (0 = default 3). A negative
-	// value is a test hook: the magnitude is the threshold and whole-engine
-	// demotion is disabled, forcing per-phase inline/pooled transitions to
-	// exercise even on a single-core host.
-	AdaptiveThreshold int
 }
 
 // DefaultConfig returns the Tesla C2050 configuration of Table II: 14 SMs,
@@ -135,9 +108,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: %d L2 clusters do not divide %d partitions",
 			c.L2Clusters, c.NumPartitions)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("gpu: negative worker count %d", c.Workers)
-	}
 	return c.DRAM.Validate()
 }
 
@@ -165,24 +135,10 @@ type GPU struct {
 	reqNet   *icnt.Network
 	replyNet *icnt.Network
 
-	// pools recycles memory requests, one free list per SM so the parallel
-	// engine's concurrent SM phase never contends on a shared list; requests
-	// released downstream (write-through stores at the DRAM channel) are
-	// routed back to the originating SM's pool. See memreq.Pool for the
-	// ownership rules.
-	pools []*memreq.Pool
-
-	// Shard collectors, allocated only for the parallel engine: each SM and
-	// each partition records into its own shard during the concurrent phases,
-	// and mergeShards folds them into Col at every launch boundary. Nil under
-	// the serial engines, whose components write Col directly.
-	smCols   []*stats.Collector
-	partCols []*stats.Collector
-
-	// traced notes whether a Tracer is installed: trace order is globally
-	// meaningful, so the parallel engine then steps SM memory pipelines
-	// serially instead of concurrently.
-	traced bool
+	// pool recycles memory requests device-wide: SMs take from it, and
+	// requests retire back into it at the SMs and (write-through stores) at
+	// the DRAM channels. See memreq.Pool for the ownership rules.
+	pool memreq.Pool
 
 	cycle int64
 
@@ -191,12 +147,6 @@ type GPU struct {
 	// purpose: the serial oracle never skips, and the two engines' collectors
 	// must stay byte-identical.
 	SkippedCycles int64
-
-	// Phases accumulates the parallel engine's phase diagnostics (fusion and
-	// adaptive-controller decisions). Like SkippedCycles it lives outside the
-	// Collector: engine mechanics must never leak into the statistics that
-	// the byte-identity contract compares.
-	Phases PhaseStats
 
 	// pinHint is the component index (see nextEventOf) that most recently
 	// pinned the horizon to now+1. Activity is phase-local, so rechecking it
@@ -233,27 +183,16 @@ func New(cfg Config, memory *mem.Memory, col *stats.Collector) (*GPU, error) {
 
 	lat := cfg.latencyModel()
 	for i := 0; i < cfg.NumSMs; i++ {
-		smCol := col
-		if cfg.Parallel {
-			smCol = stats.New()
-			g.smCols = append(g.smCols, smCol)
-		}
-		s, err := sm.New(i, cfg.SM, lat, (*backend)(g), smCol)
+		s, err := sm.New(i, cfg.SM, lat, (*backend)(g), col)
 		if err != nil {
 			return nil, err
 		}
-		g.pools = append(g.pools, &memreq.Pool{})
-		s.SetPool(g.pools[i])
+		s.SetPool(&g.pool)
 		s.SetFastForward(cfg.FastForward)
 		g.sms = append(g.sms, s)
 	}
 	for i := 0; i < cfg.NumPartitions; i++ {
-		partCol := col
-		if cfg.Parallel {
-			partCol = stats.New()
-			g.partCols = append(g.partCols, partCol)
-		}
-		g.parts = append(g.parts, newPartition(i, g, partCol))
+		g.parts = append(g.parts, newPartition(i, g))
 	}
 	return g, nil
 }
@@ -271,11 +210,8 @@ func MustNew(cfg Config, memory *mem.Memory, col *stats.Collector) *GPU {
 func (g *GPU) Cycle() int64 { return g.cycle }
 
 // SetTracer installs a per-request trace sink on every SM (nil disables).
-// Trace entries appear in completion order, which is globally meaningful, so
-// the parallel engine steps the SM memory pipelines serially while a tracer
-// is installed; the trace and every statistic stay identical to a serial run.
+// Trace entries appear in completion order.
 func (g *GPU) SetTracer(t sm.Tracer) {
-	g.traced = t != nil
 	for _, s := range g.sms {
 		s.SetTracer(t)
 	}
@@ -357,18 +293,6 @@ func (g *GPU) LaunchKernel(l *emu.Launch) error {
 		return nil // budget already exhausted by earlier launches
 	}
 	g.stopIssue = false
-	if g.cfg.Parallel {
-		return g.launchParallel(l)
-	}
-	return g.runSerialLoop(l)
-}
-
-// runSerialLoop is the serial/fast-forward cycle loop shared by the plain
-// engines and the parallel engine's whole-launch demotion path. The budget
-// check sums live shard collectors so the adaptive engine — whose SMs write
-// shards — stops at exactly the cycle the serial loop would; without shards
-// warpInstsTotal is just Col.WarpInsts.
-func (g *GPU) runSerialLoop(l *emu.Launch) error {
 	for {
 		// Reply path first so fills release resources before new accesses.
 		g.replyNet.Step(g.cycle)
@@ -383,7 +307,7 @@ func (g *GPU) runSerialLoop(l *emu.Launch) error {
 		}
 		if !g.stopIssue {
 			g.scheduleCTAs()
-			if g.cfg.MaxWarpInsts > 0 && g.warpInstsTotal() >= g.cfg.MaxWarpInsts {
+			if g.cfg.MaxWarpInsts > 0 && g.Col.WarpInsts >= g.cfg.MaxWarpInsts {
 				// Hard stop, as GPGPU-Sim does at its instruction budget:
 				// freeze statistics without draining in-flight work. The GPU
 				// must not be asked to run further kernels after this.

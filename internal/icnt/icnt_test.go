@@ -51,46 +51,6 @@ func TestInputBufferBackpressure(t *testing.T) {
 	}
 }
 
-// TestQuietAt pins the fusion-legality hook: quiet exactly when Step would
-// be a no-op — empty network, or a valid quiet cache covering now — and not
-// quiet the moment an injection lands or the cache expires.
-func TestQuietAt(t *testing.T) {
-	n, _ := collectNet(t, 2, 2, Config{Latency: 8, InputQueueCap: 4})
-	n.SetFastForward(true)
-	if !n.QuietAt(0) {
-		t.Error("empty network not quiet")
-	}
-	r := &memreq.Request{}
-	n.Inject(0, 1, r, ControlFlits, 0)
-	if n.QuietAt(0) {
-		t.Error("quiet right after injection (no cache computed yet)")
-	}
-	// A scan at 0 delivers nothing (latency 8) and caches quietUntil=8.
-	n.Step(0)
-	for cyc := int64(1); cyc < 8; cyc++ {
-		if !n.QuietAt(cyc) {
-			t.Errorf("not quiet at %d inside cached window", cyc)
-		}
-	}
-	if n.QuietAt(8) {
-		t.Error("quiet at the cached delivery cycle")
-	}
-	// A new injection invalidates the cache immediately.
-	n.Step(1)
-	n.Inject(1, 0, r, ControlFlits, 1)
-	if n.QuietAt(2) {
-		t.Error("quiet after a cache-invalidating injection")
-	}
-	// Without fast-forward no cache is ever written: a non-empty network is
-	// never quiet, so the serial oracle's scans are all preserved.
-	n2, _ := collectNet(t, 2, 2, Config{Latency: 8, InputQueueCap: 4})
-	n2.Inject(0, 1, r, ControlFlits, 0)
-	n2.Step(0)
-	if n2.QuietAt(3) {
-		t.Error("quiet without fast-forward cache")
-	}
-}
-
 func TestFlitSerialization(t *testing.T) {
 	// Two 4-flit packets from one source to one destination must be spaced
 	// at least 4 cycles apart.
@@ -129,7 +89,7 @@ func TestDestinationContention(t *testing.T) {
 	}
 }
 
-func TestParallelDisjointPaths(t *testing.T) {
+func TestDisjointPathsDoNotInterfere(t *testing.T) {
 	// Distinct src→dst pairs do not interfere: both deliver at the same cycle.
 	n, arrivals := collectNet(t, 2, 2, Config{Latency: 2, InputQueueCap: 8})
 	r := &memreq.Request{}

@@ -65,20 +65,6 @@ func TestSnapshotPanicsWithPackets(t *testing.T) {
 	n.Snapshot(checkpoint.NewWriter())
 }
 
-// TestSnapshotPanicsWithStagedInjections checks the parallel-engine commit
-// invariant: uncommitted per-source staging refuses to serialize.
-func TestSnapshotPanicsWithStagedInjections(t *testing.T) {
-	n := snapNet(t)
-	n.staged = make([]int, n.numSrc)
-	n.staged[2] = 1
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Snapshot with staged injections did not panic")
-		}
-	}()
-	n.Snapshot(checkpoint.NewWriter())
-}
-
 // TestRestoreRejections covers the refusal paths: packets in flight on the
 // receiver, a port-count mismatch, and truncation.
 func TestRestoreRejections(t *testing.T) {

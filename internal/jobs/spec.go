@@ -46,8 +46,8 @@ type Spec struct {
 	// ReuseCheckpoints lets a timing run warm-start from (and contribute to)
 	// the daemon's checkpoint store when one is configured. Like Timeout it
 	// is excluded from the cache key: warm starts are byte-identical to cold
-	// runs — the difftest fifth oracle enforces it — so the flag changes how
-	// fast a result arrives, never the result.
+	// runs — the difftest checkpoint oracle enforces it — so the flag changes
+	// how fast a result arrives, never the result.
 	ReuseCheckpoints bool `json:"reuse_checkpoints,omitempty"`
 }
 

@@ -103,8 +103,12 @@ func TestSpecKeyGoldenHashes(t *testing.T) {
 			"3d40d0d7b4fbc7eea13e8f8da834a3d9cf6a4e6b77b7a8401ac4a8cfb7699f38"},
 		{Spec{Workload: "2mm", Mode: ModeTiming, Size: 64, Seed: 1, MaxWarpInsts: 400_000, MaxCycles: 1_000_000},
 			"123dc40739d550d6ea748f2ab900f7014d2b564b82a4fcf2d77d67149b7e736a"},
+		// The only case embedding gpu.Config, so the only one that re-keys
+		// when Config gains or loses a field. HTTP submissions cannot set
+		// GPU, so the three digests above — the ones durable daemon results
+		// and journal records carry — must survive any such change untouched.
 		{Spec{Workload: "sssp", Mode: ModeTiming, Size: 512, Seed: 9, GPU: &cfg},
-			"7c90f3b02dbbaae591a9c9f07b6bb27b76810e3289ad89f67a5dc5a62a9c6ef8"},
+			"2a766bcbf4418fbc51d312c6c6084706b1e2c66b93aef0877515cd5bf551657b"},
 	}
 	for _, g := range golden {
 		if got := g.spec.Key().String(); got != g.want {
@@ -126,7 +130,7 @@ func TestSpecKeyFieldAudit(t *testing.T) {
 	}
 	// Result-neutral by design: Timeout bounds a run without changing what
 	// a successful run produces; ReuseCheckpoints changes how fast a
-	// timing result arrives, never its bytes (difftest's fifth oracle).
+	// timing result arrives, never its bytes (difftest's checkpoint oracle).
 	excluded := map[string]bool{
 		"Timeout": true, "ReuseCheckpoints": true,
 	}

@@ -448,33 +448,9 @@ func (s *SM) retireCTA(cc *ctaCtx) {
 }
 
 // Step advances the SM one cycle: completions, the LD/ST pipeline, then
-// instruction issue, then occupancy statistics. It is exactly
-// StepMem followed (when not frozen) by StepIssue; the split exists so the
-// parallel cycle engine can run the memory-pipeline halves of all SMs
-// concurrently and the issue halves serially.
+// instruction issue (functionally executing the chosen warp instructions),
+// then occupancy statistics.
 func (s *SM) Step(now int64) error {
-	if s.StepMem(now) {
-		return nil
-	}
-	return s.StepIssue(now)
-}
-
-// StepMem advances the completion and LD/ST pipeline half of a cycle and
-// reports whether the SM is frozen by a valid stall cache — in which case the
-// cycle is fully accounted and StepIssue must not run.
-//
-// Step isolation (the parallel engine's phase-1 contract): everything this
-// method touches is either owned by this SM — warp contexts, the private L1,
-// the per-SM request pool and collector shard, the event queues — or reaches
-// shared components only through their concurrency-safe merge points: request
-// injection goes to this SM's own source queue of a deferred-mode network
-// (per-source staging, serially committed), and PartitionOf is a pure
-// function of the configuration. No functional execution happens here — warp
-// instructions (and hence all reads and writes of the shared simulated
-// memory) execute at issue, which the parallel engine serializes. The one
-// exception is an installed Tracer, whose Add order is globally meaningful;
-// the engine falls back to stepping SMs serially when tracing.
-func (s *SM) StepMem(now int64) bool {
 	s.processWritebacks(now)
 	s.stepLDST(now)
 	if now < s.stallUntil {
@@ -483,28 +459,8 @@ func (s *SM) StepMem(now int64) bool {
 		// Only the occupancy counters advance, exactly as a fruitless full
 		// step would leave them.
 		s.recordOccupancy(now)
-		return true
+		return nil
 	}
-	return false
-}
-
-// MemQuietAt reports whether StepMem(now) would freeze immediately: a valid
-// stall cache proves no completion, retry, or injection can happen at now, so
-// the call would only advance the occupancy counters. The parallel engine's
-// adaptive controller uses this as its per-cycle occupancy probe — a quiet
-// StepMem is too cheap to be worth a worker handoff. Only meaningful under
-// fast-forward (the stall cache stays 0 otherwise, reporting never-quiet).
-func (s *SM) MemQuietAt(now int64) bool {
-	return now < s.stallUntil
-}
-
-// StepIssue runs the issue half of a cycle: the warp schedulers (functionally
-// executing the chosen instructions), the stall-cache refresh, and the
-// occupancy statistics. It must only be called after StepMem(now) returned
-// false, and — because functional execution reads and writes the shared
-// simulated memory — from one goroutine at a time, in SM-id order, to stay
-// byte-identical to the serial loop.
-func (s *SM) StepIssue(now int64) error {
 	if err := s.issue(now); err != nil {
 		return err
 	}

@@ -450,37 +450,6 @@ func TestUnitOccupancyTracked(t *testing.T) {
 	}
 }
 
-// TestMemQuietAt pins the adaptive controller's occupancy probe against the
-// stall cache: quiet exactly while StepMem would freeze, never quiet without
-// fast-forward (the cache stays 0), and re-armed the moment work arrives.
-func TestMemQuietAt(t *testing.T) {
-	s, _, _ := newTestSM(t)
-	if s.MemQuietAt(0) {
-		t.Error("quiet without fast-forward (stall cache disabled)")
-	}
-	s.stallUntil = 10
-	if !s.MemQuietAt(5) {
-		t.Error("not quiet inside the stall window")
-	}
-	if got := s.StepMem(5); !got {
-		t.Error("StepMem did not freeze where MemQuietAt reported quiet")
-	}
-	if s.MemQuietAt(10) {
-		t.Error("quiet at the stall deadline")
-	}
-	// LaunchCTA resets the cache: fresh warps may issue immediately.
-	s.stallUntil = 100
-	k := mustKernel(t, `
-.kernel alu
-    mov.u32 %r0, 1;
-    exit;
-`)
-	launchOn(t, s, k, 32)
-	if s.MemQuietAt(5) {
-		t.Error("quiet right after a CTA launch")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := DefaultConfig()
 	bad.NumSchedulers = 0

@@ -117,10 +117,7 @@ type blockInfo struct {
 	nonDetN uint64 // accesses from non-deterministic loads
 }
 
-// Collector gathers all run statistics. It is not safe for concurrent use;
-// the parallel cycle engine gives each concurrently-stepped component a
-// private shard collector and reduces the shards with Merge on its serial
-// phase.
+// Collector gathers all run statistics. It is not safe for concurrent use.
 type Collector struct {
 	// Functional counts (Table I, Fig 1).
 	WarpInsts    uint64
@@ -179,78 +176,6 @@ func New() *Collector {
 	}
 	return c
 }
-
-// Merge folds src into c by summation, so that per-component shard
-// collectors filled concurrently by the parallel cycle engine reduce to the
-// exact collector a single serial run would have produced. Every timing-path
-// statistic is a counter, a sum, or a map of sums, all of which are
-// independent of merge order; GPUCycles is a plain sum too, because shards
-// never set it (the engine stamps it on the root collector directly).
-//
-// The functional-path block map (blocks, CTADist) is *not* merge-safe: its
-// first/last-CTA fields depend on observation order. Shard collectors are fed
-// by the timing path only and never populate it; Merge panics if handed a
-// source that did, rather than silently corrupting the Fig 10-12 artifacts.
-func (c *Collector) Merge(src *Collector) {
-	if len(src.blocks) > 0 || len(src.CTADist) > 0 {
-		panic("stats: Merge of a collector carrying order-dependent functional-path block data")
-	}
-	c.WarpInsts += src.WarpInsts
-	c.ThreadInsts += src.ThreadInsts
-	c.SLoadWarps += src.SLoadWarps
-	c.GStoreWarps += src.GStoreWarps
-	c.Prefetches += src.Prefetches
-	c.SMCycles += src.SMCycles
-	c.GPUCycles += src.GPUCycles
-	c.BlockLoadReqs += src.BlockLoadReqs
-	for cat := 0; cat < int(NumCats); cat++ {
-		c.GLoadWarps[cat] += src.GLoadWarps[cat]
-		c.GLoadThreads[cat] += src.GLoadThreads[cat]
-		c.Requests[cat] += src.Requests[cat]
-		c.L1Acc[cat] += src.L1Acc[cat]
-		c.L1Miss[cat] += src.L1Miss[cat]
-		c.L2Acc[cat] += src.L2Acc[cat]
-		c.L2Miss[cat] += src.L2Miss[cat]
-		for o := range c.L1Outcomes[cat] {
-			c.L1Outcomes[cat][o] += src.L1Outcomes[cat][o]
-		}
-		t, u := &c.Turnaround[cat], &src.Turnaround[cat]
-		t.Ops += u.Ops
-		t.Total += u.Total
-		t.Unloaded += u.Unloaded
-		t.RsrvPrev += u.RsrvPrev
-		t.RsrvCurr += u.RsrvCurr
-		t.MemSystem += u.MemSystem
-	}
-	for u := range c.UnitBusy {
-		c.UnitBusy[u] += src.UnitBusy[u]
-	}
-	for s := range c.L2SliceQueries {
-		c.L2SliceQueries[s] += src.L2SliceQueries[s]
-		c.L2SliceHits[s] += src.L2SliceHits[s]
-	}
-	for key, sp := range src.PerPC {
-		p := c.PerPC[key]
-		if p == nil {
-			p = &PCStats{Key: key, NonDet: sp.NonDet, ByNReq: map[int]*GapAgg{}}
-			c.PerPC[key] = p
-		}
-		for nreq, sg := range sp.ByNReq {
-			g := p.bucket(nreq)
-			g.Ops += sg.Ops
-			g.Total += sg.Total
-			g.Common += sg.Common
-			g.GapL1D += sg.GapL1D
-			g.GapIcntL2 += sg.GapIcntL2
-			g.GapL2Icnt += sg.GapL2Icnt
-		}
-	}
-}
-
-// Reset returns the collector to its freshly-constructed state, keeping the
-// struct (and every pointer to it) valid; the parallel engine resets its
-// shard collectors after merging them at each launch boundary.
-func (c *Collector) Reset() { *c = *New() }
 
 // ---------------------------------------------------------------------------
 // Functional-path collection

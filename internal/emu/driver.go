@@ -49,10 +49,14 @@ func Run(env *Env, opts RunOptions) (RunResult, error) {
 	if err := l.Validate(); err != nil {
 		return res, err
 	}
+	// Every CTA of a launch has the same shape, so they all run through one
+	// set of CTA storage and one Step record.
+	cta := NewCTA(l, 0)
+	var step Step
 	nCTA := l.Grid.Count()
 	for id := 0; id < nCTA; id++ {
-		cta := NewCTA(l, id)
-		if err := runCTA(env, cta, opts, &res); err != nil {
+		cta.Reset(l, id)
+		if err := runCTA(env, cta, &step, opts, &res); err != nil {
 			return res, fmt.Errorf("emu: CTA %d: %w", id, err)
 		}
 		if res.Truncated {
@@ -67,7 +71,7 @@ func Run(env *Env, opts RunOptions) (RunResult, error) {
 // large enough to keep driver overhead low.
 const warpSlice = 64
 
-func runCTA(env *Env, cta *CTA, opts RunOptions, res *RunResult) error {
+func runCTA(env *Env, cta *CTA, step *Step, opts RunOptions, res *RunResult) error {
 	for {
 		progressed := false
 		for _, w := range cta.Warps {
@@ -78,12 +82,11 @@ func runCTA(env *Env, cta *CTA, opts RunOptions, res *RunResult) error {
 				if w.Done() || w.AtBarrier {
 					break
 				}
-				step, err := w.Execute(env)
-				if err != nil {
+				if err := w.Execute(env, step); err != nil {
 					return err
 				}
 				progressed = true
-				record(env, cta, w, &step, opts, res)
+				record(cta, w, step, opts, res)
 				if opts.MaxWarpInsts > 0 && res.WarpInsts >= opts.MaxWarpInsts {
 					res.Truncated = true
 					return nil
@@ -103,7 +106,7 @@ func runCTA(env *Env, cta *CTA, opts RunOptions, res *RunResult) error {
 	}
 }
 
-func record(env *Env, cta *CTA, w *Warp, step *Step, opts RunOptions, res *RunResult) {
+func record(cta *CTA, w *Warp, step *Step, opts RunOptions, res *RunResult) {
 	res.WarpInsts++
 	res.ThreadInsts += uint64(step.ExecCount())
 	in := step.Inst

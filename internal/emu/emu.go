@@ -97,13 +97,28 @@ type CTA struct {
 // NewCTA instantiates the CTA with the given linear id, creating its warps
 // and shared memory.
 func NewCTA(l *Launch, id int) *CTA {
-	shBytes := l.Kernel.SharedBytes
-	c := &CTA{ID: id, Coord: l.CTACoord(id), Shared: make([]byte, shBytes)}
-	nWarp := l.WarpsPerCTA()
-	for w := 0; w < nWarp; w++ {
-		c.Warps = append(c.Warps, newWarp(l, c, w))
+	c := &CTA{Shared: make([]byte, l.Kernel.SharedBytes), Warps: make([]*Warp, l.WarpsPerCTA())}
+	for w := range c.Warps {
+		c.Warps[w] = newWarp(l, c, w)
 	}
+	c.Reset(l, id)
 	return c
+}
+
+// Reset returns the CTA to its launch state as CTA id of the same launch
+// shape it was created for: registers, predicates and shared memory zeroed,
+// every warp back at the first instruction with its full lane mask. It lets a
+// driver run the CTAs of one launch through one set of storage.
+func (c *CTA) Reset(l *Launch, id int) {
+	c.ID, c.Coord = id, l.CTACoord(id)
+	clear(c.Shared)
+	for _, w := range c.Warps {
+		clear(w.regs)
+		clear(w.preds)
+		w.AtBarrier = false
+		w.InstructionsExecuted = 0
+		w.stack = append(w.stack[:0], stackEntry{pc: 0, rpc: len(w.kernel.Insts), mask: w.laneMask})
+	}
 }
 
 // Done reports whether every warp of the CTA has exited.
@@ -152,8 +167,10 @@ type Warp struct {
 	preds  []uint32 // one lane-bitmask per predicate register
 	stack  []stackEntry
 	// laneTid[l] is the linear thread id within the block of lane l, or -1
-	// for lanes beyond the block size.
-	laneTid [WarpSize]int
+	// for lanes beyond the block size; laneMask has a bit per lane with a
+	// thread.
+	laneTid  [WarpSize]int
+	laneMask uint32
 	// InstructionsExecuted counts warp-level instructions retired.
 	InstructionsExecuted uint64
 }
@@ -168,29 +185,27 @@ func newWarp(l *Launch, c *CTA, index int) *Warp {
 		preds:  make([]uint32, k.NumPreds),
 	}
 	blockThreads := l.Block.Count()
-	var mask uint32
 	for lane := 0; lane < WarpSize; lane++ {
 		t := index*WarpSize + lane
 		if t < blockThreads {
 			w.laneTid[lane] = t
-			mask |= 1 << lane
+			w.laneMask |= 1 << lane
 		} else {
 			w.laneTid[lane] = -1
 		}
 	}
-	w.stack = append(w.stack, stackEntry{pc: 0, rpc: len(k.Insts), mask: mask})
 	return w
 }
 
+// The SIMT stack is kept normalized — no reconverged or empty entry on top —
+// by CTA.Reset and at the end of every Execute, its only mutators, so the
+// queries below are plain reads however often a scheduler asks them.
+
 // Done reports whether the warp has no live lanes left.
-func (w *Warp) Done() bool {
-	w.normalize()
-	return len(w.stack) == 0
-}
+func (w *Warp) Done() bool { return len(w.stack) == 0 }
 
 // PC returns the current instruction index, or -1 when done.
 func (w *Warp) PC() int {
-	w.normalize()
 	if len(w.stack) == 0 {
 		return -1
 	}
@@ -199,7 +214,6 @@ func (w *Warp) PC() int {
 
 // ActiveMask returns the current top-of-stack active mask.
 func (w *Warp) ActiveMask() uint32 {
-	w.normalize()
 	if len(w.stack) == 0 {
 		return 0
 	}

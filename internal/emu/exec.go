@@ -8,13 +8,12 @@ import (
 )
 
 // Execute runs the warp's next instruction against env, updating register
-// state, memory, and the SIMT stack, and returns the execution record.
-// Calling Execute on a finished warp is a programming error and returns an
-// error.
-func (w *Warp) Execute(env *Env) (Step, error) {
-	w.normalize()
+// state, memory, and the SIMT stack, and overwrites *step with the execution
+// record (the caller owns the Step and may reuse one across calls). Calling
+// Execute on a finished warp is a programming error and returns an error.
+func (w *Warp) Execute(env *Env, step *Step) error {
 	if len(w.stack) == 0 {
-		return Step{}, fmt.Errorf("emu: execute on finished warp")
+		return fmt.Errorf("emu: execute on finished warp")
 	}
 	top := &w.stack[len(w.stack)-1]
 	pc := top.pc
@@ -30,57 +29,45 @@ func (w *Warp) Execute(env *Env) (Step, error) {
 		exec &= bits
 	}
 
-	step := Step{Inst: in, Active: active, Exec: exec}
+	*step = Step{Inst: in, Active: active, Exec: exec}
 	w.InstructionsExecuted++
 
 	switch in.Op {
 	case isa.OpBra:
 		w.execBranch(in, pc, active, exec)
-		return step, nil
 	case isa.OpExit, isa.OpRet:
 		w.execExit(exec) // removes exec lanes from every stack entry
 		// Guard-false lanes, if any, continue at the next instruction.
-		if t := lastEntry(w.stack); t != nil && t.pc == pc && t.mask != 0 {
-			t.pc++
+		if top.mask != 0 {
+			top.pc++
 		}
 		w.normalize()
-		step.Exited = w.DoneNoNormalize()
-		return step, nil
+		step.Exited = w.Done()
+		return nil
 	case isa.OpBar:
 		w.AtBarrier = true
 		step.Barrier = true
 		top.pc++
-		return step, nil
-	}
-
-	var err error
-	switch in.Op {
-	case isa.OpLd:
-		err = w.execLoad(env, in, exec, &step)
-	case isa.OpSt:
-		err = w.execStore(env, in, exec, &step)
-	case isa.OpAtom:
-		err = w.execAtomic(env, in, exec, &step)
 	default:
-		w.execALU(env, in, exec)
+		var err error
+		switch in.Op {
+		case isa.OpLd:
+			err = w.execLoad(env, in, exec, step)
+		case isa.OpSt:
+			err = w.execStore(env, in, exec, step)
+		case isa.OpAtom:
+			err = w.execAtomic(env, in, exec, step)
+		default:
+			w.execALU(env, in, exec)
+		}
+		if err != nil {
+			return fmt.Errorf("emu: %s (PC 0x%x): %w", in, in.PC, err)
+		}
+		top.pc++
 	}
-	if err != nil {
-		return step, fmt.Errorf("emu: %s (PC 0x%x): %w", in, in.PC, err)
-	}
-	top.pc++
-	return step, nil
+	w.normalize()
+	return nil
 }
-
-func lastEntry(s []stackEntry) *stackEntry {
-	if len(s) == 0 {
-		return nil
-	}
-	return &s[len(s)-1]
-}
-
-// DoneNoNormalize reports warp completion without mutating the stack; used
-// right after normalize.
-func (w *Warp) DoneNoNormalize() bool { return len(w.stack) == 0 }
 
 func (w *Warp) execBranch(in *isa.Instruction, pc int, active, exec uint32) {
 	taken := exec

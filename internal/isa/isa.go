@@ -445,6 +445,49 @@ func (in *Instruction) SourceRegs(dst []int) []int {
 	return dst
 }
 
+// Hazard is the scoreboard view of a static instruction: the registers whose
+// in-flight writes block its issue (RAW on the sources and the guard, WAW on
+// the destinations) and the function unit it dispatches to. ptx resolves one
+// per instruction when a kernel is assembled, so an issue stage that asks the
+// same question many times need not re-walk the operand list.
+type Hazard struct {
+	Regs   [4]int32 // source registers, then the destination register
+	Preds  [5]int32 // destination predicate, guard, predicate sources
+	NRegs  uint8
+	NPreds uint8
+	Unit   FuncUnit
+}
+
+// Hazard derives the instruction's scoreboard operands.
+func (in *Instruction) Hazard() Hazard {
+	h := Hazard{Unit: in.Unit()}
+	var buf [len(h.Regs)]int
+	regs := in.SourceRegs(buf[:0])
+	if d := in.DefReg(); d >= 0 {
+		regs = append(regs, d)
+	}
+	for _, r := range regs {
+		h.Regs[h.NRegs] = int32(r)
+		h.NRegs++
+	}
+	addPred := func(p int) {
+		h.Preds[h.NPreds] = int32(p)
+		h.NPreds++
+	}
+	if d := in.DefPred(); d >= 0 {
+		addPred(d)
+	}
+	if in.Guard.Active() {
+		addPred(in.Guard.Reg)
+	}
+	for s := 0; s < in.NSrc; s++ {
+		if in.Srcs[s].Kind == OpdPred {
+			addPred(in.Srcs[s].Reg)
+		}
+	}
+	return h
+}
+
 // AddrReg returns the base register of the instruction's memory operand and
 // true, if the instruction is a memory operation with a register-based
 // address.

@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestOpcodeProperties(t *testing.T) {
 	sfu := []Opcode{OpSqrt, OpRsqrt, OpRcp, OpSin, OpCos, OpEx2, OpLg2}
@@ -161,6 +164,45 @@ func TestOperandString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.o.String(); got != c.want {
 			t.Errorf("operand %+v = %q, want %q", c.o, got, c.want)
+		}
+	}
+}
+
+// TestHazardOperands pins the scoreboard view of the operand shapes the issue
+// stage meets: sources then destination for registers; destination, guard,
+// then sources for predicates.
+func TestHazardOperands(t *testing.T) {
+	cases := []struct {
+		name  string
+		in    Instruction
+		regs  []int32
+		preds []int32
+		unit  FuncUnit
+	}{
+		{"guarded mad", Instruction{Op: OpMad, Type: U32, Guard: PredGuard{Reg: 2}, Dst: Reg(7),
+			Srcs: [3]Operand{Reg(1), Imm(4), Reg(3)}, NSrc: 3}, []int32{1, 3, 7}, []int32{2}, UnitSP},
+		{"setp", Instruction{Op: OpSetp, Type: S32, Guard: NoGuard, Dst: PredReg(1),
+			Srcs: [3]Operand{Reg(4), Reg(5)}, NSrc: 2}, []int32{4, 5}, []int32{1}, UnitSP},
+		{"selp", Instruction{Op: OpSelp, Type: U32, Guard: NoGuard, Dst: Reg(0),
+			Srcs: [3]Operand{Reg(1), Reg(2), PredReg(3)}, NSrc: 3}, []int32{1, 2, 0}, []int32{3}, UnitSP},
+		{"store", Instruction{Op: OpSt, Space: SpaceGlobal, Guard: NoGuard,
+			Srcs: [3]Operand{Mem(6, 8), Reg(9)}, NSrc: 2}, []int32{6, 9}, nil, UnitLDST},
+		{"absolute load", Instruction{Op: OpLd, Space: SpaceShared, Guard: NoGuard, Dst: Reg(2),
+			Srcs: [3]Operand{Mem(-1, 64)}, NSrc: 1}, []int32{2}, nil, UnitLDST},
+		{"float div", Instruction{Op: OpDiv, Type: F32, Guard: NoGuard, Dst: Reg(1),
+			Srcs: [3]Operand{Reg(1), FImm(2)}, NSrc: 2}, []int32{1, 1}, nil, UnitSFU},
+		{"guarded branch", Instruction{Op: OpBra, Guard: PredGuard{Reg: 0, Negate: true}}, nil, []int32{0}, UnitSP},
+	}
+	for _, c := range cases {
+		h := c.in.Hazard()
+		if got := h.Regs[:h.NRegs]; !slices.Equal(got, c.regs) {
+			t.Errorf("%s: regs %v, want %v", c.name, got, c.regs)
+		}
+		if got := h.Preds[:h.NPreds]; !slices.Equal(got, c.preds) {
+			t.Errorf("%s: preds %v, want %v", c.name, got, c.preds)
+		}
+		if h.Unit != c.unit {
+			t.Errorf("%s: unit %v, want %v", c.name, h.Unit, c.unit)
 		}
 	}
 }

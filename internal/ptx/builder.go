@@ -250,37 +250,8 @@ func (b *Builder) Build() (*Kernel, error) {
 		return nil, fmt.Errorf("ptx: labels %v at end of kernel", b.pending)
 	}
 	k := b.k
-	for i, in := range k.Insts {
-		if in.Op == isa.OpBra {
-			t, ok := k.Labels[in.Label]
-			if !ok {
-				return nil, fmt.Errorf("ptx: undefined label %q (inst %d)", in.Label, i)
-			}
-			in.Targ = t
-		}
-		bump := func(o isa.Operand) {
-			switch o.Kind {
-			case isa.OpdReg:
-				if o.Reg+1 > k.NumRegs {
-					k.NumRegs = o.Reg + 1
-				}
-			case isa.OpdPred:
-				if o.Reg+1 > k.NumPreds {
-					k.NumPreds = o.Reg + 1
-				}
-			case isa.OpdMem:
-				if o.Reg >= 0 && o.Reg+1 > k.NumRegs {
-					k.NumRegs = o.Reg + 1
-				}
-			}
-		}
-		bump(in.Dst)
-		for s := 0; s < in.NSrc; s++ {
-			bump(in.Srcs[s])
-		}
-		if in.Guard.Active() && in.Guard.Reg+1 > k.NumPreds {
-			k.NumPreds = in.Guard.Reg + 1
-		}
+	if err := k.finish(); err != nil {
+		return nil, fmt.Errorf("ptx: %w", err)
 	}
 	if err := k.Validate(); err != nil {
 		return nil, err

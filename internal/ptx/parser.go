@@ -189,38 +189,8 @@ func (p *parser) finishKernel() error {
 	}
 	k := p.cur
 	p.cur = nil
-	// Resolve branch targets and register counts.
-	for i, in := range k.Insts {
-		if in.Op == isa.OpBra {
-			t, ok := k.Labels[in.Label]
-			if !ok {
-				return p.errf("kernel %s: undefined label %q (inst %d)", k.Name, in.Label, i)
-			}
-			in.Targ = t
-		}
-		bump := func(o isa.Operand) {
-			switch o.Kind {
-			case isa.OpdReg:
-				if o.Reg+1 > k.NumRegs {
-					k.NumRegs = o.Reg + 1
-				}
-			case isa.OpdPred:
-				if o.Reg+1 > k.NumPreds {
-					k.NumPreds = o.Reg + 1
-				}
-			case isa.OpdMem:
-				if o.Reg >= 0 && o.Reg+1 > k.NumRegs {
-					k.NumRegs = o.Reg + 1
-				}
-			}
-		}
-		bump(in.Dst)
-		for s := 0; s < in.NSrc; s++ {
-			bump(in.Srcs[s])
-		}
-		if in.Guard.Active() && in.Guard.Reg+1 > k.NumPreds {
-			k.NumPreds = in.Guard.Reg + 1
-		}
+	if err := k.finish(); err != nil {
+		return p.errf("%v", err)
 	}
 	p.kernels = append(p.kernels, k)
 	return nil

@@ -51,8 +51,52 @@ type Kernel struct {
 	Insts       []*isa.Instruction
 	Labels      map[string]int
 
-	cfg *CFG // lazily built
+	cfg     *CFG         // lazily built
+	hazards []isa.Hazard // per instruction, resolved by finish
 }
+
+// finish completes an assembled kernel: it resolves branch targets, sizes
+// the register files from the highest index used, and derives every
+// instruction's scoreboard operands. Parse and Builder.Build both end here,
+// before the kernel is visible to anyone else.
+func (k *Kernel) finish() error {
+	bump := func(n *int, reg int) {
+		if reg+1 > *n {
+			*n = reg + 1
+		}
+	}
+	bumpOpd := func(o isa.Operand) {
+		switch o.Kind {
+		case isa.OpdReg, isa.OpdMem: // an absolute OpdMem has Reg -1
+			bump(&k.NumRegs, o.Reg)
+		case isa.OpdPred:
+			bump(&k.NumPreds, o.Reg)
+		}
+	}
+	k.hazards = make([]isa.Hazard, len(k.Insts))
+	for i, in := range k.Insts {
+		if in.Op == isa.OpBra {
+			t, ok := k.Labels[in.Label]
+			if !ok {
+				return fmt.Errorf("kernel %s: undefined label %q (inst %d)", k.Name, in.Label, i)
+			}
+			in.Targ = t
+		}
+		bumpOpd(in.Dst)
+		for s := 0; s < in.NSrc; s++ {
+			bumpOpd(in.Srcs[s])
+		}
+		if in.Guard.Active() {
+			bump(&k.NumPreds, in.Guard.Reg)
+		}
+		k.hazards[i] = in.Hazard()
+	}
+	return nil
+}
+
+// Hazards returns the scoreboard operands of every instruction, indexed like
+// Insts. The slice is shared and must not be modified.
+func (k *Kernel) Hazards() []isa.Hazard { return k.hazards }
 
 // ParamOffset returns the byte offset of a named parameter.
 func (k *Kernel) ParamOffset(name string) (int, bool) {

@@ -17,7 +17,7 @@ import (
 func (s *SM) NextEvent(now int64) int64 {
 	// A non-empty LD/ST queue retries an access every cycle, and every
 	// attempt mutates the Figure 3 outcome counters: unskippable.
-	if len(s.ldstQ) > 0 {
+	if s.ldstQ.Len() > 0 {
 		return now + 1
 	}
 	// An instruction issued this cycle usually means another can issue next
@@ -36,14 +36,15 @@ func (s *SM) NextEvent(now int64) int64 {
 			horizon = t
 		}
 	}
-	for i := range s.hitEvents {
-		if t := s.hitEvents[i].at; t < horizon {
-			horizon = t
-		}
+	if s.hitEvents.Len() > 0 {
+		horizon = min(horizon, s.hitEvents.Peek().at) // FIFO: the head is the earliest
 	}
 	// Warps blocked only by a busy function unit wake when it frees. Warps
 	// blocked by the scoreboard wake via a writeback or reply event, both
 	// covered elsewhere; warps at a barrier wake via another warp's issue.
+	if s.readySets {
+		return max(s.readyUnitFree(horizon), now+1)
+	}
 	for _, wc := range s.warps {
 		if wc.w.AtBarrier {
 			continue

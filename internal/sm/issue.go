@@ -13,17 +13,24 @@ import (
 // instruction per cycle.
 func (s *SM) issue(now int64) error {
 	for sched := 0; sched < s.cfg.NumSchedulers; sched++ {
-		wc := s.pickWarp(sched, now)
+		var wc *warpCtx
+		if s.readySets {
+			wc = s.pickReady(sched, now)
+		} else {
+			wc = s.pickWarp(sched, now)
+		}
 		if wc == nil {
 			continue
+		}
+		// Before the issue, so that retireCTA clears it again if this is the
+		// instruction that retires the warp's CTA.
+		if s.cfg.Policy == GTO {
+			s.greedy[sched] = wc
 		}
 		if err := s.issueWarp(wc, now); err != nil {
 			return err
 		}
 		s.lastIssue = now
-		if s.cfg.Policy == GTO {
-			s.greedy[sched] = wc
-		}
 	}
 	return nil
 }
@@ -49,7 +56,8 @@ func (s *SM) eligible(wc *warpCtx, now int64) bool {
 
 // pickWarp selects the next warp for a scheduler according to the policy.
 // Warps are partitioned over schedulers by arrival order (age modulo
-// scheduler count), as on Fermi.
+// scheduler count), as on Fermi. This scan is the naive engine's pick and the
+// definition the fast-forward engine's pickReady must match.
 func (s *SM) pickWarp(sched int, now int64) *warpCtx {
 	mine := s.schedWarps[sched]
 	if len(mine) == 0 {
@@ -83,8 +91,8 @@ func (s *SM) pickWarp(sched int, now int64) *warpCtx {
 // issueWarp functionally executes the warp's next instruction and models its
 // timing consequences.
 func (s *SM) issueWarp(wc *warpCtx, now int64) error {
-	step, err := wc.w.Execute(s.env)
-	if err != nil {
+	var step emu.Step
+	if err := wc.w.Execute(s.env, &step); err != nil {
 		return fmt.Errorf("sm %d: %w", s.ID, err)
 	}
 	s.InstructionsIssued++
@@ -123,6 +131,9 @@ func (s *SM) issueWarp(wc *warpCtx, now int64) error {
 		s.scheduleWriteback(wc, in, now+s.cfg.SPLatency)
 	}
 
+	if s.readySets {
+		s.refreshReady(wc) // new instruction, and pending counters just rose
+	}
 	if step.Exited {
 		s.retireWarp(wc)
 	}
@@ -144,6 +155,13 @@ func (s *SM) maybeReleaseBarrier(cc *ctaCtx) {
 		}
 	}
 	cc.cta.ReleaseBarrier()
+	if s.readySets {
+		for _, wc := range s.warps {
+			if wc.cta == cc {
+				s.refreshReady(wc)
+			}
+		}
+	}
 }
 
 // issueGlobalMemOp coalesces a global-space memory instruction into block
@@ -211,6 +229,6 @@ func (s *SM) issueGlobalMemOp(wc *warpCtx, step *emu.Step, now int64) {
 			s.col.GLoadThreads[cat] += uint64(step.ExecCount())
 		}
 	}
-	s.ldstQ = append(s.ldstQ, op)
+	s.ldstQ.Push(op)
 	s.unitBusyUntil[isa.UnitLDST] = now + 1
 }

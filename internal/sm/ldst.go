@@ -16,13 +16,13 @@ func (s *SM) stepLDST(now int64) {
 
 	// Fully accepted ops at the head have left the issue stage and only
 	// wait for responses; drop them from the queue.
-	for len(s.ldstQ) > 0 && s.ldstQ[0].next >= len(s.ldstQ[0].reqs) {
-		s.popLDST()
+	for s.ldstQ.Len() > 0 && s.ldstQ.Peek().next >= len(s.ldstQ.Peek().reqs) {
+		s.ldstQ.Pop()
 	}
-	if len(s.ldstQ) == 0 {
+	if s.ldstQ.Len() == 0 {
 		return
 	}
-	op := s.ldstQ[0]
+	op := s.ldstQ.Peek()
 	r := op.reqs[op.next]
 	switch op.kind {
 	case opGlobalStore:
@@ -33,7 +33,7 @@ func (s *SM) stepLDST(now int64) {
 	// Ops that finished presenting all requests leave the issue queue so
 	// the next op can start next cycle.
 	if op.next >= len(op.reqs) {
-		s.popLDST()
+		s.ldstQ.Pop()
 		if op.kind == opGlobalStore {
 			// Stores retire at acceptance; nothing outstanding. Their
 			// requests are recycled downstream when the DRAM channel issues
@@ -52,13 +52,6 @@ func (s *SM) stepLDST(now int64) {
 			// is already tracked there.
 			return
 		}
-	}
-}
-
-func (s *SM) popLDST() {
-	s.ldstQ = s.ldstQ[1:]
-	if len(s.ldstQ) == 0 {
-		s.ldstQ = nil
 	}
 }
 
@@ -102,7 +95,7 @@ func (s *SM) tryLoad(op *memOp, r *memreq.Request, now int64) {
 	r.AcceptedL1 = now
 	if outcome == cache.Hit {
 		r.Serviced = memreq.LvlL1
-		s.hitEvents = append(s.hitEvents, timedReq{at: now + s.cfg.L1.HitLatency, req: r})
+		s.hitEvents.Push(timedReq{at: now + s.cfg.L1.HitLatency, req: r})
 	}
 	if outcome == cache.Miss && s.cfg.PrefetchNextLine {
 		s.tryPrefetch(r, now)
@@ -174,16 +167,11 @@ func (op *memOp) noteAccept(now int64) {
 // processHits completes locally-serviced (L1 hit) requests whose latency
 // elapsed.
 func (s *SM) processHits(now int64) {
-	kept := s.hitEvents[:0]
-	for _, e := range s.hitEvents {
-		if e.at > now {
-			kept = append(kept, e)
-			continue
-		}
-		e.req.Returned = now
-		s.completeRequest(e.req, now)
+	for s.hitEvents.Len() > 0 && s.hitEvents.Peek().at <= now {
+		r := s.hitEvents.Pop().req
+		r.Returned = now
+		s.completeRequest(r, now)
 	}
-	s.hitEvents = kept
 }
 
 // HandleReply receives a response from the reply network: it fills the L1
@@ -247,6 +235,9 @@ func (s *SM) releaseOp(op *memOp) {
 func (s *SM) completeLoadOp(op *memOp, now int64) {
 	if reg := op.inst.DefReg(); reg >= 0 {
 		op.warp.pendingReg[reg]--
+		if s.readySets {
+			s.refreshReady(op.warp)
+		}
 	}
 	if op.kind != opGlobalLoad {
 		s.releaseOp(op) // atomics are not part of the paper's load statistics

@@ -15,6 +15,7 @@ import (
 	"critload/internal/emu"
 	"critload/internal/isa"
 	"critload/internal/memreq"
+	"critload/internal/ring"
 	"critload/internal/stats"
 )
 
@@ -147,6 +148,7 @@ type Backend interface {
 
 type ctaCtx struct {
 	cta       *emu.CTA
+	hazards   []isa.Hazard // the kernel's per-instruction scoreboard operands
 	liveWarps int
 	threads   int
 	shared    int
@@ -159,6 +161,10 @@ type warpCtx struct {
 	pendingReg  []int // per-register outstanding writes
 	pendingPred []int
 	age         int // global arrival order (GTO tiebreak)
+
+	// Scheduler ready-set state (ready.go); unused by the naive engine.
+	sched, pos int  // this warp is schedWarps[sched][pos]
+	readyIn    int8 // unit whose ready set holds the warp's bit, or notReady
 }
 
 // scoreboardReady reports whether the warp's next instruction has no RAW/WAW
@@ -251,9 +257,9 @@ type SM struct {
 	usedRegs    int
 
 	unitBusyUntil [isa.NumFuncUnits]int64
-	ldstQ         []*memOp
+	ldstQ         ring.Buffer[*memOp]
 	wbEvents      []wbEvent
-	hitEvents     []timedReq
+	hitEvents     ring.Buffer[timedReq] // FIFO: L1.HitLatency is one constant
 	reqOwner      map[*memreq.Request]*memOp
 	outstanding   map[*memOp]int // unreturned responses per load op
 
@@ -278,6 +284,11 @@ type SM struct {
 	fastForward bool
 	stallUntil  int64
 
+	// ready[sched] are the scheduler's per-unit ready sets, the second
+	// fast-forward-only structure; see ready.go for the invariant.
+	readySets bool
+	ready     []readySet
+
 	nextReqID uint64
 	tracer    Tracer
 
@@ -294,11 +305,17 @@ func (s *SM) SetTracer(t Tracer) { s.tracer = t }
 func (s *SM) SetPool(p *memreq.Pool) { s.pool = p }
 
 // SetFastForward enables the stall cache that lets Step elide provably
-// fruitless scheduler scans. Only the fast-forward engine turns it on: the
-// serial loop is kept free of event reasoning so it remains an independent
-// differential-testing oracle (a NextEvent overestimate then shows up as an
-// engine divergence instead of corrupting both engines identically).
-func (s *SM) SetFastForward(on bool) { s.fastForward = on }
+// fruitless scheduler scans, and the ready sets that replace the scans that
+// remain. Only the fast-forward engine turns it on: the serial loop is kept
+// free of event reasoning so it remains an independent differential-testing
+// oracle (a NextEvent overestimate or a stale ready bit then shows up as an
+// engine divergence instead of corrupting both engines identically). It must
+// be called while no CTA is resident.
+func (s *SM) SetFastForward(on bool) {
+	s.fastForward = on
+	// One word per scheduler and unit: a wider SM keeps scanning.
+	s.readySets = on && s.cfg.MaxWarps <= 64
+}
 
 // getOp takes a memOp from the free list (or allocates one), keeping the
 // recycled reqs backing array.
@@ -343,6 +360,7 @@ func New(id int, cfg Config, lat LatencyModel, backend Backend, col *stats.Colle
 		rr:          make([]int, cfg.NumSchedulers),
 		greedy:      make([]*warpCtx, cfg.NumSchedulers),
 		schedWarps:  make([][]*warpCtx, cfg.NumSchedulers),
+		ready:       make([]readySet, cfg.NumSchedulers),
 		lastIssue:   -1,
 	}, nil
 }
@@ -376,6 +394,7 @@ func (s *SM) LaunchCTA(l *emu.Launch, id int) {
 	cta := emu.NewCTA(l, id)
 	cc := &ctaCtx{
 		cta:       cta,
+		hazards:   l.Kernel.Hazards(),
 		liveWarps: len(cta.Warps),
 		threads:   l.Block.Count(),
 		shared:    l.Kernel.SharedBytes,
@@ -392,11 +411,16 @@ func (s *SM) LaunchCTA(l *emu.Launch, id int) {
 			pendingReg:  make([]int, l.Kernel.NumRegs),
 			pendingPred: make([]int, l.Kernel.NumPreds),
 			age:         s.age,
+			sched:       s.age % s.cfg.NumSchedulers,
+			readyIn:     notReady,
 		}
 		s.warps = append(s.warps, wc)
-		sched := wc.age % s.cfg.NumSchedulers
-		s.schedWarps[sched] = append(s.schedWarps[sched], wc)
+		wc.pos = len(s.schedWarps[wc.sched])
+		s.schedWarps[wc.sched] = append(s.schedWarps[wc.sched], wc)
 		s.age++
+		if s.readySets {
+			s.refreshReady(wc)
+		}
 	}
 }
 
@@ -406,8 +430,8 @@ func (s *SM) LiveCTAs() int { return len(s.ctas) }
 // Idle reports whether the SM has no work at all: no live warps and no
 // in-flight memory operations or events.
 func (s *SM) Idle() bool {
-	return len(s.warps) == 0 && len(s.ldstQ) == 0 &&
-		len(s.wbEvents) == 0 && len(s.hitEvents) == 0 &&
+	return len(s.warps) == 0 && s.ldstQ.Len() == 0 &&
+		len(s.wbEvents) == 0 && s.hitEvents.Len() == 0 &&
 		len(s.reqOwner) == 0
 }
 
@@ -439,6 +463,9 @@ func (s *SM) retireCTA(cc *ctaCtx) {
 		}
 		s.schedWarps[sched] = sk
 	}
+	if s.readySets {
+		s.renumberReady()
+	}
 	for i := range s.greedy {
 		if s.greedy[i] != nil && s.greedy[i].cta == cc {
 			s.greedy[i] = nil
@@ -464,7 +491,7 @@ func (s *SM) Step(now int64) error {
 	if err := s.issue(now); err != nil {
 		return err
 	}
-	if s.fastForward && s.lastIssue != now && len(s.ldstQ) == 0 {
+	if s.fastForward && s.lastIssue != now && s.ldstQ.Len() == 0 {
 		s.stallUntil = s.NextEvent(now)
 	} else {
 		s.stallUntil = 0
@@ -483,7 +510,7 @@ func (s *SM) recordOccupancy(now int64) {
 // ldstBusy reports whether the LD/ST first stage cannot accept a new warp
 // memory instruction.
 func (s *SM) ldstBusy(now int64) bool {
-	return len(s.ldstQ) >= s.cfg.LDSTQueueCap || s.unitBusyUntil[isa.UnitLDST] > now
+	return s.ldstQ.Len() >= s.cfg.LDSTQueueCap || s.unitBusyUntil[isa.UnitLDST] > now
 }
 
 func (s *SM) processWritebacks(now int64) {
@@ -498,6 +525,9 @@ func (s *SM) processWritebacks(now int64) {
 		}
 		if e.pred >= 0 {
 			e.warp.pendingPred[e.pred]--
+		}
+		if s.readySets {
+			s.refreshReady(e.warp)
 		}
 	}
 	s.wbEvents = kept

@@ -4,15 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
+	"sync/atomic"
+
+	"critload/internal/blobstore"
 )
 
 // Version identifies the on-disk format AND the component snapshot layout.
@@ -20,22 +18,10 @@ import (
 // different version are treated as absent (cold start), never decoded.
 const Version = 1
 
-// magic opens every checkpoint file.
-const magic = "CRITCKPT"
-
-// fileExt is the checkpoint file suffix.
-const fileExt = ".ckpt"
-
-// Sentinel errors for file validation; both cause the store to drop the file
-// and fall back to an earlier boundary or a cold start.
-var (
-	// ErrCorrupt marks a truncated or bit-flipped checkpoint file.
-	ErrCorrupt = errors.New("checkpoint: corrupt file")
-	// ErrVersion marks a file written by a different codec version.
-	ErrVersion = errors.New("checkpoint: codec version mismatch")
-	// ErrNotFound marks a missing checkpoint.
-	ErrNotFound = errors.New("checkpoint: not found")
-)
+// format is the checkpoint file framing: internal/blobstore's, with the
+// 32-byte Meta block as header. Checkpoints are a cache — a lost one costs a
+// cold start — so writes are not fsync'd.
+var format = blobstore.Format{Magic: "CRITCKPT", Version: Version, Ext: ".ckpt", HeaderLen: metaLen}
 
 // Key identifies a run prefix: a SHA-256 over the canonical description of
 // everything that determines simulated state at a boundary (workload, size,
@@ -64,120 +50,65 @@ type Meta struct {
 	WarpInsts uint64
 }
 
-// Stats is a point-in-time snapshot of store effectiveness counters, exported
-// on the service's /metrics endpoint as critloadd_checkpoint_*.
-type Stats struct {
-	Hits          uint64 // Best calls that returned a usable checkpoint
-	Misses        uint64 // Best calls that found nothing usable
-	Saves         uint64 // snapshots written
-	Evictions     uint64 // files removed by the byte budget
-	Dropped       uint64 // corrupt/mismatched files deleted on read
-	CyclesSkipped int64  // simulated cycles inherited via warm starts
-	Files         int    // checkpoint files currently on disk
-	Bytes         int64  // bytes currently on disk
+// metaLen is Meta's encoded size: four little-endian 64-bit fields.
+const metaLen = 32
+
+func (m Meta) encode() []byte {
+	b := make([]byte, 0, metaLen)
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.Index))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.Cycle))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.SkippedCycles))
+	return binary.LittleEndian.AppendUint64(b, m.WarpInsts)
 }
 
-// Store is an on-disk content-addressed checkpoint store. Files are flat:
-// <key-hex>.k<index>.ckpt, written atomically (temp file + rename) and
-// evicted least-recently-used against a byte budget (reads refresh mtime).
-// It is safe for concurrent use by multiple goroutines; concurrent processes
-// sharing a directory are safe too, because every write is an atomic rename
-// and every read validates integrity.
-type Store struct {
-	dir    string
-	budget int64 // bytes; <=0 disables eviction
+func decodeMeta(b []byte) Meta {
+	return Meta{
+		Index:         int(binary.LittleEndian.Uint64(b)),
+		Cycle:         int64(binary.LittleEndian.Uint64(b[8:])),
+		SkippedCycles: int64(binary.LittleEndian.Uint64(b[16:])),
+		WarpInsts:     binary.LittleEndian.Uint64(b[24:]),
+	}
+}
 
-	mu            sync.Mutex
-	hits          uint64
-	misses        uint64
-	saves         uint64
-	evictions     uint64
-	dropped       uint64
-	cyclesSkipped int64
+// Stats is a point-in-time snapshot of store effectiveness counters, exported
+// on the service's /metrics endpoint under the names in the field tags.
+type Stats struct {
+	Hits          uint64 `metric:"critloadd_checkpoint_hits_total,counter" help:"Timing runs that warm-started from a stored checkpoint."`
+	Misses        uint64 `metric:"critloadd_checkpoint_misses_total,counter" help:"Timing runs that found no usable checkpoint and ran cold."`
+	Saves         uint64 `metric:"critloadd_checkpoint_saves_total,counter" help:"Kernel-launch boundaries serialized into the store."`
+	Evictions     uint64 `metric:"critloadd_checkpoint_evictions_total,counter" help:"Checkpoint files evicted to stay under the disk budget."`
+	Dropped       uint64 `metric:"critloadd_checkpoint_dropped_total,counter" help:"Corrupt or version-mismatched checkpoint files deleted on read."`
+	CyclesSkipped int64  `metric:"critloadd_checkpoint_cycles_skipped_total,counter" help:"Simulated cycles inherited from checkpoints instead of re-simulated."`
+	Files         int    `metric:"critloadd_checkpoint_files,gauge" help:"Checkpoint files currently on disk."`
+	Bytes         int64  `metric:"critloadd_checkpoint_disk_bytes,gauge" help:"Bytes of checkpoint data currently on disk."`
+}
+
+// Store is the on-disk content-addressed checkpoint store: a blobstore of
+// <key-hex>.k<index>.ckpt files, so writes are atomic, reads validate, and
+// files are evicted least-recently-used against the byte budget. It is safe
+// for concurrent use by multiple goroutines and processes.
+type Store struct {
+	blobs *blobstore.Store
+
+	hits, misses  atomic.Uint64
+	cyclesSkipped atomic.Int64
 }
 
 // Open creates (if needed) and opens a store directory. budgetBytes bounds
 // the on-disk footprint; <= 0 means unlimited.
 func Open(dir string, budgetBytes int64) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("checkpoint: empty store directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	blobs, err := blobstore.Open(dir, budgetBytes, format)
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open store: %w", err)
 	}
-	return &Store{dir: dir, budget: budgetBytes}, nil
+	return &Store{blobs: blobs}, nil
 }
 
 // Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.blobs.Dir() }
 
-func fileName(key Key, index int) string {
-	return fmt.Sprintf("%s.k%06d%s", key, index, fileExt)
-}
-
-// parseIndex extracts the boundary index from a file name produced by
-// fileName; ok is false for foreign files.
-func parseIndex(name string, key Key) (int, bool) {
-	prefix := key.String() + ".k"
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, fileExt) {
-		return 0, false
-	}
-	idx, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, prefix), fileExt))
-	if err != nil || idx < 0 {
-		return 0, false
-	}
-	return idx, true
-}
-
-// encodeFile frames a snapshot payload: magic, version, meta, payload, and a
-// trailing SHA-256 over everything before it.
-func encodeFile(m Meta, payload []byte) []byte {
-	buf := make([]byte, 0, len(magic)+4+8*4+len(payload)+sha256.Size)
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Index))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Cycle))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.SkippedCycles))
-	buf = binary.LittleEndian.AppendUint64(buf, m.WarpInsts)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
-}
-
-// decodeFile validates a framed checkpoint file and returns its meta and
-// payload. The integrity hash is checked before anything else is trusted;
-// the version check runs after it so ErrVersion is only reported for files
-// that are intact but foreign.
-func decodeFile(b []byte) (Meta, []byte, error) {
-	headerLen := len(magic) + 4 + 8*5
-	if len(b) < headerLen+sha256.Size {
-		return Meta{}, nil, fmt.Errorf("%w: %d bytes is shorter than any valid file", ErrCorrupt, len(b))
-	}
-	if string(b[:len(magic)]) != magic {
-		return Meta{}, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	body, sum := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
-	if got := sha256.Sum256(body); string(got[:]) != string(sum) {
-		return Meta{}, nil, fmt.Errorf("%w: integrity hash mismatch", ErrCorrupt)
-	}
-	off := len(magic)
-	if v := binary.LittleEndian.Uint32(b[off:]); v != Version {
-		return Meta{}, nil, fmt.Errorf("%w: file version %d, codec version %d", ErrVersion, v, Version)
-	}
-	off += 4
-	var m Meta
-	m.Index = int(binary.LittleEndian.Uint64(b[off:]))
-	m.Cycle = int64(binary.LittleEndian.Uint64(b[off+8:]))
-	m.SkippedCycles = int64(binary.LittleEndian.Uint64(b[off+16:]))
-	m.WarpInsts = binary.LittleEndian.Uint64(b[off+24:])
-	payloadLen := binary.LittleEndian.Uint64(b[off+32:])
-	off += 40
-	if payloadLen != uint64(len(body)-off) {
-		return Meta{}, nil, fmt.Errorf("%w: payload length %d does not match file size", ErrCorrupt, payloadLen)
-	}
-	return m, body[off:], nil
-}
+// blobName names the blob for (key, index); the file is blobName + ".ckpt".
+func blobName(key Key, index int) string { return fmt.Sprintf("%s.k%06d", key, index) }
 
 // Save writes one snapshot atomically. Saving an index that already exists is
 // a no-op: checkpoints are content-addressed, so an existing file for the
@@ -186,69 +117,33 @@ func (s *Store) Save(key Key, m Meta, payload []byte) error {
 	if m.Index < 1 {
 		return fmt.Errorf("checkpoint: refusing to save boundary index %d (initial state is never stored)", m.Index)
 	}
-	path := filepath.Join(s.dir, fileName(key, m.Index))
-	if _, err := os.Stat(path); err == nil {
+	if s.Has(key, m.Index) {
 		return nil
 	}
-	tmp, err := os.CreateTemp(s.dir, "tmp-*"+fileExt+".partial")
-	if err != nil {
+	if err := s.blobs.Write(blobName(key, m.Index), m.encode(), payload); err != nil {
 		return fmt.Errorf("checkpoint: save: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encodeFile(m, payload)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("checkpoint: save: %w", err)
-	}
-	s.mu.Lock()
-	s.saves++
-	s.mu.Unlock()
-	s.evict(path)
 	return nil
 }
 
 // Has reports whether a checkpoint exists for (key, index); it does not
 // validate the file (Load and Best do).
-func (s *Store) Has(key Key, index int) bool {
-	_, err := os.Stat(filepath.Join(s.dir, fileName(key, index)))
-	return err == nil
-}
+func (s *Store) Has(key Key, index int) bool { return s.blobs.Has(blobName(key, index)) }
 
 // Load reads and validates one checkpoint. Corrupt or version-mismatched
-// files are deleted so they are never retried, and the matching sentinel
-// error is returned.
+// files are deleted so they are never retried, and the matching blobstore
+// sentinel error is returned; a missing one yields blobstore.ErrNotFound.
 func (s *Store) Load(key Key, index int) (Meta, []byte, error) {
-	path := filepath.Join(s.dir, fileName(key, index))
-	b, err := os.ReadFile(path)
+	name := blobName(key, index)
+	header, payload, err := s.blobs.Read(name)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return Meta{}, nil, ErrNotFound
-		}
-		return Meta{}, nil, fmt.Errorf("checkpoint: load: %w", err)
-	}
-	m, payload, err := decodeFile(b)
-	if err != nil {
-		os.Remove(path)
-		s.mu.Lock()
-		s.dropped++
-		s.mu.Unlock()
 		return Meta{}, nil, err
 	}
+	m := decodeMeta(header)
 	if m.Index != index {
-		os.Remove(path)
-		s.mu.Lock()
-		s.dropped++
-		s.mu.Unlock()
-		return Meta{}, nil, fmt.Errorf("%w: file named k%06d holds index %d", ErrCorrupt, index, m.Index)
+		s.blobs.Drop(name)
+		return Meta{}, nil, fmt.Errorf("%w: file named k%06d holds index %d", blobstore.ErrCorrupt, index, m.Index)
 	}
-	// Refresh mtime so LRU eviction tracks use, not just creation.
-	now := time.Now()
-	os.Chtimes(path, now, now)
 	return m, payload, nil
 }
 
@@ -259,15 +154,13 @@ func (s *Store) Load(key Key, index int) (Meta, []byte, error) {
 // way down are dropped; deeper checkpoints that merely exceed the budgets are
 // left in place for future, larger-budget runs.
 func (s *Store) Best(key Key, maxWarpInsts uint64, maxCycles int64) (Meta, []byte, bool) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		s.note(&s.misses)
-		return Meta{}, nil, false
-	}
 	var indices []int
-	for _, e := range entries {
-		if idx, ok := parseIndex(e.Name(), key); ok {
-			indices = append(indices, idx)
+	prefix := key.String() + ".k"
+	for _, name := range s.blobs.Names() {
+		if digits, ok := strings.CutPrefix(name, prefix); ok {
+			if idx, err := strconv.Atoi(digits); err == nil {
+				indices = append(indices, idx)
+			}
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(indices)))
@@ -282,98 +175,23 @@ func (s *Store) Best(key Key, maxWarpInsts uint64, maxCycles int64) (Meta, []byt
 		if maxCycles > 0 && m.Cycle >= maxCycles {
 			continue
 		}
-		s.note(&s.hits)
+		s.hits.Add(1)
 		return m, payload, true
 	}
-	s.note(&s.misses)
+	s.misses.Add(1)
 	return Meta{}, nil, false
 }
 
 // NoteWarmStart records that a run resumed from a checkpoint, inheriting the
 // given number of simulated cycles instead of re-simulating them.
-func (s *Store) NoteWarmStart(cycles int64) {
-	s.mu.Lock()
-	s.cyclesSkipped += cycles
-	s.mu.Unlock()
-}
-
-func (s *Store) note(counter *uint64) {
-	s.mu.Lock()
-	*counter++
-	s.mu.Unlock()
-}
+func (s *Store) NoteWarmStart(cycles int64) { s.cyclesSkipped.Add(cycles) }
 
 // Stats returns current counters plus an on-disk scan.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	st := Stats{
-		Hits: s.hits, Misses: s.misses, Saves: s.saves,
-		Evictions: s.evictions, Dropped: s.dropped,
-		CyclesSkipped: s.cyclesSkipped,
-	}
-	s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return st
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), fileExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		st.Files++
-		st.Bytes += info.Size()
-	}
-	return st
-}
-
-// evict removes least-recently-used checkpoint files until the directory fits
-// the byte budget, never removing the just-written file.
-func (s *Store) evict(keep string) {
-	if s.budget <= 0 {
-		return
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type fileInfo struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var files []fileInfo
-	var total int64
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), fileExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, fileInfo{
-			path: filepath.Join(s.dir, e.Name()), size: info.Size(), mtime: info.ModTime(),
-		})
-		total += info.Size()
-	}
-	if total <= s.budget {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	for _, f := range files {
-		if total <= s.budget {
-			return
-		}
-		if f.path == keep {
-			continue
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			s.note(&s.evictions)
-		}
+	b := s.blobs.Stats()
+	return Stats{
+		Hits: s.hits.Load(), Misses: s.misses.Load(), Saves: b.Writes,
+		Evictions: b.Evictions, Dropped: b.Dropped,
+		CyclesSkipped: s.cyclesSkipped.Load(), Files: b.Files, Bytes: b.Bytes,
 	}
 }

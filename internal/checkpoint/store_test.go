@@ -2,16 +2,23 @@ package checkpoint
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
+
+	"critload/internal/blobstore"
 )
+
+// Framing, corruption and eviction are tested once for both file formats in
+// internal/blobstore; the tests here cover what the checkpoint wrapper adds.
+
+// filePath is where the store keeps (key, index).
+func filePath(s *Store, key Key, index int) string {
+	return filepath.Join(s.Dir(), blobName(key, index)+format.Ext)
+}
 
 func testKey(b byte) Key {
 	var k Key
@@ -45,7 +52,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if m != meta || !bytes.Equal(p, payload) {
 		t.Fatalf("Load = %+v %q, want %+v %q", m, p, meta, payload)
 	}
-	if _, _, err := s.Load(key, 9); !errors.Is(err, ErrNotFound) {
+	if _, _, err := s.Load(key, 9); !errors.Is(err, blobstore.ErrNotFound) {
 		t.Fatalf("Load(9) = %v, want ErrNotFound", err)
 	}
 }
@@ -122,7 +129,7 @@ func TestStoreDropsCorruptFilesAndFallsBack(t *testing.T) {
 	if err := s.Save(key, Meta{Index: 2, Cycle: 20}, bad); err != nil {
 		t.Fatal(err)
 	}
-	corruptFile(t, filepath.Join(s.Dir(), fileName(key, 2)))
+	corruptFile(t, filePath(s, key, 2))
 
 	// Best must skip the corrupt deepest file and land on index 1.
 	m, p, ok := s.Best(key, 0, 0)
@@ -138,44 +145,18 @@ func TestStoreDropsCorruptFilesAndFallsBack(t *testing.T) {
 	}
 }
 
-func TestStoreDropsTruncatedFiles(t *testing.T) {
-	s, _ := Open(t.TempDir(), 0)
-	key := testKey(5)
-	if err := s.Save(key, Meta{Index: 1, Cycle: 10}, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(s.Dir(), fileName(key, 1))
-	b, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Load(key, 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load truncated = %v, want ErrCorrupt", err)
-	}
-	if _, _, ok := s.Best(key, 0, 0); ok {
-		t.Fatal("Best returned a truncated checkpoint")
-	}
-}
-
-// sealVersion rewrites a framed file's version field and re-seals the
-// integrity hash, simulating an intact file written by a different codec.
-func sealVersion(b []byte, v uint32) []byte {
-	binary.LittleEndian.PutUint32(b[len(magic):], v)
-	sum := sha256.Sum256(b[:len(b)-sha256.Size])
-	copy(b[len(b)-sha256.Size:], sum[:])
-	return b
-}
-
+// TestStoreDropsVersionMismatch: an intact file sealed under another Version
+// (the snapshot layout changed) is a cold start, not a decode attempt.
 func TestStoreDropsVersionMismatch(t *testing.T) {
 	s, _ := Open(t.TempDir(), 0)
 	key := testKey(6)
-	path := filepath.Join(s.Dir(), fileName(key, 1))
-	sealed := sealVersion(encodeFile(Meta{Index: 1, Cycle: 10}, []byte("payload")), Version+1)
-	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+	future := format
+	future.Version = Version + 1
+	sealed := future.Encode(Meta{Index: 1, Cycle: 10}.encode(), []byte("payload"))
+	if err := os.WriteFile(filePath(s, key, 1), sealed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, _, err := s.Load(key, 1); !errors.Is(err, ErrVersion) {
+	if _, _, err := s.Load(key, 1); !errors.Is(err, blobstore.ErrVersion) {
 		t.Fatalf("Load future-version = %v, want ErrVersion", err)
 	}
 	if s.Has(key, 1) {
@@ -183,32 +164,64 @@ func TestStoreDropsVersionMismatch(t *testing.T) {
 	}
 }
 
-func TestStoreEvictsLRUOverBudget(t *testing.T) {
-	payload := make([]byte, 1024)
-	// Budget fits roughly two files (payload + ~120 bytes of framing each).
-	s, err := Open(t.TempDir(), 2400)
+// TestStoreDropsIndexMismatch: a valid file whose Meta names another
+// boundary than its file name (a copied or renamed file) would resume a run
+// from the wrong launch; it is dropped as corrupt.
+func TestStoreDropsIndexMismatch(t *testing.T) {
+	s, _ := Open(t.TempDir(), 0)
+	key := testKey(8)
+	if err := s.Save(key, Meta{Index: 1, Cycle: 10}, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filePath(s, key, 1), filePath(s, key, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Load(key, 2); !errors.Is(err, blobstore.ErrCorrupt) {
+		t.Fatalf("Load of a misnamed file = %v, want ErrCorrupt", err)
+	}
+	if s.Has(key, 2) {
+		t.Fatal("misnamed file survived Load")
+	}
+	if _, _, ok := s.Best(key, 0, 0); ok {
+		t.Fatal("Best returned a checkpoint from an empty store")
+	}
+	if st := s.Stats(); st.Dropped != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 dropped, 1 miss", st)
+	}
+}
+
+// TestFixtureV1 pins the on-disk format against a file written before the
+// store moved onto internal/blobstore: it still loads, and saving the same
+// content produces the same file name and the same bytes.
+func TestFixtureV1(t *testing.T) {
+	want, err := os.ReadFile("testdata/v1.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := testKey(7)
-	for i := 1; i <= 3; i++ {
-		if err := s.Save(key, Meta{Index: i, Cycle: int64(i)}, payload); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes so LRU order is well-defined on coarse filesystems.
-		now := time.Now().Add(time.Duration(i) * time.Second)
-		os.Chtimes(filepath.Join(s.Dir(), fileName(key, i)), now, now)
+	key := KeyOf([]byte("fixture: workload=2mm size=32 seed=1"))
+	meta := Meta{Index: 2, Cycle: 12345, SkippedCycles: 678, WarpInsts: 91011}
+	payload := []byte("critload checkpoint fixture payload, format version 1: the device snapshot bytes would go here, opaque to the store")
+	name := key.String() + ".k000002.ckpt"
+
+	old, _ := Open(t.TempDir(), 0)
+	if err := os.WriteFile(filepath.Join(old.Dir(), name), want, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions with 3×~1.1KB files under a 2.4KB budget: %+v", st)
+	m, p, err := old.Load(key, 2)
+	if err != nil || m != meta || !bytes.Equal(p, payload) {
+		t.Fatalf("Load(fixture) = %+v %q %v, want %+v %q", m, p, err, meta, payload)
 	}
-	if st.Bytes > 2400 {
-		t.Fatalf("store over budget after eviction: %+v", st)
+
+	fresh, _ := Open(t.TempDir(), 0)
+	if err := fresh.Save(key, meta, payload); err != nil {
+		t.Fatal(err)
 	}
-	// The newest file must survive.
-	if !s.Has(key, 3) {
-		t.Fatal("most recent checkpoint was evicted")
+	got, err := os.ReadFile(filepath.Join(fresh.Dir(), name))
+	if err != nil {
+		t.Fatalf("Save did not produce %s: %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Save wrote %d bytes that differ from the %d-byte fixture", len(got), len(want))
 	}
 }
 

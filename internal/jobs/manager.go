@@ -380,24 +380,34 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		return j.infoLocked(), nil
 	}
 
-	ctx, cancel := context.Background(), context.CancelFunc(func() {})
-	if spec.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	e := &execution{spec: spec, key: key, ctx: ctx, cancel: cancel, jobs: []*job{j}}
-	if err := m.pool.TrySubmit(func() { m.run(e) }); err != nil {
-		cancel()
+	if err := m.startLocked(j); err != nil {
 		// The submission record is already durable; mark the job cancelled
 		// so a crash before the next compaction does not resurrect it.
 		m.journalAppend(journal.Record{Type: journal.TypeCancelled, At: time.Now(), ID: j.id}, false)
 		return JobInfo{}, err
 	}
-	j.exec = e
-	m.inflight[key] = e
 	m.registerLocked(j)
 	return j.infoLocked(), nil
+}
+
+// startLocked schedules a fresh execution for j — its spec's timeout (or a
+// plain cancel) as context — and registers it in flight. It fails with the
+// pool's error, leaving j untouched, when the queue is full.
+func (m *Manager) startLocked(j *job) error {
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if j.spec.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, j.spec.Timeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	e := &execution{spec: j.spec, key: j.key, ctx: ctx, cancel: cancel, jobs: []*job{j}}
+	if err := m.pool.TrySubmit(func() { m.run(e) }); err != nil {
+		cancel()
+		return err
+	}
+	j.exec = e
+	m.inflight[j.key] = e
+	return nil
 }
 
 // resultFromStore fetches a completed result from the on-disk store,
@@ -482,7 +492,7 @@ func (m *Manager) run(e *execution) {
 	// Persist the result before the completed record is journalled (from
 	// finalizeLocked below): a completed record must never refer to a
 	// result the filesystem does not hold. On a store failure the record
-	// is withheld (see journalTerminalLocked) so recovery re-runs the job.
+	// is withheld (see terminalRecordLocked) so recovery re-runs the job.
 	if err == nil && m.results != nil {
 		if perr := m.results.Put(e.key, res); perr != nil {
 			m.c.journalErrors.Add(1)
@@ -505,6 +515,22 @@ func (m *Manager) run(e *execution) {
 			m.finalizeLocked(j, StateFailed, nil, err)
 		}
 	}
+}
+
+// PanicError is the failure a job carries when its runner panicked: the
+// recovered value plus the goroutine stack at the panic site. The manager
+// converts runner panics into this error so a crashing simulation becomes a
+// failed job — with enough context to debug it — instead of killing the
+// daemon for every user.
+type PanicError struct {
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("jobs: runner panicked: %v\n%s", e.Value, e.Stack)
 }
 
 // invoke runs the configured runner with panic containment: a panicking
@@ -547,7 +573,11 @@ func (m *Manager) finalizeLocked(j *job, s State, res any, err error) {
 	case StateCancelled:
 		m.c.cancelled.Add(1)
 	}
-	m.journalTerminalLocked(j)
+	if m.journal != nil && !m.recovering { // recovery journals its outcome through compaction instead
+		if r, ok := m.terminalRecordLocked(j); ok {
+			m.journalAppend(r, true)
+		}
+	}
 	m.doneOrder = append(m.doneOrder, j.id)
 	for len(m.jobs) > m.cfg.MaxJobs && len(m.doneOrder) > 0 {
 		delete(m.jobs, m.doneOrder[0])
@@ -555,19 +585,17 @@ func (m *Manager) finalizeLocked(j *job, s State, res any, err error) {
 	}
 }
 
-// journalTerminalLocked records a job's terminal transition. Recovery
-// writes its outcome through compaction instead, and a completed record is
-// withheld when the result store failed to persist the result — replay
-// then sees the job as still live and re-runs it, which is idempotent.
-func (m *Manager) journalTerminalLocked(j *job) {
-	if m.journal == nil || m.recovering {
-		return
-	}
-	r := journal.Record{At: j.finished, ID: j.id}
+// terminalRecordLocked maps a finished job to its journal record; ok is
+// false for a job that is still live. A completed record is also withheld
+// when the result store does not hold the result (the Put failed, or the
+// file was evicted) — replay then sees the job as still live and re-runs
+// it, which is idempotent.
+func (m *Manager) terminalRecordLocked(j *job) (r journal.Record, ok bool) {
+	r = journal.Record{At: j.finished, ID: j.id}
 	switch j.state {
 	case StateDone:
 		if m.results != nil && !m.results.Has(j.key) {
-			return
+			return r, false
 		}
 		r.Type = journal.TypeCompleted
 	case StateFailed:
@@ -578,9 +606,9 @@ func (m *Manager) journalTerminalLocked(j *job) {
 	case StateCancelled:
 		r.Type = journal.TypeCancelled
 	default:
-		return
+		return r, false
 	}
-	m.journalAppend(r, true)
+	return r, true
 }
 
 // journalProgressEvery throttles progressed records: heartbeats are
@@ -737,20 +765,9 @@ func (m *Manager) liveRecordsLocked() []journal.Record {
 		recs = append(recs, journal.Record{
 			Type: journal.TypeSubmitted, At: j.created, ID: id, Data: specJSON,
 		})
-		switch j.state {
-		case StateDone:
-			if m.results == nil || m.results.Has(j.key) {
-				recs = append(recs, journal.Record{Type: journal.TypeCompleted, At: j.finished, ID: id})
-			}
-		case StateFailed:
-			var msg []byte
-			if j.err != nil {
-				msg = []byte(j.err.Error())
-			}
-			recs = append(recs, journal.Record{Type: journal.TypeFailed, At: j.finished, ID: id, Data: msg})
-		case StateCancelled:
-			recs = append(recs, journal.Record{Type: journal.TypeCancelled, At: j.finished, ID: id})
-		case StateRunning:
+		if r, ok := m.terminalRecordLocked(j); ok {
+			recs = append(recs, r)
+		} else if j.state == StateRunning {
 			recs = append(recs, journal.Record{Type: journal.TypeStarted, At: j.started, ID: id})
 		}
 	}

@@ -214,21 +214,11 @@ func (m *Manager) requeueLocked(j *job, rj *replayedJob, info *RecoveryInfo) {
 		info.Requeued++
 		return
 	}
-	ctx, cancel := context.Background(), context.CancelFunc(func() {})
-	if j.spec.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, j.spec.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	e := &execution{spec: j.spec, key: j.key, ctx: ctx, cancel: cancel, jobs: []*job{j}}
-	if err := m.pool.TrySubmit(func() { m.run(e) }); err != nil {
-		cancel()
+	if err := m.startLocked(j); err != nil {
 		m.finalizeLocked(j, StateFailed, nil,
 			&RecoveredError{State: rj.state, Reason: "re-enqueue failed: " + err.Error()})
 		info.Unrecoverable++
 		return
 	}
-	j.exec = e
-	m.inflight[j.key] = e
 	info.Requeued++
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -462,5 +463,62 @@ func TestReplayAnyPrefixConsistent(t *testing.T) {
 			}
 		}
 		prev = cur
+	}
+}
+
+// TestResultPutFailureWithholdsCompletion covers the write half of the
+// durability contract: when the result store cannot persist a result the
+// failure is counted, the job still reaches done for its client, but no
+// completed record is journalled — so the next start sees the job as live
+// and re-runs it instead of recording a completion it cannot serve.
+func TestResultPutFailureWithholdsCompletion(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newManager(t, durableConfig(t, dir, instantRunner))
+	// A regular file where the results directory was fails CreateTemp with
+	// ENOTDIR whatever the process's privileges.
+	resultsDir := filepath.Join(dir, "results")
+	if err := os.RemoveAll(resultsDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(resultsDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first, err := m1.Submit(spec("hotspot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err = m1.Wait(ctx, first.ID)
+	if err != nil || first.State != StateDone {
+		t.Fatalf("job with a failing store = %+v, %v; the client must still get its result", first, err)
+	}
+	if st := m1.Stats(); st.JournalErrors < 1 {
+		t.Fatalf("stats = %+v, want the failed Put counted in JournalErrors", st)
+	}
+	if err := m1.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	if err := os.Remove(resultsDir); err != nil {
+		t.Fatal(err)
+	}
+	m2 := newManager(t, durableConfig(t, dir, instantRunner))
+	if rec := m2.Recovery(); rec.Jobs != 1 || rec.Requeued != 1 || rec.ResultsMissing != 0 {
+		t.Fatalf("recovery info = %+v, want the job re-queued", rec)
+	}
+	again, err := m2.Wait(ctx, first.ID)
+	if err != nil || again.State != StateDone || !again.Recovered {
+		t.Fatalf("re-queued job = %+v, %v", again, err)
+	}
+	if st := m2.Stats(); st.Executions != 1 || st.JournalErrors != 0 {
+		t.Fatalf("stats = %+v, want one re-execution on the healthy store", st)
+	}
+	want, _ := json.Marshal(first.Result)
+	got, _ := json.Marshal(again.Result)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-executed result %s, want %s", got, want)
+	}
+	if raw, ok := m2.Results().Get(first.Spec.Key()); !ok || !bytes.Equal(raw, want) {
+		t.Fatalf("stored result = %s, %v; want %s durable after the re-run", raw, ok, want)
 	}
 }

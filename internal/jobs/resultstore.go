@@ -1,17 +1,11 @@
 package jobs
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"time"
+	"sync/atomic"
+
+	"critload/internal/blobstore"
 )
 
 // ResultStoreVersion identifies the on-disk result encoding. Results are
@@ -20,254 +14,88 @@ import (
 // are treated as absent and deleted.
 const ResultStoreVersion = 1
 
-// resultMagic opens every result file.
-const resultMagic = "CRITRES\x00"
-
-// resultExt is the result file suffix.
-const resultExt = ".res"
-
-// Result-store sentinel errors; both cause the store to drop the file so
-// it is never retried.
-var (
-	// ErrResultCorrupt marks a truncated or bit-flipped result file.
-	ErrResultCorrupt = errors.New("jobs: corrupt result file")
-	// ErrResultVersion marks a file written by a different store version.
-	ErrResultVersion = errors.New("jobs: result store version mismatch")
-)
+// resultFormat is the result file framing: internal/blobstore's, with no
+// header. Writes are fsync'd before the rename: the completed journal
+// record that follows a Put must never refer to a result the filesystem
+// could still lose.
+var resultFormat = blobstore.Format{Magic: "CRITRES\x00", Version: ResultStoreVersion, Ext: ".res", Sync: true}
 
 // ResultStoreStats is a point-in-time snapshot of store effectiveness
-// counters, exported on /metrics as critloadd_resultstore_*.
+// counters, exported on /metrics under the names in the field tags.
 type ResultStoreStats struct {
-	Hits      uint64 `json:"hits"`      // Get calls that returned a stored result
-	Misses    uint64 `json:"misses"`    // Get calls that found nothing
-	Puts      uint64 `json:"puts"`      // results written
-	Evictions uint64 `json:"evictions"` // files removed by the byte budget
-	Dropped   uint64 `json:"dropped"`   // corrupt/mismatched files deleted on read
-	Files     int    `json:"files"`     // result files currently on disk
-	Bytes     int64  `json:"bytes"`     // bytes currently on disk
+	Hits      uint64 `json:"hits" metric:"critloadd_resultstore_hits_total,counter" help:"Result reads served from the on-disk store."`
+	Misses    uint64 `json:"misses" metric:"critloadd_resultstore_misses_total,counter" help:"Result reads that found nothing on disk."`
+	Puts      uint64 `json:"puts" metric:"critloadd_resultstore_puts_total,counter" help:"Results persisted to the on-disk store."`
+	Evictions uint64 `json:"evictions" metric:"critloadd_resultstore_evictions_total,counter" help:"Result files evicted to stay under the disk budget."`
+	Dropped   uint64 `json:"dropped" metric:"critloadd_resultstore_dropped_total,counter" help:"Corrupt or version-mismatched result files deleted on read."`
+	Files     int    `json:"files" metric:"critloadd_resultstore_files,gauge" help:"Result files currently on disk."`
+	Bytes     int64  `json:"bytes" metric:"critloadd_resultstore_disk_bytes,gauge" help:"Bytes of result data currently on disk."`
 }
 
 // ResultStore is the on-disk, content-addressed half of the result cache:
-// one file per completed spec, named by the spec's SHA-256 Key, written
-// atomically (temp file + rename) and evicted least-recently-used against
-// a byte budget (reads refresh mtime). It mirrors the checkpoint store's
-// discipline — every read validates an integrity hash, corrupt files are
-// deleted and treated as absent — so a crash mid-write can never poison a
-// recovered daemon. Safe for concurrent use; concurrent processes sharing
-// a directory are safe too, because writes are atomic renames.
+// a blobstore holding one <spec-key-hex>.res file per completed spec, so
+// writes are atomic, every read validates an integrity hash (a crash
+// mid-write can never poison a recovered daemon), and files are evicted
+// least-recently-used against the byte budget. Safe for concurrent use by
+// multiple goroutines and processes.
 type ResultStore struct {
-	dir    string
-	budget int64 // bytes; <= 0 disables eviction
-
-	mu                                     sync.Mutex
-	hits, misses, puts, evictions, dropped uint64
+	blobs        *blobstore.Store
+	hits, misses atomic.Uint64
 }
 
 // OpenResultStore creates (if needed) and opens a result store directory.
 // budgetBytes bounds the on-disk footprint; <= 0 means unlimited.
 func OpenResultStore(dir string, budgetBytes int64) (*ResultStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("jobs: empty result store directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	blobs, err := blobstore.Open(dir, budgetBytes, resultFormat)
+	if err != nil {
 		return nil, fmt.Errorf("jobs: open result store: %w", err)
 	}
-	return &ResultStore{dir: dir, budget: budgetBytes}, nil
+	return &ResultStore{blobs: blobs}, nil
 }
 
 // Dir returns the store directory.
-func (s *ResultStore) Dir() string { return s.dir }
-
-func (s *ResultStore) path(key Key) string {
-	return filepath.Join(s.dir, key.String()+resultExt)
-}
-
-// encodeResultFile frames a result payload: magic, version, payload, and
-// a trailing SHA-256 over everything before it.
-func encodeResultFile(payload []byte) []byte {
-	buf := make([]byte, 0, len(resultMagic)+4+8+len(payload)+sha256.Size)
-	buf = append(buf, resultMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, ResultStoreVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
-}
-
-// decodeResultFile validates a framed result file and returns its payload.
-// The integrity hash is checked before anything else is trusted.
-func decodeResultFile(b []byte) ([]byte, error) {
-	headerLen := len(resultMagic) + 4 + 8
-	if len(b) < headerLen+sha256.Size {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than any valid file", ErrResultCorrupt, len(b))
-	}
-	if string(b[:len(resultMagic)]) != resultMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrResultCorrupt)
-	}
-	body, sum := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
-	if got := sha256.Sum256(body); string(got[:]) != string(sum) {
-		return nil, fmt.Errorf("%w: integrity hash mismatch", ErrResultCorrupt)
-	}
-	off := len(resultMagic)
-	if v := binary.LittleEndian.Uint32(b[off:]); v != ResultStoreVersion {
-		return nil, fmt.Errorf("%w: file version %d, store version %d", ErrResultVersion, v, ResultStoreVersion)
-	}
-	off += 4
-	payloadLen := binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	if payloadLen != uint64(len(body)-off) {
-		return nil, fmt.Errorf("%w: payload length %d does not match file size", ErrResultCorrupt, payloadLen)
-	}
-	return body[off:], nil
-}
+func (s *ResultStore) Dir() string { return s.blobs.Dir() }
 
 // Put serializes v to its canonical JSON and writes it atomically under
 // key. Results are content-addressed — an identical spec produces an
 // identical result — so overwriting an existing file is a no-op.
 func (s *ResultStore) Put(key Key, v any) error {
-	path := s.path(key)
-	if _, err := os.Stat(path); err == nil {
+	if s.Has(key) {
 		return nil
 	}
 	payload, err := json.Marshal(v)
+	if err == nil {
+		err = s.blobs.Write(key.String(), nil, payload)
+	}
 	if err != nil {
 		return fmt.Errorf("jobs: result store put: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "tmp-*"+resultExt+".partial")
-	if err != nil {
-		return fmt.Errorf("jobs: result store put: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encodeResultFile(payload)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: result store put: %w", err)
-	}
-	// fsync before rename: the completed journal record that follows this
-	// write must never refer to a result the filesystem could still lose.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: result store put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("jobs: result store put: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("jobs: result store put: %w", err)
-	}
-	s.mu.Lock()
-	s.puts++
-	s.mu.Unlock()
-	s.evict(path)
 	return nil
 }
 
 // Get returns the stored result's JSON for key, or ok == false when the
-// store holds nothing usable. Corrupt or version-mismatched files are
-// deleted so they are never retried. The raw JSON is returned (not a
-// decoded value): it re-serializes byte-identically to the original
-// result, which is what the crash-recovery harness asserts.
+// store holds nothing usable (a corrupt or version-mismatched file is
+// deleted and reads as absent). The raw JSON is returned, not a decoded
+// value: it re-serializes byte-identically to the original result, which
+// is what the crash-recovery harness asserts.
 func (s *ResultStore) Get(key Key) (json.RawMessage, bool) {
-	b, err := os.ReadFile(s.path(key))
+	_, payload, err := s.blobs.Read(key.String())
 	if err != nil {
-		s.note(&s.misses)
+		s.misses.Add(1)
 		return nil, false
 	}
-	payload, err := decodeResultFile(b)
-	if err != nil {
-		os.Remove(s.path(key))
-		s.note(&s.dropped)
-		s.note(&s.misses)
-		return nil, false
-	}
-	// Refresh mtime so LRU eviction tracks use, not just creation.
-	now := time.Now()
-	os.Chtimes(s.path(key), now, now)
-	s.note(&s.hits)
+	s.hits.Add(1)
 	return json.RawMessage(payload), true
 }
 
 // Has reports whether a result file exists for key without validating it.
-func (s *ResultStore) Has(key Key) bool {
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
-func (s *ResultStore) note(counter *uint64) {
-	s.mu.Lock()
-	*counter++
-	s.mu.Unlock()
-}
+func (s *ResultStore) Has(key Key) bool { return s.blobs.Has(key.String()) }
 
 // Stats returns current counters plus an on-disk scan.
 func (s *ResultStore) Stats() ResultStoreStats {
-	s.mu.Lock()
-	st := ResultStoreStats{
-		Hits: s.hits, Misses: s.misses, Puts: s.puts,
-		Evictions: s.evictions, Dropped: s.dropped,
-	}
-	s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return st
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), resultExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		st.Files++
-		st.Bytes += info.Size()
-	}
-	return st
-}
-
-// evict removes least-recently-used result files until the directory fits
-// the byte budget, never removing the just-written file.
-func (s *ResultStore) evict(keep string) {
-	if s.budget <= 0 {
-		return
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type fileInfo struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var files []fileInfo
-	var total int64
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), resultExt) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, fileInfo{
-			path: filepath.Join(s.dir, e.Name()), size: info.Size(), mtime: info.ModTime(),
-		})
-		total += info.Size()
-	}
-	if total <= s.budget {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	for _, f := range files {
-		if total <= s.budget {
-			return
-		}
-		if f.path == keep {
-			continue
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			s.note(&s.evictions)
-		}
+	b := s.blobs.Stats()
+	return ResultStoreStats{
+		Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: b.Writes,
+		Evictions: b.Evictions, Dropped: b.Dropped, Files: b.Files, Bytes: b.Bytes,
 	}
 }

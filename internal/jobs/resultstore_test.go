@@ -9,8 +9,15 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
+
+// Framing, corruption and eviction are tested once for both file formats in
+// internal/blobstore; the tests here cover what the result store adds.
+
+// resultPath is where the store keeps key's result.
+func resultPath(s *ResultStore, key Key) string {
+	return filepath.Join(s.Dir(), key.String()+resultFormat.Ext)
+}
 
 func testKey(n int) Key {
 	return Spec{Workload: fmt.Sprintf("wl%d", n), Mode: ModeFunctional, Seed: int64(n)}.Key()
@@ -94,16 +101,16 @@ func TestResultStoreMiss(t *testing.T) {
 	}
 }
 
-// TestResultStoreCorruptionDropped mirrors the checkpoint-store suite: a
-// truncated, bit-flipped or version-bumped file is deleted on read and
-// reported as a miss — never an error, never stale data.
+// TestResultStoreCorruptionDropped: whatever blobstore rejects — truncated,
+// bit-flipped, foreign or version-bumped — Get reports as a miss with the
+// file deleted and counted; never an error, never stale data.
 func TestResultStoreCorruptionDropped(t *testing.T) {
 	corruptions := map[string]func([]byte) []byte{
 		"truncated":      func(b []byte) []byte { return b[:len(b)/2] },
 		"bit flip":       func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
 		"bad magic":      func(b []byte) []byte { b[0] ^= 1; return b },
 		"empty file":     func([]byte) []byte { return nil },
-		"future version": func(b []byte) []byte { b[len(resultMagic)]++; return b },
+		"future version": func(b []byte) []byte { b[len(resultFormat.Magic)]++; return b },
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -115,7 +122,7 @@ func TestResultStoreCorruptionDropped(t *testing.T) {
 			if err := s.Put(key, sampleResult(7)); err != nil {
 				t.Fatal(err)
 			}
-			path := s.path(key)
+			path := resultPath(s, key)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -129,54 +136,44 @@ func TestResultStoreCorruptionDropped(t *testing.T) {
 			if s.Has(key) {
 				t.Fatal("corrupt file not deleted")
 			}
-			if st := s.Stats(); st.Dropped != 1 {
-				t.Fatalf("stats = %+v, want 1 dropped", st)
-			}
-			// "future version" must specifically be the version sentinel.
-			if name == "future version" {
-				if _, err := decodeResultFile(corrupt(encodeResultFile([]byte("{}")))); err == nil {
-					t.Fatal("decode accepted a foreign version")
-				}
+			if st := s.Stats(); st.Dropped != 1 || st.Misses != 1 || st.Hits != 0 {
+				t.Fatalf("stats = %+v, want 1 dropped, 1 miss", st)
 			}
 		})
 	}
 }
 
-// TestResultStoreEvictionUnderBudget fills the store past its byte budget
-// and checks the least-recently-used results are evicted while the
-// freshest (and the just-written) survive.
-func TestResultStoreEvictionUnderBudget(t *testing.T) {
-	dir := t.TempDir()
-	// Size the budget for roughly three files.
-	probe := encodeResultFile(mustJSON(t, sampleResult(0)))
-	budget := int64(3*len(probe) + len(probe)/2)
-	s, err := OpenResultStore(dir, budget)
+// TestResultFixtureV1 pins the on-disk format against a file written before
+// the store moved onto internal/blobstore: it still reads back to the same
+// raw JSON, and putting the same result produces the same file name and the
+// same bytes.
+func TestResultFixtureV1(t *testing.T) {
+	want, err := os.ReadFile("testdata/v1.res")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := s.Put(testKey(i), sampleResult(0)); err != nil {
-			t.Fatalf("Put %d: %v", i, err)
-		}
-		// Space mtimes out so LRU ordering is unambiguous on coarse
-		// filesystem timestamps.
-		past := time.Now().Add(time.Duration(i-n) * time.Hour)
-		os.Chtimes(s.path(testKey(i)), past, past)
+	key := Spec{Workload: "2mm", Mode: ModeTiming, Size: 32, Seed: 1}.Key()
+	payload := json.RawMessage(`{"workload":"2mm","mode":"timing","cycles":7855,"warp_insts":20000,"categories":{"deterministic":{"loads":96},"non_deterministic":{"loads":0}}}`)
+	name := key.String() + ".res"
+
+	old, _ := OpenResultStore(t.TempDir(), 0)
+	if err := os.WriteFile(filepath.Join(old.Dir(), name), want, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	s.evict(s.path(testKey(n - 1)))
-	st := s.Stats()
-	if st.Bytes > budget {
-		t.Fatalf("store %d bytes over budget %d after eviction", st.Bytes, budget)
+	if raw, ok := old.Get(key); !ok || !bytes.Equal(raw, payload) {
+		t.Fatalf("Get(fixture) = %s, %v; want %s", raw, ok, payload)
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions recorded: %+v", st)
+
+	fresh, _ := OpenResultStore(t.TempDir(), 0)
+	if err := fresh.Put(key, payload); err != nil {
+		t.Fatal(err)
 	}
-	if !s.Has(testKey(n - 1)) {
-		t.Fatal("just-written result evicted")
+	got, err := os.ReadFile(filepath.Join(fresh.Dir(), name))
+	if err != nil {
+		t.Fatalf("Put did not produce %s: %v", name, err)
 	}
-	if s.Has(testKey(0)) {
-		t.Fatal("oldest result survived eviction")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Put wrote %d bytes that differ from the %d-byte fixture", len(got), len(want))
 	}
 }
 
@@ -237,13 +234,4 @@ func TestResultStoreIgnoresForeignFiles(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "foreign.dat")); err != nil {
 		t.Fatal("eviction removed a foreign file")
 	}
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

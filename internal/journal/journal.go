@@ -44,28 +44,30 @@ type Options struct {
 // ReplayStats summarises one replay pass.
 type ReplayStats struct {
 	// Records is the number of valid records delivered.
-	Records uint64 `json:"records"`
+	Records uint64 `json:"records" metric:"-"`
 	// Bytes is the number of valid record bytes consumed.
-	Bytes int64 `json:"bytes"`
+	Bytes int64 `json:"bytes" metric:"-"`
 	// TruncatedBytes counts bytes abandoned after the corruption boundary:
 	// the torn tail of the boundary segment plus the full size of every
 	// later segment.
-	TruncatedBytes int64 `json:"truncated_bytes"`
+	TruncatedBytes int64 `json:"truncated_bytes" metric:"critloadd_journal_replay_truncated_bytes_total,counter" help:"Bytes abandoned past the last replay's corruption boundary."`
 	// DroppedSegments counts segments abandoned wholesale (bad header, or
 	// after an earlier segment's corruption boundary).
-	DroppedSegments int `json:"dropped_segments"`
+	DroppedSegments int `json:"dropped_segments" metric:"-"`
 }
 
-// Stats is a point-in-time snapshot of journal counters.
+// Stats is a point-in-time snapshot of journal counters. The field tags
+// declare each counter's /metrics family (see obsv.Struct); metric:"-"
+// marks a value reported on /healthz or to callers only.
 type Stats struct {
-	Appends       uint64 // records appended this process
-	Syncs         uint64 // fsyncs issued by synced appends
-	Rotations     uint64 // segment rotations
-	Compactions   uint64 // Compact calls
-	AppendedBytes uint64 // record bytes appended this process
+	Appends       uint64 `metric:"critloadd_journal_appends_total,counter" help:"Records appended to the write-ahead journal."`
+	Syncs         uint64 `metric:"critloadd_journal_syncs_total,counter" help:"fsyncs issued by synced journal appends."`
+	Rotations     uint64 `metric:"critloadd_journal_rotations_total,counter" help:"Journal segment rotations."`
+	Compactions   uint64 `metric:"critloadd_journal_compactions_total,counter" help:"Journal compactions (startup recovery and clean shutdown)."`
+	AppendedBytes uint64 `metric:"-"` // record bytes appended this process
 	Replay        ReplayStats
-	Segments      int   // segment files currently on disk
-	DiskBytes     int64 // bytes currently on disk
+	Segments      int   `metric:"critloadd_journal_segments,gauge" help:"Journal segment files currently on disk."`
+	DiskBytes     int64 `metric:"critloadd_journal_disk_bytes,gauge" help:"Bytes of journal data currently on disk."`
 }
 
 // Journal is the append side of the write-ahead log. It is safe for

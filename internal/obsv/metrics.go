@@ -49,6 +49,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string // family registration order, for stable exposition
+	refresh  []func() // re-snapshot the stats structs behind Struct series
 }
 
 // NewRegistry builds an empty registry.
@@ -94,14 +95,8 @@ func (r *Registry) Gauge(name, help string, labels map[string]string) *Gauge {
 	return g
 }
 
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — the natural fit for counters that already live elsewhere (the job
-// manager's atomic stats block).
-func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn func() float64) {
-	r.register(name, help, "counter", labels, &funcMetric{lbl: renderLabels(labels), fn: fn})
-}
-
-// GaugeFunc registers a gauge read from fn at scrape time.
+// GaugeFunc registers a gauge read from fn at scrape time. (Counters that
+// already live in a stats struct are registered with Struct.)
 func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn func() float64) {
 	r.register(name, help, "gauge", labels, &funcMetric{lbl: renderLabels(labels), fn: fn})
 }
@@ -132,6 +127,9 @@ func (r *Registry) Histogram(name, help string, labels map[string]string, bucket
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, snapshot := range r.refresh {
+		snapshot()
+	}
 	for _, name := range r.order {
 		f := r.families[name]
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))

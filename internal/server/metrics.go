@@ -7,7 +7,6 @@ import (
 
 	"critload/internal/checkpoint"
 	"critload/internal/jobs"
-	"critload/internal/journal"
 	"critload/internal/obsv"
 )
 
@@ -19,8 +18,8 @@ var jobWallBuckets = []float64{.01, .05, .1, .5, 1, 5, 10, 30, 60, 120, 300}
 // to the jobs.MaxBatchItems ceiling.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// metricsSet owns the server's registry: the job manager's counters exported
-// as scrape-time functions, HTTP request instrumentation (in-flight gauge,
+// metricsSet owns the server's registry: the stats structs of the job
+// manager and its stores, HTTP request instrumentation (in-flight gauge,
 // per-endpoint latency histograms, per-endpoint/status counters) and
 // per-mode job wall-time histograms.
 type metricsSet struct {
@@ -54,148 +53,27 @@ func newMetricsSet(mgr *jobs.Manager, ckpts *checkpoint.Store, start time.Time, 
 		requests: map[string]*obsv.Counter{},
 	}
 
-	// Job-manager counters, read from the atomic stats block at scrape time.
-	stat := func(read func(jobs.Stats) float64) func() float64 {
-		return func() float64 { return read(mgr.Stats()) }
+	// Job-manager, checkpoint-store, journal and result-store counters are
+	// declared on their stats structs' fields; each struct is snapshotted
+	// once per scrape (the store and journal snapshots include a scan of a
+	// budget-bounded directory). The checkpoint families exist only with
+	// -cache-dir, the journal and result-store families only with -data-dir.
+	var durable []string
+	if jnl := mgr.Journal(); jnl != nil {
+		durable = append(durable, "journal")
+		obsv.Struct(reg, jnl.Stats)
 	}
-	reg.CounterFunc("critloadd_jobs_submitted_total",
-		"Jobs accepted by the manager.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Submitted) }))
-	reg.CounterFunc("critloadd_jobs_completed_total",
-		"Jobs finished successfully.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Completed) }))
-	reg.CounterFunc("critloadd_jobs_failed_total",
-		"Jobs finished with an error.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Failed) }))
-	reg.CounterFunc("critloadd_jobs_cancelled_total",
-		"Jobs cancelled before completing.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Cancelled) }))
-	reg.CounterFunc("critloadd_cache_hits_total",
-		"Submissions answered from the result cache.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.CacheHits) }))
-	reg.CounterFunc("critloadd_cache_misses_total",
-		"Submissions that scheduled or joined an execution.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.CacheMisses) }))
-	reg.CounterFunc("critloadd_jobs_deduped_total",
-		"Submissions that joined an in-flight execution (singleflight).", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Deduped) }))
-	reg.CounterFunc("critloadd_executions_total",
-		"Actual simulation runner invocations.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Executions) }))
-	reg.CounterFunc("critloadd_job_panics_total",
-		"Runner panics recovered into failed jobs.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Panics) }))
-	reg.CounterFunc("critloadd_job_wall_seconds_total",
-		"Total runner wall-clock time.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.WallNanos) / 1e9 }))
-	reg.GaugeFunc("critloadd_queue_depth",
-		"Jobs waiting for a worker.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Queued) }))
-	reg.GaugeFunc("critloadd_jobs_running",
-		"Jobs currently executing.", nil,
-		stat(func(s jobs.Stats) float64 { return float64(s.Running) }))
+	if results := mgr.Results(); results != nil {
+		durable = append(durable, "results")
+		obsv.Struct(reg, results.Stats)
+	}
+	obsv.Struct(reg, mgr.Stats, durable...)
+	if ckpts != nil {
+		obsv.Struct(reg, ckpts.Stats)
+	}
 	reg.GaugeFunc("critloadd_uptime_seconds",
 		"Seconds since the server started.", nil,
 		func() float64 { return time.Since(start).Seconds() })
-
-	// Checkpoint-store effectiveness, read from the store at scrape time
-	// (Stats includes a directory walk; the store stays small by budget, so
-	// scraping it per family is cheap).
-	if ckpts != nil {
-		snap := func(read func(checkpoint.Stats) float64) func() float64 {
-			return func() float64 { return read(ckpts.Stats()) }
-		}
-		reg.CounterFunc("critloadd_checkpoint_hits_total",
-			"Timing runs that warm-started from a stored checkpoint.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Hits) }))
-		reg.CounterFunc("critloadd_checkpoint_misses_total",
-			"Timing runs that found no usable checkpoint and ran cold.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Misses) }))
-		reg.CounterFunc("critloadd_checkpoint_saves_total",
-			"Kernel-launch boundaries serialized into the store.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Saves) }))
-		reg.CounterFunc("critloadd_checkpoint_evictions_total",
-			"Checkpoint files evicted to stay under the disk budget.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Evictions) }))
-		reg.CounterFunc("critloadd_checkpoint_dropped_total",
-			"Corrupt or version-mismatched checkpoint files deleted on read.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Dropped) }))
-		reg.CounterFunc("critloadd_checkpoint_cycles_skipped_total",
-			"Simulated cycles inherited from checkpoints instead of re-simulated.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.CyclesSkipped) }))
-		reg.GaugeFunc("critloadd_checkpoint_files",
-			"Checkpoint files currently on disk.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Files) }))
-		reg.GaugeFunc("critloadd_checkpoint_disk_bytes",
-			"Bytes of checkpoint data currently on disk.", nil,
-			snap(func(s checkpoint.Stats) float64 { return float64(s.Bytes) }))
-	}
-
-	// Durable-tier families: write-ahead journal and on-disk result store,
-	// present only when the daemon runs with -data-dir. Like the
-	// checkpoint families these are read at scrape time; the stats calls
-	// include a directory scan over a budget-bounded directory.
-	if jnl := mgr.Journal(); jnl != nil {
-		reg.CounterFunc("critloadd_jobs_recovered_total",
-			"Jobs rebuilt from the journal at startup.", nil,
-			stat(func(s jobs.Stats) float64 { return float64(s.Recovered) }))
-		reg.CounterFunc("critloadd_journal_errors_total",
-			"Durability failures: journal appends or result writes that did not reach disk.", nil,
-			stat(func(s jobs.Stats) float64 { return float64(s.JournalErrors) }))
-		jsnap := func(read func(journal.Stats) float64) func() float64 {
-			return func() float64 { return read(jnl.Stats()) }
-		}
-		reg.CounterFunc("critloadd_journal_appends_total",
-			"Records appended to the write-ahead journal.", nil,
-			jsnap(func(s journal.Stats) float64 { return float64(s.Appends) }))
-		reg.CounterFunc("critloadd_journal_syncs_total",
-			"fsyncs issued by synced journal appends.", nil,
-			jsnap(func(s journal.Stats) float64 { return float64(s.Syncs) }))
-		reg.CounterFunc("critloadd_journal_rotations_total",
-			"Journal segment rotations.", nil,
-			jsnap(func(s journal.Stats) float64 { return float64(s.Rotations) }))
-		reg.CounterFunc("critloadd_journal_compactions_total",
-			"Journal compactions (startup recovery and clean shutdown).", nil,
-			jsnap(func(s journal.Stats) float64 { return float64(s.Compactions) }))
-		reg.CounterFunc("critloadd_journal_replay_truncated_bytes_total",
-			"Bytes abandoned past the last replay's corruption boundary.", nil,
-			jsnap(func(s journal.Stats) float64 { return float64(s.Replay.TruncatedBytes) }))
-		reg.GaugeFunc("critloadd_journal_segments",
-			"Journal segment files currently on disk.", nil,
-			jsnap(func(s journal.Stats) float64 { return float64(s.Segments) }))
-		reg.GaugeFunc("critloadd_journal_disk_bytes",
-			"Bytes of journal data currently on disk.", nil,
-			jsnap(func(s journal.Stats) float64 { return float64(s.DiskBytes) }))
-	}
-	if results := mgr.Results(); results != nil {
-		rsnap := func(read func(jobs.ResultStoreStats) float64) func() float64 {
-			return func() float64 { return read(results.Stats()) }
-		}
-		reg.CounterFunc("critloadd_resultstore_hits_total",
-			"Result reads served from the on-disk store.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Hits) }))
-		reg.CounterFunc("critloadd_resultstore_disk_hits_total",
-			"Submissions answered from the on-disk result store.", nil,
-			stat(func(s jobs.Stats) float64 { return float64(s.DiskHits) }))
-		reg.CounterFunc("critloadd_resultstore_misses_total",
-			"Result reads that found nothing on disk.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Misses) }))
-		reg.CounterFunc("critloadd_resultstore_puts_total",
-			"Results persisted to the on-disk store.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Puts) }))
-		reg.CounterFunc("critloadd_resultstore_evictions_total",
-			"Result files evicted to stay under the disk budget.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Evictions) }))
-		reg.CounterFunc("critloadd_resultstore_dropped_total",
-			"Corrupt or version-mismatched result files deleted on read.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Dropped) }))
-		reg.GaugeFunc("critloadd_resultstore_files",
-			"Result files currently on disk.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Files) }))
-		reg.GaugeFunc("critloadd_resultstore_disk_bytes",
-			"Bytes of result data currently on disk.", nil,
-			rsnap(func(s jobs.ResultStoreStats) float64 { return float64(s.Bytes) }))
-	}
 
 	// HTTP instrumentation.
 	m.httpInFlight = reg.Gauge("critloadd_http_in_flight",

@@ -519,26 +519,25 @@ func warmstart(outPath, checkPath string, seed int64) error {
 }
 
 func ablation(s *experiments.Suite) error {
-	ctaRows, err := experiments.AblationCTAScheduling(s.Opts)
-	if err != nil {
-		return err
+	for _, a := range experiments.Ablations {
+		rows, err := experiments.RunAblation(a.Name, s.Opts)
+		if err != nil {
+			return err
+		}
+		metric := "L1 hit"
+		if a.Turnaround {
+			metric = "turnaround"
+		}
+		t := report.New(a.Title, "name", a.Base+" cycles", a.Variant+" cycles",
+			a.Base+" "+metric, a.Variant+" "+metric)
+		for _, r := range rows {
+			if a.Turnaround {
+				t.Add(r.Name, r.BaseCycles, r.VariantCycles, r.BaseTurnaround, r.VariantTurnaround)
+			} else {
+				t.Add(r.Name, r.BaseCycles, r.VariantCycles, report.Pct(r.BaseL1Hit), report.Pct(r.VariantL1Hit))
+			}
+		}
+		emit(t)
 	}
-	t := report.New("Section X.B ablation — round-robin vs clustered CTA scheduling",
-		"name", "RR cycles", "clustered cycles", "RR L1 hit", "clustered L1 hit")
-	for _, r := range ctaRows {
-		t.Add(r.Name, r.BaseCycles, r.VariantCycles, report.Pct(r.BaseL1Hit), report.Pct(r.VariantL1Hit))
-	}
-	emit(t)
-
-	warpRows, err := experiments.AblationWarpScheduler(s.Opts)
-	if err != nil {
-		return err
-	}
-	t2 := report.New("Section X.A ablation — LRR vs GTO warp scheduling",
-		"name", "LRR cycles", "GTO cycles", "LRR turnaround", "GTO turnaround")
-	for _, r := range warpRows {
-		t2.Add(r.Name, r.BaseCycles, r.VariantCycles, r.BaseTurnaround, r.VariantTurnaround)
-	}
-	emit(t2)
 	return nil
 }

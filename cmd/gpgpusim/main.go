@@ -117,7 +117,7 @@ func printRun(name string, r *experiments.Run, functional bool) {
 	fmt.Printf("  warp instructions: %d  thread instructions: %d\n", col.WarpInsts, col.ThreadInsts)
 	if !functional {
 		fmt.Printf("  cycles: %d  IPC: %.2f (warp insts/cycle)\n",
-			r.Cycles, float64(col.WarpInsts)/float64(max64(r.Cycles, 1)))
+			r.Cycles, float64(col.WarpInsts)/float64(max(r.Cycles, 1)))
 	}
 
 	t := report.New("per-category load behaviour", "metric", "deterministic", "non-deterministic")
@@ -151,11 +151,4 @@ func printRun(name string, r *experiments.Run, functional bool) {
 
 	fmt.Println("profiler counters (Table III):")
 	fmt.Print(profiler.Read(col))
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

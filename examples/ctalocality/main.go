@@ -60,7 +60,7 @@ func analyze(name string) {
 
 func ablation() {
 	fmt.Println("=== Section X.B ablation: CTA scheduling ===")
-	rows, err := experiments.AblationCTAScheduling(experiments.Options{
+	rows, err := experiments.RunAblation("cta", experiments.Options{
 		Workloads: []string{"2mm", "bfs"},
 		Size:      0, Seed: 11, MaxWarpInsts: 300_000,
 	})

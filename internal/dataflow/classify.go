@@ -92,11 +92,12 @@ func (r *Result) Load(i int) (LoadInfo, bool) {
 	return r.Loads[j], true
 }
 
-// ClassOf returns the class of the global load at instruction index i.
-// Non-load instructions report Deterministic, false.
-func (r *Result) ClassOf(i int) (Class, bool) {
-	li, ok := r.Load(i)
-	return li.Class, ok
+// NonDetAt reports whether the instruction at byte address pc is a global
+// load classified non-deterministic. As a method value it is the per-kernel
+// classifier both simulators hand to the statistics collector.
+func (r *Result) NonDetAt(pc uint32) bool {
+	li, ok := r.Load(int(pc) / isa.InstBytes)
+	return ok && li.Class == NonDeterministic
 }
 
 // Counts returns the number of deterministic and non-deterministic global

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"critload/internal/gpu"
 	"critload/internal/sm"
 	"critload/internal/stats"
@@ -36,60 +38,65 @@ func meanTurnaround(col *stats.Collector) float64 {
 	return float64(t.Total+n.Total) / float64(ops)
 }
 
-// AblationCTAScheduling compares the hardware round-robin CTA scheduler with
-// the clustered scheduler from Section X.B (neighbouring CTAs on the same SM
-// to convert inter-CTA sharing into L1 hits).
-func AblationCTAScheduling(opts Options) ([]AblationRow, error) {
-	base := opts.gpuConfig()
-	base.CTAPolicy = gpu.CTARoundRobin
-	variant := base
-	variant.CTAPolicy = gpu.CTAClustered
-	return compare(opts, base, variant)
+// Ablation is one base-versus-variant hardware comparison: the baseline is
+// the sweep's own configuration, the variant is that configuration after
+// Apply.
+type Ablation struct {
+	Name  string // selector for RunAblation
+	Title string // table heading
+	// Base and Variant label the two configurations in column headings.
+	Base, Variant string
+	// Turnaround selects mean load turnaround as the reported second
+	// metric; otherwise it is the L1 hit ratio.
+	Turnaround bool
+	Apply      func(*gpu.Config)
 }
 
-// AblationWarpScheduler compares the loose-round-robin warp scheduler with
-// greedy-then-oldest, the kind of instruction-aware specialization
-// Section X.A motivates.
-func AblationWarpScheduler(opts Options) ([]AblationRow, error) {
-	base := opts.gpuConfig()
-	base.SM.Policy = sm.LRR
-	variant := base
-	variant.SM.Policy = sm.GTO
-	return compare(opts, base, variant)
+// Ablations lists the Section X mechanisms, in the order cmd/experiments
+// prints them. Under default Options the baseline is Table II: round-robin
+// CTA placement, loose-round-robin warps, every load through the L1, no
+// prefetch, unified L2.
+var Ablations = []Ablation{
+	// Section X.B: neighbouring CTAs on the same SM, to convert inter-CTA
+	// sharing into L1 hits.
+	{Name: "cta", Title: "Section X.B ablation — round-robin vs clustered CTA scheduling",
+		Base: "RR", Variant: "clustered",
+		Apply: func(c *gpu.Config) { c.CTAPolicy = gpu.CTAClustered }},
+	// Greedy-then-oldest, the kind of instruction-aware specialization
+	// Section X.A motivates.
+	{Name: "warp", Title: "Section X.A ablation — LRR vs GTO warp scheduling",
+		Base: "LRR", Variant: "GTO", Turnaround: true,
+		Apply: func(c *gpu.Config) { c.SM.Policy = sm.GTO }},
+	// Section X.A instruction-specific handling: non-deterministic loads go
+	// around the L1, freeing its tags and MSHRs for deterministic loads.
+	{Name: "bypass", Title: "Section X.A ablation — non-deterministic loads bypass the L1",
+		Base: "baseline", Variant: "bypass",
+		Apply: func(c *gpu.Config) { c.SM.NonDetBypassL1 = true }},
+	// The application-oblivious mechanism the paper argues should instead be
+	// instruction-aware: it helps unit-stride deterministic streams and
+	// pollutes the cache for non-deterministic ones.
+	{Name: "prefetch", Title: "Oblivious baseline — next-line L1 prefetch",
+		Base: "baseline", Variant: "prefetch",
+		Apply: func(c *gpu.Config) { c.SM.PrefetchNextLine = true }},
+	// Section X.C: L2 slice groups private to SM clusters.
+	{Name: "l2", Title: "Section X.C ablation — unified vs semi-global L2 (2 clusters)",
+		Base: "unified", Variant: "semi-global", Turnaround: true,
+		Apply: func(c *gpu.Config) { c.L2Clusters = 2 }},
 }
 
-// AblationNonDetBypass compares the baseline L1 with the Section X.A
-// instruction-specific optimization that routes non-deterministic loads
-// around the L1, freeing its tags and MSHRs for deterministic loads.
-func AblationNonDetBypass(opts Options) ([]AblationRow, error) {
-	base := opts.gpuConfig()
-	base.SM.NonDetBypassL1 = false
-	variant := base
-	variant.SM.NonDetBypassL1 = true
-	return compare(opts, base, variant)
-}
-
-// AblationNextLinePrefetch compares the baseline with a next-line L1
-// prefetcher, the kind of application-oblivious mechanism the paper argues
-// should instead be instruction-aware: it helps unit-stride deterministic
-// streams and pollutes the cache for non-deterministic ones.
-func AblationNextLinePrefetch(opts Options) ([]AblationRow, error) {
-	base := opts.gpuConfig()
-	base.SM.PrefetchNextLine = false
-	variant := base
-	variant.SM.PrefetchNextLine = true
-	return compare(opts, base, variant)
-}
-
-// AblationSemiGlobalL2 compares the unified L2 of Table II with the
-// Section X.C semi-global organization (L2 slice groups private to SM
-// clusters).
-func AblationSemiGlobalL2(opts Options) ([]AblationRow, error) {
-	base := opts.gpuConfig()
-	base.L2Clusters = 0
-	variant := base
-	variant.L2Clusters = 2
-	return compare(opts, base, variant)
+// RunAblation runs the named entry of Ablations over the selected workloads,
+// each once under the baseline and once under the variant.
+func RunAblation(name string, opts Options) ([]AblationRow, error) {
+	for _, a := range Ablations {
+		if a.Name != name {
+			continue
+		}
+		base := opts.gpuConfig()
+		variant := base
+		a.Apply(&variant)
+		return compare(opts, base, variant)
+	}
+	return nil, fmt.Errorf("experiments: unknown ablation %q", name)
 }
 
 func compare(opts Options, base, variant gpu.Config) ([]AblationRow, error) {

@@ -183,11 +183,7 @@ func (s *Suite) TimingCtx(ctx context.Context, name string) (*Run, error) {
 func classifiers(inst *workloads.Instance) map[string]stats.Classifier {
 	out := make(map[string]stats.Classifier, len(inst.Prog.Kernels))
 	for _, k := range inst.Prog.Kernels {
-		res := dataflow.Classify(k)
-		out[k.Name] = func(pc uint32) bool {
-			li, ok := res.Load(int(pc) / 8)
-			return ok && li.Class == dataflow.NonDeterministic
-		}
+		out[k.Name] = dataflow.Classify(k).NonDetAt
 	}
 	return out
 }
@@ -246,7 +242,10 @@ func RunTiming(name string, opts Options) (*Run, error) {
 }
 
 // RunTimingCtx is RunTiming with cooperative cancellation at kernel-launch
-// boundaries, mirroring RunFunctionalCtx.
+// boundaries, mirroring RunFunctionalCtx. With a checkpoint store configured
+// the run is incremental (see runTiming); any warm-start failure (corrupt
+// blob, diverged launch sequence) is recovered by re-running cold from a fresh
+// instance, so checkpoints can cost time but never poison a result.
 func RunTimingCtx(ctx context.Context, name string, opts Options) (*Run, error) {
 	w, ok := workloads.Get(name)
 	if !ok {
@@ -256,60 +255,20 @@ func RunTimingCtx(ctx context.Context, name string, opts Options) (*Run, error) 
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s setup: %w", name, err)
 	}
-	return runTimingInst(ctx, w, inst, opts)
-}
-
-// runTimingInst simulates an already-built instance; split from RunTimingCtx
-// so the benchmark harness can time the simulation alone, excluding input
-// generation. With a checkpoint store configured it takes the incremental
-// path; any warm-start failure (corrupt blob, diverged launch sequence) is
-// recovered by re-running cold from a fresh instance, so checkpoints can cost
-// time but never poison a result.
-func runTimingInst(ctx context.Context, w *workloads.Workload, inst *workloads.Instance, opts Options) (*Run, error) {
-	if opts.Checkpoints != nil && opts.Tracer == nil {
-		run, err := runTimingCheckpointed(ctx, w, inst, opts)
-		var ws *warmStartError
-		if err == nil || !errors.As(err, &ws) {
-			return run, err
-		}
-		inst2, serr := w.Setup(workloads.Params{Size: opts.Size, Seed: opts.Seed})
-		if serr != nil {
-			return nil, fmt.Errorf("experiments: %s re-setup after failed warm start: %w", w.Name, serr)
-		}
-		inst = inst2
-	}
-	return runTimingCold(ctx, w, inst, opts)
-}
-
-// runTimingCold is the straight-through timing run: no checkpoint use.
-func runTimingCold(ctx context.Context, w *workloads.Workload, inst *workloads.Instance, opts Options) (*Run, error) {
-	col := stats.New()
-	cfg := opts.gpuConfig()
-	cfg.MaxWarpInsts = opts.MaxWarpInsts
-	g := gpu.MustNew(cfg, inst.Mem, col)
+	store := opts.Checkpoints
 	if opts.Tracer != nil {
-		g.SetTracer(opts.Tracer)
+		store = nil // a warm start would skip the prefix's trace entries
 	}
-	exec := func(l *emu.Launch) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if opts.Progress != nil {
-			opts.Progress(g.Cycle(), col.WarpInsts)
-		}
-		if opts.MaxWarpInsts > 0 && col.WarpInsts >= opts.MaxWarpInsts {
-			return nil // budget exhausted: close the measurement window
-		}
-		return g.LaunchKernel(l)
+	run, err := runTiming(ctx, w, inst, opts, store)
+	var ws *warmStartError
+	if !errors.As(err, &ws) {
+		return run, err
 	}
-	if err := inst.Run(exec); err != nil {
-		return nil, fmt.Errorf("experiments: %s timing run: %w", w.Name, err)
+	inst, err = w.Setup(workloads.Params{Size: opts.Size, Seed: opts.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s re-setup after failed warm start: %w", name, err)
 	}
-	if opts.Progress != nil {
-		opts.Progress(g.Cycle(), col.WarpInsts)
-	}
-	return &Run{Workload: w, Instance: inst, Col: col, Cycles: g.Cycle(),
-		SkippedCycles: g.SkippedCycles}, nil
+	return runTiming(ctx, w, inst, opts, nil)
 }
 
 // runAll maps fn over the selected workloads.

@@ -167,6 +167,21 @@ func TestFigure6TurnaroundGrowsWithRequests(t *testing.T) {
 	}
 }
 
+// TestBusiestLoadBreaksTiesByPC: loads of one loop body complete equally
+// often, and PerPC is a map, so Fig 6/7 must not pick by iteration order.
+func TestBusiestLoadBreaksTiesByPC(t *testing.T) {
+	col := stats.New()
+	for _, pc := range []uint32{0xb8, 0xb0, 0xc0} {
+		k := stats.PCKey{Kernel: "k", PC: pc}
+		col.PerPC[k] = &stats.PCStats{Key: k, ByNReq: map[int]*stats.GapAgg{1: {Ops: 7}}}
+	}
+	for i := 0; i < 64; i++ {
+		if got := busiestLoad(col, false).Key.PC; got != 0xb0 {
+			t.Fatalf("busiest of three tied loads = PC %#x, want the lowest, 0xb0", got)
+		}
+	}
+}
+
 func TestFigure7GapBreakdown(t *testing.T) {
 	res, err := Figure7(Options{Size: 8192, Seed: 5})
 	if err != nil {
@@ -278,16 +293,16 @@ func TestFigure12NeighbourCTAsShareMost(t *testing.T) {
 }
 
 func TestAblationsRun(t *testing.T) {
-	rows, err := AblationCTAScheduling(Options{Workloads: []string{"2mm"}, Size: 32, Seed: 10, MaxWarpInsts: 50_000})
+	rows, err := RunAblation("cta", Options{Workloads: []string{"2mm"}, Size: 32, Seed: 10, MaxWarpInsts: 50_000})
 	if err != nil {
-		t.Fatalf("AblationCTAScheduling: %v", err)
+		t.Fatalf("RunAblation cta: %v", err)
 	}
 	if len(rows) != 1 || rows[0].BaseCycles == 0 || rows[0].VariantCycles == 0 {
 		t.Errorf("bad ablation rows %+v", rows)
 	}
-	rows, err = AblationWarpScheduler(Options{Workloads: []string{"bfs"}, Size: 512, Seed: 10, MaxWarpInsts: 50_000})
+	rows, err = RunAblation("warp", Options{Workloads: []string{"bfs"}, Size: 512, Seed: 10, MaxWarpInsts: 50_000})
 	if err != nil {
-		t.Fatalf("AblationWarpScheduler: %v", err)
+		t.Fatalf("RunAblation warp: %v", err)
 	}
 	if len(rows) != 1 || rows[0].BaseCycles == 0 {
 		t.Errorf("bad ablation rows %+v", rows)
@@ -296,9 +311,9 @@ func TestAblationsRun(t *testing.T) {
 
 func TestExtensionAblations(t *testing.T) {
 	opts := Options{Workloads: []string{"spmv"}, Size: 2048, Seed: 10}
-	rows, err := AblationNonDetBypass(opts)
+	rows, err := RunAblation("bypass", opts)
 	if err != nil {
-		t.Fatalf("AblationNonDetBypass: %v", err)
+		t.Fatalf("RunAblation bypass: %v", err)
 	}
 	if len(rows) != 1 || rows[0].VariantCycles == 0 {
 		t.Fatalf("bad rows %+v", rows)
@@ -311,17 +326,17 @@ func TestExtensionAblations(t *testing.T) {
 		t.Errorf("cycles = %+v", rows[0])
 	}
 
-	rows, err = AblationSemiGlobalL2(opts)
+	rows, err = RunAblation("l2", opts)
 	if err != nil {
-		t.Fatalf("AblationSemiGlobalL2: %v", err)
+		t.Fatalf("RunAblation l2: %v", err)
 	}
 	if len(rows) != 1 || rows[0].VariantCycles == 0 {
 		t.Errorf("bad rows %+v", rows)
 	}
 
-	rows, err = AblationNextLinePrefetch(opts)
+	rows, err = RunAblation("prefetch", opts)
 	if err != nil {
-		t.Fatalf("AblationNextLinePrefetch: %v", err)
+		t.Fatalf("RunAblation prefetch: %v", err)
 	}
 	if len(rows) != 1 || rows[0].VariantCycles == 0 {
 		t.Errorf("bad rows %+v", rows)

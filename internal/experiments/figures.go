@@ -238,11 +238,13 @@ func (s *Suite) Figure6() ([]Fig6Series, error) {
 	return series, err
 }
 
-// topPCSeries extracts the busiest load of one class from a run.
-func topPCSeries(name string, r *Run, nonDet bool) []Fig6Series {
+// busiestLoad returns the load PC of one class with the most completed
+// operations (nil if the class has none). PerPC is a map and loads of one loop
+// body tie exactly, so equal counts go to the lower (kernel, PC).
+func busiestLoad(col *stats.Collector, nonDet bool) *stats.PCStats {
 	var best *stats.PCStats
 	var bestOps uint64
-	for _, p := range r.Col.PerPC {
+	for _, p := range col.PerPC {
 		if p.NonDet != nonDet {
 			continue
 		}
@@ -250,10 +252,17 @@ func topPCSeries(name string, r *Run, nonDet bool) []Fig6Series {
 		for _, g := range p.ByNReq {
 			ops += g.Ops
 		}
-		if ops > bestOps {
+		if ops > bestOps || best != nil && ops == bestOps && (p.Key.Kernel < best.Key.Kernel ||
+			p.Key.Kernel == best.Key.Kernel && p.Key.PC < best.Key.PC) {
 			best, bestOps = p, ops
 		}
 	}
+	return best
+}
+
+// topPCSeries extracts the busiest load of one class from a run.
+func topPCSeries(name string, r *Run, nonDet bool) []Fig6Series {
+	best := busiestLoad(r.Col, nonDet)
 	if best == nil {
 		return nil
 	}
@@ -304,20 +313,7 @@ func (s *Suite) Figure7() (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var best *stats.PCStats
-	var bestOps uint64
-	for _, p := range r.Col.PerPC {
-		if !p.NonDet {
-			continue
-		}
-		var ops uint64
-		for _, g := range p.ByNReq {
-			ops += g.Ops
-		}
-		if ops > bestOps {
-			best, bestOps = p, ops
-		}
-	}
+	best := busiestLoad(r.Col, true)
 	if best == nil {
 		return nil, fmt.Errorf("experiments: %s has no non-deterministic load", name)
 	}

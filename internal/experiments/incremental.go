@@ -49,7 +49,7 @@ func prefixKey(workload string, size int, seed int64, cfg gpu.Config) checkpoint
 
 // warmStartError marks a failure attributable to the warm-start machinery
 // (restore, functional replay, or a checkpoint deeper than the actual launch
-// sequence). runTimingInst catches it and re-runs cold from a fresh instance,
+// sequence). RunTimingCtx catches it and re-runs cold from a fresh instance,
 // so a bad checkpoint can cost time but never poison a result.
 type warmStartError struct {
 	stage string
@@ -62,9 +62,10 @@ func (e *warmStartError) Error() string {
 
 func (e *warmStartError) Unwrap() error { return e.err }
 
-// runTimingCheckpointed is runTimingInst's incremental path: it resumes from
-// the deepest valid checkpoint of this run's prefix key (if any) and saves a
-// checkpoint at every kernel-launch boundary it simulates.
+// runTiming is the one timing executor behind RunTimingCtx. With a nil store
+// it is the straight-through run. With a store it is incremental: it resumes
+// from the deepest valid checkpoint of this run's prefix key (if any) and
+// saves a checkpoint at every kernel-launch boundary it simulates.
 //
 // The warm-start protocol rests on the boundary invariant (the GPU drains
 // completely between launches, so a snapshot captures all persistent state)
@@ -79,14 +80,24 @@ func (e *warmStartError) Unwrap() error { return e.err }
 // back to a functional replay; should that replay steer the host off the
 // recorded launch sequence, the run degrades to a cold start rather than
 // resuming into a mismatched prefix.
-func runTimingCheckpointed(ctx context.Context, w *workloads.Workload, inst *workloads.Instance, opts Options) (*Run, error) {
-	store := opts.Checkpoints
+func runTiming(ctx context.Context, w *workloads.Workload, inst *workloads.Instance, opts Options, store *checkpoint.Store) (*Run, error) {
 	col := stats.New()
 	cfg := opts.gpuConfig()
 	cfg.MaxWarpInsts = opts.MaxWarpInsts
-	key := prefixKey(w.Name, opts.Size, opts.Seed, cfg)
-	target, blob, warm := store.Best(key, opts.MaxWarpInsts, cfg.MaxCycles)
 	g := gpu.MustNew(cfg, inst.Mem, col)
+	if opts.Tracer != nil {
+		g.SetTracer(opts.Tracer)
+	}
+	var (
+		key    checkpoint.Key
+		target checkpoint.Meta
+		blob   []byte
+		warm   bool
+	)
+	if store != nil {
+		key = prefixKey(w.Name, opts.Size, opts.Seed, cfg)
+		target, blob, warm = store.Best(key, opts.MaxWarpInsts, cfg.MaxCycles)
+	}
 	idx := 0 // kernel-launch boundary index: launches completed so far
 	restored := false
 	exec := func(l *emu.Launch) error {
@@ -133,7 +144,7 @@ func runTimingCheckpointed(ctx context.Context, w *workloads.Workload, inst *wor
 		// Save the boundary just reached. AtBoundary is false after a
 		// budget hard stop (in-flight work frozen, not drained): such state
 		// is engine-dependent and must never be checkpointed.
-		if g.AtBoundary() && !store.Has(key, i+1) {
+		if store != nil && g.AtBoundary() && !store.Has(key, i+1) {
 			if payload, err := g.Snapshot(); err == nil {
 				_ = store.Save(key, checkpoint.Meta{
 					Index:         i + 1,

@@ -267,15 +267,6 @@ func (g *GPU) classify(k *ptx.Kernel) *dataflow.Result {
 	return r
 }
 
-// Classifier returns a stats.Classifier for a kernel.
-func (g *GPU) Classifier(k *ptx.Kernel) stats.Classifier {
-	res := g.classify(k)
-	return func(pc uint32) bool {
-		li, ok := res.Load(int(pc) / 8)
-		return ok && li.Class == dataflow.NonDeterministic
-	}
-}
-
 // LaunchKernel runs one kernel launch to completion under the timing model.
 func (g *GPU) LaunchKernel(l *emu.Launch) error {
 	if err := l.Validate(); err != nil {
@@ -285,7 +276,7 @@ func (g *GPU) LaunchKernel(l *emu.Launch) error {
 	g.nextCTA = 0
 	g.liveCTAs = 0
 	env := &emu.Env{Mem: g.Mem, Launch: l}
-	classifier := g.Classifier(l.Kernel)
+	classifier := g.classify(l.Kernel).NonDetAt
 	for _, s := range g.sms {
 		s.SetKernel(env, l.Kernel.Name, classifier)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -49,14 +50,19 @@ func newClient(t *testing.T, url string, cfg client.Config) *client.Client {
 	return c
 }
 
-// newDaemon stands up the real critloadd API over httptest.
-func newDaemon(t *testing.T) *httptest.Server {
+// newDaemon stands up the real critloadd API over httptest, behind wrap when
+// one is given.
+func newDaemon(t *testing.T, wrap ...func(http.Handler) http.Handler) *httptest.Server {
 	t.Helper()
 	mgr, err := jobs.NewManager(jobs.Config{Workers: 2, Runner: server.SimRunner()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	ts := httptest.NewServer(server.New(mgr))
+	var h http.Handler = server.New(mgr)
+	for _, w := range wrap {
+		h = w(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -64,6 +70,25 @@ func newDaemon(t *testing.T) *httptest.Server {
 		mgr.Close(ctx)
 	})
 	return ts
+}
+
+// flaky answers a seeded share of requests with 503 before they reach the
+// daemon.
+func flaky(rate float64) func(http.Handler) http.Handler {
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(1))
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			fault := rng.Float64() < rate
+			mu.Unlock()
+			if fault {
+				http.Error(w, `{"error":"injected fault"}`, http.StatusServiceUnavailable)
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
 }
 
 func TestClassifyAgainstRealServer(t *testing.T) {
@@ -443,57 +468,77 @@ func TestJobNotFound(t *testing.T) {
 	}
 }
 
-// TestConcurrentWorkers hammers one shared client from many goroutines —
-// the -race CI job turns this into a data-race check over the client's
-// pool, breaker and stats paths.
+// TestConcurrentWorkers hammers one shared client from many goroutines with
+// every kind of op — the -race CI job turns this into a data-race check over
+// the client's pool, breaker and stats paths. Against a server that answers
+// 5% of requests 503, retries must absorb the faults: under 1% of ops may
+// surface an error.
 func TestConcurrentWorkers(t *testing.T) {
-	ts := newDaemon(t)
-	c := newClient(t, ts.URL, client.Config{})
-	const workers, opsPerWorker = 8, 25
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := context.Background()
-			for i := 0; i < opsPerWorker; i++ {
-				switch i % 3 {
-				case 0, 1:
-					if _, err := c.Classify(ctx, kernelSrc); err != nil {
-						errCh <- err
-						return
+	for _, tc := range []struct {
+		name      string
+		faultRate float64
+	}{{"clean", 0}, {"injected-503s", 0.05}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := newDaemon(t, flaky(tc.faultRate))
+			c := newClient(t, ts.URL, client.Config{})
+			const workers, opsPerWorker = 8, 24
+			var wg sync.WaitGroup
+			var failed atomic.Int64
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					ctx := context.Background()
+					for i := 0; i < opsPerWorker; i++ {
+						var err error
+						switch i % 4 {
+						case 0:
+							_, err = c.Classify(ctx, kernelSrc)
+						case 1:
+							_, err = c.ClassifyBatch(ctx, []client.BatchItem{
+								{PTX: kernelSrc}, {PTX: kernelSrc},
+							})
+						case 2:
+							_, err = c.ClassifyFamily(ctx, client.FamilySpec{
+								Name: "stream", Knobs: map[string]int{"loads": 2, "size": 128}})
+						case 3:
+							var job *client.Job
+							job, err = c.RunJob(ctx, client.JobSpec{
+								Workload: "2mm", Mode: "functional", Size: 16, Seed: int64(w)})
+							if err == nil {
+								err = job.Err()
+							}
+						}
+						if err != nil {
+							failed.Add(1)
+							t.Logf("worker %d op %d: %v", w, i, err)
+						}
 					}
-				case 2:
-					if _, err := c.ClassifyBatch(ctx, []client.BatchItem{
-						{PTX: kernelSrc}, {PTX: kernelSrc},
-					}); err != nil {
-						errCh <- err
-						return
-					}
-				}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("worker error: %v", err)
-	}
-	st := c.Stats()
-	var wantSingle, wantBatch int64
-	for i := 0; i < opsPerWorker; i++ {
-		if i%3 == 2 {
-			wantBatch += workers
-		} else {
-			wantSingle += workers
-		}
-	}
-	if st["classify"].Count != wantSingle || st["classify"].Errors != 0 {
-		t.Fatalf("classify stats = %+v, want %d clean ops", st["classify"], wantSingle)
-	}
-	if st["classify_batch"].Count != wantBatch || st["classify_batch"].Errors != 0 {
-		t.Fatalf("batch stats = %+v, want %d clean ops", st["classify_batch"], wantBatch)
+			wg.Wait()
+			const total, perOp = workers * opsPerWorker, workers * opsPerWorker / 4
+			var retries int64
+			st := c.Stats()
+			for _, op := range []string{"classify", "classify_batch", "classify_family", "job_submit"} {
+				if st[op].Count != perOp {
+					t.Errorf("%s stats = %+v, want %d ops", op, st[op], perOp)
+				}
+				retries += st[op].Retries
+			}
+			if tc.faultRate == 0 {
+				if failed.Load() != 0 || retries != 0 {
+					t.Fatalf("%d failed ops, %d retries against a healthy server", failed.Load(), retries)
+				}
+				return
+			}
+			if retries == 0 {
+				t.Error("no retries: the injected faults never reached the client")
+			}
+			if failed.Load()*100 >= total {
+				t.Fatalf("%d of %d ops surfaced an error with retries enabled", failed.Load(), total)
+			}
+		})
 	}
 }
 

@@ -212,14 +212,6 @@ func (w *Warp) PC() int {
 	return w.stack[len(w.stack)-1].pc
 }
 
-// ActiveMask returns the current top-of-stack active mask.
-func (w *Warp) ActiveMask() uint32 {
-	if len(w.stack) == 0 {
-		return 0
-	}
-	return w.stack[len(w.stack)-1].mask
-}
-
 // NextInst returns the instruction the warp will execute next, or nil when
 // the warp has finished.
 func (w *Warp) NextInst() *isa.Instruction {

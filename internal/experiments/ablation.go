@@ -52,10 +52,10 @@ type Ablation struct {
 	Apply      func(*gpu.Config)
 }
 
-// Ablations lists the Section X mechanisms, in the order cmd/experiments
-// prints them. Under default Options the baseline is Table II: round-robin
-// CTA placement, loose-round-robin warps, every load through the L1, no
-// prefetch, unified L2.
+// Ablations lists the Section X mechanisms, in the order `critload
+// experiments -artifact ablation` prints them. Under default Options the
+// baseline is Table II: round-robin CTA placement, loose-round-robin warps,
+// every load through the L1, no prefetch, unified L2.
 var Ablations = []Ablation{
 	// Section X.B: neighbouring CTAs on the same SM, to convert inter-CTA
 	// sharing into L1 hits.
@@ -101,18 +101,18 @@ func RunAblation(name string, opts Options) ([]AblationRow, error) {
 
 func compare(opts Options, base, variant gpu.Config) ([]AblationRow, error) {
 	var rows []AblationRow
-	err := runAll(opts, func(name string) error {
+	for _, name := range opts.names() {
 		bOpts := opts
 		bOpts.GPU = &base
 		bRun, err := RunTiming(name, bOpts)
 		if err != nil {
-			return err
+			return rows, err
 		}
 		vOpts := opts
 		vOpts.GPU = &variant
 		vRun, err := RunTiming(name, vOpts)
 		if err != nil {
-			return err
+			return rows, err
 		}
 		rows = append(rows, AblationRow{
 			Name:              name,
@@ -124,7 +124,6 @@ func compare(opts Options, base, variant gpu.Config) ([]AblationRow, error) {
 			BaseTurnaround:    meanTurnaround(bRun.Col),
 			VariantTurnaround: meanTurnaround(vRun.Col),
 		})
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }

@@ -270,13 +270,3 @@ func RunTimingCtx(ctx context.Context, name string, opts Options) (*Run, error) 
 	}
 	return runTiming(ctx, w, inst, opts, nil)
 }
-
-// runAll maps fn over the selected workloads.
-func runAll(opts Options, fn func(name string) error) error {
-	for _, name := range opts.names() {
-		if err := fn(name); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"critload/internal/cache"
@@ -21,8 +23,8 @@ func tinyOpts(names ...string) Options {
 }
 
 func TestTable1ShapesMatchPaper(t *testing.T) {
-	rows, err := Table1(Options{Workloads: []string{"2mm", "bfs"}, Size: 0, Seed: 1,
-		MaxWarpInsts: 0})
+	rows, err := NewSuite(Options{Workloads: []string{"2mm", "bfs"}, Size: 0, Seed: 1,
+		MaxWarpInsts: 0}).Table1()
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -45,7 +47,7 @@ func TestTable1ShapesMatchPaper(t *testing.T) {
 }
 
 func TestFigure1GraphAppsHaveNonDetLoads(t *testing.T) {
-	rows, err := Figure1(Options{Workloads: []string{"lu", "bfs"}, Size: 0, Seed: 2})
+	rows, err := NewSuite(Options{Workloads: []string{"lu", "bfs"}, Size: 0, Seed: 2}).Figure1()
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
@@ -68,7 +70,7 @@ func TestFigure1GraphAppsHaveNonDetLoads(t *testing.T) {
 }
 
 func TestFigure2NonDetGeneratesMoreRequests(t *testing.T) {
-	rows, err := Figure2(Options{Workloads: []string{"bfs"}, Seed: 3})
+	rows, err := NewSuite(Options{Workloads: []string{"bfs"}, Seed: 3}).Figure2()
 	if err != nil {
 		t.Fatalf("Figure2: %v", err)
 	}
@@ -84,7 +86,7 @@ func TestFigure2NonDetGeneratesMoreRequests(t *testing.T) {
 }
 
 func TestFigure3BreakdownSumsToOne(t *testing.T) {
-	rows, err := Figure3(Options{Workloads: []string{"spmv"}, Size: 8192, Seed: 3})
+	rows, err := NewSuite(Options{Workloads: []string{"spmv"}, Size: 8192, Seed: 3}).Figure3()
 	if err != nil {
 		t.Fatalf("Figure3: %v", err)
 	}
@@ -104,7 +106,7 @@ func TestFigure3BreakdownSumsToOne(t *testing.T) {
 
 func TestFigure4LDSTBusiestOnMemoryBoundApp(t *testing.T) {
 	// A complete run at moderate scale so the frontier actually grows.
-	rows, err := Figure4(Options{Workloads: []string{"bfs"}, Size: 8192, Seed: 3})
+	rows, err := NewSuite(Options{Workloads: []string{"bfs"}, Size: 8192, Seed: 3}).Figure4()
 	if err != nil {
 		t.Fatalf("Figure4: %v", err)
 	}
@@ -122,7 +124,7 @@ func TestFigure4LDSTBusiestOnMemoryBoundApp(t *testing.T) {
 }
 
 func TestFigure5NonDetTurnaroundLonger(t *testing.T) {
-	rows, err := Figure5(Options{Workloads: []string{"bfs"}, Size: 8192, Seed: 3})
+	rows, err := NewSuite(Options{Workloads: []string{"bfs"}, Size: 8192, Seed: 3}).Figure5()
 	if err != nil {
 		t.Fatalf("Figure5: %v", err)
 	}
@@ -143,7 +145,7 @@ func TestFigure5NonDetTurnaroundLonger(t *testing.T) {
 }
 
 func TestFigure6TurnaroundGrowsWithRequests(t *testing.T) {
-	series, err := Figure6(Options{Workloads: []string{"bfs"}, Size: 8192, Seed: 4})
+	series, err := NewSuite(Options{Workloads: []string{"bfs"}, Size: 8192, Seed: 4}).Figure6()
 	if err != nil {
 		t.Fatalf("Figure6: %v", err)
 	}
@@ -183,7 +185,7 @@ func TestBusiestLoadBreaksTiesByPC(t *testing.T) {
 }
 
 func TestFigure7GapBreakdown(t *testing.T) {
-	res, err := Figure7(Options{Size: 8192, Seed: 5})
+	res, err := NewSuite(Options{Size: 8192, Seed: 5}).Figure7()
 	if err != nil {
 		t.Fatalf("Figure7: %v", err)
 	}
@@ -201,7 +203,7 @@ func TestFigure7GapBreakdown(t *testing.T) {
 }
 
 func TestFigure8MissRatios(t *testing.T) {
-	rows, err := Figure8(Options{Workloads: []string{"spmv"}, Size: 8192, Seed: 3})
+	rows, err := NewSuite(Options{Workloads: []string{"spmv"}, Size: 8192, Seed: 3}).Figure8()
 	if err != nil {
 		t.Fatalf("Figure8: %v", err)
 	}
@@ -219,7 +221,7 @@ func TestFigure8MissRatios(t *testing.T) {
 }
 
 func TestFigure9ImageAppsUseSharedMemory(t *testing.T) {
-	rows, err := Figure9(Options{Workloads: []string{"htw", "bfs"}, Seed: 6})
+	rows, err := NewSuite(Options{Workloads: []string{"htw", "bfs"}, Seed: 6}).Figure9()
 	if err != nil {
 		t.Fatalf("Figure9: %v", err)
 	}
@@ -237,7 +239,7 @@ func TestFigure9ImageAppsUseSharedMemory(t *testing.T) {
 }
 
 func TestFigure10ColdMissesAreRare(t *testing.T) {
-	rows, err := Figure10(Options{Workloads: []string{"2mm"}, Size: 48, Seed: 7})
+	rows, err := NewSuite(Options{Workloads: []string{"2mm"}, Size: 48, Seed: 7}).Figure10()
 	if err != nil {
 		t.Fatalf("Figure10: %v", err)
 	}
@@ -251,7 +253,7 @@ func TestFigure10ColdMissesAreRare(t *testing.T) {
 }
 
 func TestFigure11InterCTASharing(t *testing.T) {
-	rows, err := Figure11(Options{Workloads: []string{"2mm", "bfs"}, Size: 0, Seed: 8})
+	rows, err := NewSuite(Options{Workloads: []string{"2mm", "bfs"}, Size: 0, Seed: 8}).Figure11()
 	if err != nil {
 		t.Fatalf("Figure11: %v", err)
 	}
@@ -271,7 +273,7 @@ func TestFigure11InterCTASharing(t *testing.T) {
 }
 
 func TestFigure12NeighbourCTAsShareMost(t *testing.T) {
-	rows, err := Figure12(Options{Workloads: []string{"2mm"}, Size: 48, Seed: 9})
+	rows, err := NewSuite(Options{Workloads: []string{"2mm"}, Size: 48, Seed: 9}).Figure12()
 	if err != nil {
 		t.Fatalf("Figure12: %v", err)
 	}
@@ -378,4 +380,49 @@ func TestUnknownWorkloadErrors(t *testing.T) {
 		t.Errorf("RunTiming accepted unknown workload")
 	}
 	_ = workloads.Names()
+}
+
+// TestArtifactsDeclareTheirRuns renders every entry of Artifacts on a small
+// two-workload suite. Each must produce non-empty tables, must have executed
+// functional and timing runs exactly where it declares them — the property
+// `critload experiments -parallel` relies on to warm neither more nor less
+// than the serial sweep runs — and must be documented in DESIGN.md §4.
+func TestArtifactsDeclareTheirRuns(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, _ := strings.Cut(string(design), "\n## 4. ")
+	index, _, _ = strings.Cut(index, "\n## 5. ")
+
+	seen := map[string]bool{}
+	for _, a := range Artifacts {
+		if seen[a.Name] {
+			t.Errorf("selector %s is listed twice", a.Name)
+		}
+		seen[a.Name] = true
+		if !strings.Contains(index, "· `"+a.Name+"`") {
+			t.Errorf("DESIGN.md §4 has no row that regenerates with `%s`", a.Name)
+		}
+		s := NewSuite(Options{Workloads: []string{"2mm", "bfs"}, Size: 64, Seed: 3, MaxWarpInsts: 20_000})
+		tables, err := a.Render(s)
+		if err != nil {
+			t.Errorf("%s: %v", a.Name, err)
+			continue
+		}
+		if len(tables) == 0 {
+			t.Errorf("%s rendered no table", a.Name)
+		}
+		for _, tb := range tables {
+			if tb.Title == "" || len(tb.Rows) == 0 {
+				t.Errorf("%s: table %q has %d rows", a.Name, tb.Title, len(tb.Rows))
+			}
+		}
+		if ran := len(s.fn) > 0; ran != a.Functional {
+			t.Errorf("%s: executed %d functional runs, declares Functional=%v", a.Name, len(s.fn), a.Functional)
+		}
+		if ran := len(s.tm) > 0; ran != a.Timing {
+			t.Errorf("%s: executed %d timing runs, declares Timing=%v", a.Name, len(s.tm), a.Timing)
+		}
+	}
 }

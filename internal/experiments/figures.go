@@ -23,15 +23,24 @@ type Table1Row struct {
 	LoadFraction  float64
 }
 
+// perWorkload builds one row per selected workload from its cached run: get
+// is s.Functional or s.Timing.
+func perWorkload[R any](s *Suite, get func(string) (*Run, error), row func(name string, r *Run) R) ([]R, error) {
+	var rows []R
+	for _, name := range s.Opts.names() {
+		r, err := get(name)
+		if err != nil {
+			return rows, err
+		}
+		rows = append(rows, row(name, r))
+	}
+	return rows, nil
+}
+
 // Table1 reproduces Table I (application characteristics) from functional
 // whole-application runs.
 func (s *Suite) Table1() ([]Table1Row, error) {
-	var rows []Table1Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Functional(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Functional, func(name string, r *Run) Table1Row {
 		gl := r.Col.GLoadWarps[stats.Det] + r.Col.GLoadWarps[stats.NonDet]
 		row := Table1Row{
 			Name:          name,
@@ -46,10 +55,8 @@ func (s *Suite) Table1() ([]Table1Row, error) {
 		if row.TotalInsts > 0 {
 			row.LoadFraction = float64(gl) / float64(row.TotalInsts)
 		}
-		rows = append(rows, row)
-		return nil
+		return row
 	})
-	return rows, err
 }
 
 // Fig1Row is one bar of Figure 1: the deterministic / non-deterministic
@@ -63,52 +70,32 @@ type Fig1Row struct {
 
 // Figure1 reproduces the load-classification distribution.
 func (s *Suite) Figure1() ([]Fig1Row, error) {
-	var rows []Fig1Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Functional(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Functional, func(name string, r *Run) Fig1Row {
 		det, nondet := r.Col.LoadFraction()
-		rows = append(rows, Fig1Row{Name: name, Category: r.Workload.Category, Det: det, NonDet: nondet})
-		return nil
+		return Fig1Row{Name: name, Category: r.Workload.Category, Det: det, NonDet: nondet}
 	})
-	return rows, err
 }
 
 // Fig2Row is one application's Figure 2 data: memory requests per warp and
 // per active thread, for each category.
 type Fig2Row struct {
-	Name             string
-	Category         workloads.Category
-	ReqPerWarp       [stats.NumCats]float64
-	ReqPerThread     [stats.NumCats]float64
-	LoadWarpsByCat   [stats.NumCats]uint64
-	RequestsByCat    [stats.NumCats]uint64
-	ThreadLoadsByCat [stats.NumCats]uint64
+	Name         string
+	Category     workloads.Category
+	ReqPerWarp   [stats.NumCats]float64
+	ReqPerThread [stats.NumCats]float64
 }
 
 // Figure2 reproduces requests per warp / active thread from functional runs
 // (coalescing is scheduler independent).
 func (s *Suite) Figure2() ([]Fig2Row, error) {
-	var rows []Fig2Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Functional(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Functional, func(name string, r *Run) Fig2Row {
 		row := Fig2Row{Name: name, Category: r.Workload.Category}
 		for c := stats.Category(0); c < stats.NumCats; c++ {
 			row.ReqPerWarp[c] = r.Col.RequestsPerWarp(c)
 			row.ReqPerThread[c] = r.Col.RequestsPerActiveThread(c)
-			row.LoadWarpsByCat[c] = r.Col.GLoadWarps[c]
-			row.RequestsByCat[c] = r.Col.Requests[c]
-			row.ThreadLoadsByCat[c] = r.Col.GLoadThreads[c]
 		}
-		rows = append(rows, row)
-		return nil
+		return row
 	})
-	return rows, err
 }
 
 // Fig3Row is one application's Figure 3 breakdown of L1 data-cache cycles.
@@ -122,22 +109,15 @@ type Fig3Row struct {
 
 // Figure3 reproduces the L1 cache-cycle breakdown from timing runs.
 func (s *Suite) Figure3() ([]Fig3Row, error) {
-	var rows []Fig3Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Timing(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Timing, func(name string, r *Run) Fig3Row {
 		row := Fig3Row{Name: name, Category: r.Workload.Category, Fractions: r.Col.L1CycleBreakdown()}
 		for c := stats.Category(0); c < stats.NumCats; c++ {
 			for o := 0; o < int(cache.NumOutcomes); o++ {
 				row.Attempts += r.Col.L1Outcomes[c][o]
 			}
 		}
-		rows = append(rows, row)
-		return nil
+		return row
 	})
-	return rows, err
 }
 
 // Fig4Row is one application's Figure 4 data: idle fraction per unit.
@@ -149,20 +129,13 @@ type Fig4Row struct {
 
 // Figure4 reproduces the function-unit idle fractions from timing runs.
 func (s *Suite) Figure4() ([]Fig4Row, error) {
-	var rows []Fig4Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Timing(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Timing, func(name string, r *Run) Fig4Row {
 		row := Fig4Row{Name: name, Category: r.Workload.Category}
 		for u := isa.FuncUnit(0); u < isa.NumFuncUnits; u++ {
 			row.Idle[u] = r.Col.UnitIdleFraction(u)
 		}
-		rows = append(rows, row)
-		return nil
+		return row
 	})
-	return rows, err
 }
 
 // Fig5Row is one application's Figure 5 turnaround decomposition per
@@ -182,12 +155,7 @@ type Fig5Row struct {
 
 // Figure5 reproduces the load turnaround decomposition from timing runs.
 func (s *Suite) Figure5() ([]Fig5Row, error) {
-	var rows []Fig5Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Timing(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Timing, func(name string, r *Run) Fig5Row {
 		row := Fig5Row{Name: name, Category: r.Workload.Category}
 		for c := stats.Category(0); c < stats.NumCats; c++ {
 			t := r.Col.Turnaround[c]
@@ -195,10 +163,8 @@ func (s *Suite) Figure5() ([]Fig5Row, error) {
 			row.Total[c] = t.MeanTotal()
 			row.Ops[c] = t.Ops
 		}
-		rows = append(rows, row)
-		return nil
+		return row
 	})
-	return rows, err
 }
 
 // Fig6Point is one (requests, mean turnaround) point of a Figure 6 series.
@@ -226,16 +192,15 @@ func (s *Suite) Figure6() ([]Fig6Series, error) {
 		opts.Workloads = []string{"bfs", "sssp", "spmv"}
 	}
 	var series []Fig6Series
-	err := runAll(opts, func(name string) error {
+	for _, name := range opts.names() {
 		r, err := s.Timing(name)
 		if err != nil {
-			return err
+			return series, err
 		}
 		series = append(series, topPCSeries(name, r, true)...)
 		series = append(series, topPCSeries(name, r, false)...)
-		return nil
-	})
-	return series, err
+	}
+	return series, nil
 }
 
 // busiestLoad returns the load PC of one class with the most completed
@@ -342,29 +307,18 @@ type Fig8Row struct {
 	Category workloads.Category
 	L1Miss   [stats.NumCats]float64
 	L2Miss   [stats.NumCats]float64
-	L1Acc    [stats.NumCats]uint64
-	L2Acc    [stats.NumCats]uint64
 }
 
 // Figure8 reproduces the per-category cache miss ratios from timing runs.
 func (s *Suite) Figure8() ([]Fig8Row, error) {
-	var rows []Fig8Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Timing(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Timing, func(name string, r *Run) Fig8Row {
 		row := Fig8Row{Name: name, Category: r.Workload.Category}
 		for c := stats.Category(0); c < stats.NumCats; c++ {
 			row.L1Miss[c] = stats.MissRatio(r.Col.L1Miss[c], r.Col.L1Acc[c])
 			row.L2Miss[c] = stats.MissRatio(r.Col.L2Miss[c], r.Col.L2Acc[c])
-			row.L1Acc[c] = r.Col.L1Acc[c]
-			row.L2Acc[c] = r.Col.L2Acc[c]
 		}
-		rows = append(rows, row)
-		return nil
+		return row
 	})
-	return rows, err
 }
 
 // Fig9Row is one application's Figure 9 data: shared loads per global load.
@@ -379,12 +333,7 @@ type Fig9Row struct {
 // Figure9 reproduces the shared-vs-global load ratio from functional runs
 // (the paper collects it with the hardware profiler).
 func (s *Suite) Figure9() ([]Fig9Row, error) {
-	var rows []Fig9Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Functional(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Functional, func(name string, r *Run) Fig9Row {
 		gl := r.Col.GLoadWarps[stats.Det] + r.Col.GLoadWarps[stats.NonDet]
 		row := Fig9Row{
 			Name: name, Category: r.Workload.Category,
@@ -393,10 +342,8 @@ func (s *Suite) Figure9() ([]Fig9Row, error) {
 		if gl > 0 {
 			row.SharedPerGlobal = float64(r.Col.SLoadWarps) / float64(gl)
 		}
-		rows = append(rows, row)
-		return nil
+		return row
 	})
-	return rows, err
 }
 
 // Fig10Row is one application's Figure 10 data: cold-miss ratio and mean
@@ -411,22 +358,15 @@ type Fig10Row struct {
 
 // Figure10 reproduces the cold-miss analysis from functional runs.
 func (s *Suite) Figure10() ([]Fig10Row, error) {
-	var rows []Fig10Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Functional(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Functional, func(name string, r *Run) Fig10Row {
 		b := r.Col.Blocks()
-		rows = append(rows, Fig10Row{
+		return Fig10Row{
 			Name: name, Category: r.Workload.Category,
 			ColdMissRatio:  b.ColdMissRatio,
 			AccessPerBlock: b.MeanAccessPerBlock,
 			DistinctBlocks: b.DistinctBlocks,
-		})
-		return nil
+		}
 	})
-	return rows, err
 }
 
 // Fig11Row is one application's Figure 11 data: inter-CTA sharing.
@@ -440,22 +380,15 @@ type Fig11Row struct {
 
 // Figure11 reproduces the inter-CTA data-sharing analysis.
 func (s *Suite) Figure11() ([]Fig11Row, error) {
-	var rows []Fig11Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Functional(name)
-		if err != nil {
-			return err
-		}
+	return perWorkload(s, s.Functional, func(name string, r *Run) Fig11Row {
 		b := r.Col.Blocks()
-		rows = append(rows, Fig11Row{
+		return Fig11Row{
 			Name: name, Category: r.Workload.Category,
 			SharedBlockRatio:  b.SharedBlockRatio,
 			SharedAccessRatio: b.SharedAccessRatio,
 			MeanCTAsPerShared: b.MeanCTAsPerShared,
-		})
-		return nil
+		}
 	})
-	return rows, err
 }
 
 // Fig12Row is one application's CTA-distance histogram (Figure 12 plots
@@ -468,61 +401,10 @@ type Fig12Row struct {
 
 // Figure12 reproduces the CTA-distance frequency histograms.
 func (s *Suite) Figure12() ([]Fig12Row, error) {
-	var rows []Fig12Row
-	err := runAll(s.Opts, func(name string) error {
-		r, err := s.Functional(name)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, Fig12Row{
+	return perWorkload(s, s.Functional, func(name string, r *Run) Fig12Row {
+		return Fig12Row{
 			Name: name, Category: r.Workload.Category,
 			Bins: r.Col.CTADistanceHistogram(),
-		})
-		return nil
+		}
 	})
-	return rows, err
 }
-
-// ---------------------------------------------------------------------------
-// One-shot wrappers: build a throwaway suite per call. Callers generating
-// several artifacts should share a Suite so each workload runs once.
-// ---------------------------------------------------------------------------
-
-// Table1 reproduces Table I with a fresh suite.
-func Table1(opts Options) ([]Table1Row, error) { return NewSuite(opts).Table1() }
-
-// Figure1 reproduces Figure 1 with a fresh suite.
-func Figure1(opts Options) ([]Fig1Row, error) { return NewSuite(opts).Figure1() }
-
-// Figure2 reproduces Figure 2 with a fresh suite.
-func Figure2(opts Options) ([]Fig2Row, error) { return NewSuite(opts).Figure2() }
-
-// Figure3 reproduces Figure 3 with a fresh suite.
-func Figure3(opts Options) ([]Fig3Row, error) { return NewSuite(opts).Figure3() }
-
-// Figure4 reproduces Figure 4 with a fresh suite.
-func Figure4(opts Options) ([]Fig4Row, error) { return NewSuite(opts).Figure4() }
-
-// Figure5 reproduces Figure 5 with a fresh suite.
-func Figure5(opts Options) ([]Fig5Row, error) { return NewSuite(opts).Figure5() }
-
-// Figure6 reproduces Figure 6 with a fresh suite.
-func Figure6(opts Options) ([]Fig6Series, error) { return NewSuite(opts).Figure6() }
-
-// Figure7 reproduces Figure 7 with a fresh suite.
-func Figure7(opts Options) (*Fig7Result, error) { return NewSuite(opts).Figure7() }
-
-// Figure8 reproduces Figure 8 with a fresh suite.
-func Figure8(opts Options) ([]Fig8Row, error) { return NewSuite(opts).Figure8() }
-
-// Figure9 reproduces Figure 9 with a fresh suite.
-func Figure9(opts Options) ([]Fig9Row, error) { return NewSuite(opts).Figure9() }
-
-// Figure10 reproduces Figure 10 with a fresh suite.
-func Figure10(opts Options) ([]Fig10Row, error) { return NewSuite(opts).Figure10() }
-
-// Figure11 reproduces Figure 11 with a fresh suite.
-func Figure11(opts Options) ([]Fig11Row, error) { return NewSuite(opts).Figure11() }
-
-// Figure12 reproduces Figure 12 with a fresh suite.
-func Figure12(opts Options) ([]Fig12Row, error) { return NewSuite(opts).Figure12() }

@@ -170,13 +170,3 @@ func (d *Daemon) Shutdown(t *testing.T) {
 		t.Fatalf("crashtest: child ignored SIGTERM for 60s\n%s", d.stderr.Bytes())
 	}
 }
-
-// StderrTail returns the child's recent stderr for failure messages. Only
-// safe after the child has been reaped (Kill or Shutdown).
-func (d *Daemon) StderrTail(n int) string {
-	b := d.stderr.Bytes()
-	if len(b) > n {
-		b = b[len(b)-n:]
-	}
-	return string(b)
-}

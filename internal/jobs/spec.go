@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"critload/internal/gpu"
 )
 
 // Mode selects which engine executes a job.
@@ -22,7 +20,7 @@ const (
 
 // Spec describes one simulation request. Identical specs produce identical
 // results — the simulator is deterministic for a fixed (workload, size,
-// seed, instruction budget, GPU configuration) tuple — which is what makes
+// seed, instruction budget, cycle bound) tuple — which is what makes
 // results content-addressable.
 type Spec struct {
 	// Workload is the Table I benchmark name.
@@ -37,8 +35,6 @@ type Spec struct {
 	MaxWarpInsts uint64 `json:"max_warp_insts,omitempty"`
 	// MaxCycles bounds a timing run's cycle count (0 = engine default).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// GPU overrides the Table II device configuration when non-nil.
-	GPU *gpu.Config `json:"gpu,omitempty"`
 	// Timeout bounds the job's wall-clock execution (0 = none). It is
 	// deliberately excluded from the cache key: it bounds the run but
 	// never alters the result a successful run produces.
@@ -65,11 +61,6 @@ func (s Spec) Validate() error {
 	if s.Timeout < 0 {
 		return fmt.Errorf("jobs: negative timeout %s", s.Timeout)
 	}
-	if s.GPU != nil {
-		if err := s.GPU.Validate(); err != nil {
-			return fmt.Errorf("jobs: gpu config: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -83,24 +74,22 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // separate struct so that adding result-neutral fields to Spec (Timeout,
 // priorities, ...) cannot silently change existing keys.
 type keyMaterial struct {
-	Workload     string      `json:"workload"`
-	Mode         Mode        `json:"mode"`
-	Size         int         `json:"size"`
-	Seed         int64       `json:"seed"`
-	MaxWarpInsts uint64      `json:"max_warp_insts"`
-	MaxCycles    int64       `json:"max_cycles"`
-	GPU          *gpu.Config `json:"gpu,omitempty"`
+	Workload     string `json:"workload"`
+	Mode         Mode   `json:"mode"`
+	Size         int    `json:"size"`
+	Seed         int64  `json:"seed"`
+	MaxWarpInsts uint64 `json:"max_warp_insts"`
+	MaxCycles    int64  `json:"max_cycles"`
 }
 
 // Key derives the spec's content address. Functional runs ignore the timing
 // machinery, so their keys deliberately exclude the instruction budget and
-// GPU configuration: a functional result is reusable across those knobs.
+// cycle bound: a functional result is reusable across those knobs.
 func (s Spec) Key() Key {
 	m := keyMaterial{Workload: s.Workload, Mode: s.Mode, Size: s.Size, Seed: s.Seed}
 	if s.Mode == ModeTiming {
 		m.MaxWarpInsts = s.MaxWarpInsts
 		m.MaxCycles = s.MaxCycles
-		m.GPU = s.GPU
 	}
 	b, err := json.Marshal(m)
 	if err != nil {

@@ -5,15 +5,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"critload/internal/gpu"
 )
 
 func TestSpecKeyDerivation(t *testing.T) {
 	base := Spec{Workload: "bfs", Mode: ModeTiming, Size: 1024, Seed: 7, MaxWarpInsts: 400_000}
-	cfg := gpu.DefaultConfig()
-	bigger := cfg
-	bigger.NumSMs = 28
 
 	tests := []struct {
 		name string
@@ -37,15 +32,10 @@ func TestSpecKeyDerivation(t *testing.T) {
 			base, with(base, func(s *Spec) { s.MaxWarpInsts = 100 }), false},
 		{"different cycle bound",
 			base, with(base, func(s *Spec) { s.MaxCycles = 1000 }), false},
-		{"explicit default GPU differs from nil",
-			base, with(base, func(s *Spec) { s.GPU = &cfg }), false},
-		{"different GPU configs",
-			with(base, func(s *Spec) { s.GPU = &cfg }),
-			with(base, func(s *Spec) { s.GPU = &bigger }), false},
 		{"functional runs ignore the timing knobs",
 			Spec{Workload: "bfs", Mode: ModeFunctional, Size: 1024, Seed: 7},
 			Spec{Workload: "bfs", Mode: ModeFunctional, Size: 1024, Seed: 7,
-				MaxWarpInsts: 9, MaxCycles: 9, GPU: &bigger},
+				MaxWarpInsts: 9, MaxCycles: 9},
 			true},
 	}
 	for _, tt := range tests {
@@ -75,7 +65,6 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown mode", Spec{Workload: "bfs", Mode: "warp-speed"}, false},
 		{"negative size", Spec{Workload: "bfs", Mode: ModeTiming, Size: -1}, false},
 		{"negative timeout", Spec{Workload: "bfs", Mode: ModeTiming, Timeout: -time.Second}, false},
-		{"bad gpu config", Spec{Workload: "bfs", Mode: ModeTiming, GPU: &gpu.Config{}}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -92,7 +81,6 @@ func TestSpecValidate(t *testing.T) {
 // newly-included knob — silently orphans every persisted result. This test
 // turns that silent invalidation into a loud, deliberate decision.
 func TestSpecKeyGoldenHashes(t *testing.T) {
-	cfg := gpu.DefaultConfig()
 	golden := []struct {
 		spec Spec
 		want string
@@ -103,12 +91,6 @@ func TestSpecKeyGoldenHashes(t *testing.T) {
 			"3d40d0d7b4fbc7eea13e8f8da834a3d9cf6a4e6b77b7a8401ac4a8cfb7699f38"},
 		{Spec{Workload: "2mm", Mode: ModeTiming, Size: 64, Seed: 1, MaxWarpInsts: 400_000, MaxCycles: 1_000_000},
 			"123dc40739d550d6ea748f2ab900f7014d2b564b82a4fcf2d77d67149b7e736a"},
-		// The only case embedding gpu.Config, so the only one that re-keys
-		// when Config gains or loses a field. HTTP submissions cannot set
-		// GPU, so the three digests above — the ones durable daemon results
-		// and journal records carry — must survive any such change untouched.
-		{Spec{Workload: "sssp", Mode: ModeTiming, Size: 512, Seed: 9, GPU: &cfg},
-			"2a766bcbf4418fbc51d312c6c6084706b1e2c66b93aef0877515cd5bf551657b"},
 	}
 	for _, g := range golden {
 		if got := g.spec.Key().String(); got != g.want {
@@ -126,7 +108,7 @@ func TestSpecKeyGoldenHashes(t *testing.T) {
 func TestSpecKeyFieldAudit(t *testing.T) {
 	keyed := map[string]bool{
 		"Workload": true, "Mode": true, "Size": true, "Seed": true,
-		"MaxWarpInsts": true, "MaxCycles": true, "GPU": true,
+		"MaxWarpInsts": true, "MaxCycles": true,
 	}
 	// Result-neutral by design: Timeout bounds a run without changing what
 	// a successful run produces; ReuseCheckpoints changes how fast a
@@ -152,7 +134,7 @@ func TestSpecKeyFieldAudit(t *testing.T) {
 	}
 
 	km := reflect.TypeOf(keyMaterial{})
-	if got, want := km.NumField(), 7; got != want {
+	if got, want := km.NumField(), 6; got != want {
 		t.Errorf("keyMaterial has %d fields, audit expects %d — keep the keyed set above in sync", got, want)
 	}
 	for i := 0; i < km.NumField(); i++ {

@@ -485,16 +485,6 @@ func AluIndex(op isa.Opcode) int {
 	return -1
 }
 
-// CmpIndex is AluIndex for the KSetp comparison pool.
-func CmpIndex(op isa.CmpOp) int {
-	for i, c := range cmpOps {
-		if c == op {
-			return i
-		}
-	}
-	return -1
-}
-
 // normIdx clamps a selector into [0, n).
 func normIdx(v, n int) int {
 	if v < 0 {

@@ -168,9 +168,6 @@ func (m *Memory) AllocF32s(vs []float32) uint32 {
 	return base
 }
 
-// AllocZero allocates a zeroed region of size bytes.
-func (m *Memory) AllocZero(size uint32) uint32 { return m.Alloc(size) }
-
 // Footprint returns the number of mapped pages, a debugging aid for tests
 // that guard against runaway address generation.
 func (m *Memory) Footprint() int { return len(m.pages) }

@@ -258,12 +258,3 @@ func (b *Builder) Build() (*Kernel, error) {
 	}
 	return k, nil
 }
-
-// MustBuild builds or panics; for compile-time-constant kernels.
-func (b *Builder) MustBuild() *Kernel {
-	k, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return k
-}

@@ -108,9 +108,6 @@ func (k *Kernel) ParamOffset(name string) (int, bool) {
 	return 0, false
 }
 
-// ParamSpaceBytes returns the total size of the kernel's parameter space.
-func (k *Kernel) ParamSpaceBytes() int { return len(k.Params) * ParamSize }
-
 // CFG returns the kernel's control-flow graph, building it on first use.
 func (k *Kernel) CFG() *CFG {
 	if k.cfg == nil {

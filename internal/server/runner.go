@@ -95,7 +95,6 @@ func SimRunnerWith(ckpts *checkpoint.Store) jobs.Runner {
 			Seed:         spec.Seed,
 			MaxWarpInsts: spec.MaxWarpInsts,
 			MaxCycles:    spec.MaxCycles,
-			GPU:          spec.GPU,
 			Progress: func(cycles int64, warpInsts uint64) {
 				jobs.ReportProgress(ctx, cycles, warpInsts)
 			},

@@ -13,7 +13,6 @@ import (
 	"critload/internal/coalesce"
 	"critload/internal/emu"
 	"critload/internal/isa"
-	"critload/internal/mem"
 )
 
 // Category indexes the paper's two load classes.
@@ -180,14 +179,6 @@ func New() *Collector {
 // ---------------------------------------------------------------------------
 // Functional-path collection
 // ---------------------------------------------------------------------------
-
-// FunctionalListener returns an emu.StepListener that feeds the collector;
-// classify resolves global-load PCs of the currently running kernel.
-func (c *Collector) FunctionalListener(classify Classifier) emu.StepListener {
-	return func(ctaID int, w *emu.Warp, s *emu.Step) {
-		c.ObserveStep(ctaID, s, classify)
-	}
-}
 
 // ObserveStep records one executed warp instruction from the functional
 // driver.
@@ -490,7 +481,3 @@ func histToBins(h map[int]uint64) []DistanceBin {
 	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
 	return out
 }
-
-// BlockAddrOf re-exports the block granularity used by the collector so
-// callers do not need to import mem for alignment.
-func BlockAddrOf(addr uint32) uint32 { return mem.BlockAddr(addr) }

@@ -5,9 +5,12 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 
 	"critload/internal/memreq"
 )
@@ -87,7 +90,9 @@ func (b *Buffer) Dropped() uint64 { return b.dropped }
 // Records returns the buffered records (shared slice; do not mutate).
 func (b *Buffer) Records() []Record { return b.records }
 
-// csvHeader lists the CSV columns in order.
+// csvHeader lists the CSV columns in order: WriteCSV prints them, ReadCSV
+// requires them. The trailing latency column is derived (Record.Latency) and
+// is not read back.
 const csvHeader = "id,kernel,pc,block,kind,sm,partition,nondet,lanes,issued,accepted_l1,injected_icnt,arrived_l2,done_l2,returned,serviced,latency"
 
 // WriteCSV serializes the buffered records.
@@ -111,6 +116,69 @@ func (b *Buffer) WriteCSV(w io.Writer) error {
 	return nil
 }
 
+// ReadCSV parses what WriteCSV wrote. Errors name the offending line.
+func ReadCSV(r io.Reader) ([]Record, error) {
+	cols := strings.Split(csvHeader, ",")
+	var (
+		out  []Record
+		f    []string // the current line's fields
+		line int
+		bad  error // first field of the line that did not parse
+	)
+	num := func(i, base, bits int) uint64 {
+		s := f[i]
+		if base == 16 {
+			s = strings.TrimPrefix(s, "0x")
+		}
+		v, err := strconv.ParseUint(s, base, bits)
+		if err != nil && bad == nil {
+			bad = fmt.Errorf("trace: line %d: bad %s: %v", line, cols[i], err)
+		}
+		return v
+	}
+	// enum finds which of n consecutive values prints as field i.
+	enum := func(i, n int, name func(v uint8) string) uint8 {
+		for v := uint8(0); int(v) < n; v++ {
+			if name(v) == f[i] {
+				return v
+			}
+		}
+		if bad == nil {
+			bad = fmt.Errorf("trace: line %d: bad %s %q", line, cols[i], f[i])
+		}
+		return 0
+	}
+	sc := bufio.NewScanner(r)
+	for line = 1; sc.Scan(); line++ {
+		f = strings.Split(sc.Text(), ",")
+		if line == 1 {
+			for i, c := range cols {
+				if i >= len(f) || f[i] != c {
+					return nil, fmt.Errorf("trace: line 1: missing column %q", c)
+				}
+			}
+			continue
+		}
+		if len(f) < len(cols) {
+			return nil, fmt.Errorf("trace: line %d: %d fields, want %d", line, len(f), len(cols))
+		}
+		// Field order is WriteCSV's.
+		rec := Record{
+			ID: num(0, 10, 64), Kernel: f[1], PC: uint32(num(2, 16, 32)), Block: uint32(num(3, 16, 32)),
+			Kind: memreq.Kind(enum(4, int(memreq.Atomic)+1, func(v uint8) string { return memreq.Kind(v).String() })),
+			SM:   int(num(5, 10, 31)), Partition: int(num(6, 10, 31)), NonDet: num(7, 10, 1) == 1, Lanes: int(num(8, 10, 31)),
+			Issued: int64(num(9, 10, 63)), AcceptedL1: int64(num(10, 10, 63)), InjectedICNT: int64(num(11, 10, 63)),
+			ArrivedL2: int64(num(12, 10, 63)), DoneL2: int64(num(13, 10, 63)), Returned: int64(num(14, 10, 63)),
+			Serviced: memreq.Level(enum(15, int(memreq.LvlDRAM)+1, func(v uint8) string { return memreq.Level(v).String() })),
+		}
+		if bad != nil {
+			return nil, bad
+		}
+		out = append(out, rec)
+	}
+	return out, sc.Err()
+}
+
 // PCSummary aggregates one PC's trace records.
 type PCSummary struct {
 	Kernel      string
@@ -121,14 +189,14 @@ type PCSummary struct {
 	MaxLatency  int64
 }
 
-// SummarizeByPC groups the buffered records per static load.
-func (b *Buffer) SummarizeByPC() []PCSummary {
+// SummarizeByPC groups records per static load, ordered by (kernel, PC).
+func SummarizeByPC(records []Record) []PCSummary {
 	type key struct {
 		kernel string
 		pc     uint32
 	}
 	agg := map[key]*PCSummary{}
-	for _, r := range b.records {
+	for _, r := range records {
 		k := key{r.Kernel, r.PC}
 		s := agg[k]
 		if s == nil {
@@ -144,9 +212,7 @@ func (b *Buffer) SummarizeByPC() []PCSummary {
 	}
 	out := make([]PCSummary, 0, len(agg))
 	for _, s := range agg {
-		if s.Requests > 0 {
-			s.MeanLatency /= float64(s.Requests)
-		}
+		s.MeanLatency /= float64(s.Requests)
 		out = append(out, *s)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestSummarizeByPC(t *testing.T) {
 	b.Add(req(1, 0x10, false, 0, 100))
 	b.Add(req(2, 0x10, false, 0, 300))
 	b.Add(req(3, 0x20, true, 0, 50))
-	sum := b.SummarizeByPC()
+	sum := SummarizeByPC(b.Records())
 	if len(sum) != 2 {
 		t.Fatalf("summaries = %d", len(sum))
 	}
@@ -76,5 +77,49 @@ func TestSummarizeByPC(t *testing.T) {
 	}
 	if sum[1].PC != 0x20 || !sum[1].NonDet {
 		t.Errorf("pc 0x20 summary = %+v", sum[1])
+	}
+}
+
+func TestCSVRoundTrip(t *testing.T) {
+	b := NewBuffer(8)
+	b.Add(&memreq.Request{ID: 1<<48 | 7, Kernel: "k1", PC: 0x110, Block: 0xdeadbe80, Kind: memreq.Load,
+		SM: 13, Partition: 5, NonDet: true, Lanes: 32, Issued: 5, AcceptedL1: 9, InjectedICNT: 10,
+		ArrivedL2: 20, DoneL2: 140, Returned: 150, Serviced: memreq.LvlDRAM})
+	b.Add(&memreq.Request{ID: 2, Kernel: "k2", PC: 0x8, Kind: memreq.Store, Lanes: 1, Issued: 7})
+	b.Add(req(3, 0x20, false, 100, 119))
+	var sb strings.Builder
+	if err := b.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCSV(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("ReadCSV: %v\n%s", err, sb.String())
+	}
+	if !reflect.DeepEqual(got, b.Records()) {
+		t.Errorf("round trip changed the records:\n got %+v\nwant %+v", got, b.Records())
+	}
+}
+
+func TestReadCSVRejects(t *testing.T) {
+	b := NewBuffer(2)
+	b.Add(req(1, 0x10, false, 0, 100))
+	var sb strings.Builder
+	b.WriteCSV(&sb)
+	header, row, _ := strings.Cut(strings.TrimSpace(sb.String()), "\n")
+
+	tests := []struct{ name, in, want string }{
+		{"missing column", strings.Replace(header, ",accepted_l1", "", 1) + "\n" + row, `line 1: missing column "accepted_l1"`},
+		{"short row", header + "\n" + row + "\n1,k,0x10", "line 3: 3 fields, want 17"},
+		{"bad number", header + "\n" + strings.Replace(row, ",100,", ",1e2,", 1), "line 2: bad returned"},
+		{"bad hex", header + "\n" + strings.Replace(row, "0x10,", "0xzz,", 1), "line 2: bad pc"},
+		{"bad level", header + "\n" + strings.Replace(row, ",L2,", ",L9,", 1), `line 2: bad serviced "L9"`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := ReadCSV(strings.NewReader(tt.in))
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("ReadCSV error = %v, want it to contain %q", err, tt.want)
+			}
+		})
 	}
 }

@@ -122,15 +122,6 @@ func Get(name string) (*Workload, bool) {
 	return nil, false
 }
 
-// MustGet returns a workload or panics.
-func MustGet(name string) *Workload {
-	w, ok := Get(name)
-	if !ok {
-		panic(fmt.Sprintf("workloads: unknown workload %q", name))
-	}
-	return w
-}
-
 // Names returns all workload names in the paper's Table I order.
 func Names() []string {
 	order := map[string]int{

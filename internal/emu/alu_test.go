@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -100,6 +101,40 @@ func TestFloatALUSemantics(t *testing.T) {
 			if got := runScalar(t, c.body); got != c.want {
 				t.Errorf("got %#x (%v), want %#x (%v)",
 					got, math.Float32frombits(got), c.want, math.Float32frombits(c.want))
+			}
+		})
+	}
+}
+
+// TestCvtFloatToIntSaturates pins cvt from f32 to the integer types to PTX's
+// saturating semantics, the same on every platform: truncate toward zero,
+// clamp to the destination's range, NaN converts to 0.
+func TestCvtFloatToIntSaturates(t *testing.T) {
+	cases := []struct {
+		name     string
+		in       float32
+		s32, u32 uint32
+	}{
+		{"NaN", float32(math.NaN()), 0, 0},
+		{"+Inf", float32(math.Inf(1)), math.MaxInt32, math.MaxUint32},
+		{"-Inf", float32(math.Inf(-1)), 1 << 31, 0},
+		{"3e9", 3e9, math.MaxInt32, 3000000000},
+		{"-3e9", -3e9, 1 << 31, 0},
+		{"-0.5", -0.5, 0, 0},
+		{"2^31", 1 << 31, math.MaxInt32, 1 << 31},
+		{"-2^31", -(1 << 31), 1 << 31, 0},
+		{"-7.9", -7.9, uint32(0xfffffff9), 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, to := range []struct {
+				ty   string
+				want uint32
+			}{{"s32", c.s32}, {"u32", c.u32}} {
+				body := fmt.Sprintf("mov.b32 %%r0, 0x%x;\ncvt.%s.f32 %%r29, %%r0;", math.Float32bits(c.in), to.ty)
+				if got := runScalar(t, body); got != to.want {
+					t.Errorf("cvt.%s.f32(%v) = %#x, want %#x", to.ty, c.in, got, to.want)
+				}
 			}
 		})
 	}

@@ -166,10 +166,10 @@ type Warp struct {
 	regs   []uint32 // numRegs × WarpSize, laid out reg-major
 	preds  []uint32 // one lane-bitmask per predicate register
 	stack  []stackEntry
-	// laneTid[l] is the linear thread id within the block of lane l, or -1
-	// for lanes beyond the block size; laneMask has a bit per lane with a
-	// thread.
-	laneTid  [WarpSize]int
+	// tid[d][l] is %tid.x, .y, .z (d = 0, 1, 2) of lane l, zero for lanes
+	// beyond the block size (a block has at most 1536 threads, so every
+	// coordinate fits); laneMask has a bit per lane with a thread.
+	tid      [3][WarpSize]uint16
 	laneMask uint32
 	// InstructionsExecuted counts warp-level instructions retired.
 	InstructionsExecuted uint64
@@ -184,15 +184,16 @@ func newWarp(l *Launch, c *CTA, index int) *Warp {
 		regs:   make([]uint32, k.NumRegs*WarpSize),
 		preds:  make([]uint32, k.NumPreds),
 	}
-	blockThreads := l.Block.Count()
+	b := l.Block
 	for lane := 0; lane < WarpSize; lane++ {
 		t := index*WarpSize + lane
-		if t < blockThreads {
-			w.laneTid[lane] = t
-			w.laneMask |= 1 << lane
-		} else {
-			w.laneTid[lane] = -1
+		if t >= b.Count() {
+			break
 		}
+		w.laneMask |= 1 << lane
+		w.tid[0][lane] = uint16(t % b.X)
+		w.tid[1][lane] = uint16(t / b.X % b.Y)
+		w.tid[2][lane] = uint16(t / (b.X * b.Y))
 	}
 	return w
 }
@@ -237,68 +238,8 @@ func (w *Warp) normalize() {
 // Reg returns the value of general register r in lane l.
 func (w *Warp) Reg(r, l int) uint32 { return w.regs[r*WarpSize+l] }
 
-// SetReg sets general register r in lane l.
-func (w *Warp) SetReg(r, l int, v uint32) { w.regs[r*WarpSize+l] = v }
-
 // Pred returns predicate register p in lane l.
 func (w *Warp) Pred(p, l int) bool { return w.preds[p]&(1<<l) != 0 }
-
-// SetPred sets predicate register p in lane l.
-func (w *Warp) SetPred(p, l int, v bool) {
-	if v {
-		w.preds[p] |= 1 << l
-	} else {
-		w.preds[p] &^= 1 << l
-	}
-}
-
-// LaneThread returns the (x,y,z) thread coordinate of lane l, or ok=false
-// for lanes beyond the block extent.
-func (w *Warp) LaneThread(l *Launch, lane int) (Dim3, bool) {
-	t := w.laneTid[lane]
-	if t < 0 {
-		return Dim3{}, false
-	}
-	x := t % l.Block.X
-	y := (t / l.Block.X) % l.Block.Y
-	z := t / (l.Block.X * l.Block.Y)
-	return Dim3{X: x, Y: y, Z: z}, true
-}
-
-func (w *Warp) sregValue(l *Launch, sr isa.SpecialReg, lane int) uint32 {
-	tc, _ := w.LaneThread(l, lane)
-	switch sr {
-	case isa.SrTidX:
-		return uint32(tc.X)
-	case isa.SrTidY:
-		return uint32(tc.Y)
-	case isa.SrTidZ:
-		return uint32(tc.Z)
-	case isa.SrNTidX:
-		return uint32(l.Block.X)
-	case isa.SrNTidY:
-		return uint32(l.Block.Y)
-	case isa.SrNTidZ:
-		return uint32(l.Block.Z)
-	case isa.SrCtaIdX:
-		return uint32(w.CTA.Coord.X)
-	case isa.SrCtaIdY:
-		return uint32(w.CTA.Coord.Y)
-	case isa.SrCtaIdZ:
-		return uint32(w.CTA.Coord.Z)
-	case isa.SrNCtaIdX:
-		return uint32(l.Grid.X)
-	case isa.SrNCtaIdY:
-		return uint32(l.Grid.Y)
-	case isa.SrNCtaIdZ:
-		return uint32(l.Grid.Z)
-	case isa.SrLaneId:
-		return uint32(lane)
-	case isa.SrWarpId:
-		return uint32(w.Index)
-	}
-	return 0
-}
 
 // Step is the record of one executed warp instruction, consumed by the
 // statistics collectors and the timing simulator.

@@ -1,11 +1,31 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"critload/internal/isa"
 )
+
+// The executor runs each warp instruction from its decoded form
+// (isa.Decoded, resolved once per kernel by ptx): every source is gathered
+// into a [WarpSize]uint32 once, the executor is selected once, and one tight
+// loop runs over all lanes. Lanes outside the exec mask may be computed but
+// are never written. Memory accesses, shared-memory bounds errors and
+// atomics stay strictly per exec lane, in ascending lane order.
+
+// lanes is one value per lane of a warp.
+type lanes = [WarpSize]uint32
+
+// laneIDs is %laneid in every lane.
+var laneIDs = func() (l lanes) {
+	for i := range l {
+		l[i] = uint32(i)
+	}
+	return l
+}()
 
 // Execute runs the warp's next instruction against env, updating register
 // state, memory, and the SIMT stack, and overwrites *step with the execution
@@ -18,6 +38,7 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 	top := &w.stack[len(w.stack)-1]
 	pc := top.pc
 	in := w.kernel.Insts[pc]
+	d := &w.kernel.Decoded()[pc]
 	active := top.mask
 
 	exec := active
@@ -32,10 +53,10 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 	*step = Step{Inst: in, Active: active, Exec: exec}
 	w.InstructionsExecuted++
 
-	switch in.Op {
-	case isa.OpBra:
+	switch d.Exec {
+	case isa.ExBra:
 		w.execBranch(in, pc, active, exec)
-	case isa.OpExit, isa.OpRet:
+	case isa.ExExit:
 		w.execExit(exec) // removes exec lanes from every stack entry
 		// Guard-false lanes, if any, continue at the next instruction.
 		if top.mask != 0 {
@@ -44,21 +65,37 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 		w.normalize()
 		step.Exited = w.Done()
 		return nil
-	case isa.OpBar:
+	case isa.ExBar:
 		w.AtBarrier = true
 		step.Barrier = true
 		top.pc++
 	default:
 		var err error
-		switch in.Op {
-		case isa.OpLd:
-			err = w.execLoad(env, in, exec, step)
-		case isa.OpSt:
-			err = w.execStore(env, in, exec, step)
-		case isa.OpAtom:
-			err = w.execAtomic(env, in, exec, step)
+		switch d.Exec {
+		case isa.ExLdParam:
+			var buf lanes
+			w.scatter(d.Dst, exec, w.gather(env, d.Srcs[0], &buf))
+		case isa.ExLdGlobal:
+			step.Mem = in.Space != isa.SpaceConst
+			w.loadGlobal(env, d, exec, step)
+		case isa.ExLdShared:
+			step.Mem = true
+			err = w.loadShared(env, d, exec, step)
+		case isa.ExStGlobal:
+			step.Mem = true
+			w.storeGlobal(env, d, exec, step)
+		case isa.ExStShared:
+			step.Mem = true
+			err = w.storeShared(env, d, exec, step)
+		case isa.ExAtom:
+			step.Mem = true
+			w.execAtomic(env, in, d, exec, step)
+		case isa.ExInvalid:
+			err = unsupported(in)
 		default:
-			w.execALU(env, in, exec)
+			if exec != 0 {
+				w.execALU(env, d, exec)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("emu: %s (PC 0x%x): %w", in, in.PC, err)
@@ -67,6 +104,21 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 	}
 	w.normalize()
 	return nil
+}
+
+func unsupported(in *isa.Instruction) error {
+	switch in.Op {
+	case isa.OpLd:
+		return fmt.Errorf("unsupported load space %s", in.Space)
+	case isa.OpSt:
+		return fmt.Errorf("unsupported store space %s", in.Space)
+	case isa.OpAtom:
+		if in.Space != isa.SpaceGlobal {
+			return fmt.Errorf("atomics supported on global memory only")
+		}
+		return fmt.Errorf("unsupported atomic %s", in.Atom)
+	}
+	return fmt.Errorf("unsupported instruction")
 }
 
 func (w *Warp) execBranch(in *isa.Instruction, pc int, active, exec uint32) {
@@ -96,312 +148,459 @@ func (w *Warp) execExit(exec uint32) {
 	}
 }
 
-func (w *Warp) execLoad(env *Env, in *isa.Instruction, exec uint32, step *Step) error {
-	src := in.Srcs[0]
-	dst := in.Dst.Reg
-	switch in.Space {
-	case isa.SpaceParam:
-		off, ok := w.kernel.ParamOffset(src.Param)
-		if !ok {
-			return fmt.Errorf("unknown param %q", src.Param)
-		}
-		byteOff := off + int(src.Imm)
-		if byteOff%4 != 0 || byteOff/4 >= len(env.Launch.Params) {
-			return fmt.Errorf("param access [%s+%d] out of range", src.Param, src.Imm)
-		}
-		v := env.Launch.Params[byteOff/4]
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) != 0 {
-				w.SetReg(dst, lane, v)
-			}
-		}
-		return nil
-	case isa.SpaceGlobal, isa.SpaceConst, isa.SpaceTex:
-		step.Mem = in.Space != isa.SpaceConst
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) == 0 {
-				continue
-			}
-			addr := w.effAddr(src, lane)
-			step.Addrs[lane] = addr
-			w.SetReg(dst, lane, env.Mem.Read32(addr))
-		}
-		return nil
-	case isa.SpaceShared:
-		step.Mem = true
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) == 0 {
-				continue
-			}
-			addr := w.effAddr(src, lane)
-			step.Addrs[lane] = addr
-			v, err := w.sharedRead(addr)
-			if err != nil {
-				return err
-			}
-			w.SetReg(dst, lane, v)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unsupported load space %s", in.Space)
+// row returns general register r of every lane.
+func (w *Warp) row(r int) *lanes { return (*lanes)(w.regs[r*WarpSize:]) }
+
+func broadcast(out *lanes, v uint32) {
+	for i := range out {
+		out[i] = v
 	}
 }
 
-func (w *Warp) execStore(env *Env, in *isa.Instruction, exec uint32, step *Step) error {
-	addrOpd := in.Srcs[0]
-	valOpd := in.Srcs[1]
-	switch in.Space {
-	case isa.SpaceGlobal:
-		step.Mem = true
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) == 0 {
-				continue
-			}
-			addr := w.effAddr(addrOpd, lane)
-			step.Addrs[lane] = addr
-			env.Mem.Write32(addr, w.value(env, valOpd, lane))
+// gather returns a decoded source's value in every lane: a register or
+// %laneid is read in place, anything else is filled into buf.
+func (w *Warp) gather(env *Env, s isa.Source, buf *lanes) *lanes {
+	switch s.Kind {
+	case isa.SrcImm:
+		broadcast(buf, s.Val)
+	case isa.SrcReg:
+		return w.row(int(s.Val))
+	case isa.SrcPred:
+		p := w.preds[s.Val]
+		for i := range buf {
+			buf[i] = p >> i & 1
 		}
-		return nil
-	case isa.SpaceShared:
-		step.Mem = true
-		for lane := 0; lane < WarpSize; lane++ {
-			if exec&(1<<lane) == 0 {
-				continue
-			}
-			addr := w.effAddr(addrOpd, lane)
-			step.Addrs[lane] = addr
-			if err := w.sharedWrite(addr, w.value(env, valOpd, lane)); err != nil {
-				return err
-			}
+	case isa.SrcSReg:
+		return w.sreg(env.Launch, isa.SpecialReg(s.Val), buf)
+	case isa.SrcParam:
+		broadcast(buf, env.Launch.Params[s.Val])
+	}
+	return buf
+}
+
+// sreg reads a special register in every lane: the per-lane ones from the
+// tables built with the warp, the rest from the launch and the CTA.
+func (w *Warp) sreg(l *Launch, sr isa.SpecialReg, buf *lanes) *lanes {
+	var v int
+	switch sr {
+	case isa.SrTidX, isa.SrTidY, isa.SrTidZ:
+		for i, t := range &w.tid[sr-isa.SrTidX] {
+			buf[i] = uint32(t)
 		}
-		return nil
-	default:
-		return fmt.Errorf("unsupported store space %s", in.Space)
+		return buf
+	case isa.SrLaneId:
+		return &laneIDs
+	case isa.SrNTidX:
+		v = l.Block.X
+	case isa.SrNTidY:
+		v = l.Block.Y
+	case isa.SrNTidZ:
+		v = l.Block.Z
+	case isa.SrCtaIdX:
+		v = w.CTA.Coord.X
+	case isa.SrCtaIdY:
+		v = w.CTA.Coord.Y
+	case isa.SrCtaIdZ:
+		v = w.CTA.Coord.Z
+	case isa.SrNCtaIdX:
+		v = l.Grid.X
+	case isa.SrNCtaIdY:
+		v = l.Grid.Y
+	case isa.SrNCtaIdZ:
+		v = l.Grid.Z
+	case isa.SrWarpId:
+		v = w.Index
+	}
+	broadcast(buf, uint32(v))
+	return buf
+}
+
+// address computes a memory operand's effective address in every lane.
+func (w *Warp) address(env *Env, d *isa.Decoded, out *lanes) {
+	base := w.gather(env, d.Srcs[0], out)
+	for i := range out {
+		out[i] = base[i] + d.Disp
 	}
 }
 
-func (w *Warp) execAtomic(env *Env, in *isa.Instruction, exec uint32, step *Step) error {
-	if in.Space != isa.SpaceGlobal {
-		return fmt.Errorf("atomics supported on global memory only")
+// scatter writes r to the destination register in the exec lanes, copying
+// the whole row when every lane executed.
+func (w *Warp) scatter(dst int32, exec uint32, r *lanes) {
+	if dst < 0 {
+		return
 	}
-	step.Mem = true
-	dst := in.Dst.Reg
-	for lane := 0; lane < WarpSize; lane++ {
-		if exec&(1<<lane) == 0 {
-			continue
+	row := w.row(int(dst))
+	if exec == FullMask {
+		*row = *r
+		return
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m) & (WarpSize - 1)
+		row[i] = r[i]
+	}
+}
+
+func (w *Warp) loadGlobal(env *Env, d *isa.Decoded, exec uint32, step *Step) {
+	var addr, r lanes
+	w.address(env, d, &addr)
+	for m := exec; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m) & (WarpSize - 1)
+		step.Addrs[i] = addr[i]
+		r[i] = env.Mem.Read32(addr[i])
+	}
+	w.scatter(d.Dst, exec, &r)
+}
+
+func (w *Warp) loadShared(env *Env, d *isa.Decoded, exec uint32, step *Step) error {
+	var addr, r lanes
+	w.address(env, d, &addr)
+	sh := w.CTA.Shared
+	for m := exec; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m) & (WarpSize - 1)
+		a := addr[i]
+		step.Addrs[i] = a
+		if int(a)+4 > len(sh) {
+			return fmt.Errorf("shared read at %d beyond %d bytes", a, len(sh))
 		}
-		addr := w.effAddr(in.Srcs[0], lane)
-		step.Addrs[lane] = addr
-		old := env.Mem.Read32(addr)
-		b := w.value(env, in.Srcs[1], lane)
+		r[i] = binary.LittleEndian.Uint32(sh[a:])
+	}
+	w.scatter(d.Dst, exec, &r)
+	return nil
+}
+
+func (w *Warp) storeGlobal(env *Env, d *isa.Decoded, exec uint32, step *Step) {
+	var addr, buf lanes
+	w.address(env, d, &addr)
+	v := w.gather(env, d.Srcs[1], &buf)
+	for m := exec; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m) & (WarpSize - 1)
+		step.Addrs[i] = addr[i]
+		env.Mem.Write32(addr[i], v[i])
+	}
+}
+
+func (w *Warp) storeShared(env *Env, d *isa.Decoded, exec uint32, step *Step) error {
+	var addr, buf lanes
+	w.address(env, d, &addr)
+	v := w.gather(env, d.Srcs[1], &buf)
+	sh := w.CTA.Shared
+	for m := exec; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m) & (WarpSize - 1)
+		a := addr[i]
+		step.Addrs[i] = a
+		if int(a)+4 > len(sh) {
+			return fmt.Errorf("shared write at %d beyond %d bytes", a, len(sh))
+		}
+		binary.LittleEndian.PutUint32(sh[a:], v[i])
+	}
+	return nil
+}
+
+func (w *Warp) execAtomic(env *Env, in *isa.Instruction, d *isa.Decoded, exec uint32, step *Step) {
+	var addr, bufB, bufC, old lanes
+	w.address(env, d, &addr)
+	b := w.gather(env, d.Srcs[1], &bufB)
+	c := w.gather(env, d.Srcs[2], &bufC)
+	for m := exec; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m) & (WarpSize - 1)
+		a := addr[i]
+		step.Addrs[i] = a
+		o := env.Mem.Read32(a)
 		var nv uint32
 		switch in.Atom {
 		case isa.AtomAdd:
-			nv = old + b
+			nv = o + b[i]
 		case isa.AtomMin:
-			nv = minByType(in.Type, old, b)
+			nv = minByType(in.Type, o, b[i])
 		case isa.AtomMax:
-			nv = maxByType(in.Type, old, b)
+			nv = maxByType(in.Type, o, b[i])
 		case isa.AtomExch:
-			nv = b
+			nv = b[i]
 		case isa.AtomOr:
-			nv = old | b
+			nv = o | b[i]
 		case isa.AtomAnd:
-			nv = old & b
+			nv = o & b[i]
 		case isa.AtomCAS:
-			c := w.value(env, in.Srcs[2], lane)
-			if old == b {
-				nv = c
-			} else {
-				nv = old
+			nv = o
+			if o == b[i] {
+				nv = c[i]
 			}
-		default:
-			return fmt.Errorf("unsupported atomic %s", in.Atom)
 		}
-		env.Mem.Write32(addr, nv)
-		if in.Dst.Kind == isa.OpdReg {
-			w.SetReg(dst, lane, old)
+		env.Mem.Write32(a, nv)
+		old[i] = o
+	}
+	w.scatter(d.Dst, exec, &old)
+}
+
+// execALU runs a register-to-register instruction: gather, one loop over
+// the lanes, scatter. setp merges its lane mask into the predicate instead.
+func (w *Warp) execALU(env *Env, d *isa.Decoded, exec uint32) {
+	var bufA, bufB, bufC, r lanes
+	a, b, c := &bufA, &bufB, &bufC
+	switch d.NSrc {
+	case 3:
+		c = w.gather(env, d.Srcs[2], c)
+		fallthrough
+	case 2:
+		b = w.gather(env, d.Srcs[1], b)
+		fallthrough
+	case 1:
+		a = w.gather(env, d.Srcs[0], a)
+	}
+	switch d.Exec {
+	case isa.ExNop:
+		return
+	case isa.ExSetpU, isa.ExSetpS, isa.ExSetpF:
+		m := setpMask(d, a, b)
+		p := &w.preds[d.Dst]
+		*p = *p&^exec | m&exec
+		return
+	case isa.ExMov:
+		w.scatter(d.Dst, exec, a)
+		return
+	case isa.ExSelp:
+		var sel uint32
+		if s := d.Srcs[2]; s.Kind == isa.SrcPred {
+			sel = w.preds[s.Val]
+		}
+		for i := range r {
+			if sel>>i&1 != 0 {
+				r[i] = a[i]
+			} else {
+				r[i] = b[i]
+			}
+		}
+	case isa.ExAdd:
+		for i := range r {
+			r[i] = a[i] + b[i]
+		}
+	case isa.ExAddF:
+		for i := range r {
+			r[i] = fbits(ffrom(a[i]) + ffrom(b[i]))
+		}
+	case isa.ExSub:
+		for i := range r {
+			r[i] = a[i] - b[i]
+		}
+	case isa.ExSubF:
+		for i := range r {
+			r[i] = fbits(ffrom(a[i]) - ffrom(b[i]))
+		}
+	case isa.ExMul:
+		for i := range r {
+			r[i] = a[i] * b[i]
+		}
+	case isa.ExMulF:
+		for i := range r {
+			r[i] = fbits(ffrom(a[i]) * ffrom(b[i]))
+		}
+	case isa.ExMulHiU:
+		for i := range r {
+			r[i] = uint32(uint64(a[i]) * uint64(b[i]) >> 32)
+		}
+	case isa.ExMulHiS:
+		for i := range r {
+			r[i] = uint32(uint64(int64(int32(a[i]))*int64(int32(b[i]))) >> 32)
+		}
+	case isa.ExMad:
+		for i := range r {
+			r[i] = a[i]*b[i] + c[i]
+		}
+	case isa.ExMadF:
+		for i := range r {
+			r[i] = fbits(ffrom(a[i])*ffrom(b[i]) + ffrom(c[i]))
+		}
+	case isa.ExDivU:
+		for i := range r {
+			if b[i] != 0 {
+				r[i] = a[i] / b[i]
+			}
+		}
+	case isa.ExDivS:
+		for i := range r {
+			if b[i] != 0 {
+				r[i] = uint32(int32(a[i]) / int32(b[i]))
+			}
+		}
+	case isa.ExDivF:
+		for i := range r {
+			r[i] = fbits(ffrom(a[i]) / ffrom(b[i]))
+		}
+	case isa.ExRemU:
+		for i := range r {
+			if b[i] != 0 {
+				r[i] = a[i] % b[i]
+			}
+		}
+	case isa.ExRemS:
+		for i := range r {
+			if b[i] != 0 {
+				r[i] = uint32(int32(a[i]) % int32(b[i]))
+			}
+		}
+	case isa.ExMinU:
+		for i := range r {
+			r[i] = min(a[i], b[i])
+		}
+	case isa.ExMinS:
+		for i := range r {
+			r[i] = uint32(min(int32(a[i]), int32(b[i])))
+		}
+	case isa.ExMinF:
+		for i := range r {
+			r[i] = minByType(isa.F32, a[i], b[i])
+		}
+	case isa.ExMaxU:
+		for i := range r {
+			r[i] = max(a[i], b[i])
+		}
+	case isa.ExMaxS:
+		for i := range r {
+			r[i] = uint32(max(int32(a[i]), int32(b[i])))
+		}
+	case isa.ExMaxF:
+		for i := range r {
+			r[i] = maxByType(isa.F32, a[i], b[i])
+		}
+	case isa.ExAbs:
+		for i := range r {
+			v := int32(a[i])
+			if v < 0 {
+				v = -v
+			}
+			r[i] = uint32(v)
+		}
+	case isa.ExAbsF:
+		for i := range r {
+			r[i] = fbits(float32(math.Abs(float64(ffrom(a[i])))))
+		}
+	case isa.ExNeg:
+		for i := range r {
+			r[i] = -a[i]
+		}
+	case isa.ExNegF:
+		for i := range r {
+			r[i] = fbits(-ffrom(a[i]))
+		}
+	case isa.ExAnd:
+		for i := range r {
+			r[i] = a[i] & b[i]
+		}
+	case isa.ExOr:
+		for i := range r {
+			r[i] = a[i] | b[i]
+		}
+	case isa.ExXor:
+		for i := range r {
+			r[i] = a[i] ^ b[i]
+		}
+	case isa.ExNot:
+		for i := range r {
+			r[i] = ^a[i]
+		}
+	case isa.ExShl:
+		for i := range r {
+			r[i] = a[i] << (b[i] & 31)
+		}
+	case isa.ExShrU:
+		for i := range r {
+			r[i] = a[i] >> (b[i] & 31)
+		}
+	case isa.ExShrS:
+		for i := range r {
+			r[i] = uint32(int32(a[i]) >> (b[i] & 31))
+		}
+	case isa.ExCvtU32F:
+		for i := range r {
+			r[i] = fbits(float32(a[i]))
+		}
+	case isa.ExCvtS32F:
+		for i := range r {
+			r[i] = fbits(float32(int32(a[i])))
+		}
+	case isa.ExCvtFU32:
+		for i := range r {
+			r[i] = f32ToU32(ffrom(a[i]))
+		}
+	case isa.ExCvtFS32:
+		for i := range r {
+			r[i] = f32ToS32(ffrom(a[i]))
+		}
+	case isa.ExSqrt:
+		for i := range r {
+			r[i] = fbits(float32(math.Sqrt(float64(ffrom(a[i])))))
+		}
+	case isa.ExRsqrt:
+		for i := range r {
+			r[i] = fbits(float32(1 / math.Sqrt(float64(ffrom(a[i])))))
+		}
+	case isa.ExRcp:
+		for i := range r {
+			r[i] = fbits(1 / ffrom(a[i]))
+		}
+	case isa.ExSin:
+		for i := range r {
+			r[i] = fbits(float32(math.Sin(float64(ffrom(a[i])))))
+		}
+	case isa.ExCos:
+		for i := range r {
+			r[i] = fbits(float32(math.Cos(float64(ffrom(a[i])))))
+		}
+	case isa.ExEx2:
+		for i := range r {
+			r[i] = fbits(float32(math.Exp2(float64(ffrom(a[i])))))
+		}
+	case isa.ExLg2:
+		for i := range r {
+			r[i] = fbits(float32(math.Log2(float64(ffrom(a[i])))))
 		}
 	}
-	return nil
+	w.scatter(d.Dst, exec, &r)
 }
 
-func (w *Warp) sharedRead(addr uint32) (uint32, error) {
-	sh := w.CTA.Shared
-	if int(addr)+4 > len(sh) {
-		return 0, fmt.Errorf("shared read at %d beyond %d bytes", addr, len(sh))
-	}
-	return uint32(sh[addr]) | uint32(sh[addr+1])<<8 | uint32(sh[addr+2])<<16 | uint32(sh[addr+3])<<24, nil
-}
-
-func (w *Warp) sharedWrite(addr uint32, v uint32) error {
-	sh := w.CTA.Shared
-	if int(addr)+4 > len(sh) {
-		return fmt.Errorf("shared write at %d beyond %d bytes", addr, len(sh))
-	}
-	sh[addr] = byte(v)
-	sh[addr+1] = byte(v >> 8)
-	sh[addr+2] = byte(v >> 16)
-	sh[addr+3] = byte(v >> 24)
-	return nil
-}
-
-// effAddr computes a lane's effective address for a memory operand.
-func (w *Warp) effAddr(o isa.Operand, lane int) uint32 {
-	if o.Reg < 0 {
-		return uint32(o.Imm)
-	}
-	return w.Reg(o.Reg, lane) + uint32(int32(o.Imm))
-}
-
-// value evaluates a non-memory source operand in a lane.
-func (w *Warp) value(env *Env, o isa.Operand, lane int) uint32 {
-	switch o.Kind {
-	case isa.OpdReg:
-		return w.Reg(o.Reg, lane)
-	case isa.OpdImm:
-		return uint32(int32(o.Imm))
-	case isa.OpdFImm:
-		return math.Float32bits(float32(o.FImm))
-	case isa.OpdSReg:
-		return w.sregValue(env.Launch, o.SReg, lane)
-	case isa.OpdPred:
-		if w.Pred(o.Reg, lane) {
-			return 1
+// setpMask compares a and b in every lane and returns the lanes where d's
+// comparison holds. gt is "neither lt nor eq" and ge is "not lt", so a NaN
+// operand makes ne, gt and ge hold.
+func setpMask(d *isa.Decoded, a, b *lanes) uint32 {
+	var lt, eq uint32
+	switch d.Exec {
+	case isa.ExSetpU:
+		for i := range a {
+			lt |= b2u(a[i] < b[i]) << i
+			eq |= b2u(a[i] == b[i]) << i
 		}
-		return 0
+	case isa.ExSetpS:
+		for i := range a {
+			lt |= b2u(int32(a[i]) < int32(b[i])) << i
+			eq |= b2u(a[i] == b[i]) << i
+		}
+	case isa.ExSetpF:
+		for i := range a {
+			fa, fb := ffrom(a[i]), ffrom(b[i])
+			lt |= b2u(fa < fb) << i
+			eq |= b2u(fa == fb) << i
+		}
+	}
+	switch d.Cmp {
+	case isa.CmpEQ:
+		return eq
+	case isa.CmpNE:
+		return ^eq
+	case isa.CmpLT:
+		return lt
+	case isa.CmpLE:
+		return lt | eq
+	case isa.CmpGT:
+		return ^(lt | eq)
+	case isa.CmpGE:
+		return ^lt
 	}
 	return 0
 }
 
-func (w *Warp) execALU(env *Env, in *isa.Instruction, exec uint32) {
-	for lane := 0; lane < WarpSize; lane++ {
-		if exec&(1<<lane) == 0 {
-			continue
-		}
-		switch in.Op {
-		case isa.OpSetp:
-			a := w.value(env, in.Srcs[0], lane)
-			b := w.value(env, in.Srcs[1], lane)
-			w.SetPred(in.Dst.Reg, lane, compare(in.Type, in.Cmp, a, b))
-		case isa.OpSelp:
-			a := w.value(env, in.Srcs[0], lane)
-			b := w.value(env, in.Srcs[1], lane)
-			p := in.Srcs[2]
-			v := b
-			if p.Kind == isa.OpdPred && w.Pred(p.Reg, lane) {
-				v = a
-			}
-			w.SetReg(in.Dst.Reg, lane, v)
-		default:
-			w.SetReg(in.Dst.Reg, lane, w.alu(env, in, lane))
-		}
-	}
-}
-
-func (w *Warp) alu(env *Env, in *isa.Instruction, lane int) uint32 {
-	val := func(i int) uint32 { return w.value(env, in.Srcs[i], lane) }
-	t := in.Type
-	switch in.Op {
-	case isa.OpMov:
-		return val(0)
-	case isa.OpAdd:
-		if t.Float() {
-			return fbits(ffrom(val(0)) + ffrom(val(1)))
-		}
-		return val(0) + val(1)
-	case isa.OpSub:
-		if t.Float() {
-			return fbits(ffrom(val(0)) - ffrom(val(1)))
-		}
-		return val(0) - val(1)
-	case isa.OpMul:
-		if t.Float() {
-			return fbits(ffrom(val(0)) * ffrom(val(1)))
-		}
-		return val(0) * val(1)
-	case isa.OpMulHi:
-		if t.Signed() {
-			return uint32(uint64(int64(int32(val(0)))*int64(int32(val(1)))) >> 32)
-		}
-		return uint32((uint64(val(0)) * uint64(val(1))) >> 32)
-	case isa.OpMad:
-		if t.Float() {
-			return fbits(ffrom(val(0))*ffrom(val(1)) + ffrom(val(2)))
-		}
-		return val(0)*val(1) + val(2)
-	case isa.OpDiv:
-		if t.Float() {
-			return fbits(ffrom(val(0)) / ffrom(val(1)))
-		}
-		b := val(1)
-		if b == 0 {
-			return 0
-		}
-		if t.Signed() {
-			return uint32(int32(val(0)) / int32(b))
-		}
-		return val(0) / b
-	case isa.OpRem:
-		b := val(1)
-		if b == 0 {
-			return 0
-		}
-		if t.Signed() {
-			return uint32(int32(val(0)) % int32(b))
-		}
-		return val(0) % b
-	case isa.OpMin:
-		return minByType(t, val(0), val(1))
-	case isa.OpMax:
-		return maxByType(t, val(0), val(1))
-	case isa.OpAbs:
-		if t.Float() {
-			return fbits(float32(math.Abs(float64(ffrom(val(0))))))
-		}
-		v := int32(val(0))
-		if v < 0 {
-			v = -v
-		}
-		return uint32(v)
-	case isa.OpNeg:
-		if t.Float() {
-			return fbits(-ffrom(val(0)))
-		}
-		return uint32(-int32(val(0)))
-	case isa.OpAnd:
-		return val(0) & val(1)
-	case isa.OpOr:
-		return val(0) | val(1)
-	case isa.OpXor:
-		return val(0) ^ val(1)
-	case isa.OpNot:
-		return ^val(0)
-	case isa.OpShl:
-		return val(0) << (val(1) & 31)
-	case isa.OpShr:
-		if t.Signed() {
-			return uint32(int32(val(0)) >> (val(1) & 31))
-		}
-		return val(0) >> (val(1) & 31)
-	case isa.OpCvt:
-		return convert(in.Type, in.SrcType, val(0))
-	case isa.OpSqrt:
-		return fbits(float32(math.Sqrt(float64(ffrom(val(0))))))
-	case isa.OpRsqrt:
-		return fbits(float32(1 / math.Sqrt(float64(ffrom(val(0))))))
-	case isa.OpRcp:
-		return fbits(1 / ffrom(val(0)))
-	case isa.OpSin:
-		return fbits(float32(math.Sin(float64(ffrom(val(0))))))
-	case isa.OpCos:
-		return fbits(float32(math.Cos(float64(ffrom(val(0))))))
-	case isa.OpEx2:
-		return fbits(float32(math.Exp2(float64(ffrom(val(0))))))
-	case isa.OpLg2:
-		return fbits(float32(math.Log2(float64(ffrom(val(0))))))
-	case isa.OpNop:
-		return 0
+func b2u(c bool) uint32 {
+	if c {
+		return 1
 	}
 	return 0
 }
@@ -409,53 +608,31 @@ func (w *Warp) alu(env *Env, in *isa.Instruction, lane int) uint32 {
 func ffrom(bits uint32) float32 { return math.Float32frombits(bits) }
 func fbits(f float32) uint32    { return math.Float32bits(f) }
 
-func convert(dst, src isa.DType, v uint32) uint32 {
+// f32ToS32 is cvt.s32.f32 with PTX's saturating semantics: truncate toward
+// zero, clamp to the int32 range, NaN converts to 0. A plain Go conversion
+// leaves the out-of-range and NaN results to the platform.
+func f32ToS32(f float32) uint32 {
 	switch {
-	case dst == src:
-		return v
-	case dst.Float() && src == isa.S32:
-		return fbits(float32(int32(v)))
-	case dst.Float():
-		return fbits(float32(v))
-	case src.Float() && dst == isa.S32:
-		return uint32(int32(ffrom(v)))
-	case src.Float():
-		f := ffrom(v)
-		if f < 0 {
-			return 0
-		}
-		return uint32(f)
-	default:
-		return v
+	case f != f:
+		return 0
+	case f <= math.MinInt32:
+		return 1 << 31
+	case f >= -math.MinInt32:
+		return math.MaxInt32
 	}
+	return uint32(int32(f))
 }
 
-func compare(t isa.DType, c isa.CmpOp, a, b uint32) bool {
-	var lt, eq bool
+// f32ToU32 is cvt.u32.f32 with PTX's saturating semantics: truncate toward
+// zero, clamp to the uint32 range, NaN converts to 0.
+func f32ToU32(f float32) uint32 {
 	switch {
-	case t.Float():
-		fa, fb := ffrom(a), ffrom(b)
-		lt, eq = fa < fb, fa == fb
-	case t.Signed():
-		lt, eq = int32(a) < int32(b), a == b
-	default:
-		lt, eq = a < b, a == b
+	case !(f > 0): // NaN, zero and negatives
+		return 0
+	case f >= 1<<32:
+		return math.MaxUint32
 	}
-	switch c {
-	case isa.CmpEQ:
-		return eq
-	case isa.CmpNE:
-		return !eq
-	case isa.CmpLT:
-		return lt
-	case isa.CmpLE:
-		return lt || eq
-	case isa.CmpGT:
-		return !lt && !eq
-	case isa.CmpGE:
-		return !lt
-	}
-	return false
+	return uint32(f)
 }
 
 func minByType(t isa.DType, a, b uint32) uint32 {

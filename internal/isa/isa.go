@@ -405,15 +405,19 @@ func (in *Instruction) IsParamLoad() bool {
 	return in.Op == OpLd && in.Space == SpaceParam
 }
 
+// WritesReg reports whether the opcode produces a general-register value.
+// setp defines a predicate instead.
+func (o Opcode) WritesReg() bool {
+	switch o {
+	case OpSt, OpBra, OpBar, OpExit, OpRet, OpNop, OpSetp:
+		return false
+	}
+	return true
+}
+
 // DefReg returns the general register defined by the instruction, or -1.
 func (in *Instruction) DefReg() int {
-	if in.Op == OpSt || in.Op == OpBra || in.Op == OpBar || in.Op == OpExit || in.Op == OpRet || in.Op == OpNop {
-		return -1
-	}
-	if in.Op == OpSetp {
-		return -1 // defines a predicate, not a general register
-	}
-	if in.Dst.Kind == OpdReg {
+	if in.Op.WritesReg() && in.Dst.Kind == OpdReg {
 		return in.Dst.Reg
 	}
 	return -1

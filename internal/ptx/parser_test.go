@@ -187,6 +187,10 @@ func TestParseErrors(t *testing.T) {
 		{"setp dest", ".kernel k\n setp.lt.u32 %r0, %r1, %r2; exit;", "predicate register"},
 		{"unbalanced bracket", ".kernel k\n ld.global.u32 %r0, [%r1; exit;", "unbalanced"},
 		{"dup param", ".kernel k\n.param .u32 a\n.param .u32 a\n exit;", "duplicate param"},
+		{"misaligned param offset", ".kernel k\n.param .u32 p\n ld.param.u32 %r0, [p+2]; exit;", "not an aligned word"},
+		{"param offset past the end", ".kernel k\n.param .u32 p\n ld.param.u32 %r0, [p+4096]; exit;", "not an aligned word"},
+		{"param offset before the start", ".kernel k\n.param .u32 p\n ld.param.u32 %r0, [p-4]; exit;", "not an aligned word"},
+		{"alu into a predicate", ".kernel k\n mov.u32 %p0, 1; exit;", "writes a general register"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -51,14 +51,17 @@ type Kernel struct {
 	Insts       []*isa.Instruction
 	Labels      map[string]int
 
-	cfg     *CFG         // lazily built
-	hazards []isa.Hazard // per instruction, resolved by finish
+	cfg     *CFG          // lazily built
+	hazards []isa.Hazard  // per instruction, resolved by finish
+	decoded []isa.Decoded // per instruction, resolved by finish
 }
 
 // finish completes an assembled kernel: it resolves branch targets, sizes
 // the register files from the highest index used, and derives every
-// instruction's scoreboard operands. Parse and Builder.Build both end here,
-// before the kernel is visible to anyone else.
+// instruction's scoreboard operands and decoded execution form. Parse and
+// Builder.Build both end here, before the kernel is visible to anyone else,
+// so both derived slices are immutable by the time several goroutines read
+// them.
 func (k *Kernel) finish() error {
 	bump := func(n *int, reg int) {
 		if reg+1 > *n {
@@ -74,6 +77,7 @@ func (k *Kernel) finish() error {
 		}
 	}
 	k.hazards = make([]isa.Hazard, len(k.Insts))
+	k.decoded = make([]isa.Decoded, len(k.Insts))
 	for i, in := range k.Insts {
 		if in.Op == isa.OpBra {
 			t, ok := k.Labels[in.Label]
@@ -90,6 +94,10 @@ func (k *Kernel) finish() error {
 			bump(&k.NumPreds, in.Guard.Reg)
 		}
 		k.hazards[i] = in.Hazard()
+		k.decoded[i] = in.Decode()
+		if in.IsParamLoad() {
+			k.decoded[i].Srcs[0].Val = uint32(k.paramWord(in.Srcs[0]))
+		}
 	}
 	return nil
 }
@@ -97,6 +105,10 @@ func (k *Kernel) finish() error {
 // Hazards returns the scoreboard operands of every instruction, indexed like
 // Insts. The slice is shared and must not be modified.
 func (k *Kernel) Hazards() []isa.Hazard { return k.hazards }
+
+// Decoded returns the execution form of every instruction, indexed like
+// Insts. The slice is shared and must not be modified.
+func (k *Kernel) Decoded() []isa.Decoded { return k.decoded }
 
 // ParamOffset returns the byte offset of a named parameter.
 func (k *Kernel) ParamOffset(name string) (int, bool) {
@@ -106,6 +118,21 @@ func (k *Kernel) ParamOffset(name string) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// paramWord resolves an ld.param operand to the index of the 32-bit word it
+// reads, or -1 when the parameter is unknown or the offset is misaligned or
+// outside the parameter space.
+func (k *Kernel) paramWord(o isa.Operand) int {
+	off, ok := k.ParamOffset(o.Param)
+	if o.Kind != isa.OpdParam || !ok {
+		return -1
+	}
+	b := int64(off) + o.Imm
+	if b < 0 || b%ParamSize != 0 || b/ParamSize >= int64(len(k.Params)) {
+		return -1
+	}
+	return int(b / ParamSize)
 }
 
 // CFG returns the kernel's control-flow graph, building it on first use.
@@ -182,6 +209,15 @@ func (k *Kernel) Validate() error {
 			if in.Srcs[0].Kind != isa.OpdParam {
 				return fmt.Errorf("%s:%d: ld.param requires a [name] operand", k.Name, i)
 			}
+			if _, known := k.ParamOffset(in.Srcs[0].Param); known && k.paramWord(in.Srcs[0]) < 0 {
+				return fmt.Errorf("%s:%d: ld.param %s is not an aligned word of the %d-byte parameter space",
+					k.Name, i, in.Srcs[0], len(k.Params)*ParamSize)
+			}
+		}
+		// An atom may discard the old value; every other producer names
+		// the register it writes.
+		if in.Op.WritesReg() && in.Op != isa.OpAtom && in.Dst.Kind != isa.OpdReg {
+			return fmt.Errorf("%s:%d: %s writes a general register, not %s", k.Name, i, in.Op, in.Dst)
 		}
 		if (in.Op == isa.OpLd || in.Op == isa.OpSt || in.Op == isa.OpAtom) && in.Space == isa.SpaceNone {
 			return fmt.Errorf("%s:%d: memory op without state space", k.Name, i)

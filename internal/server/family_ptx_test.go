@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -64,6 +65,28 @@ func TestClassifyFamilyErrors(t *testing.T) {
 				t.Errorf("error %q, want substring %q", e.Error, c.want)
 			}
 		})
+	}
+}
+
+// TestPTXRejectsBadParamOffset pins that an ld.param outside the parameter
+// space fails at parse time, before anything is journaled or run.
+func TestPTXRejectsBadParamOffset(t *testing.T) {
+	ts, _ := newService(t, server.SimRunner(), 1)
+	for _, off := range []string{"p+2", "p+4096"} {
+		src := ".kernel k\n.param .u32 p\n    ld.param.u32 %r0, [" + off + "];\n    exit;\n"
+		for _, path := range []string{"/v1/ptx", "/v1/classify"} {
+			var e struct {
+				Error       string                  `json:"error"`
+				Diagnostics []server.DiagnosticJSON `json:"diagnostics"`
+			}
+			if code := postJSON(t, ts.URL+path, map[string]string{"ptx": src}, &e); code != http.StatusUnprocessableEntity {
+				t.Errorf("%s [%s] = %d, want 422", path, off, code)
+			}
+			msg := fmt.Sprint(e.Error, e.Diagnostics)
+			if !strings.Contains(msg, "ld.param") {
+				t.Errorf("%s [%s] answer %q does not name the ld.param", path, off, msg)
+			}
+		}
 	}
 }
 

@@ -32,6 +32,9 @@ func (c Config) Validate() error {
 	if c.MSHREntries <= 0 || c.MSHRTargets <= 0 {
 		return fmt.Errorf("cache: non-positive MSHR config %+v", c)
 	}
+	if c.MSHREntries > maxMSHREntries {
+		return fmt.Errorf("cache: %d MSHR entries exceed %d", c.MSHREntries, maxMSHREntries)
+	}
 	return nil
 }
 
@@ -80,14 +83,19 @@ const (
 	reserved // tag allocated, data in flight
 )
 
+// maxMSHREntries is the largest MSHR file a line's 16-bit entry index can
+// name.
+const maxMSHREntries = 1 << 16
+
 type line struct {
 	tag     uint32 // block address
 	state   lineState
+	mshr    uint16 // the line's MSHR entry while reserved
 	lastUse int64
 }
 
 type mshrEntry struct {
-	targets []*memreq.Request
+	targets []*memreq.Request // primary miss first; capacity MSHRTargets once used
 }
 
 // Cache is one cache instance (used for both L1D and L2 slices).
@@ -95,14 +103,15 @@ type Cache struct {
 	cfg     Config
 	numSets int
 	sets    [][]line
-	mshr    map[uint32]*mshrEntry
 
-	// entryFree recycles MSHR entries (and their target slices) so the
-	// steady-state miss path allocates nothing; lastFill holds the most
-	// recently filled entry back for one Fill so the slice Fill returned
-	// stays valid while the caller iterates it.
-	entryFree []*mshrEntry
-	lastFill  *mshrEntry
+	// mshrs is the MSHR file, a fixed slab of MSHREntries entries. A
+	// reserved line names its entry; free holds the indices of the unused
+	// ones, lowest on top, so a cache whose misses never overlap much only
+	// ever gives target storage to its first few entries. Each entry's
+	// target list is allocated at its first miss and reused after, so the
+	// warm miss path allocates nothing.
+	mshrs []mshrEntry
+	free  []uint16
 
 	// Aggregate statistics (monotonic counters).
 	Accesses  [NumOutcomes]uint64
@@ -119,10 +128,14 @@ func New(cfg Config) (*Cache, error) {
 		cfg:     cfg,
 		numSets: numSets,
 		sets:    make([][]line, numSets),
-		mshr:    make(map[uint32]*mshrEntry, cfg.MSHREntries),
+		mshrs:   make([]mshrEntry, cfg.MSHREntries),
+		free:    make([]uint16, cfg.MSHREntries),
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
+	}
+	for i := range c.free {
+		c.free[i] = uint16(cfg.MSHREntries - 1 - i)
 	}
 	return c, nil
 }
@@ -168,13 +181,8 @@ func (c *Cache) Access(r *memreq.Request, now int64, tryInject func() bool) Outc
 			c.Accesses[Hit]++
 			return Hit
 		}
-		// Line is reserved: merge into the MSHR entry if space remains.
-		e := c.mshr[r.Block]
-		if e == nil {
-			// A reserved line must have an MSHR entry; a missing one is a
-			// simulator bug worth failing loudly on.
-			panic(fmt.Sprintf("cache: reserved line %#x without MSHR entry", r.Block))
-		}
+		// Line is reserved: merge into its MSHR entry if space remains.
+		e := &c.mshrs[ln.mshr]
 		if len(e.targets) >= c.cfg.MSHRTargets {
 			c.Accesses[RsrvFailMSHR]++
 			return RsrvFailMSHR
@@ -204,7 +212,7 @@ func (c *Cache) Access(r *memreq.Request, now int64, tryInject func() bool) Outc
 		c.Accesses[RsrvFailTag]++
 		return RsrvFailTag
 	}
-	if len(c.mshr) >= c.cfg.MSHREntries {
+	if len(c.free) == 0 {
 		c.Accesses[RsrvFailMSHR]++
 		return RsrvFailMSHR
 	}
@@ -212,50 +220,38 @@ func (c *Cache) Access(r *memreq.Request, now int64, tryInject func() bool) Outc
 		c.Accesses[RsrvFailICNT]++
 		return RsrvFailICNT
 	}
-	set[victim] = line{tag: r.Block, state: reserved, lastUse: now}
-	var e *mshrEntry
-	if n := len(c.entryFree); n > 0 {
-		e = c.entryFree[n-1]
-		c.entryFree[n-1] = nil
-		c.entryFree = c.entryFree[:n-1]
-		e.targets = append(e.targets[:0], r)
-	} else {
-		e = &mshrEntry{targets: []*memreq.Request{r}}
+	id := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	e := &c.mshrs[id]
+	if e.targets == nil {
+		e.targets = make([]*memreq.Request, 0, c.cfg.MSHRTargets)
 	}
-	c.mshr[r.Block] = e
+	e.targets = append(e.targets[:0], r)
+	set[victim] = line{tag: r.Block, state: reserved, mshr: id, lastUse: now}
 	c.Accesses[Miss]++
 	return Miss
 }
 
 // Fill completes an outstanding miss for block: the reserved line becomes
-// valid and all merged requests are returned (primary miss first). Filling a
-// block with no outstanding reservation is a simulator bug.
+// valid, its MSHR entry is freed, and all merged requests are returned
+// (primary miss first). Filling a block with no outstanding reservation is a
+// simulator bug.
 //
-// The returned slice aliases recycled MSHR storage and is valid only until
-// the next Fill on this cache; callers must finish iterating (or copy)
-// before triggering another fill.
+// The returned slice aliases the freed entry's storage and is valid only
+// until the next Access on this cache, which may take the entry again;
+// callers must finish iterating (or copy) before presenting another access.
 func (c *Cache) Fill(block uint32, now int64) []*memreq.Request {
-	e, ok := c.mshr[block]
-	if !ok {
-		panic(fmt.Sprintf("cache: fill of %#x without MSHR entry", block))
-	}
-	delete(c.mshr, block)
 	set := c.sets[c.setIndex(block)]
 	for i := range set {
 		if set[i].state == reserved && set[i].tag == block {
-			set[i].state = valid
-			set[i].lastUse = now
+			id := set[i].mshr
+			set[i] = line{tag: block, state: valid, lastUse: now}
 			c.FillCount++
-			// Recycle the previously filled entry; e itself is held back so
-			// e.targets survives until the caller finishes with it.
-			if c.lastFill != nil {
-				c.entryFree = append(c.entryFree, c.lastFill)
-			}
-			c.lastFill = e
-			return e.targets
+			c.free = append(c.free, id)
+			return c.mshrs[id].targets
 		}
 	}
-	panic(fmt.Sprintf("cache: fill of %#x with MSHR entry but no reserved line", block))
+	panic(fmt.Sprintf("cache: fill of %#x without a reserved line", block))
 }
 
 // Contains reports whether block is present and valid (a testing aid).
@@ -270,7 +266,7 @@ func (c *Cache) Contains(block uint32) bool {
 }
 
 // PendingMisses returns the number of allocated MSHR entries.
-func (c *Cache) PendingMisses() int { return len(c.mshr) }
+func (c *Cache) PendingMisses() int { return len(c.mshrs) - len(c.free) }
 
 // InvalidateAll clears the cache contents but keeps in-flight reservations;
 // used between kernel launches where GPUs flush L1.

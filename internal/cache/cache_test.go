@@ -169,6 +169,7 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Bytes: 1000, LineBytes: 128, Ways: 3, MSHREntries: 1, MSHRTargets: 1},
 		{Bytes: 1024, LineBytes: 128, Ways: 2, MSHREntries: 0, MSHRTargets: 1},
+		{Bytes: 1024, LineBytes: 128, Ways: 2, MSHREntries: maxMSHREntries + 1, MSHRTargets: 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -219,5 +220,65 @@ func TestQuickCacheInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// l1Cfg is Table II's L1 (sm.DefaultConfig().L1).
+func l1Cfg() Config {
+	return Config{Bytes: 16 * 1024, LineBytes: 128, Ways: 4, MSHREntries: 64, MSHRTargets: 8, HitLatency: 18}
+}
+
+// TestCacheAccessFillDoesNotAllocate pins the MSHR slab: once warm, a miss,
+// a merge, a fill and a hit allocate nothing.
+func TestCacheAccessFillDoesNotAllocate(t *testing.T) {
+	c := MustNew(l1Cfg())
+	r1, r2, r3 := req(0), req(0), req(0)
+	i := 0
+	cycle := func() {
+		block := uint32(i%512) * 128
+		r1.Block, r2.Block, r3.Block = block, block, block
+		now := int64(4 * i)
+		if c.Access(r1, now, alwaysInject) != Miss || c.Access(r2, now+1, alwaysInject) != HitReserved {
+			t.Fatal("want a miss then a hit-reserved")
+		}
+		if got := c.Fill(block, now+2); len(got) != 2 {
+			t.Fatalf("fill returned %d targets, want 2", len(got))
+		}
+		if c.Access(r3, now+3, alwaysInject) != Hit {
+			t.Fatal("want a hit after the fill")
+		}
+		i++
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("Access/Fill allocate %v times per miss", n)
+	}
+}
+
+func BenchmarkL1AccessFill(b *testing.B) {
+	c := MustNew(l1Cfg())
+	reqs := make([]*memreq.Request, 16)
+	for i := range reqs {
+		reqs[i] = req(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Sixteen misses in flight across the sets, each merged once and
+		// filled, then hit: the MSHR file's steady state.
+		now := int64(4 * i)
+		for j, r := range reqs {
+			r.Block = uint32((16*i+j)%512) * 128
+			c.Access(r, now, alwaysInject)
+		}
+		for _, r := range reqs {
+			c.Access(r, now+1, alwaysInject)
+		}
+		for _, r := range reqs {
+			c.Fill(r.Block, now+2)
+		}
+		for _, r := range reqs {
+			c.Access(r, now+3, alwaysInject)
+		}
 	}
 }

@@ -12,7 +12,7 @@ const snapTag = 0x43414348 // "CACH"
 // identity cannot survive serialization, so snapshotting mid-flight is a
 // caller bug worth failing loudly on.
 func (c *Cache) Snapshot(w *checkpoint.Writer) {
-	if len(c.mshr) != 0 {
+	if c.PendingMisses() != 0 {
 		panic("cache: snapshot with in-flight misses")
 	}
 	w.Tag(snapTag)
@@ -35,7 +35,7 @@ func (c *Cache) Snapshot(w *checkpoint.Writer) {
 // Restore loads a snapshot taken from an identically-configured cache. The
 // receiver must itself be at a boundary (no in-flight misses).
 func (c *Cache) Restore(r *checkpoint.Reader) error {
-	if len(c.mshr) != 0 {
+	if c.PendingMisses() != 0 {
 		return errActive(r)
 	}
 	r.Tag(snapTag)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"critload/internal/checkpoint"
+	"critload/internal/memreq"
 )
 
 func snapConfig() Config {
@@ -60,7 +61,7 @@ func TestSnapshotPanicsWithInflightMiss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	c.mshr[0x80] = &mshrEntry{}
+	c.Access(&memreq.Request{Block: 0x80}, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Snapshot of a busy cache did not panic")
@@ -79,7 +80,7 @@ func TestRestoreRejections(t *testing.T) {
 	good := snapBytes(t, src)
 
 	busy, _ := New(snapConfig())
-	busy.mshr[0x80] = &mshrEntry{}
+	busy.Access(&memreq.Request{Block: 0x80}, 0, nil)
 	if err := busy.Restore(checkpoint.NewReader(good)); err == nil || !strings.Contains(err.Error(), "in-flight") {
 		t.Errorf("busy restore: %v", err)
 	}

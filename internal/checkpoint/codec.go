@@ -15,6 +15,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -74,6 +75,18 @@ func (w *Writer) Str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// ErrMalformed matches (with errors.Is) every error a Reader reports: a
+// truncated payload, a misplaced section tag, an implausible count, or a
+// field a decoder rejected with Failf.
+var ErrMalformed = errors.New("checkpoint: malformed payload")
+
+// decodeError is a Reader failure: its message names the cause, and it
+// matches ErrMalformed.
+type decodeError struct{ msg string }
+
+func (e *decodeError) Error() string        { return e.msg }
+func (e *decodeError) Is(target error) bool { return target == ErrMalformed }
+
 // Reader decodes a Writer's output with a sticky error: after the first
 // failure every accessor returns a zero value and Err reports the cause, so
 // decoders read straight through without per-field error plumbing.
@@ -96,7 +109,7 @@ func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 // mismatches); like any codec error it is sticky.
 func (r *Reader) Failf(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
+		r.err = &decodeError{msg: fmt.Sprintf(format, args...)}
 	}
 }
 

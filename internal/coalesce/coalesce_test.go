@@ -14,7 +14,7 @@ func TestFullyCoalescedWarp(t *testing.T) {
 	for l := range addrs {
 		addrs[l] = 0x1000 + uint32(4*l) // 32 × 4B = one 128B block
 	}
-	acc := Coalesce(emu.FullMask, &addrs)
+	acc := CoalesceInto(nil, emu.FullMask, &addrs)
 	if len(acc) != 1 {
 		t.Fatalf("accesses = %d, want 1", len(acc))
 	}
@@ -31,7 +31,7 @@ func TestStridedTwoBlocks(t *testing.T) {
 	for l := range addrs {
 		addrs[l] = 0x2000 + uint32(8*l) // 8B stride: 256B = 2 blocks
 	}
-	acc := Coalesce(emu.FullMask, &addrs)
+	acc := CoalesceInto(nil, emu.FullMask, &addrs)
 	if len(acc) != 2 {
 		t.Fatalf("accesses = %d, want 2", len(acc))
 	}
@@ -45,7 +45,7 @@ func TestFullyDivergentAddresses(t *testing.T) {
 	for l := range addrs {
 		addrs[l] = uint32(l) * 4096 // every lane a distinct block
 	}
-	acc := Coalesce(emu.FullMask, &addrs)
+	acc := CoalesceInto(nil, emu.FullMask, &addrs)
 	if len(acc) != 32 {
 		t.Fatalf("accesses = %d, want 32", len(acc))
 	}
@@ -56,7 +56,7 @@ func TestInactiveLanesIgnored(t *testing.T) {
 	for l := range addrs {
 		addrs[l] = uint32(l) * 4096
 	}
-	acc := Coalesce(0x5, &addrs) // lanes 0 and 2 only
+	acc := CoalesceInto(nil, 0x5, &addrs) // lanes 0 and 2 only
 	if len(acc) != 2 {
 		t.Fatalf("accesses = %d, want 2", len(acc))
 	}
@@ -67,11 +67,8 @@ func TestInactiveLanesIgnored(t *testing.T) {
 
 func TestEmptyMask(t *testing.T) {
 	var addrs [emu.WarpSize]uint32
-	if acc := Coalesce(0, &addrs); acc != nil {
-		t.Errorf("Coalesce(0) = %v, want nil", acc)
-	}
-	if n := Count(0, &addrs); n != 0 {
-		t.Errorf("Count(0) = %d, want 0", n)
+	if acc := CoalesceInto(nil, 0, &addrs); acc != nil {
+		t.Errorf("CoalesceInto(nil, 0) = %v, want nil", acc)
 	}
 }
 
@@ -80,13 +77,14 @@ func TestSameAddressAllLanes(t *testing.T) {
 	for l := range addrs {
 		addrs[l] = 0x7777
 	}
-	acc := Coalesce(emu.FullMask, &addrs)
+	acc := CoalesceInto(nil, emu.FullMask, &addrs)
 	if len(acc) != 1 || acc[0].Lanes != emu.FullMask {
 		t.Errorf("broadcast access = %+v", acc)
 	}
 }
 
-// Properties checked with testing/quick: (1) Count agrees with len(Coalesce),
+// Properties checked with testing/quick: (1) appending after existing
+// entries leaves them alone and yields the same accesses as an empty dst,
 // (2) lane masks partition the exec mask, (3) every lane's address falls in
 // its access's block, (4) access count never exceeds active lanes.
 func TestQuickCoalesceInvariants(t *testing.T) {
@@ -96,9 +94,15 @@ func TestQuickCoalesceInvariants(t *testing.T) {
 		for l := range addrs {
 			addrs[l] = uint32(rng.Intn(1 << 20))
 		}
-		acc := Coalesce(exec, &addrs)
-		if Count(exec, &addrs) != len(acc) {
+		acc := CoalesceInto(nil, exec, &addrs)
+		after := CoalesceInto([]Access{{Block: 1}}, exec, &addrs)
+		if after[0] != (Access{Block: 1}) || len(after) != 1+len(acc) {
 			return false
+		}
+		for i := range acc {
+			if after[1+i] != acc[i] {
+				return false
+			}
 		}
 		var union uint32
 		for _, a := range acc {

@@ -174,8 +174,7 @@ func TestFigure6TurnaroundGrowsWithRequests(t *testing.T) {
 func TestBusiestLoadBreaksTiesByPC(t *testing.T) {
 	col := stats.New()
 	for _, pc := range []uint32{0xb8, 0xb0, 0xc0} {
-		k := stats.PCKey{Kernel: "k", PC: pc}
-		col.PerPC[k] = &stats.PCStats{Key: k, ByNReq: map[int]*stats.GapAgg{1: {Ops: 7}}}
+		col.LoadPC("k", pc, false).ByNReq[1].Ops = 7
 	}
 	for i := 0; i < 64; i++ {
 		if got := busiestLoad(col, false).Key.PC; got != 0xb0 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"critload/internal/cache"
 	"critload/internal/isa"
@@ -244,7 +243,6 @@ func topPCSeries(name string, r *Run, nonDet bool) []Fig6Series {
 			Ops:            g.Ops,
 		})
 	}
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].NReq < s.Points[j].NReq })
 	return []Fig6Series{s}
 }
 
@@ -297,7 +295,6 @@ func (s *Suite) Figure7() (*Fig7Result, error) {
 			Total:     float64(g.Total) / n,
 		})
 	}
-	sort.Slice(res.Buckets, func(i, j int) bool { return res.Buckets[i].NReq < res.Buckets[j].NReq })
 	return res, nil
 }
 

@@ -6,6 +6,7 @@ package mem
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // PageBits is log2 of the backing-store page size.
@@ -21,9 +22,17 @@ const BlockBytes = 128
 // BlockAddr returns the 128-byte-aligned block address containing addr.
 func BlockAddr(addr uint32) uint32 { return addr &^ (BlockBytes - 1) }
 
+// numPages is the number of pages in the 32-bit space, and so the most
+// entries the page table can hold.
+const numPages = 1 << (32 - PageBits)
+
 // Memory is a sparse 32-bit byte-addressable space.
 type Memory struct {
-	pages map[uint32][]byte
+	// pages is the page table, indexed by addr>>PageBits: nil for an unmapped
+	// page. It grows on the first write past its end, so it is never longer
+	// than the highest written page id plus one (at most numPages pointers,
+	// 512 KiB).
+	pages []*[PageSize]byte
 	// brk is the bump-allocation cursor. Address 0 is kept unmapped so that
 	// null-pointer style bugs in kernels fault visibly in tests.
 	brk uint32
@@ -31,7 +40,7 @@ type Memory struct {
 
 // New returns an empty memory with the allocator starting at 64 KiB.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32][]byte), brk: PageSize}
+	return &Memory{brk: PageSize}
 }
 
 // Alloc reserves size bytes aligned to BlockBytes and returns the base
@@ -53,19 +62,32 @@ func (m *Memory) Alloc(size uint32) uint32 {
 // Allocated returns the current top of the allocated region.
 func (m *Memory) Allocated() uint32 { return m.brk }
 
-func (m *Memory) page(addr uint32) []byte {
-	p, ok := m.pages[addr>>PageBits]
-	if !ok {
-		p = make([]byte, PageSize)
-		m.pages[addr>>PageBits] = p
+// mapped returns the page holding addr, or nil when it is unmapped.
+func (m *Memory) mapped(addr uint32) *[PageSize]byte {
+	if id := int(addr >> PageBits); id < len(m.pages) {
+		return m.pages[id]
+	}
+	return nil
+}
+
+// page returns the page holding addr, mapping it on first use.
+func (m *Memory) page(addr uint32) *[PageSize]byte {
+	id := int(addr >> PageBits)
+	if id >= len(m.pages) {
+		m.pages = slices.Grow(m.pages, id+1-len(m.pages))[:id+1]
+	}
+	p := m.pages[id]
+	if p == nil {
+		p = new([PageSize]byte)
+		m.pages[id] = p
 	}
 	return p
 }
 
 // Read8 reads one byte.
 func (m *Memory) Read8(addr uint32) byte {
-	p, ok := m.pages[addr>>PageBits]
-	if !ok {
+	p := m.mapped(addr)
+	if p == nil {
 		return 0
 	}
 	return p[addr&(PageSize-1)]
@@ -82,8 +104,8 @@ func (m *Memory) Write8(addr uint32, v byte) {
 func (m *Memory) Read32(addr uint32) uint32 {
 	off := addr & (PageSize - 1)
 	if off <= PageSize-4 {
-		p, ok := m.pages[addr>>PageBits]
-		if !ok {
+		p := m.mapped(addr)
+		if p == nil {
 			return 0
 		}
 		return uint32(p[off]) | uint32(p[off+1])<<8 | uint32(p[off+2])<<16 | uint32(p[off+3])<<24
@@ -170,4 +192,12 @@ func (m *Memory) AllocF32s(vs []float32) uint32 {
 
 // Footprint returns the number of mapped pages, a debugging aid for tests
 // that guard against runaway address generation.
-func (m *Memory) Footprint() int { return len(m.pages) }
+func (m *Memory) Footprint() int {
+	n := 0
+	for _, p := range m.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}

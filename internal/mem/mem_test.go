@@ -95,6 +95,25 @@ func TestBlockAddr(t *testing.T) {
 	}
 }
 
+// BenchmarkMemRead32 reads words the way the emulator's global loads do:
+// lane addresses spread over mapped pages, plus reads of unmapped pages.
+func BenchmarkMemRead32(b *testing.B) {
+	m := New()
+	base := m.Alloc(8 * PageSize)
+	for i := uint32(0); i < 8*PageSize; i += 4 {
+		m.Write32(base+i, i)
+	}
+	var sum uint32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := base + uint32(i*1156)%(8*PageSize)&^3
+		sum += m.Read32(addr) + m.Read32(addr+64*PageSize)
+	}
+	benchSink = sum
+}
+
+var benchSink uint32
+
 // Property: any written word reads back, and neighbours are unaffected.
 func TestQuickWordRoundTrip(t *testing.T) {
 	m := New()

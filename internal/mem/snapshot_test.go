@@ -78,3 +78,40 @@ func TestRestoreLeavesMemoryUnchangedOnError(t *testing.T) {
 		t.Fatal("failed restore mutated the memory")
 	}
 }
+
+// TestRestoreRejectsPageIDs checks that the decoder refuses page lists the
+// page table cannot hold or Snapshot never writes: an id beyond the 32-bit
+// space (it would size the table), a repeated id (it would silently
+// overwrite) and a descending pair.
+func TestRestoreRejectsPageIDs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ids  []uint32
+	}{
+		{"beyond-space", []uint32{numPages}},
+		{"huge", []uint32{0xFFFFFFFF}},
+		{"duplicate", []uint32{3, 3}},
+		{"descending", []uint32{5, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := checkpoint.NewWriter()
+			w.Tag(snapTag)
+			w.U32(PageSize)
+			w.Int(len(c.ids))
+			for _, id := range c.ids {
+				w.U32(id)
+				w.Blob(make([]byte, PageSize))
+			}
+			dst := New()
+			dst.Write32(dst.Alloc(4), 123)
+			before := snapBytes(dst)
+			err := dst.Restore(checkpoint.NewReader(w.Bytes()))
+			if err == nil || !strings.Contains(err.Error(), "page") {
+				t.Fatalf("Restore(%v) = %v, want a page-id error", c.ids, err)
+			}
+			if !bytes.Equal(before, snapBytes(dst)) {
+				t.Fatal("failed restore mutated the memory")
+			}
+		})
+	}
+}

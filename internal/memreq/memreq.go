@@ -69,6 +69,10 @@ type Request struct {
 	// Prefetch marks speculative next-line requests; they are excluded from
 	// the demand-access statistics.
 	Prefetch bool
+	// OpSlot is the issuing SM's handle for the warp op that waits on this
+	// request's response; 0 marks an ownerless request (a store, a prefetch,
+	// an atomic without a destination), whose reply is terminal.
+	OpSlot uint32
 
 	// Timestamps, in core cycles. A zero value means "not reached".
 	Issued       int64 // warp op dispatched to the LD/ST unit

@@ -218,9 +218,10 @@ func (s *SM) issueGlobalMemOp(wc *warpCtx, step *emu.Step, now int64) {
 		if reg >= 0 {
 			wc.pendingReg[reg]++
 		}
-		s.outstanding[op] = len(op.reqs)
+		op.pending = len(op.reqs)
+		s.inflight += len(op.reqs)
 		for _, r := range op.reqs {
-			s.reqOwner[r] = op
+			r.OpSlot = op.slot
 		}
 		if op.kind == opGlobalLoad {
 			cat := op.category()

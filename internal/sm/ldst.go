@@ -45,13 +45,9 @@ func (s *SM) stepLDST(now int64) {
 			// Atomic without a destination: nothing tracks the op, and its
 			// requests retire individually as ownerless replies.
 			s.putOp(op)
-			return
 		}
-		if s.outstanding[op] == 0 {
-			// Every request hit: completion happens via hit events; the op
-			// is already tracked there.
-			return
-		}
+		// A load op now only waits for its responses; the last one
+		// completes it (completeRequest).
 	}
 }
 
@@ -205,19 +201,17 @@ func (s *SM) completeRequest(r *memreq.Request, now int64) {
 	if s.tracer != nil {
 		s.tracer.Add(r)
 	}
-	op, ok := s.reqOwner[r]
-	if !ok {
+	if r.OpSlot == 0 {
 		// Ownerless responses (prefetches, atomics without a destination)
 		// are terminal once traced.
 		s.pool.Put(r)
 		return
 	}
-	delete(s.reqOwner, r)
-	s.outstanding[op]--
-	if s.outstanding[op] > 0 {
+	op := s.ops[r.OpSlot-1]
+	s.inflight--
+	if op.pending--; op.pending > 0 {
 		return
 	}
-	delete(s.outstanding, op)
 	s.completeLoadOp(op, now)
 }
 
@@ -275,9 +269,6 @@ func (s *SM) completeLoadOp(op *memOp, now int64) {
 		rsrvPrev = 0
 	}
 	rec := stats.LoadOpRecord{
-		Kernel:   s.kernelName,
-		PC:       op.inst.PC,
-		NonDet:   op.nonDet,
 		NReq:     len(op.reqs),
 		Total:    total,
 		Unloaded: unloaded,
@@ -293,6 +284,11 @@ func (s *SM) completeLoadOp(op *memOp, now int64) {
 	if missCount > 0 {
 		rec.GapIcntL2 = icntGapSum / missCount
 	}
-	s.col.RecordLoadOp(rec)
+	p := s.pcStats[op.inst.Index]
+	if p == nil {
+		p = s.col.LoadPC(s.kernelName, op.inst.PC, op.nonDet)
+		s.pcStats[op.inst.Index] = p
+	}
+	s.col.RecordLoadOp(p, rec)
 	s.releaseOp(op)
 }

@@ -9,6 +9,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"critload/internal/cache"
 	"critload/internal/coalesce"
@@ -207,7 +208,9 @@ type memOp struct {
 	warp     *warpCtx
 	inst     *isa.Instruction
 	reqs     []*memreq.Request
-	next     int // next request to present to the L1 / network
+	slot     uint32 // this op's OpSlot: its index in SM.ops plus one, fixed for life
+	next     int    // next request to present to the L1 / network
+	pending  int    // responses still to return (ops that write back only)
 	issued   int64
 	firstAcc int64 // first request acceptance cycle (-1 until set)
 	lastAcc  int64
@@ -238,10 +241,13 @@ type SM struct {
 	backend Backend
 	col     *stats.Collector
 
-	// Current kernel context (set per launch).
+	// Current kernel context (set per launch). pcStats[i] is the per-PC
+	// aggregate of instruction i, fetched from the collector at the load's
+	// first completion in the launch (nil before).
 	env        *emu.Env
 	classify   stats.Classifier
 	kernelName string
+	pcStats    []*stats.PCStats
 
 	L1 *cache.Cache
 
@@ -260,16 +266,17 @@ type SM struct {
 	ldstQ         ring.Buffer[*memOp]
 	wbEvents      []wbEvent
 	hitEvents     ring.Buffer[timedReq] // FIFO: L1.HitLatency is one constant
-	reqOwner      map[*memreq.Request]*memOp
-	outstanding   map[*memOp]int // unreturned responses per load op
+	inflight      int                   // responses owned ops still wait for
 
 	rr     []int // per-scheduler round-robin cursor
 	greedy []*warpCtx
 
-	// Zero-alloc hot-path state: the device-wide request free list, a local
-	// memOp free list, a coalescer scratch slice, and the cycle of the last
-	// instruction issue (a cheap NextEvent shortcut).
+	// Zero-alloc hot-path state: the device-wide request free list, every
+	// memOp this SM allocated (ops[slot-1], how a response finds its op) and
+	// the free ones among them, a coalescer scratch slice, and the cycle of
+	// the last instruction issue (a cheap NextEvent shortcut).
 	pool       *memreq.Pool
+	ops        []*memOp
 	opFree     []*memOp
 	accScratch []coalesce.Access
 	lastIssue  int64
@@ -324,11 +331,12 @@ func (s *SM) getOp() *memOp {
 		op := s.opFree[n-1]
 		s.opFree[n-1] = nil
 		s.opFree = s.opFree[:n-1]
-		reqs := op.reqs[:0]
-		*op = memOp{reqs: reqs}
+		*op = memOp{reqs: op.reqs[:0], slot: op.slot}
 		return op
 	}
-	return &memOp{}
+	op := &memOp{slot: uint32(len(s.ops) + 1)}
+	s.ops = append(s.ops, op)
+	return op
 }
 
 // putOp recycles a terminal memOp: one that left the LD/ST queue and whose
@@ -354,22 +362,25 @@ func New(id int, cfg Config, lat LatencyModel, backend Backend, col *stats.Colle
 	}
 	return &SM{
 		ID: id, cfg: cfg, lat: lat, backend: backend, col: col,
-		L1:          cache.MustNew(cfg.L1),
-		reqOwner:    map[*memreq.Request]*memOp{},
-		outstanding: map[*memOp]int{},
-		rr:          make([]int, cfg.NumSchedulers),
-		greedy:      make([]*warpCtx, cfg.NumSchedulers),
-		schedWarps:  make([][]*warpCtx, cfg.NumSchedulers),
-		ready:       make([]readySet, cfg.NumSchedulers),
-		lastIssue:   -1,
+		L1:         cache.MustNew(cfg.L1),
+		rr:         make([]int, cfg.NumSchedulers),
+		greedy:     make([]*warpCtx, cfg.NumSchedulers),
+		schedWarps: make([][]*warpCtx, cfg.NumSchedulers),
+		ready:      make([]readySet, cfg.NumSchedulers),
+		lastIssue:  -1,
 	}, nil
 }
 
-// SetKernel installs the kernel context for the next launch.
+// SetKernel installs the kernel context for the next launch. It also drops
+// the per-PC handles of the previous launch, so a collector restored at the
+// boundary before it is the one the launch records into.
 func (s *SM) SetKernel(env *emu.Env, kernelName string, classify stats.Classifier) {
 	s.env = env
 	s.kernelName = kernelName
 	s.classify = classify
+	n := len(env.Launch.Kernel.Insts)
+	s.pcStats = slices.Grow(s.pcStats[:0], n)[:n]
+	clear(s.pcStats)
 	s.stallUntil = 0
 	// GPUs invalidate L1 between kernel launches.
 	s.L1.InvalidateAll()
@@ -432,7 +443,7 @@ func (s *SM) LiveCTAs() int { return len(s.ctas) }
 func (s *SM) Idle() bool {
 	return len(s.warps) == 0 && s.ldstQ.Len() == 0 &&
 		len(s.wbEvents) == 0 && s.hitEvents.Len() == 0 &&
-		len(s.reqOwner) == 0
+		s.inflight == 0
 }
 
 // retireCTA frees a finished CTA's resources.

@@ -460,3 +460,44 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("nil backend accepted")
 	}
 }
+
+// TestCompleteRequestDoesNotAllocate pins the response path: with the op
+// slab, the request pool and the load's per-PC handle warm, a four-request
+// load op's life from getOp to its last response allocates nothing.
+func TestCompleteRequestDoesNotAllocate(t *testing.T) {
+	s, _, col := newTestSM(t)
+	s.SetPool(&memreq.Pool{})
+	k := mustKernel(t, ".kernel k\n    ld.global.u32 %r0, [%r1];\n    exit;\n")
+	l := &emu.Launch{Kernel: k, Grid: emu.Dim1(1), Block: emu.Dim1(32)}
+	s.SetKernel(&emu.Env{Mem: mem.New(), Launch: l}, k.Name, nil)
+	wc := &warpCtx{pendingReg: make([]int, k.NumRegs), pendingPred: make([]int, k.NumPreds)}
+	now := int64(0)
+	opLife := func() {
+		op := s.getOp()
+		op.kind, op.isLoad, op.warp, op.inst = opGlobalLoad, true, wc, k.Insts[0]
+		op.issued, op.firstAcc, op.lastAcc = now, now, now+3
+		for i := 0; i < 4; i++ {
+			r := s.pool.Get()
+			r.OpSlot, r.Serviced = op.slot, memreq.LvlL2
+			op.reqs = append(op.reqs, r)
+		}
+		op.pending = len(op.reqs)
+		s.inflight += len(op.reqs)
+		wc.pendingReg[0]++
+		for i, r := range op.reqs {
+			r.Returned = now + 200 + int64(i)
+			s.completeRequest(r, r.Returned)
+		}
+		now += 1000
+	}
+	opLife()
+	if n := testing.AllocsPerRun(100, opLife); n != 0 {
+		t.Errorf("a load op's completion allocates %v times", n)
+	}
+	if ops := col.Turnaround[stats.Det].Ops; ops != 102 || !s.Idle() || wc.pendingReg[0] != 0 {
+		t.Errorf("ops recorded = %d, idle = %v, pending = %d; want 102, true, 0", ops, s.Idle(), wc.pendingReg[0])
+	}
+	if p := col.PerPC[stats.PCKey{Kernel: "k", PC: 0}]; p == nil || p.ByNReq[4].Ops != 102 {
+		t.Errorf("per-PC entry = %+v, want 102 ops in bucket 4", p)
+	}
+}

@@ -17,7 +17,7 @@ const snapTag = 0x534D3030 // "SM00"
 // queues, in-flight requests — is empty at a boundary by the drain contract,
 // and snapshotting a busy SM is a caller bug.
 func (s *SM) Snapshot(w *checkpoint.Writer) {
-	if !s.Idle() || len(s.ctas) != 0 || len(s.outstanding) != 0 {
+	if !s.Idle() || len(s.ctas) != 0 {
 		panic("sm: snapshot of a busy SM")
 	}
 	w.Tag(snapTag)
@@ -39,7 +39,7 @@ func (s *SM) Snapshot(w *checkpoint.Writer) {
 
 // Restore loads a snapshot into an identically-configured, idle SM.
 func (s *SM) Restore(r *checkpoint.Reader) error {
-	if !s.Idle() || len(s.ctas) != 0 || len(s.outstanding) != 0 {
+	if !s.Idle() || len(s.ctas) != 0 {
 		r.Failf("sm: restore into a busy SM")
 		return r.Err()
 	}

@@ -71,7 +71,7 @@ func TestRestoreRejections(t *testing.T) {
 	good := snapBytes(t, src)
 
 	busy, _, _ := newTestSM(t)
-	busy.outstanding[&memOp{}] = 1
+	busy.inflight = 1
 	if err := busy.Restore(checkpoint.NewReader(good)); err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Errorf("busy restore: %v", err)
 	}

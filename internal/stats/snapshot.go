@@ -1,20 +1,30 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 
 	"critload/internal/checkpoint"
+	"critload/internal/mem"
 )
 
 // snapTag marks the collector section of a checkpoint payload.
 const snapTag = 0x53544154 // "STAT"
 
+// maxDecodedDistance bounds the CTA distances Restore accepts. The
+// histograms are slices indexed by distance, so a corrupt key must not size
+// one; a distance this large needs a grid of over a million CTAs sharing a
+// block, which no workload launches.
+const maxDecodedDistance = 1 << 20
+
 // Snapshot serializes every statistic — exported counters, the per-PC map,
 // and the unexported block-access map — so a restored collector is
 // reflect.DeepEqual-identical to the original, which is exactly what the
-// difftest oracles compare. All maps are written in sorted key order (the
-// store is content-addressed) and the lazily-allocated per-block CTA set
-// encodes its nil-versus-allocated state explicitly.
+// difftest oracles compare. Everything is written in ascending key order (the
+// store is content-addressed): the per-PC map is sorted, the request-count
+// buckets, the block table and the histograms are already in order, and only
+// buckets, blocks and distances that were reached are written. Each block
+// encodes whether a second CTA ever touched it, and if so its CTA set.
 func (c *Collector) Snapshot(w *checkpoint.Writer) {
 	w.Tag(snapTag)
 	w.U64(c.WarpInsts)
@@ -68,14 +78,18 @@ func (c *Collector) Snapshot(w *checkpoint.Writer) {
 		w.Str(k.Kernel)
 		w.U32(k.PC)
 		w.Bool(p.NonDet)
-		nreqs := make([]int, 0, len(p.ByNReq))
+		buckets := 0
 		for n := range p.ByNReq {
-			nreqs = append(nreqs, n)
+			if p.ByNReq[n].Ops != 0 {
+				buckets++
+			}
 		}
-		sort.Ints(nreqs)
-		w.Int(len(nreqs))
-		for _, n := range nreqs {
-			g := p.ByNReq[n]
+		w.Int(buckets)
+		for n := range p.ByNReq {
+			g := &p.ByNReq[n]
+			if g.Ops == 0 {
+				continue
+			}
 			w.Int(n)
 			w.U64(g.Ops)
 			w.I64(g.Total)
@@ -86,32 +100,21 @@ func (c *Collector) Snapshot(w *checkpoint.Writer) {
 		}
 	}
 
-	blockAddrs := make([]uint32, 0, len(c.blocks))
-	for a := range c.blocks {
-		blockAddrs = append(blockAddrs, a)
-	}
-	sort.Slice(blockAddrs, func(i, j int) bool { return blockAddrs[i] < blockAddrs[j] })
-	w.Int(len(blockAddrs))
-	for _, a := range blockAddrs {
-		b := c.blocks[a]
+	w.Int(int(c.blocks.n))
+	c.blocks.each(func(a uint32, b *blockInfo) {
 		w.U32(a)
 		w.U64(b.count)
 		w.I32(b.firstW)
 		w.I32(b.lastW)
 		w.U64(b.nonDetN)
-		w.Bool(b.ctaSet != nil)
-		if b.ctaSet != nil {
-			ctas := make([]int32, 0, len(b.ctaSet))
-			for id := range b.ctaSet {
-				ctas = append(ctas, id)
-			}
-			sort.Slice(ctas, func(i, j int) bool { return ctas[i] < ctas[j] })
-			w.Int(len(ctas))
-			for _, id := range ctas {
+		w.Bool(b.ctas.n != 0)
+		if b.ctas.n != 0 {
+			w.Int(int(b.ctas.n))
+			for _, id := range b.ctas.ids() {
 				w.I32(id)
 			}
 		}
-	}
+	})
 
 	writeIntHist(w, c.CTADist)
 	for cat := range c.CTADistCat {
@@ -119,25 +122,48 @@ func (c *Collector) Snapshot(w *checkpoint.Writer) {
 	}
 }
 
-func writeIntHist(w *checkpoint.Writer, h map[int]uint64) {
-	keys := make([]int, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
+func writeIntHist(w *checkpoint.Writer, h []uint64) {
+	n := 0
+	for _, v := range h {
+		if v != 0 {
+			n++
+		}
 	}
-	sort.Ints(keys)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.Int(k)
-		w.U64(h[k])
+	w.Int(n)
+	for k, v := range h {
+		if v != 0 {
+			w.Int(k)
+			w.U64(v)
+		}
 	}
 }
 
-func readIntHist(r *checkpoint.Reader, h map[int]uint64) {
+// readIntHist decodes a histogram written by writeIntHist. Distances must
+// be strictly ascending within 1..maxDecodedDistance and counts non-zero:
+// anything else is not a histogram writeIntHist produces.
+func readIntHist(r *checkpoint.Reader) []uint64 {
 	n := r.Count(16)
+	var h []uint64
 	for i := 0; i < n; i++ {
-		k := r.Int()
-		h[k] = r.U64()
+		k, v := r.Int(), r.U64()
+		if r.Err() != nil {
+			return nil
+		}
+		switch {
+		case k < 1 || k > maxDecodedDistance:
+			r.Failf("stats: CTA distance %d outside 1..%d", k, maxDecodedDistance)
+		case k < len(h):
+			r.Failf("stats: CTA distance %d repeated or out of ascending order", k)
+		case v == 0:
+			r.Failf("stats: CTA distance %d has a zero count", k)
+		}
+		if r.Err() != nil {
+			return nil
+		}
+		h = slices.Grow(h, k+1-len(h))[:k+1]
+		h[k] = v
 	}
+	return h
 }
 
 // Restore replaces the collector's contents with a snapshot. It decodes into
@@ -184,51 +210,93 @@ func (c *Collector) Restore(r *checkpoint.Reader) error {
 	nPC := r.Count(8)
 	for i := 0; i < nPC; i++ {
 		key := PCKey{Kernel: r.Str(), PC: r.U32()}
-		p := &PCStats{Key: key, NonDet: r.Bool(), ByNReq: map[int]*GapAgg{}}
+		p := &PCStats{Key: key, NonDet: r.Bool()}
 		nBuckets := r.Count(8 * 7)
-		for j := 0; j < nBuckets; j++ {
+		for j, last := 0, 0; j < nBuckets; j++ {
 			nreq := r.Int()
-			g := &GapAgg{
+			g := GapAgg{
 				Ops: r.U64(), Total: r.I64(), Common: r.I64(),
 				GapL1D: r.I64(), GapIcntL2: r.I64(), GapL2Icnt: r.I64(),
 			}
-			p.ByNReq[nreq] = g
+			if r.Err() != nil {
+				return r.Err()
+			}
+			switch {
+			case nreq < 1 || nreq > MaxNReq:
+				r.Failf("stats: %s pc %#x: bucket of %d requests outside 1..%d", key.Kernel, key.PC, nreq, MaxNReq)
+			case nreq <= last:
+				r.Failf("stats: %s pc %#x: bucket %d repeated or out of ascending order", key.Kernel, key.PC, nreq)
+			case g.Ops == 0:
+				r.Failf("stats: %s pc %#x: bucket %d has no ops", key.Kernel, key.PC, nreq)
+			}
+			if r.Err() != nil {
+				return r.Err()
+			}
+			p.ByNReq[nreq], last = g, nreq
 		}
 		if r.Err() != nil {
+			return r.Err()
+		}
+		if _, dup := nc.PerPC[key]; dup {
+			r.Failf("stats: %s pc %#x repeated", key.Kernel, key.PC)
 			return r.Err()
 		}
 		nc.PerPC[key] = p
 	}
 
 	nBlocks := r.Count(4 + 8 + 4 + 4 + 8 + 1)
-	for i := 0; i < nBlocks; i++ {
+	for i, next := 0, uint64(0); i < nBlocks; i++ {
 		addr := r.U32()
-		b := &blockInfo{
-			count:  r.U64(),
-			firstW: r.I32(),
-			lastW:  r.I32(),
-		}
-		b.nonDetN = r.U64()
+		count, firstW, lastW, nonDetN := r.U64(), r.I32(), r.I32(), r.U64()
+		var ctas []int32
 		if r.Bool() {
-			nCTAs := r.Count(4)
-			b.ctaSet = make(map[int32]struct{}, nCTAs)
-			for j := 0; j < nCTAs; j++ {
-				b.ctaSet[r.I32()] = struct{}{}
+			ctas = make([]int32, r.Count(4))
+			for j := range ctas {
+				ctas[j] = r.I32()
+			}
+			if r.Err() == nil && (len(ctas) < 2 || !strictlyAscending(ctas)) {
+				r.Failf("stats: block %#x: CTA set %v is not two or more ascending ids", addr, ctas)
 			}
 		}
 		if r.Err() != nil {
 			return r.Err()
 		}
-		nc.blocks[addr] = b
+		switch {
+		case addr%mem.BlockBytes != 0:
+			r.Failf("stats: block address %#x is not %d-byte aligned", addr, mem.BlockBytes)
+		case uint64(addr) < next:
+			r.Failf("stats: block %#x repeated or out of ascending order", addr)
+		case count == 0:
+			r.Failf("stats: block %#x has a zero access count", addr)
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		b := nc.blocks.at(addr)
+		*b = blockInfo{count: count, nonDetN: nonDetN, firstW: firstW, lastW: lastW}
+		if ctas != nil {
+			b.ctas.set(ctas)
+		}
+		nc.blocks.n++
+		next = uint64(addr) + mem.BlockBytes
 	}
 
-	readIntHist(r, nc.CTADist)
+	nc.CTADist = readIntHist(r)
 	for cat := range nc.CTADistCat {
-		readIntHist(r, nc.CTADistCat[cat])
+		nc.CTADistCat[cat] = readIntHist(r)
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
 	*c = *nc
 	return nil
+}
+
+func strictlyAscending(ids []int32) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -7,12 +7,14 @@
 package stats
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"critload/internal/cache"
 	"critload/internal/coalesce"
 	"critload/internal/emu"
 	"critload/internal/isa"
+	"critload/internal/mem"
 )
 
 // Category indexes the paper's two load classes.
@@ -89,31 +91,120 @@ type GapAgg struct {
 	GapL2Icnt int64 // spread between first and last returned response
 }
 
+// MaxNReq is the most memory requests one warp load can make: one per lane.
+const MaxNReq = emu.WarpSize
+
 // PCStats aggregates the behaviour of one static load, bucketed by the
 // number of memory requests its dynamic instances generated (Fig 6, 7).
+// ByNReq[n] holds the ops that made n requests; index 0 stays empty, and a
+// bucket no op reached has Ops == 0.
 type PCStats struct {
 	Key    PCKey
 	NonDet bool
-	ByNReq map[int]*GapAgg
+	ByNReq [MaxNReq + 1]GapAgg
 }
 
-// bucket returns (allocating) the aggregation bucket for nreq.
-func (p *PCStats) bucket(nreq int) *GapAgg {
-	g := p.ByNReq[nreq]
-	if g == nil {
-		g = &GapAgg{}
-		p.ByNReq[nreq] = g
-	}
-	return g
-}
-
-// blockInfo tracks one 128-byte block's access history.
+// blockInfo tracks one 128-byte block's access history; count == 0 marks a
+// block never touched.
 type blockInfo struct {
 	count   uint64
-	firstW  int32 // first accessing CTA
-	lastW   int32 // last accessing CTA (for distance recording)
-	ctaSet  map[int32]struct{}
 	nonDetN uint64 // accesses from non-deterministic loads
+	firstW  int32  // first accessing CTA
+	lastW   int32  // last accessing CTA (for distance recording)
+	ctas    ctaSet // empty until a second CTA touches the block
+}
+
+// ctaSet is a block's accessing CTAs in ascending order. It stays empty
+// until a second CTA touches the block and then holds every CTA that did,
+// the first included, so a non-empty set has at least two ids. Two ids live
+// inline; a larger set moves wholly to spill. The layout is canonical (inl
+// beyond n and spill are zero while inline, inl is zero once spilled), so
+// equal sets are reflect.DeepEqual.
+type ctaSet struct {
+	n     int32
+	inl   [2]int32
+	spill []int32
+}
+
+// ids returns the set's members in ascending order.
+func (s *ctaSet) ids() []int32 {
+	if int(s.n) <= len(s.inl) {
+		return s.inl[:s.n]
+	}
+	return s.spill
+}
+
+// add inserts id, keeping the set sorted; adding a member is a no-op.
+func (s *ctaSet) add(id int32) {
+	i, found := slices.BinarySearch(s.ids(), id)
+	switch {
+	case found:
+		return
+	case int(s.n) < len(s.inl):
+		copy(s.inl[i+1:s.n+1], s.inl[i:s.n])
+		s.inl[i] = id
+	case int(s.n) == len(s.inl):
+		// inl[:] is full, so Insert copies it to a fresh array.
+		s.spill = slices.Insert(s.inl[:], i, id)
+		s.inl = [2]int32{}
+	default:
+		s.spill = slices.Insert(s.spill, i, id)
+	}
+	s.n++
+}
+
+// set installs ids, which must be ascending and at least two, in the
+// canonical layout.
+func (s *ctaSet) set(ids []int32) {
+	*s = ctaSet{n: int32(len(ids))}
+	if len(ids) <= len(s.inl) {
+		copy(s.inl[:], ids)
+	} else {
+		s.spill = ids
+	}
+}
+
+// blockLeaf holds the records of one 64 KiB region, the size of the mem page
+// behind it: 512 blocks × 64 B = 32 KiB, half the page.
+type blockLeaf [mem.PageSize / mem.BlockBytes]blockInfo
+
+// blockTable is the block-level access map. A block's record sits at a slot
+// that is a function of its address alone — leaf addr>>mem.PageBits, entry
+// (addr%mem.PageSize)/mem.BlockBytes — so walking it visits blocks in address
+// order and two tables holding the same blocks are reflect.DeepEqual. Leaves
+// are allocated on the first touch of their region.
+type blockTable struct {
+	leaves []*blockLeaf
+	n      uint64 // distinct blocks touched
+}
+
+// at returns block's record, allocating its leaf on first use; a record
+// with count == 0 is new.
+func (t *blockTable) at(block uint32) *blockInfo {
+	id := int(block >> mem.PageBits)
+	if id >= len(t.leaves) {
+		t.leaves = slices.Grow(t.leaves, id+1-len(t.leaves))[:id+1]
+	}
+	l := t.leaves[id]
+	if l == nil {
+		l = new(blockLeaf)
+		t.leaves[id] = l
+	}
+	return &l[block%mem.PageSize/mem.BlockBytes]
+}
+
+// each calls fn on every touched block in ascending address order.
+func (t *blockTable) each(fn func(addr uint32, b *blockInfo)) {
+	for id, l := range t.leaves {
+		if l == nil {
+			continue
+		}
+		for i := range l {
+			if l[i].count != 0 {
+				fn(uint32(id)<<mem.PageBits|uint32(i*mem.BlockBytes), &l[i])
+			}
+		}
+	}
 }
 
 // Collector gathers all run statistics. It is not safe for concurrent use.
@@ -143,7 +234,8 @@ type Collector struct {
 	// Fig 5: turnaround decomposition.
 	Turnaround [NumCats]TurnaroundAgg
 
-	// Fig 6/7: per-PC behaviour.
+	// Fig 6/7: per-PC behaviour. An entry is created by LoadPC, once per
+	// static load; the timing path then records through its *PCStats.
 	PerPC map[PCKey]*PCStats
 
 	// Fig 8: cache accesses and misses per category.
@@ -156,24 +248,17 @@ type Collector struct {
 	L2SliceHits    [2]uint64
 
 	// Fig 10-12: block-level map, collected on the functional path.
-	blocks        map[uint32]*blockInfo
+	blocks        blockTable
 	BlockLoadReqs uint64 // total coalesced load requests feeding the block map
-	// CTADistance histograms: overall and per category.
-	CTADist    map[int]uint64
-	CTADistCat [NumCats]map[int]uint64
+	// CTADistance histograms, overall and per category, indexed by distance:
+	// CTADist[d] counts cross-CTA touches d CTAs apart. Index 0 stays zero.
+	CTADist    []uint64
+	CTADistCat [NumCats][]uint64
 }
 
 // New returns an empty collector.
 func New() *Collector {
-	c := &Collector{
-		PerPC:   map[PCKey]*PCStats{},
-		blocks:  map[uint32]*blockInfo{},
-		CTADist: map[int]uint64{},
-	}
-	for i := range c.CTADistCat {
-		c.CTADistCat[i] = map[int]uint64{}
-	}
-	return c
+	return &Collector{PerPC: map[PCKey]*PCStats{}}
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +279,8 @@ func (c *Collector) ObserveStep(ctaID int, s *emu.Step, classify Classifier) {
 		}
 		c.GLoadWarps[cat]++
 		c.GLoadThreads[cat] += uint64(s.ExecCount())
-		accs := coalesce.Coalesce(s.Exec, &s.Addrs)
+		var buf [emu.WarpSize]coalesce.Access
+		accs := coalesce.CoalesceInto(buf[:0], s.Exec, &s.Addrs)
 		c.Requests[cat] += uint64(len(accs))
 		for _, a := range accs {
 			c.observeBlock(ctaID, a.Block, cat)
@@ -208,10 +294,10 @@ func (c *Collector) ObserveStep(ctaID int, s *emu.Step, classify Classifier) {
 
 func (c *Collector) observeBlock(ctaID int, block uint32, cat Category) {
 	c.BlockLoadReqs++
-	b := c.blocks[block]
-	if b == nil {
-		b = &blockInfo{firstW: int32(ctaID), lastW: int32(ctaID)}
-		c.blocks[block] = b
+	b := c.blocks.at(block)
+	if b.count == 0 {
+		c.blocks.n++
+		b.firstW, b.lastW = int32(ctaID), int32(ctaID)
 	}
 	b.count++
 	if cat == NonDet {
@@ -222,14 +308,23 @@ func (c *Collector) observeBlock(ctaID int, block uint32, cat Category) {
 		if d < 0 {
 			d = -d
 		}
-		c.CTADist[d]++
-		c.CTADistCat[cat][d]++
-		if b.ctaSet == nil {
-			b.ctaSet = map[int32]struct{}{b.firstW: {}}
+		c.CTADist = bump(c.CTADist, d)
+		c.CTADistCat[cat] = bump(c.CTADistCat[cat], d)
+		if b.ctas.n == 0 {
+			b.ctas.add(b.firstW)
 		}
-		b.ctaSet[int32(ctaID)] = struct{}{}
+		b.ctas.add(int32(ctaID))
 		b.lastW = int32(ctaID)
 	}
+}
+
+// bump increments h[d], growing h to d+1 entries when it is shorter.
+func bump(h []uint64, d int) []uint64 {
+	if d >= len(h) {
+		h = slices.Grow(h, d+1-len(h))[:d+1]
+	}
+	h[d]++
+	return h
 }
 
 // ---------------------------------------------------------------------------
@@ -286,10 +381,7 @@ func (c *Collector) RecordUnitCycles(u isa.FuncUnit, n uint64) { c.UnitBusy[u] +
 // LoadOpRecord summarizes one completed warp-level global load for the
 // turnaround statistics.
 type LoadOpRecord struct {
-	Kernel   string
-	PC       uint32
-	NonDet   bool
-	NReq     int
+	NReq     int // 1..MaxNReq
 	Total    int64
 	Unloaded int64
 	RsrvPrev int64
@@ -299,9 +391,28 @@ type LoadOpRecord struct {
 	GapL2Icnt int64
 }
 
-// RecordLoadOp folds one completed load op into the Fig 5/6/7 aggregates.
-func (c *Collector) RecordLoadOp(r LoadOpRecord) {
-	cat := CatOf(r.NonDet)
+// LoadPC returns the per-PC aggregate of a kernel's static load, creating
+// it on first use. The timing path calls it once per load and SM per launch
+// and records every completion of that load through the returned pointer,
+// so PerPC is not consulted per op.
+func (c *Collector) LoadPC(kernel string, pc uint32, nonDet bool) *PCStats {
+	key := PCKey{Kernel: kernel, PC: pc}
+	p := c.PerPC[key]
+	if p == nil {
+		p = &PCStats{Key: key, NonDet: nonDet}
+		c.PerPC[key] = p
+	}
+	return p
+}
+
+// RecordLoadOp folds one completed op of the static load p (from LoadPC)
+// into the Fig 5/6/7 aggregates. A warp load makes one request per active
+// lane at most, so an NReq outside 1..MaxNReq is a simulator bug and panics.
+func (c *Collector) RecordLoadOp(p *PCStats, r LoadOpRecord) {
+	if r.NReq < 1 || r.NReq > MaxNReq {
+		panic(fmt.Sprintf("stats: load op with %d requests, want 1..%d", r.NReq, MaxNReq))
+	}
+	cat := CatOf(p.NonDet)
 	memsys := r.Total - r.Unloaded - r.RsrvPrev - r.RsrvCurr
 	if memsys < 0 {
 		memsys = 0
@@ -314,13 +425,7 @@ func (c *Collector) RecordLoadOp(r LoadOpRecord) {
 	t.RsrvCurr += r.RsrvCurr
 	t.MemSystem += memsys
 
-	key := PCKey{Kernel: r.Kernel, PC: r.PC}
-	p := c.PerPC[key]
-	if p == nil {
-		p = &PCStats{Key: key, NonDet: r.NonDet, ByNReq: map[int]*GapAgg{}}
-		c.PerPC[key] = p
-	}
-	g := p.bucket(r.NReq)
+	g := &p.ByNReq[r.NReq]
 	g.Ops++
 	g.Total += r.Total
 	g.Common += r.Unloaded
@@ -416,7 +521,7 @@ type BlockSummary struct {
 // Blocks computes the Fig 10/11 summary.
 func (c *Collector) Blocks() BlockSummary {
 	var s BlockSummary
-	s.DistinctBlocks = uint64(len(c.blocks))
+	s.DistinctBlocks = c.blocks.n
 	s.TotalLoadRequests = c.BlockLoadReqs
 	if s.TotalLoadRequests > 0 {
 		s.ColdMissRatio = float64(s.DistinctBlocks) / float64(s.TotalLoadRequests)
@@ -425,14 +530,14 @@ func (c *Collector) Blocks() BlockSummary {
 		s.MeanAccessPerBlock = float64(s.TotalLoadRequests) / float64(s.DistinctBlocks)
 	}
 	var sharedAccesses, ctaSum, nonDet uint64
-	for _, b := range c.blocks {
+	c.blocks.each(func(_ uint32, b *blockInfo) {
 		nonDet += b.nonDetN
-		if len(b.ctaSet) >= 2 {
+		if b.ctas.n >= 2 {
 			s.SharedBlocks++
 			sharedAccesses += b.count
-			ctaSum += uint64(len(b.ctaSet))
+			ctaSum += uint64(b.ctas.n)
 		}
-	}
+	})
 	if s.TotalLoadRequests > 0 {
 		s.NonDetAccessRatio = float64(nonDet) / float64(s.TotalLoadRequests)
 	}
@@ -465,19 +570,16 @@ func (c *Collector) CTADistanceHistogramFor(cat Category) []DistanceBin {
 	return histToBins(c.CTADistCat[cat])
 }
 
-func histToBins(h map[int]uint64) []DistanceBin {
+func histToBins(h []uint64) []DistanceBin {
 	var total uint64
 	for _, n := range h {
 		total += n
 	}
-	out := make([]DistanceBin, 0, len(h))
+	out := []DistanceBin{}
 	for d, n := range h {
-		b := DistanceBin{Distance: d, Count: n}
-		if total > 0 {
-			b.Fraction = float64(n) / float64(total)
+		if n > 0 {
+			out = append(out, DistanceBin{Distance: d, Count: n, Fraction: float64(n) / float64(total)})
 		}
-		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
 	return out
 }

@@ -3,15 +3,17 @@ package stats
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"critload/internal/cache"
 	"critload/internal/emu"
 	"critload/internal/isa"
+	"critload/internal/mem"
 	"critload/internal/ptx"
 )
 
 // stepFor builds a Step for a global load with the given lane addresses.
-func stepFor(t *testing.T, addrs []uint32) *emu.Step {
+func stepFor(t testing.TB, addrs []uint32) *emu.Step {
 	t.Helper()
 	prog, err := ptx.Parse(`
 .kernel k
@@ -94,6 +96,72 @@ func TestBlockMapColdMissAndSharing(t *testing.T) {
 	}
 }
 
+// observeCases are the global-load shapes of the ObserveStep pins: one
+// fully coalesced block or 32 blocks (one per lane, crossing mem pages),
+// observed always from CTA 0 or from CTAs 0, 1, 2 in turn (every block
+// shared, its CTA set spilled, a distance recorded on every touch).
+var observeCases = []struct {
+	name   string
+	stride uint32
+	ctas   int
+}{
+	{"coalesced/same-cta", 4, 1},
+	{"coalesced/cross-cta", 4, 3},
+	{"32-block/same-cta", 4096, 1},
+	{"32-block/cross-cta", 4096, 3},
+}
+
+func observeStep(tb testing.TB, stride uint32) *emu.Step {
+	addrs := make([]uint32, emu.WarpSize)
+	for l := range addrs {
+		addrs[l] = 0x10000 + uint32(l)*stride
+	}
+	return stepFor(tb, addrs)
+}
+
+// TestObserveStepDoesNotAllocate pins the functional listener: once the
+// blocks' leaves, CTA sets and histogram slots exist, observing a global
+// load allocates nothing.
+func TestObserveStepDoesNotAllocate(t *testing.T) {
+	nonDet := func(uint32) bool { return true }
+	for _, c := range observeCases {
+		t.Run(c.name, func(t *testing.T) {
+			col, s, i := New(), observeStep(t, c.stride), 0
+			observe := func() {
+				col.ObserveStep(i%c.ctas, s, nonDet)
+				i++
+			}
+			for j := 0; j < 2*c.ctas; j++ {
+				observe()
+			}
+			if n := testing.AllocsPerRun(100, observe); n != 0 {
+				t.Errorf("ObserveStep allocates %v times per call", n)
+			}
+		})
+	}
+}
+
+// TestBlockLeafFitsItsPage pins the block table's memory bound: the leaf
+// allocated for a touched 64 KiB region costs no more than the mem page
+// behind it.
+func TestBlockLeafFitsItsPage(t *testing.T) {
+	if size := unsafe.Sizeof(blockLeaf{}); size > mem.PageSize {
+		t.Errorf("a block leaf is %d bytes, more than its %d-byte page", size, mem.PageSize)
+	}
+}
+
+func BenchmarkObserveStep(b *testing.B) {
+	for _, c := range observeCases {
+		b.Run(c.name, func(b *testing.B) {
+			col, s := New(), observeStep(b, c.stride)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col.ObserveStep(i%c.ctas, s, nil)
+			}
+		})
+	}
+}
+
 func TestL1OutcomeAccounting(t *testing.T) {
 	c := New()
 	c.RecordL1Outcome(Det, cache.Hit)
@@ -131,13 +199,13 @@ func TestL2SliceCounters(t *testing.T) {
 
 func TestTurnaroundAggregation(t *testing.T) {
 	c := New()
-	c.RecordLoadOp(LoadOpRecord{
-		Kernel: "k", PC: 0x10, NonDet: true, NReq: 4,
+	c.RecordLoadOp(c.LoadPC("k", 0x10, true), LoadOpRecord{
+		NReq:  4,
 		Total: 400, Unloaded: 150, RsrvPrev: 50, RsrvCurr: 30,
 		GapIcntL2: 12, GapL2Icnt: 80,
 	})
-	c.RecordLoadOp(LoadOpRecord{
-		Kernel: "k", PC: 0x10, NonDet: true, NReq: 4,
+	c.RecordLoadOp(c.LoadPC("k", 0x10, true), LoadOpRecord{
+		NReq:  4,
 		Total: 200, Unloaded: 150, RsrvPrev: 10, RsrvCurr: 10,
 	})
 	tn := c.Turnaround[NonDet]
@@ -157,12 +225,27 @@ func TestTurnaroundAggregation(t *testing.T) {
 	}
 
 	p10 := c.PerPC[PCKey{Kernel: "k", PC: 0x10}]
-	if p10 == nil || !p10.NonDet {
-		t.Fatalf("per-PC entry missing")
+	if p10 == nil || !p10.NonDet || len(c.PerPC) != 1 {
+		t.Fatalf("per-PC map = %v, want one non-deterministic entry", c.PerPC)
 	}
-	g := p10.ByNReq[4]
-	if g == nil || g.Ops != 2 || g.Total != 600 {
+	if g := p10.ByNReq[4]; g.Ops != 2 || g.Total != 600 {
 		t.Errorf("bucket = %+v", g)
+	}
+}
+
+// TestRecordLoadOpRejectsImpossibleRequestCounts pins the bucket bound: a
+// warp load makes 1..32 requests, and anything else is a simulator bug.
+func TestRecordLoadOpRejectsImpossibleRequestCounts(t *testing.T) {
+	for _, nreq := range []int{0, MaxNReq + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RecordLoadOp accepted %d requests", nreq)
+				}
+			}()
+			c := New()
+			c.RecordLoadOp(c.LoadPC("k", 0, false), LoadOpRecord{NReq: nreq})
+		}()
 	}
 }
 
@@ -170,7 +253,7 @@ func TestMemSystemComponentClamped(t *testing.T) {
 	c := New()
 	// Components exceed the total (can happen for all-hit ops with rounding):
 	// MemSystem must clamp to zero, not go negative.
-	c.RecordLoadOp(LoadOpRecord{Total: 100, Unloaded: 90, RsrvPrev: 20, RsrvCurr: 0})
+	c.RecordLoadOp(c.LoadPC("k", 0, false), LoadOpRecord{NReq: 1, Total: 100, Unloaded: 90, RsrvPrev: 20, RsrvCurr: 0})
 	if c.Turnaround[Det].MemSystem != 0 {
 		t.Errorf("MemSystem = %d, want 0", c.Turnaround[Det].MemSystem)
 	}

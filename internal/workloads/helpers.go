@@ -84,15 +84,17 @@ func (g *csr) nnz() int { return len(g.cols) }
 // randomGraph builds an undirected random graph with n vertices and roughly
 // degree*n/2 undirected edges, stored as a symmetric CSR. A power-law-ish
 // skew concentrates edges on low-numbered vertices, like the paper's R-MAT
-// inputs.
+// inputs. The first draw of an unordered pair wins and takes the next weight;
+// each row lists its neighbours in ascending order.
 func randomGraph(rng *rand.Rand, n, degree int) *csr {
-	adj := make([]map[uint32]uint32, n)
-	for i := range adj {
-		adj[i] = map[uint32]uint32{}
-	}
-	nextW := uint32(1)
-	edges := n * degree / 2
-	for e := 0; e < edges; e++ {
+	// edges[i] is the i-th distinct pair drawn; unique weights (i+1) keep
+	// MST selection deterministic.
+	type edge struct{ u, v uint32 }
+	draws := n * degree / 2
+	seen := make(map[uint64]struct{}, draws)
+	edges := make([]edge, 0, draws)
+	g := &csr{n: n, rowPtr: make([]uint32, n+1)}
+	for e := 0; e < draws; e++ {
 		// Mildly skewed endpoint selection (exponent 1.5): a heavy-ish tail
 		// like the paper's R-MAT inputs without creating mega-hubs that
 		// would let the edge loops dominate the dynamic instruction mix.
@@ -104,38 +106,43 @@ func randomGraph(rng *rand.Rand, n, degree int) *csr {
 		if u == v {
 			continue
 		}
-		if _, dup := adj[u][uint32(v)]; dup {
+		key := uint64(min(u, v))<<32 | uint64(max(u, v))
+		if _, dup := seen[key]; dup {
 			continue
 		}
-		w := nextW // unique weights keep MST selection deterministic
-		nextW++
-		adj[u][uint32(v)] = w
-		adj[v][uint32(u)] = w
+		seen[key] = struct{}{}
+		edges = append(edges, edge{uint32(u), uint32(v)})
+		g.rowPtr[u+1]++
+		g.rowPtr[v+1]++
 	}
-	g := &csr{n: n, rowPtr: make([]uint32, n+1)}
 	for u := 0; u < n; u++ {
-		g.rowPtr[u] = uint32(len(g.cols))
-		// Deterministic neighbor order.
-		nbrs := make([]uint32, 0, len(adj[u]))
-		for v := range adj[u] {
-			nbrs = append(nbrs, v)
-		}
-		sortU32(nbrs)
-		for _, v := range nbrs {
-			g.cols = append(g.cols, v)
-			g.wts = append(g.wts, adj[u][v])
-		}
+		g.rowPtr[u+1] += g.rowPtr[u]
 	}
-	g.rowPtr[n] = uint32(len(g.cols))
-	return g
-}
 
-func sortU32(s []uint32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	// Two counting-sort passes over the arcs. The first buckets them by tail
+	// in draw order; the graph is symmetric, so bucket d holds exactly d's
+	// neighbours. The second walks the buckets in ascending d and appends d
+	// to each neighbour's row, so every row comes out sorted.
+	nnz := g.rowPtr[n]
+	heads, hw := make([]uint32, nnz), make([]uint32, nnz)
+	next := append([]uint32(nil), g.rowPtr[:n]...)
+	for i, e := range edges {
+		w := uint32(i + 1)
+		heads[next[e.u]], hw[next[e.u]] = e.v, w
+		next[e.u]++
+		heads[next[e.v]], hw[next[e.v]] = e.u, w
+		next[e.v]++
+	}
+	g.cols, g.wts = make([]uint32, nnz), make([]uint32, nnz)
+	copy(next, g.rowPtr[:n])
+	for d := 0; d < n; d++ {
+		for i := g.rowPtr[d]; i < g.rowPtr[d+1]; i++ {
+			s := heads[i]
+			g.cols[next[s]], g.wts[next[s]] = uint32(d), hw[i]
+			next[s]++
 		}
 	}
+	return g
 }
 
 // components labels connected components on the CPU (min vertex id per

@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"critload/internal/checkpoint"
@@ -44,8 +42,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) error {
 	markdown := fs.Bool("markdown", false, "emit markdown tables")
 	parallel := fs.Int("parallel", 0,
 		"workers executing the sweep concurrently (0 = serial, -1 = one per CPU)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	prof := profileFlags(fs)
 	ckptDir := fs.String("checkpoint-dir", filepath.Join(os.TempDir(), "critload-checkpoints"),
 		"checkpoint store so repeated sweeps warm-start instead of re-simulating (empty disables)")
 	warmOut := fs.String("warmstart-out", "",
@@ -80,33 +77,11 @@ func runExperiments(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown artifact %q", name)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := prof.start(stderr)
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		// Written on the way out so the profile covers the whole sweep; a
-		// final GC makes the live-heap numbers meaningful.
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(stderr, "critload experiments: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, "critload experiments: memprofile:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	opts := experiments.Options{Seed: *seed, MaxWarpInsts: *maxInsts}
 	if *ckptDir != "" {

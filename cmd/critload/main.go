@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 )
 
 // commands is the dispatch table. Each subcommand parses its own FlagSet and
@@ -114,4 +116,61 @@ func parse(fs *flag.FlagSet, args []string) error {
 // seedFlag is the input-generation seed sim and experiments share.
 func seedFlag(fs *flag.FlagSet) *int64 {
 	return fs.Int64("seed", 1, "input generation seed")
+}
+
+// profiles is the pprof flag pair sim and experiments share.
+type profiles struct {
+	cmd      string
+	cpu, mem *string
+}
+
+func profileFlags(fs *flag.FlagSet) *profiles {
+	return &profiles{
+		cmd: fs.Name(),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: fs.String("memprofile", "", "write an allocation profile to this file on exit"),
+	}
+}
+
+// start begins the CPU profile, if one was asked for. The returned stop ends
+// it and writes the heap profile, so a deferred stop covers everything the
+// subcommand did; the final GC before the heap profile makes its live-heap
+// numbers meaningful.
+func (p *profiles) start(stderr io.Writer) (stop func(), err error) {
+	var cpu *os.File
+	if *p.cpu != "" {
+		if cpu, err = os.Create(*p.cpu); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintf(stderr, "critload %s: cpuprofile: %v\n", p.cmd, err)
+			}
+		}
+		if *p.mem != "" {
+			if err := writeHeapProfile(*p.mem); err != nil {
+				fmt.Fprintf(stderr, "critload %s: memprofile: %v\n", p.cmd, err)
+			}
+		}
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

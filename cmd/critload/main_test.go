@@ -87,6 +87,24 @@ func TestSimTraceThenTracestat(t *testing.T) {
 	}
 }
 
+// TestSimWritesProfiles checks the pprof pair sim shares with experiments:
+// both files are written and the run's output is unchanged by profiling.
+func TestSimWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	code, stdout, stderr := critload("sim", "-workload", "2mm", "-size", "32", "-max-insts", "20000",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	golden(t, "sim_2mm", stdout)
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s not written: %v", f, err)
+		}
+	}
+}
+
 func TestFuzzExitStatus(t *testing.T) {
 	code, stdout, stderr := critload("fuzz", "-seeds", "3")
 	if code != 0 || !strings.Contains(stdout, "campaign done: 3 seeds checked, 0 findings") {
@@ -158,6 +176,7 @@ func TestFailuresAndUsageErrors(t *testing.T) {
 		{"unknown flag", []string{"experiments", "-size-scale", "small"}, 2, "flag provided but not defined: -size-scale"},
 		{"sim without workload", []string{"sim"}, 2, "usage: critload sim -workload <name>"},
 		{"tracestat without file", []string{"tracestat"}, 2, "usage: critload tracestat <trace.csv>"},
+		{"unwritable profile", []string{"sim", "-workload", "2mm", "-cpuprofile", filepath.Join(t.TempDir(), "no", "cpu.prof")}, 1, "critload sim: cpuprofile:"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -194,11 +213,12 @@ func helpOf(t *testing.T, cmd string) (flags []string, examples string) {
 
 // TestFlagSetsAreTheDeletedMains pins the option surface: the five
 // subcommands define exactly the flags of loadclass, gpgpusim, experiments,
-// kfuzz and tracestat — none added, none lost.
+// kfuzz and tracestat, plus sim's -cpuprofile and -memprofile, which it
+// shares with experiments.
 func TestFlagSetsAreTheDeletedMains(t *testing.T) {
 	want := map[string]string{
 		"classify":    "file list v workload",
-		"sim":         "cta-policy functional max-insts seed size trace verify warp-policy workload",
+		"sim":         "cpuprofile cta-policy functional max-insts memprofile seed size trace verify warp-policy workload",
 		"experiments": "artifact checkpoint-dir cpuprofile markdown max-insts memprofile parallel seed warmstart-check warmstart-out",
 		"fuzz":        "duration emit-corpus out plant replay seeds start v",
 		"tracestat":   "",

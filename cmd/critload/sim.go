@@ -24,7 +24,8 @@ func sim(args []string, stdout, stderr io.Writer) error {
 		"sim -workload bfs",
 		"sim -workload spmv -size 8192 -max-insts 500000",
 		"sim -workload 2mm -functional -verify",
-		"sim -workload bfs -trace bfs.csv")
+		"sim -workload bfs -trace bfs.csv",
+		"sim -workload grm -size 192 -cpuprofile cpu.prof  # then: go tool pprof -top cpu.prof")
 	workload := fs.String("workload", "", "workload to run (see critload classify -list)")
 	size := fs.Int("size", 0, "problem size override (0 = workload default)")
 	seed := seedFlag(fs)
@@ -34,6 +35,7 @@ func sim(args []string, stdout, stderr io.Writer) error {
 	ctaPolicy := fs.String("cta-policy", "rr", "CTA scheduler: rr (round-robin) or clustered")
 	warpPolicy := fs.String("warp-policy", "lrr", "warp scheduler: lrr or gto")
 	tracePath := fs.String("trace", "", "write a per-request CSV trace to this file (timing runs only)")
+	prof := profileFlags(fs)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -74,6 +76,11 @@ func sim(args []string, stdout, stderr io.Writer) error {
 	if *functional {
 		exec = experiments.RunFunctional
 	}
+	stop, err := prof.start(stderr)
+	if err != nil {
+		return err
+	}
+	defer stop()
 	r, err := exec(*workload, opts)
 	if err != nil {
 		return err

@@ -284,6 +284,18 @@ func (g *GPU) LaunchKernel(l *emu.Launch) error {
 		return nil // budget already exhausted by earlier launches
 	}
 	g.stopIssue = false
+	err := g.run(l)
+	// However the launch ended, the SMs' open idle windows hold its last
+	// frozen cycles; the collector must have them before anyone reads it.
+	for _, s := range g.sms {
+		s.FlushIdle(g.cycle)
+	}
+	return err
+}
+
+// run is the cycle loop of one launch; it returns with g.cycle the first
+// cycle it did not step.
+func (g *GPU) run(l *emu.Launch) error {
 	for {
 		// Reply path first so fills release resources before new accesses.
 		g.replyNet.Step(g.cycle)
@@ -291,8 +303,12 @@ func (g *GPU) LaunchKernel(l *emu.Launch) error {
 			p.step(g.cycle)
 		}
 		g.reqNet.Step(g.cycle)
-		for _, s := range g.sms {
+		for i, s := range g.sms {
 			if err := s.Step(g.cycle); err != nil {
+				// The SMs before this one have stepped g.cycle too.
+				for _, done := range g.sms[:i] {
+					done.FlushIdle(g.cycle + 1)
+				}
 				return err
 			}
 		}
@@ -320,8 +336,8 @@ func (g *GPU) LaunchKernel(l *emu.Launch) error {
 		}
 		if g.cfg.FastForward {
 			// The cycle just stepped is g.cycle-1; if no component can make
-			// progress before horizon h, cycles g.cycle..h-1 are dead and
-			// only need their occupancy statistics accounted.
+			// progress before horizon h, cycles g.cycle..h-1 are dead, and
+			// each SM's open idle window accounts them.
 			if h := g.horizon(g.cycle - 1); h > g.cycle {
 				if h == math.MaxInt64 && g.cfg.MaxCycles <= 0 {
 					// The serial loop would spin forever here; failing loudly
@@ -373,10 +389,11 @@ func (g *GPU) horizon(now int64) int64 {
 	return h
 }
 
-// skipTo jumps the cycle counter from g.cycle to target, folding the skipped
-// cycles' occupancy statistics in exactly as the serial loop's per-cycle
-// stepping would have. When the window crosses MaxCycles it reproduces the
-// serial loop's livelock error at the identical cycle count.
+// skipTo jumps the cycle counter from g.cycle to target. Only the SMs record
+// statistics in dead cycles, and each SM folds them in from its open idle
+// window when it next steps or is flushed. When the window crosses MaxCycles
+// it reproduces the serial loop's livelock error at the identical cycle
+// count.
 func (g *GPU) skipTo(target int64, l *emu.Launch) error {
 	limited := false
 	if g.cfg.MaxCycles > 0 && target >= g.cfg.MaxCycles {
@@ -384,9 +401,6 @@ func (g *GPU) skipTo(target int64, l *emu.Launch) error {
 		limited = true
 	}
 	if n := target - g.cycle; n > 0 {
-		for _, s := range g.sms {
-			s.AccountIdle(g.cycle, n)
-		}
 		g.SkippedCycles += n
 		g.cycle = target
 		g.Col.GPUCycles = g.cycle

@@ -30,14 +30,15 @@ func (s *SM) NextEvent(now int64) int64 {
 	if s.stallUntil > now+1 {
 		return s.stallUntil
 	}
+	// Every event queue is a FIFO ring, so each head is its earliest deadline.
 	horizon := int64(math.MaxInt64)
-	for i := range s.wbEvents {
-		if t := s.wbEvents[i].at; t < horizon {
-			horizon = t
+	for c := range s.wb {
+		if s.wb[c].Len() > 0 {
+			horizon = min(horizon, s.wb[c].Peek().at)
 		}
 	}
 	if s.hitEvents.Len() > 0 {
-		horizon = min(horizon, s.hitEvents.Peek().at) // FIFO: the head is the earliest
+		horizon = min(horizon, s.hitEvents.Peek().at)
 	}
 	// Warps blocked only by a busy function unit wake when it frees. Warps
 	// blocked by the scoreboard wake via a writeback or reply event, both
@@ -67,12 +68,31 @@ func (s *SM) NextEvent(now int64) int64 {
 	return horizon
 }
 
-// AccountIdle folds a skipped window of n cycles starting at from into the
-// occupancy statistics, producing byte-identical counters to n per-cycle
-// recordOccupancy calls. The fast-forward contract guarantees the LD/ST
-// queue stays empty across the window, so each unit's busy cycles are just
-// the clamped tail of its busy-until horizon.
-func (s *SM) AccountIdle(from, n int64) {
+// FlushIdle folds the open idle window's cycles before end into the
+// occupancy statistics, so the collector holds every cycle before end exactly
+// as the per-cycle recording of the naive engine would. It also drops the
+// stall cache: the next Step, at end or later, is a real one and opens a new
+// window if the SM is still frozen. The GPU calls it on every return from a
+// launch, with end the first cycle it did not step.
+func (s *SM) FlushIdle(end int64) {
+	s.foldIdle(end)
+	s.stallUntil = 0
+}
+
+// foldIdle accounts the open idle window's cycles before end and closes it.
+func (s *SM) foldIdle(end int64) {
+	if s.idleFrom != 0 {
+		s.accountIdle(s.idleFrom, end-s.idleFrom)
+		s.idleFrom = 0
+	}
+}
+
+// accountIdle folds n frozen cycles starting at from into the occupancy
+// statistics, producing byte-identical counters to n per-cycle
+// recordOccupancy calls. Nothing issues while the SM is frozen and its LD/ST
+// queue stays empty, so each unit's busy cycles are just the clamped tail of
+// its busy-until horizon.
+func (s *SM) accountIdle(from, n int64) {
 	s.col.RecordSMCycles(uint64(n))
 	for u := range s.unitBusyUntil {
 		if busy := min(max(s.unitBusyUntil[u]-from, 0), n); busy > 0 {

@@ -115,20 +115,20 @@ func (s *SM) issueWarp(wc *warpCtx, now int64) error {
 	case in.Op == isa.OpLd && (in.Space == isa.SpaceParam || in.Space == isa.SpaceConst):
 		// Parameter/constant accesses hit the small constant cache.
 		s.unitBusyUntil[isa.UnitLDST] = now + 1
-		s.scheduleWriteback(wc, in, now+s.cfg.ConstLat)
+		s.scheduleWriteback(wc, in, wbConst, now)
 	case in.Op.IsMemory() && in.Space == isa.SpaceShared:
 		s.unitBusyUntil[isa.UnitLDST] = now + 1
 		if in.Op == isa.OpLd {
-			s.scheduleWriteback(wc, in, now+s.cfg.SharedLat)
+			s.scheduleWriteback(wc, in, wbShared, now)
 		}
 	case in.Op.IsMemory():
 		s.issueGlobalMemOp(wc, &step, now)
 	case in.Unit() == isa.UnitSFU:
 		s.unitBusyUntil[isa.UnitSFU] = now + s.cfg.SFUInit
-		s.scheduleWriteback(wc, in, now+s.cfg.SFULatency)
+		s.scheduleWriteback(wc, in, wbSFU, now)
 	default:
 		s.unitBusyUntil[isa.UnitSP] = now + s.cfg.SPInit
-		s.scheduleWriteback(wc, in, now+s.cfg.SPLatency)
+		s.scheduleWriteback(wc, in, wbSP, now)
 	}
 
 	if s.readySets {

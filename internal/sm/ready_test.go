@@ -222,6 +222,81 @@ func TestReadySetsMatchScan(t *testing.T) {
 	}
 }
 
+// TestIdleAccountingMatchesNaive drives a fast-forward SM and a naive twin
+// through the ready-set fixtures in lockstep. A frozen fast-forward SM
+// records no occupancy until its idle window is folded in, so at irregular
+// cycles and at drain the test flushes it; both collectors must then hold the
+// same SM cycles and per-unit busy cycles. After every step neither SM may
+// still hold a due writeback. Each fixture also runs with SPInit 0, under
+// which both schedulers issue to the SP unit in one cycle and two SP
+// writebacks fall due together.
+//
+// Each of these hand mutations fails this test or
+// TestFastForwardMatchesSerialLoop:
+//   - the idle window opened at now instead of now+1 (here: a cycle counted
+//     twice);
+//   - the FlushIdle at the end of GPU.LaunchKernel dropped (there: the last
+//     frozen cycles of each launch go missing);
+//   - processWritebacks popping at most one event per ring per cycle (here,
+//     under SPInit 0: a due writeback left queued).
+func TestIdleAccountingMatchesNaive(t *testing.T) {
+	for _, pol := range []Policy{LRR, GTO} {
+		for _, spInit := range []int64{DefaultConfig().SPInit, 0} {
+			for _, fx := range readyFixtures {
+				t.Run(fmt.Sprintf("%v/spinit%d/%s", pol, spInit, fx.name), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Policy, cfg.SPInit = pol, spInit
+					k := mustKernel(t, fx.src)
+					k.SharedBytes = fx.shared
+					fast := newRig(t, cfg, true, k, fx.grid, fx.block, fx.params...)
+					naive := newRig(t, cfg, false, k, fx.grid, fx.block, fx.params...)
+					var maxLag uint64 // cycles the fast SM had yet to account
+					flushAndCompare := func(now int64) {
+						t.Helper()
+						fast.s.FlushIdle(now + 1)
+						f, n := fast.s.col, naive.s.col
+						if f.SMCycles != n.SMCycles || f.UnitBusy != n.UnitBusy {
+							t.Fatalf("cycle %d: %d SM cycles, unit busy %v after the flush; naive %d, %v",
+								now, f.SMCycles, f.UnitBusy, n.SMCycles, n.UnitBusy)
+						}
+					}
+					for now := int64(0); ; now++ {
+						if now > 200000 {
+							t.Fatal("SM never drained")
+						}
+						blocked := fx.blockFrom <= now && now < fx.blockTo
+						fast.mb.blocked, naive.mb.blocked = blocked, blocked
+						more := fast.step(t, now)
+						if naive.step(t, now) != more {
+							t.Fatalf("cycle %d: engines disagree on being done", now)
+						}
+						for _, s := range []*SM{fast.s, naive.s} {
+							for c := range s.wb {
+								if s.wb[c].Len() > 0 && s.wb[c].Peek().at <= now {
+									t.Fatalf("cycle %d: a class %d writeback due at %d is still queued",
+										now, c, s.wb[c].Peek().at)
+								}
+							}
+						}
+						maxLag = max(maxLag, naive.s.col.SMCycles-fast.s.col.SMCycles)
+						if !more {
+							flushAndCompare(now)
+							break
+						}
+						if now%37 == 0 {
+							flushAndCompare(now)
+						}
+					}
+					// alu issues in every cycle until it exits, so it never freezes.
+					if maxLag == 0 && fx.name != "alu" {
+						t.Error("the fast-forward SM never froze; no idle window was exercised")
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestSnapshotUnchangedByReadySets runs the multi-CTA fixture to the launch
 // boundary with and without ready sets (both under the stall cache) and
 // requires identical snapshot bytes: the sets are derived state, empty at a
@@ -246,9 +321,10 @@ func TestSnapshotUnchangedByReadySets(t *testing.T) {
 }
 
 // TestQueueCapacityStaysBounded is ring.TestCapacityStaysBounded's SM-level
-// sibling: the LD/ST queue and the hit-event queue are rings whose capacity
-// follows their depth (LDSTQueueCap, L1.HitLatency), not the traffic through
-// them.
+// sibling: the LD/ST queue, the hit-event queue and the four writeback queues
+// are rings whose capacity follows their depth (LDSTQueueCap, L1.HitLatency,
+// at most NumSchedulers pushes per cycle for a class's latency), not the
+// traffic through them.
 func TestQueueCapacityStaysBounded(t *testing.T) {
 	k := mustKernel(t, `
 .kernel hits
@@ -274,6 +350,126 @@ LOOP:
 	}
 	if c := r.s.hitEvents.Cap(); int64(c) > 2*r.s.cfg.L1.HitLatency {
 		t.Errorf("hitEvents capacity %d with a hit latency of %d cycles", c, r.s.cfg.L1.HitLatency)
+	}
+
+	// Every warp keeps all four writeback classes busy for 500 iterations.
+	k = mustKernel(t, `
+.kernel classes
+.param .u32 n
+    mov.u32       %r0, %tid.x;
+    shl.u32       %r1, %r0, 2;
+    st.shared.u32 [%r1], %r0;
+    ld.param.u32  %r2, [n];
+LOOP:
+    ld.param.u32  %r3, [n];
+    ld.shared.u32 %r4, [%r1];
+    sqrt.f32      %r5, %r4;
+    add.u32       %r6, %r3, %r4;
+    sub.u32       %r2, %r2, 1;
+    setp.ne.u32   %p0, %r2, 0;
+@%p0 bra LOOP;
+    exit;
+`)
+	k.SharedBytes = 256 * 4
+	r = newRig(t, DefaultConfig(), true, k, 1, 256, 500)
+	r.drain(t)
+	if n := r.s.col.SLoadWarps; n != 8*500 {
+		t.Fatalf("%d shared-load warps, want %d; the fixture did not run", n, 8*500)
+	}
+	for c := range r.s.wb {
+		bound := 2 * int64(r.s.cfg.NumSchedulers) * r.s.wbLat[c]
+		if n := r.s.wb[c].Cap(); n == 0 || int64(n) > bound {
+			t.Errorf("writeback class %d: capacity %d, want 1..%d", c, n, bound)
+		}
+	}
+}
+
+// frozenSM returns an SM whose 48 warps all wait on loads that are never
+// answered, with every cycle before the returned one stepped. Under
+// fast-forward it is frozen until a reply arrives.
+func frozenSM(tb testing.TB, fastForward bool) (*SM, int64) {
+	tb.Helper()
+	prog, err := ptx.Parse(`
+.kernel frozen
+.param .u32 a
+    mov.u32      %r0, %tid.x;
+    shl.u32      %r1, %r0, 2;
+    ld.param.u32 %r2, [a];
+    add.u32      %r3, %r2, %r1;
+    ld.global.u32 %r4, [%r3];       // one block per warp
+    add.u32      %r5, %r4, 1;       // every warp: blocked on the unanswered load
+    exit;
+`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New(0, DefaultConfig(), testLat(), &mockBackend{}, stats.New())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.SetFastForward(fastForward)
+	l := &emu.Launch{Kernel: prog.Kernels[0], Grid: emu.Dim1(1), Block: emu.Dim1(48 * emu.WarpSize), Params: []uint32{1 << 20}}
+	s.SetKernel(&emu.Env{Mem: mem.New(), Launch: l}, "frozen", nil)
+	s.LaunchCTA(l, 0)
+	now := int64(0)
+	for ; now < 1000; now++ {
+		if err := s.Step(now); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if s.InstructionsIssued != 48*5 || fastForward && now >= s.stallUntil {
+		tb.Fatalf("not frozen: %d issued, stalled until %d at cycle %d", s.InstructionsIssued, s.stallUntil, now)
+	}
+	return s, now
+}
+
+// TestFrozenStepDoesNotAllocate pins the frozen path: steps of a frozen SM
+// and the flush that folds their occupancy in allocate nothing, and the flush
+// leaves the collector holding every cycle stepped.
+func TestFrozenStepDoesNotAllocate(t *testing.T) {
+	s, now := frozenSM(t, true)
+	frozen := func() {
+		for i := 0; i < 64; i++ {
+			if err := s.Step(now); err != nil {
+				t.Fatal(err)
+			}
+			now++
+		}
+		s.FlushIdle(now)
+	}
+	if n := testing.AllocsPerRun(100, frozen); n != 0 {
+		t.Errorf("frozen steps and a flush allocate %v times", n)
+	}
+	if c := s.col.SMCycles; c != uint64(now) {
+		t.Errorf("%d SM cycles recorded after stepping cycles 0..%d", c, now-1)
+	}
+}
+
+// BenchmarkSMFrozen is the frozen-SM layer: one op is a Step of an SM whose
+// 48 warps all wait on unanswered loads. Under fast-forward it is one compare
+// (the idle window accounts the cycle later); the naive engine, which never
+// freezes, runs the full step.
+func BenchmarkSMFrozen(b *testing.B) {
+	for _, ff := range []bool{true, false} {
+		name := "naive"
+		if ff {
+			name = "fastforward"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, now := frozenSM(b, ff)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Step(now); err != nil {
+					b.Fatal(err)
+				}
+				now++
+			}
+			b.StopTimer()
+			s.FlushIdle(now)
+			if s.InstructionsIssued != 48*5 || s.col.SMCycles != uint64(now) {
+				b.Fatalf("%d issued, %d SM cycles over %d cycles", s.InstructionsIssued, s.col.SMCycles, now)
+			}
+		})
 	}
 }
 

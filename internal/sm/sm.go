@@ -232,6 +232,19 @@ type wbEvent struct {
 	pred int // predicate register, -1 if none
 }
 
+// wbClass selects a writeback queue. Each class has one constant latency, so
+// events pushed in issue order are due in that order and each class's queue
+// is a FIFO ring whose head is its earliest deadline.
+type wbClass uint8
+
+const (
+	wbConst  wbClass = iota // parameter/constant loads, ConstLat
+	wbShared                // shared-memory loads, SharedLat
+	wbSFU                   // SFULatency
+	wbSP                    // SPLatency
+	numWBClasses
+)
+
 // SM is one streaming multiprocessor.
 type SM struct {
 	ID  int
@@ -264,7 +277,8 @@ type SM struct {
 
 	unitBusyUntil [isa.NumFuncUnits]int64
 	ldstQ         ring.Buffer[*memOp]
-	wbEvents      []wbEvent
+	wb            [numWBClasses]ring.Buffer[wbEvent]
+	wbLat         [numWBClasses]int64
 	hitEvents     ring.Buffer[timedReq] // FIFO: L1.HitLatency is one constant
 	inflight      int                   // responses owned ops still wait for
 
@@ -285,11 +299,17 @@ type SM struct {
 	// stays a dumb oracle that re-scans every cycle). After a cycle in which
 	// nothing issued and the LD/ST queue is empty, stallUntil holds the SM's
 	// NextEvent horizon: no internal deadline (writeback, hit, unit free) and
-	// hence no issue can occur before it, so Step skips the scheduler scan and
+	// hence no issue can occur before it, so Step returns at once and
 	// NextEvent returns it directly. Anything external that can wake a warp
 	// (a reply, a new CTA, a new kernel) resets it to 0.
+	//
+	// A frozen SM records no occupancy per cycle. The step that freezes it
+	// opens an idle window at idleFrom (0 = none open; a window never starts
+	// at cycle 0), and the next real step or FlushIdle folds the window's
+	// cycles into the collector in one accountIdle call.
 	fastForward bool
 	stallUntil  int64
+	idleFrom    int64
 
 	// ready[sched] are the scheduler's per-unit ready sets, the second
 	// fast-forward-only structure; see ready.go for the invariant.
@@ -367,6 +387,7 @@ func New(id int, cfg Config, lat LatencyModel, backend Backend, col *stats.Colle
 		greedy:     make([]*warpCtx, cfg.NumSchedulers),
 		schedWarps: make([][]*warpCtx, cfg.NumSchedulers),
 		ready:      make([]readySet, cfg.NumSchedulers),
+		wbLat:      [numWBClasses]int64{cfg.ConstLat, cfg.SharedLat, cfg.SFULatency, cfg.SPLatency},
 		lastIssue:  -1,
 	}, nil
 }
@@ -441,9 +462,11 @@ func (s *SM) LiveCTAs() int { return len(s.ctas) }
 // Idle reports whether the SM has no work at all: no live warps and no
 // in-flight memory operations or events.
 func (s *SM) Idle() bool {
-	return len(s.warps) == 0 && s.ldstQ.Len() == 0 &&
-		len(s.wbEvents) == 0 && s.hitEvents.Len() == 0 &&
-		s.inflight == 0
+	pending := s.ldstQ.Len() + s.hitEvents.Len() + s.inflight
+	for c := range s.wb {
+		pending += s.wb[c].Len()
+	}
+	return len(s.warps) == 0 && pending == 0
 }
 
 // retireCTA frees a finished CTA's resources.
@@ -489,25 +512,26 @@ func (s *SM) retireCTA(cc *ctaCtx) {
 // instruction issue (functionally executing the chosen warp instructions),
 // then occupancy statistics.
 func (s *SM) Step(now int64) error {
-	s.processWritebacks(now)
-	s.stepLDST(now)
 	if now < s.stallUntil {
 		// Frozen: stallUntil is the minimum over every internal deadline, so
-		// nothing was processed above and no warp can have become issuable.
-		// Only the occupancy counters advance, exactly as a fruitless full
-		// step would leave them.
-		s.recordOccupancy(now)
+		// no writeback or hit is due, the LD/ST queue is empty and no warp can
+		// issue. The open idle window accounts this cycle.
 		return nil
 	}
+	s.foldIdle(now)
+	s.processWritebacks(now)
+	s.stepLDST(now)
 	if err := s.issue(now); err != nil {
 		return err
 	}
+	s.stallUntil = 0
 	if s.fastForward && s.lastIssue != now && s.ldstQ.Len() == 0 {
 		s.stallUntil = s.NextEvent(now)
-	} else {
-		s.stallUntil = 0
 	}
 	s.recordOccupancy(now)
+	if s.stallUntil > now+1 {
+		s.idleFrom = now + 1
+	}
 	return nil
 }
 
@@ -524,27 +548,31 @@ func (s *SM) ldstBusy(now int64) bool {
 	return s.ldstQ.Len() >= s.cfg.LDSTQueueCap || s.unitBusyUntil[isa.UnitLDST] > now
 }
 
+// processWritebacks retires every due writeback. Events of different classes
+// due in the same cycle retire in class order rather than issue order, which
+// no engine can observe: the pending-counter decrements commute, and
+// refreshReady is a function of the warp's state after the last of them.
 func (s *SM) processWritebacks(now int64) {
-	kept := s.wbEvents[:0]
-	for _, e := range s.wbEvents {
-		if e.at > now {
-			kept = append(kept, e)
-			continue
-		}
-		if e.reg >= 0 {
-			e.warp.pendingReg[e.reg]--
-		}
-		if e.pred >= 0 {
-			e.warp.pendingPred[e.pred]--
-		}
-		if s.readySets {
-			s.refreshReady(e.warp)
+	for c := range s.wb {
+		q := &s.wb[c]
+		for q.Len() > 0 && q.Peek().at <= now {
+			e := q.Pop()
+			if e.reg >= 0 {
+				e.warp.pendingReg[e.reg]--
+			}
+			if e.pred >= 0 {
+				e.warp.pendingPred[e.pred]--
+			}
+			if s.readySets {
+				s.refreshReady(e.warp)
+			}
 		}
 	}
-	s.wbEvents = kept
 }
 
-func (s *SM) scheduleWriteback(wc *warpCtx, in *isa.Instruction, at int64) {
+// scheduleWriteback holds the instruction's destination until the class's
+// latency has elapsed.
+func (s *SM) scheduleWriteback(wc *warpCtx, in *isa.Instruction, c wbClass, now int64) {
 	reg, pred := in.DefReg(), in.DefPred()
 	if reg < 0 && pred < 0 {
 		return
@@ -555,5 +583,5 @@ func (s *SM) scheduleWriteback(wc *warpCtx, in *isa.Instruction, at int64) {
 	if pred >= 0 {
 		wc.pendingPred[pred]++
 	}
-	s.wbEvents = append(s.wbEvents, wbEvent{at: at, warp: wc, reg: reg, pred: pred})
+	s.wb[c].Push(wbEvent{at: now + s.wbLat[c], warp: wc, reg: reg, pred: pred})
 }

@@ -15,10 +15,15 @@ const snapTag = 0x534D3030 // "SM00"
 // counter (they decide future scheduling order), the stall cache, and the
 // monotonic counters. Everything else — warps, CTAs, the LD/ST queue, event
 // queues, in-flight requests — is empty at a boundary by the drain contract,
-// and snapshotting a busy SM is a caller bug.
+// and snapshotting a busy SM is a caller bug. So is snapshotting an SM whose
+// idle window is still open: its cycles would be missing from the collector
+// saved beside it (FlushIdle closes it).
 func (s *SM) Snapshot(w *checkpoint.Writer) {
 	if !s.Idle() || len(s.ctas) != 0 {
 		panic("sm: snapshot of a busy SM")
+	}
+	if s.idleFrom != 0 {
+		panic("sm: snapshot with an open idle window")
 	}
 	w.Tag(snapTag)
 	s.L1.Snapshot(w)

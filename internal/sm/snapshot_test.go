@@ -64,6 +64,38 @@ func TestSnapshotPanicsOnBusySM(t *testing.T) {
 	s.Snapshot(checkpoint.NewWriter())
 }
 
+// TestSnapshotRequiresFlushedIdleWindow checks the same invariant for lazily
+// accounted occupancy: a drained fast-forward SM is frozen with an idle window
+// open, refuses to serialize until FlushIdle folds the window in, and has then
+// recorded every cycle it was stepped.
+func TestSnapshotRequiresFlushedIdleWindow(t *testing.T) {
+	s, _, col := newTestSM(t)
+	s.SetFastForward(true)
+	launchOn(t, s, mustKernel(t, ".kernel k\n    mov.u32 %r0, 1;\n    add.u32 %r1, %r0, 2;\n    exit;\n"), 64)
+	end := run(t, s, 1000) + 50
+	for now := end - 49; now < end; now++ {
+		if err := s.Step(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.idleFrom == 0 {
+		t.Fatal("a drained fast-forward SM has no idle window open")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Snapshot with an open idle window did not panic")
+			}
+		}()
+		s.Snapshot(checkpoint.NewWriter())
+	}()
+	s.FlushIdle(end)
+	snapBytes(t, s)
+	if col.SMCycles != uint64(end) {
+		t.Errorf("%d SM cycles recorded over cycles 0..%d", col.SMCycles, end-1)
+	}
+}
+
 // TestRestoreRejections covers the refusal paths: a busy receiver, a payload
 // with a foreign scheduler count, and truncation.
 func TestRestoreRejections(t *testing.T) {

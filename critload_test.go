@@ -7,30 +7,8 @@ import (
 	"critload"
 )
 
-const exampleSrc = `
-.kernel gather
-.param .u32 idx
-.param .u32 b
-.param .u32 out
-    mov.u32      %r0, %ctaid.x;
-    mov.u32      %r1, %ntid.x;
-    mad.u32      %r2, %r0, %r1, %tid.x;
-    shl.u32      %r3, %r2, 2;
-    ld.param.u32 %r4, [idx];
-    add.u32      %r5, %r4, %r3;
-    ld.global.u32 %r6, [%r5];
-    ld.param.u32 %r7, [b];
-    shl.u32      %r8, %r6, 2;
-    add.u32      %r9, %r7, %r8;
-    ld.global.u32 %r10, [%r9];
-    ld.param.u32 %r11, [out];
-    add.u32      %r12, %r11, %r3;
-    st.global.u32 [%r12], %r10;
-    exit;
-`
-
 func TestClassifyKernelFacade(t *testing.T) {
-	res, err := critload.ClassifyKernel(exampleSrc)
+	res, err := critload.ClassifyKernel(gatherSrc)
 	if err != nil {
 		t.Fatalf("ClassifyKernel: %v", err)
 	}
@@ -133,7 +111,7 @@ func TestRunWorkloadRejectsVerifyOnTruncatedTiming(t *testing.T) {
 func TestSimulateEndToEnd(t *testing.T) {
 	const n = 512
 	var outBase uint32
-	memory, col, err := critload.Simulate(exampleSrc, n/64, 64, func(m *critload.Memory) []uint32 {
+	memory, col, err := critload.Simulate(gatherSrc, n/64, 64, func(m *critload.Memory) []uint32 {
 		idx := make([]uint32, n)
 		b := make([]uint32, n)
 		for i := range idx {

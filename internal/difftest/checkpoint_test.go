@@ -32,12 +32,13 @@ var ckptEngines = []struct {
 }
 
 // TestCheckpointResumeMatchesColdAllWorkloads is the workload-scale half of
-// the checkpoint oracle: for every workload, a serial cold run populates a
-// checkpoint store, then each engine re-runs warm from those checkpoints and
-// must reproduce its own cold run byte-for-byte (collector, cycle counts,
-// verified outputs). Sharing one store across engines also proves checkpoints
-// written by one engine restore correctly under another — the prefix key
-// deliberately ignores engine selection.
+// the checkpoint oracle, run across engines: for every workload, each engine
+// runs cold while populating its own checkpoint store, then re-runs warm from
+// the *other* engine's store and must reproduce its own cold run
+// byte-for-byte (collector, cycle counts, verified outputs). A snapshot the
+// fast-forward engine writes carries its skip caches into the serial engine
+// and vice versa, so this proves those caches are inert at a launch boundary;
+// the prefix key deliberately ignores engine selection.
 func TestCheckpointResumeMatchesColdAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload sweep; skipped in -short mode")
@@ -49,41 +50,42 @@ func TestCheckpointResumeMatchesColdAllWorkloads(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			store, err := checkpoint.Open(t.TempDir(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
 			base := experiments.Options{Size: size, Seed: 7}
 
-			// Populate the store with a serial cold run.
-			seedOpts := base
-			seedCfg := ckptEngines[0].cfg()
-			seedOpts.GPU = &seedCfg
-			seedOpts.Checkpoints = store
-			seeded, err := experiments.RunTiming(name, seedOpts)
-			if err != nil {
-				t.Fatalf("seeding run: %v", err)
-			}
-			if seeded.WarmStartIndex != 0 {
-				t.Fatalf("seeding run warm-started at %d over an empty store", seeded.WarmStartIndex)
+			// Each engine's seeding run is also its cold reference: saving
+			// checkpoints never changes a run, and DiffRuns compares cycles
+			// and collectors only.
+			stores := make([]*checkpoint.Store, len(ckptEngines))
+			refs := make([]*experiments.Run, len(ckptEngines))
+			for i, eng := range ckptEngines {
+				store, err := checkpoint.Open(t.TempDir(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := base
+				cfg := eng.cfg()
+				opts.GPU = &cfg
+				opts.Checkpoints = store
+				ref, err := experiments.RunTiming(name, opts)
+				if err != nil {
+					t.Fatalf("%s seeding run: %v", eng.name, err)
+				}
+				if ref.WarmStartIndex != 0 {
+					t.Fatalf("%s seeding run warm-started at %d over an empty store", eng.name, ref.WarmStartIndex)
+				}
+				stores[i], refs[i] = store, ref
 			}
 
-			for _, eng := range ckptEngines {
-				eng := eng
+			for i, eng := range ckptEngines {
+				from := (i + 1) % len(ckptEngines)
 				t.Run(eng.name, func(t *testing.T) {
-					cold := base
+					warm := base
 					cfg := eng.cfg()
-					cold.GPU = &cfg
-					ref, err := experiments.RunTiming(name, cold)
-					if err != nil {
-						t.Fatalf("cold run: %v", err)
-					}
-
-					warm := cold
-					warm.Checkpoints = store
+					warm.GPU = &cfg
+					warm.Checkpoints = stores[from]
 					got, err := experiments.RunTiming(name, warm)
 					if err != nil {
-						t.Fatalf("warm run: %v", err)
+						t.Fatalf("warm run from %s checkpoints: %v", ckptEngines[from].name, err)
 					}
 					if got.WarmStartIndex < 1 {
 						t.Fatalf("warm run did not resume (WarmStartIndex = %d)", got.WarmStartIndex)
@@ -91,8 +93,8 @@ func TestCheckpointResumeMatchesColdAllWorkloads(t *testing.T) {
 					if got.WarmStartCycles <= 0 {
 						t.Fatalf("warm run inherited %d cycles", got.WarmStartCycles)
 					}
-					if diffs := experiments.DiffRuns(ref, got); len(diffs) > 0 {
-						t.Fatalf("warm run diverges from cold:\n%s", diffs[0])
+					if diffs := experiments.DiffRuns(refs[i], got); len(diffs) > 0 {
+						t.Fatalf("warm run from %s checkpoints diverges from cold:\n%s", ckptEngines[from].name, diffs[0])
 					}
 					if err := got.Instance.Verify(); err != nil {
 						t.Fatalf("warm run failed verification: %v", err)
@@ -100,8 +102,10 @@ func TestCheckpointResumeMatchesColdAllWorkloads(t *testing.T) {
 				})
 			}
 
-			if st := store.Stats(); st.Hits == 0 || st.CyclesSkipped == 0 {
-				t.Fatalf("store never warm-started a run: %+v", st)
+			for i, store := range stores {
+				if st := store.Stats(); st.Hits == 0 || st.CyclesSkipped == 0 {
+					t.Fatalf("%s store never warm-started a run: %+v", ckptEngines[i].name, st)
+				}
 			}
 		})
 	}

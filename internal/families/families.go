@@ -25,21 +25,14 @@ import (
 	"sort"
 
 	"critload/internal/kgen"
+	"critload/pkg/api"
 )
 
-// Knob is one typed family parameter. Values are integers; Pow2 constrains
-// them to powers of two within [Min, Max].
-type Knob struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Min         int    `json:"min"`
-	Max         int    `json:"max"`
-	Default     int    `json:"default"`
-	Pow2        bool   `json:"pow2,omitempty"`
-}
+// Knob is one typed family parameter; /v1/workloads lists the schemas as is.
+type Knob = api.Knob
 
 // validate checks one value against the knob's bounds.
-func (k Knob) validate(v int) error {
+func validate(k Knob, v int) error {
 	if v < k.Min || v > k.Max {
 		return fmt.Errorf("knob %s=%d out of range [%d, %d]", k.Name, v, k.Min, k.Max)
 	}

@@ -11,18 +11,17 @@ import (
 	"critload/internal/kgen"
 	"critload/internal/ptx"
 	"critload/internal/workloads"
+	"critload/pkg/api"
 )
 
 // NamePrefix marks family-instance workload names.
 const NamePrefix = "family:"
 
 // Spec selects one family instance: a family name plus knob overrides.
-// Omitted knobs take their schema defaults. This is the JSON shape the
-// service accepts in classify requests and job specs.
-type Spec struct {
-	Name  string         `json:"name"`
-	Knobs map[string]int `json:"knobs,omitempty"`
-}
+// Omitted knobs take their schema defaults. It is api.FamilySpec, the JSON
+// shape the service accepts in classify requests and job specs, with the
+// family machinery attached.
+type Spec api.FamilySpec
 
 // Resolve validates the spec and returns the family plus the fully-resolved
 // knob values (defaults filled in).
@@ -38,7 +37,7 @@ func (s *Spec) Resolve() (*Family, map[string]int, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("families: %s has no knob %q", f.Name, name)
 		}
-		if err := k.validate(val); err != nil {
+		if err := validate(k, val); err != nil {
 			return nil, nil, fmt.Errorf("families: %s: %w", f.Name, err)
 		}
 		v[name] = val
@@ -184,7 +183,7 @@ func (s *Spec) Workload() (*workloads.Workload, error) {
 		}
 		if p.Size != 0 {
 			sz, _ := f.knob("size")
-			if err := sz.validate(p.Size); err != nil {
+			if err := validate(sz, p.Size); err != nil {
 				return nil, fmt.Errorf("families: %s: size override: %w", f.Name, err)
 			}
 			vv["size"] = p.Size

@@ -4,23 +4,12 @@ import (
 	"context"
 	"sync/atomic"
 	"time"
+
+	"critload/pkg/api"
 )
 
-// Progress is a live heartbeat of one running execution, surfaced on
-// GET /v1/jobs/{id} while the job is in the running state: how far the
-// simulation has advanced and how fast the simulated clock is moving.
-type Progress struct {
-	// Cycles is the simulated cycle count so far (0 for functional runs,
-	// which have no clock).
-	Cycles int64 `json:"cycles"`
-	// WarpInsts is the number of warp instructions executed so far.
-	WarpInsts uint64 `json:"warp_insts"`
-	// CyclesPerSec is the simulation rate: simulated cycles per wall-clock
-	// second since the execution started.
-	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
-	// Updated is when the runner last reported.
-	Updated time.Time `json:"updated"`
-}
+// Progress is a live heartbeat of one running execution; see api.Progress.
+type Progress = api.Progress
 
 // progressTracker is the lock-free backing store a runner reports into; job
 // snapshots read it concurrently with the simulation.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"critload/internal/journal"
+	"critload/pkg/api"
 )
 
 // RecoveredError is the failure attached to a journalled job the restarted
@@ -27,31 +28,9 @@ func (e *RecoveredError) Error() string {
 }
 
 // RecoveryInfo summarises what the startup journal replay did; the daemon
-// surfaces it on /healthz.
-type RecoveryInfo struct {
-	// Enabled is true when the manager runs with a journal.
-	Enabled bool `json:"enabled"`
-	// Records is the number of journal records replayed.
-	Records uint64 `json:"records_replayed"`
-	// TruncatedBytes and DroppedSegments describe the torn tail the replay
-	// had to abandon (both zero after a clean shutdown).
-	TruncatedBytes  int64 `json:"truncated_bytes"`
-	DroppedSegments int   `json:"dropped_segments"`
-	// Jobs is the number of jobs rebuilt from the journal.
-	Jobs int `json:"jobs"`
-	// Requeued counts jobs that were queued or running at the crash and
-	// were re-enqueued for (idempotent) re-execution.
-	Requeued int `json:"requeued"`
-	// CompletedFromStore counts jobs that were live at the crash but whose
-	// result was already durable, so they completed without re-running.
-	CompletedFromStore int `json:"completed_from_store"`
-	// ResultsMissing counts completed jobs whose stored result could not
-	// be found (evicted or never durable); they stay done, without a
-	// result payload.
-	ResultsMissing int `json:"results_missing"`
-	// Unrecoverable counts jobs failed with a *RecoveredError.
-	Unrecoverable int `json:"unrecoverable"`
-}
+// surfaces it on /healthz. Unrecoverable counts jobs failed with a
+// *RecoveredError.
+type RecoveryInfo = api.Recovery
 
 // replayedJob is one job's state as reconstructed from the journal.
 type replayedJob struct {

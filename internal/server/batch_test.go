@@ -14,6 +14,7 @@ import (
 
 	"critload/internal/jobs"
 	"critload/internal/server"
+	"critload/pkg/api"
 )
 
 // TestClassifyBatch is the happy path: N valid kernels in, N per-item 200s
@@ -25,7 +26,7 @@ func TestClassifyBatch(t *testing.T) {
 		{"id": "second", "ptx": classifySrc},
 		{"ptx": classifySrc}, // anonymous: correlated by position
 	}}
-	var resp server.BatchClassifyResponse
+	var resp api.BatchResult
 	if code := postJSON(t, ts.URL+"/v1/classify/batch", req, &resp); code != http.StatusOK {
 		t.Fatalf("batch = %d, want 200", code)
 	}
@@ -55,7 +56,7 @@ func TestClassifyBatchPartialFailure(t *testing.T) {
 		{"id": "junk", "ptx": "not ptx at all ;"},
 		{"id": "empty", "ptx": ""},
 	}}
-	var resp server.BatchClassifyResponse
+	var resp api.BatchResult
 	if code := postJSON(t, ts.URL+"/v1/classify/batch", req, &resp); code != http.StatusOK {
 		t.Fatalf("batch = %d, want 200 despite bad items", code)
 	}
@@ -81,7 +82,7 @@ func TestClassifyBatchEnvelopeErrors(t *testing.T) {
 		map[string]any{"items": []map[string]string{}}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty batch = %d, want 400", code)
 	}
-	big := make([]map[string]string, jobs.MaxBatchItems+1)
+	big := make([]map[string]string, api.MaxBatchItems+1)
 	for i := range big {
 		big[i] = map[string]string{"ptx": classifySrc}
 	}

@@ -17,6 +17,7 @@ import (
 	"critload/internal/jobs"
 	"critload/internal/server"
 	"critload/internal/workloads"
+	"critload/pkg/api"
 )
 
 // startDurableService is newService with the durable job tier enabled on
@@ -68,10 +69,7 @@ func TestHealthzRecoveryBlock(t *testing.T) {
 	}
 
 	durable, _, _ := startDurableService(t, t.TempDir(), 1)
-	var health struct {
-		Status   string             `json:"status"`
-		Recovery *jobs.RecoveryInfo `json:"recovery"`
-	}
+	var health api.Health
 	if code := getJSON(t, durable.URL+"/healthz", &health); code != http.StatusOK {
 		t.Fatalf("durable healthz = %d, want 200", code)
 	}

@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"critload/internal/server"
+	"critload/pkg/api"
 )
 
 // TestClassifyFamilySpec classifies a family spec and checks the result
 // against the family's by-construction ground truth.
 func TestClassifyFamilySpec(t *testing.T) {
 	ts, _ := newService(t, server.SimRunner(), 1)
-	var resp server.ClassifyResponse
+	var resp api.ClassifyResult
 	body := map[string]any{
 		"family": map[string]any{
 			"name":  "indirect-chase",
@@ -75,14 +76,11 @@ func TestPTXRejectsBadParamOffset(t *testing.T) {
 	for _, off := range []string{"p+2", "p+4096"} {
 		src := ".kernel k\n.param .u32 p\n    ld.param.u32 %r0, [" + off + "];\n    exit;\n"
 		for _, path := range []string{"/v1/ptx", "/v1/classify"} {
-			var e struct {
-				Error       string                  `json:"error"`
-				Diagnostics []server.DiagnosticJSON `json:"diagnostics"`
-			}
+			var e api.Error
 			if code := postJSON(t, ts.URL+path, map[string]string{"ptx": src}, &e); code != http.StatusUnprocessableEntity {
 				t.Errorf("%s [%s] = %d, want 422", path, off, code)
 			}
-			msg := fmt.Sprint(e.Error, e.Diagnostics)
+			msg := fmt.Sprint(e.Message, e.Diagnostics)
 			if !strings.Contains(msg, "ld.param") {
 				t.Errorf("%s [%s] answer %q does not name the ld.param", path, off, msg)
 			}
@@ -192,7 +190,7 @@ const validPTX = `
 func TestPTXSubmit(t *testing.T) {
 	ts, _ := newService(t, server.SimRunner(), 1)
 
-	var resp server.PTXResponse
+	var resp api.PTXResult
 	if code := postJSON(t, ts.URL+"/v1/ptx", map[string]string{"ptx": validPTX}, &resp); code != http.StatusOK {
 		t.Fatalf("ptx submit = %d, want 200", code)
 	}
@@ -222,10 +220,7 @@ func TestPTXSubmit(t *testing.T) {
 	}
 
 	// Malformed source: 422 with a line-attributed diagnostic.
-	var fail struct {
-		Error       string                  `json:"error"`
-		Diagnostics []server.DiagnosticJSON `json:"diagnostics"`
-	}
+	var fail api.Error
 	bad := ".kernel broken\n    mov.u32 %r0, %r1, %r2;\n    exit;\n"
 	if code := postJSON(t, ts.URL+"/v1/ptx", map[string]string{"ptx": bad}, &fail); code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad ptx = %d, want 422", code)

@@ -15,7 +15,7 @@ import (
 var jobWallBuckets = []float64{.01, .05, .1, .5, 1, 5, 10, 30, 60, 120, 300}
 
 // batchSizeBuckets covers batch classify request sizes, from singletons up
-// to the jobs.MaxBatchItems ceiling.
+// to the api.MaxBatchItems ceiling.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // metricsSet owns the server's registry: the stats structs of the job

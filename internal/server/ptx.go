@@ -10,44 +10,13 @@ import (
 	"strings"
 
 	"critload/internal/ptx"
+	"critload/pkg/api"
 )
 
 // ptxMaxBytes caps a /v1/ptx submission. Tighter than the transport-level
 // maxRequestBytes: the largest hand-written kernels in the corpus are a few
 // kilobytes, so a megabyte of PTX is a runaway generator, not a workload.
 const ptxMaxBytes = 1 << 20
-
-// ptxRequest is the JSON envelope; raw text/* bodies carry the source
-// directly, exactly like /v1/classify.
-type ptxRequest struct {
-	PTX string `json:"ptx"`
-}
-
-// DiagnosticJSON is one validation failure, with a 1-based source line when
-// the parser can attribute one (0 = whole-program diagnostic).
-type DiagnosticJSON struct {
-	Line    int    `json:"line"`
-	Message string `json:"message"`
-}
-
-// PTXKernelJSON is one accepted kernel: static shape plus the load
-// classification the daemon computed for it.
-type PTXKernelJSON struct {
-	Name             string     `json:"name"`
-	Instructions     int        `json:"instructions"`
-	Registers        int        `json:"registers"`
-	SharedBytes      int        `json:"shared_bytes,omitempty"`
-	Deterministic    int        `json:"deterministic"`
-	NonDeterministic int        `json:"non_deterministic"`
-	Loads            []LoadJSON `json:"loads"`
-}
-
-// PTXResponse is the accepted-program body: a content digest (stable handle
-// for caching or later cross-referencing) plus per-kernel results.
-type PTXResponse struct {
-	SHA256  string          `json:"sha256"`
-	Kernels []PTXKernelJSON `json:"kernels"`
-}
 
 // handlePTX implements POST /v1/ptx: validate a raw .ptx program against the
 // PTX-subset grammar and the kernel structural invariants, then classify
@@ -63,7 +32,7 @@ func (s *Server) handlePTX(w http.ResponseWriter, r *http.Request) {
 	}
 	src := string(body)
 	if isJSONBody(r.Header.Get("Content-Type"), body) {
-		var req ptxRequest
+		var req api.PTXRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			s.metrics.observePTX(false)
 			writeError(w, http.StatusBadRequest, "decoding request: %v", err)
@@ -86,20 +55,19 @@ func (s *Server) handlePTX(w http.ResponseWriter, r *http.Request) {
 	prog, err := ptx.Parse(src)
 	if err != nil {
 		s.metrics.observePTX(false)
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-			"error":       "invalid PTX",
-			"diagnostics": diagnostics(err),
+		writeJSON(w, http.StatusUnprocessableEntity, api.Error{
+			Message: "invalid PTX", Diagnostics: diagnostics(err),
 		})
 		return
 	}
 
-	resp := PTXResponse{
+	resp := api.PTXResult{
 		SHA256:  fmt.Sprintf("%x", sha256.Sum256([]byte(src))),
-		Kernels: []PTXKernelJSON{},
+		Kernels: []api.PTXKernel{},
 	}
 	for _, k := range prog.Kernels {
 		kj := classifyKernel(k)
-		resp.Kernels = append(resp.Kernels, PTXKernelJSON{
+		resp.Kernels = append(resp.Kernels, api.PTXKernel{
 			Name:             k.Name,
 			Instructions:     len(k.Insts),
 			Registers:        k.NumRegs,
@@ -116,10 +84,10 @@ func (s *Server) handlePTX(w http.ResponseWriter, r *http.Request) {
 // diagnostics maps a parse/validation error to the response diagnostic list.
 // Parser errors carry a source line; structural validation errors (which the
 // parser raises after assembly) attribute to the whole program.
-func diagnostics(err error) []DiagnosticJSON {
+func diagnostics(err error) []api.Diagnostic {
 	var pe *ptx.ParseError
 	if errors.As(err, &pe) {
-		return []DiagnosticJSON{{Line: pe.Line, Message: pe.Msg}}
+		return []api.Diagnostic{{Line: pe.Line, Message: pe.Msg}}
 	}
-	return []DiagnosticJSON{{Line: 0, Message: err.Error()}}
+	return []api.Diagnostic{{Line: 0, Message: err.Error()}}
 }

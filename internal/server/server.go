@@ -21,6 +21,7 @@ import (
 	"critload/internal/obsv"
 	"critload/internal/ptx"
 	"critload/internal/workloads"
+	"critload/pkg/api"
 )
 
 // maxRequestBytes bounds every request body; PTX sources and job specs are
@@ -136,7 +137,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, status, api.Error{Message: fmt.Sprintf(format, args...)})
 }
 
 // bodyErrorStatus distinguishes an oversized body — MaxBytesReader's error,
@@ -151,41 +152,6 @@ func bodyErrorStatus(err error) int {
 
 // ---------------------------------------------------------------------------
 // POST /v1/classify
-
-// classifyRequest carries a PTX-subset source or a family spec (exactly one
-// of the two). Clients may also send the raw source directly with a text/*
-// content type.
-type classifyRequest struct {
-	PTX    string         `json:"ptx,omitempty"`
-	Family *families.Spec `json:"family,omitempty"`
-}
-
-// RootJSON is one primitive contributor to a load address.
-type RootJSON struct {
-	Kind string `json:"kind"`
-	Name string `json:"name,omitempty"`
-}
-
-// LoadJSON is the classification of one global load instruction.
-type LoadJSON struct {
-	PC    string     `json:"pc"`
-	Inst  string     `json:"inst"`
-	Class string     `json:"class"`
-	Roots []RootJSON `json:"roots"`
-}
-
-// KernelJSON is one kernel's classification result.
-type KernelJSON struct {
-	Name             string     `json:"name"`
-	Deterministic    int        `json:"deterministic"`
-	NonDeterministic int        `json:"non_deterministic"`
-	Loads            []LoadJSON `json:"loads"`
-}
-
-// ClassifyResponse is the full program classification.
-type ClassifyResponse struct {
-	Kernels []KernelJSON `json:"kernels"`
-}
 
 // isJSONBody decides whether a classify body is the JSON envelope or raw
 // PTX. An explicit Content-Type is parsed as a proper media type and
@@ -207,22 +173,22 @@ func isJSONBody(ct string, body []byte) bool {
 }
 
 // classifyKernel runs the classifier over one parsed kernel.
-func classifyKernel(k *ptx.Kernel) KernelJSON {
+func classifyKernel(k *ptx.Kernel) api.Kernel {
 	res := dataflow.Classify(k)
 	det, nondet := res.Counts()
-	kj := KernelJSON{
+	kj := api.Kernel{
 		Name: k.Name, Deterministic: det, NonDeterministic: nondet,
-		Loads: []LoadJSON{},
+		Loads: []api.Load{},
 	}
 	for _, l := range res.Loads {
-		lj := LoadJSON{
+		lj := api.Load{
 			PC:    fmt.Sprintf("0x%03x", l.PC),
 			Inst:  k.Insts[l.InstIndex].String(),
 			Class: l.Class.String(),
-			Roots: []RootJSON{},
+			Roots: []api.Root{},
 		}
 		for _, root := range l.Roots {
-			lj.Roots = append(lj.Roots, RootJSON{Kind: root.Kind.String(), Name: root.Name})
+			lj.Roots = append(lj.Roots, api.Root{Kind: root.Kind.String(), Name: root.Name})
 		}
 		kj.Loads = append(kj.Loads, lj)
 	}
@@ -230,8 +196,8 @@ func classifyKernel(k *ptx.Kernel) KernelJSON {
 }
 
 // classifyProgram classifies every kernel of a parsed program.
-func classifyProgram(prog *ptx.Program) *ClassifyResponse {
-	resp := &ClassifyResponse{Kernels: []KernelJSON{}}
+func classifyProgram(prog *ptx.Program) *api.ClassifyResult {
+	resp := &api.ClassifyResult{Kernels: []api.Kernel{}}
 	for _, k := range prog.Kernels {
 		resp.Kernels = append(resp.Kernels, classifyKernel(k))
 	}
@@ -242,7 +208,7 @@ func classifyProgram(prog *ptx.Program) *ClassifyResponse {
 // reporting failures as the HTTP status the caller should relay: 400 for an
 // empty source, 422 for source the parser rejects. It is the shared core of
 // the single and batch classify handlers.
-func classifySource(src string) (*ClassifyResponse, int, error) {
+func classifySource(src string) (*api.ClassifyResult, int, error) {
 	if strings.TrimSpace(src) == "" {
 		return nil, http.StatusBadRequest, errors.New("empty PTX source")
 	}
@@ -255,7 +221,7 @@ func classifySource(src string) (*ClassifyResponse, int, error) {
 
 // classifyFamily lowers a family spec to its labeled kernel and classifies
 // it. Spec problems (unknown family, out-of-range knob) are client errors.
-func classifyFamily(spec *families.Spec) (*ClassifyResponse, int, error) {
+func classifyFamily(spec *families.Spec) (*api.ClassifyResult, int, error) {
 	c, err := spec.Build()
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -271,7 +237,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	src := string(body)
 	if isJSONBody(r.Header.Get("Content-Type"), body) {
-		var req classifyRequest
+		var req api.ClassifyRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 			return
@@ -281,7 +247,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "ptx and family are mutually exclusive")
 				return
 			}
-			resp, status, err := classifyFamily(req.Family)
+			resp, status, err := classifyFamily((*families.Spec)(req.Family))
 			if err != nil {
 				writeError(w, status, "%v", err)
 				return
@@ -302,60 +268,25 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // POST /v1/classify/batch
 
-// BatchItemJSON is one kernel source in a batch classify request.
-type BatchItemJSON struct {
-	// ID is an optional client-chosen correlation handle; responses preserve
-	// request order, so it may be left empty. Non-empty IDs must be unique
-	// within the batch.
-	ID  string `json:"id,omitempty"`
-	PTX string `json:"ptx"`
-}
-
-// batchClassifyRequest is the batch envelope.
-type batchClassifyRequest struct {
-	Items []BatchItemJSON `json:"items"`
-}
-
-// BatchResultJSON is one item's outcome. Status mirrors what the single
-// endpoint would have answered for the same source (200, 400 or 422), so a
-// bad kernel fails its slot without failing the batch.
-type BatchResultJSON struct {
-	ID     string            `json:"id,omitempty"`
-	Status int               `json:"status"`
-	Error  string            `json:"error,omitempty"`
-	Result *ClassifyResponse `json:"result,omitempty"`
-}
-
-// BatchClassifyResponse is the full batch outcome, items in request order.
-type BatchClassifyResponse struct {
-	Items     []BatchResultJSON `json:"items"`
-	Succeeded int               `json:"succeeded"`
-	Failed    int               `json:"failed"`
-}
-
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchClassifyRequest
+	var req api.BatchRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, bodyErrorStatus(err), "decoding request: %v", err)
 		return
 	}
-	if err := jobs.ValidateBatchSize(len(req.Items)); err != nil {
+	if err := api.ValidateBatchSize(len(req.Items)); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ids := make([]string, len(req.Items))
-	for i, it := range req.Items {
-		ids[i] = it.ID
-	}
-	if err := jobs.ValidateBatchIDs(ids); err != nil {
+	if err := api.ValidateBatchIDs(req.Items); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := BatchClassifyResponse{Items: make([]BatchResultJSON, 0, len(req.Items))}
+	resp := api.BatchResult{Items: make([]api.BatchItemResult, 0, len(req.Items))}
 	for _, it := range req.Items {
-		out := BatchResultJSON{ID: it.ID}
+		out := api.BatchItemResult{ID: it.ID}
 		res, status, err := classifySource(it.PTX)
 		out.Status = status
 		if err != nil {
@@ -374,29 +305,12 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // POST /v1/jobs, GET/DELETE /v1/jobs/{id}
 
-// jobRequest is the submission payload; it mirrors jobs.Spec with a
-// millisecond timeout for JSON ergonomics. Exactly one of Workload and
-// Family selects what to run: a family spec is resolved to its canonical
-// workload name ("family:<name>?<knobs>") server-side, so caching,
-// deduplication, checkpoint prefixes and the durable journal all see family
-// jobs through the same string identity as Table I jobs.
-type jobRequest struct {
-	Workload      string         `json:"workload,omitempty"`
-	Family        *families.Spec `json:"family,omitempty"`
-	Mode          string         `json:"mode"`
-	Size          int            `json:"size"`
-	Seed          int64          `json:"seed"`
-	MaxWarpInsts  uint64         `json:"max_warp_insts"`
-	MaxCycles     int64          `json:"max_cycles"`
-	TimeoutMillis int64          `json:"timeout_ms"`
-	// ReuseCheckpoints opts a timing job into the daemon's checkpoint store
-	// (ignored when critloadd runs without one). Results are byte-identical
-	// either way; only wall time changes.
-	ReuseCheckpoints bool `json:"reuse_checkpoints"`
-}
-
+// handleSubmit decodes an api.JobSpec. A family spec is resolved to its
+// canonical workload name here, so caching, deduplication, checkpoint
+// prefixes and the durable journal see family jobs through the same string
+// identity as Table I jobs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
+	var req api.JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -408,7 +322,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "workload and family are mutually exclusive")
 			return
 		}
-		canonical, err := req.Family.CanonicalName()
+		canonical, err := (*families.Spec)(req.Family).CanonicalName()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
@@ -487,34 +401,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // GET /v1/workloads, /healthz, /metrics
 
-// workloadJSON is one built-in benchmark listing.
-type workloadJSON struct {
-	Name        string `json:"name"`
-	Category    string `json:"category"`
-	Description string `json:"description"`
-	DataSet     string `json:"data_set"`
-}
-
-// familyJSON is one parameterized family listing: knob schemas with ranges
-// and defaults, plus the canonical all-defaults instance name as a template.
-type familyJSON struct {
-	Name        string          `json:"name"`
-	Description string          `json:"description"`
-	Knobs       []families.Knob `json:"knobs"`
-	Example     string          `json:"example"`
-}
-
-// workloadsResponse is the /v1/workloads catalog: the fixed Table I
-// benchmarks plus the parameterized families.
-type workloadsResponse struct {
-	Workloads []workloadJSON `json:"workloads"`
-	Families  []familyJSON   `json:"families"`
-}
-
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	resp := workloadsResponse{Workloads: []workloadJSON{}, Families: []familyJSON{}}
+	resp := api.Catalog{Workloads: []api.Workload{}, Families: []api.Family{}}
 	for _, wl := range workloads.All() {
-		resp.Workloads = append(resp.Workloads, workloadJSON{
+		resp.Workloads = append(resp.Workloads, api.Workload{
 			Name: wl.Name, Category: wl.Category.String(),
 			Description: wl.Description, DataSet: wl.DataSet,
 		})
@@ -526,24 +416,15 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 			// here is a registration bug, not a client error.
 			continue
 		}
-		resp.Families = append(resp.Families, familyJSON{
+		resp.Families = append(resp.Families, api.Family{
 			Name: f.Name, Description: f.Description, Knobs: f.Knobs, Example: example,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// healthJSON is the /healthz body. Recovery is present only on daemons
-// running the durable tier: what the startup journal replay found, so an
-// operator restarting a crashed daemon can see at a glance how many jobs
-// were carried across and whether the journal had a torn tail.
-type healthJSON struct {
-	Status   string             `json:"status"`
-	Recovery *jobs.RecoveryInfo `json:"recovery,omitempty"`
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	body := healthJSON{Status: "ok"}
+	body := api.Health{Status: "ok"}
 	if rec := s.mgr.Recovery(); rec.Enabled {
 		body.Recovery = &rec
 	}

@@ -17,6 +17,7 @@ import (
 	"critload/internal/families"
 	"critload/internal/jobs"
 	"critload/internal/server"
+	"critload/pkg/api"
 )
 
 // newService spins up the HTTP API over a manager with the given runner and
@@ -148,7 +149,7 @@ const classifySrc = `
 
 func TestClassifyJSONBody(t *testing.T) {
 	ts, _ := newService(t, server.SimRunner(), 1)
-	var resp server.ClassifyResponse
+	var resp api.ClassifyResult
 	code := postJSON(t, ts.URL+"/v1/classify", map[string]string{"ptx": classifySrc}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("classify = %d, want 200", code)

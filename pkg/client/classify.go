@@ -4,44 +4,25 @@ import (
 	"context"
 	"net/http"
 
-	"critload/internal/jobs"
+	"critload/pkg/api"
 )
 
-// Root is one primitive contributor to a load address (a kernel parameter,
-// a special register, ...).
-type Root struct {
-	Kind string `json:"kind"`
-	Name string `json:"name,omitempty"`
-}
-
-// Load is the classification of one global load instruction.
-type Load struct {
-	PC    string `json:"pc"`
-	Inst  string `json:"inst"`
-	Class string `json:"class"`
-	Roots []Root `json:"roots"`
-}
-
-// Kernel is one kernel's classification result.
-type Kernel struct {
-	Name             string `json:"name"`
-	Deterministic    int    `json:"deterministic"`
-	NonDeterministic int    `json:"non_deterministic"`
-	Loads            []Load `json:"loads"`
-}
-
-// ClassifyResult is a full program classification.
-type ClassifyResult struct {
-	Kernels []Kernel `json:"kernels"`
-}
+// Classification wire types; see package api for field documentation.
+type (
+	Root            = api.Root
+	Load            = api.Load
+	Kernel          = api.Kernel
+	ClassifyResult  = api.ClassifyResult
+	BatchItem       = api.BatchItem
+	BatchItemResult = api.BatchItemResult
+	BatchResult     = api.BatchResult
+)
 
 // Classify classifies every global load in one PTX-subset source.
 func (c *Client) Classify(ctx context.Context, ptxSource string) (*ClassifyResult, error) {
 	var out ClassifyResult
 	err := c.do(ctx, "classify", http.MethodPost, "/v1/classify", nil,
-		struct {
-			PTX string `json:"ptx"`
-		}{ptxSource}, &out)
+		api.PTXRequest{PTX: ptxSource}, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -54,64 +35,28 @@ func (c *Client) Classify(ctx context.Context, ptxSource string) (*ClassifyResul
 func (c *Client) ClassifyFamily(ctx context.Context, spec FamilySpec) (*ClassifyResult, error) {
 	var out ClassifyResult
 	err := c.do(ctx, "classify_family", http.MethodPost, "/v1/classify", nil,
-		struct {
-			Family FamilySpec `json:"family"`
-		}{spec}, &out)
+		api.ClassifyRequest{Family: &spec}, &out)
 	if err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// BatchItem is one kernel source in a batch classify request. ID is an
-// optional correlation handle; results come back in request order either
-// way. Non-empty IDs must be unique within the batch.
-type BatchItem struct {
-	ID  string `json:"id,omitempty"`
-	PTX string `json:"ptx"`
-}
-
-// BatchItemResult is one item's outcome: Status mirrors what the single
-// classify endpoint would have answered for the same source, so a bad
-// kernel fails its slot without failing the batch.
-type BatchItemResult struct {
-	ID     string          `json:"id,omitempty"`
-	Status int             `json:"status"`
-	Error  string          `json:"error,omitempty"`
-	Result *ClassifyResult `json:"result,omitempty"`
-}
-
-// OK reports whether this item classified successfully.
-func (r BatchItemResult) OK() bool { return r.Status == http.StatusOK }
-
-// BatchResult is a full batch outcome, items in request order.
-type BatchResult struct {
-	Items     []BatchItemResult `json:"items"`
-	Succeeded int               `json:"succeeded"`
-	Failed    int               `json:"failed"`
-}
-
 // ClassifyBatch classifies many sources in one request, amortizing HTTP
 // overhead on the classify hot path. The batch is validated client-side
-// against the same bounds the server enforces (at most jobs.MaxBatchItems
+// against the same bounds the server enforces (at most api.MaxBatchItems
 // items, unique non-empty IDs) so an invalid batch never costs a round
 // trip.
 func (c *Client) ClassifyBatch(ctx context.Context, items []BatchItem) (*BatchResult, error) {
-	if err := jobs.ValidateBatchSize(len(items)); err != nil {
+	if err := api.ValidateBatchSize(len(items)); err != nil {
 		return nil, err
 	}
-	ids := make([]string, len(items))
-	for i, it := range items {
-		ids[i] = it.ID
-	}
-	if err := jobs.ValidateBatchIDs(ids); err != nil {
+	if err := api.ValidateBatchIDs(items); err != nil {
 		return nil, err
 	}
 	var out BatchResult
 	err := c.do(ctx, "classify_batch", http.MethodPost, "/v1/classify/batch", nil,
-		struct {
-			Items []BatchItem `json:"items"`
-		}{items}, &out)
+		api.BatchRequest{Items: items}, &out)
 	if err != nil {
 		return nil, err
 	}

@@ -32,6 +32,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"critload/pkg/api"
 )
 
 // Default tuning. Overridable per field in Config; zero values select these.
@@ -275,16 +277,13 @@ func (c *Client) attempt(ctx context.Context, method string, u *url.URL, payload
 		}
 		return nil
 	}
+	var body api.Error
+	_ = json.Unmarshal(raw, &body) // a non-JSON body leaves it zero
 	apiErr := &APIError{
-		Status:     resp.StatusCode,
-		Message:    errorMessage(raw, resp.StatusCode),
-		RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-	}
-	var diag struct {
-		Diagnostics []Diagnostic `json:"diagnostics"`
-	}
-	if json.Unmarshal(raw, &diag) == nil {
-		apiErr.Diagnostics = diag.Diagnostics
+		Status:      resp.StatusCode,
+		Message:     errorMessage(raw, body.Message, resp.StatusCode),
+		RetryAfter:  parseRetryAfter(resp.Header.Get("Retry-After")),
+		Diagnostics: body.Diagnostics,
 	}
 	c.breaker.record(!apiErr.IsRetryable())
 	return apiErr
@@ -317,14 +316,12 @@ func retryDisposition(err error) (retryable bool, retryAfter time.Duration) {
 	return false, 0
 }
 
-// errorMessage extracts the server's {"error": "..."} payload, falling back
-// to the status text for non-JSON bodies (proxies, panics mid-write).
-func errorMessage(raw []byte, status int) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &e); err == nil && e.Error != "" {
-		return e.Error
+// errorMessage picks the server's api.Error message, falling back to the
+// raw body or the status text for non-JSON bodies (proxies, panics
+// mid-write).
+func errorMessage(raw []byte, decoded string, status int) string {
+	if decoded != "" {
+		return decoded
 	}
 	if msg := strings.TrimSpace(string(raw)); msg != "" && len(msg) <= 200 {
 		return msg

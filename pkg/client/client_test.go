@@ -15,6 +15,7 @@ import (
 
 	"critload/internal/jobs"
 	"critload/internal/server"
+	"critload/pkg/api"
 	"critload/pkg/client"
 )
 
@@ -330,14 +331,14 @@ func TestClassifyBatchClientSideValidation(t *testing.T) {
 	defer ts.Close()
 	c := newClient(t, ts.URL, client.Config{})
 	ctx := context.Background()
-	if _, err := c.ClassifyBatch(ctx, nil); !errors.Is(err, jobs.ErrBatchEmpty) {
+	if _, err := c.ClassifyBatch(ctx, nil); !errors.Is(err, api.ErrBatchEmpty) {
 		t.Errorf("empty batch err = %v, want ErrBatchEmpty", err)
 	}
-	big := make([]client.BatchItem, jobs.MaxBatchItems+1)
+	big := make([]client.BatchItem, api.MaxBatchItems+1)
 	for i := range big {
 		big[i].PTX = kernelSrc
 	}
-	if _, err := c.ClassifyBatch(ctx, big); !errors.Is(err, jobs.ErrBatchTooLarge) {
+	if _, err := c.ClassifyBatch(ctx, big); !errors.Is(err, api.ErrBatchTooLarge) {
 		t.Errorf("oversized batch err = %v, want ErrBatchTooLarge", err)
 	}
 	if _, err := c.ClassifyBatch(ctx, []client.BatchItem{

@@ -8,26 +8,23 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"critload/pkg/api"
 )
 
-// JobSpec describes one simulation job; it mirrors the POST /v1/jobs
-// request body. Exactly one of Workload and Family selects what to run: a
-// Table I benchmark by name, or a parameterized family instance that the
-// daemon resolves to its canonical "family:<name>?<knobs>" workload name.
-type JobSpec struct {
-	Workload     string      `json:"workload,omitempty"`
-	Family       *FamilySpec `json:"family,omitempty"`
-	Mode         string      `json:"mode"` // "functional" or "timing"
-	Size         int         `json:"size,omitempty"`
-	Seed         int64       `json:"seed,omitempty"`
-	MaxWarpInsts uint64      `json:"max_warp_insts,omitempty"`
-	MaxCycles    int64       `json:"max_cycles,omitempty"`
-	// TimeoutMillis bounds the job's wall time server-side (0 = none).
-	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// ReuseCheckpoints opts a timing job into the daemon's checkpoint store
-	// when one is configured; results are byte-identical either way.
-	ReuseCheckpoints bool `json:"reuse_checkpoints,omitempty"`
-}
+// Job, catalog and health wire types; see package api for field
+// documentation. Job itself is declared below: its Result stays raw JSON.
+type (
+	JobSpec      = api.JobSpec
+	Progress     = api.Progress
+	Workload     = api.Workload
+	FamilySpec   = api.FamilySpec
+	Knob         = api.Knob
+	Family       = api.Family
+	Catalog      = api.Catalog
+	Recovery     = api.Recovery
+	HealthStatus = api.Health
+)
 
 // Job states, mirroring the server's lifecycle.
 const (
@@ -38,18 +35,10 @@ const (
 	StateCancelled = "cancelled"
 )
 
-// Progress is a running job's heartbeat, updated by the simulation runner
-// at kernel-launch boundaries.
-type Progress struct {
-	Cycles       int64     `json:"cycles"`
-	WarpInsts    uint64    `json:"warp_insts"`
-	CyclesPerSec float64   `json:"cycles_per_sec,omitempty"`
-	Updated      time.Time `json:"updated"`
-}
-
 // Job is one job snapshot. Result is left raw: its shape depends on the
-// job's mode — decode it into your own struct, or use the counters
-// convenience below.
+// job's mode; decode it into your own struct. The daemon serializes its own jobs.JobInfo with a
+// typed State and an in-memory Result; TestJobInfoMatchesClientJob keeps
+// the two declarations in step.
 type Job struct {
 	ID           string    `json:"id"`
 	Key          string    `json:"key"`
@@ -160,49 +149,6 @@ func (c *Client) RunJob(ctx context.Context, spec JobSpec) (*Job, error) {
 	return c.WaitJob(ctx, job.ID, 0)
 }
 
-// Workload is one built-in benchmark listing.
-type Workload struct {
-	Name        string `json:"name"`
-	Category    string `json:"category"`
-	Description string `json:"description"`
-	DataSet     string `json:"data_set"`
-}
-
-// FamilySpec selects one parameterized family instance for classify or job
-// requests: a family name plus knob overrides; omitted knobs take their
-// schema defaults (see Catalog.Families for schemas and ranges).
-type FamilySpec struct {
-	Name  string         `json:"name"`
-	Knobs map[string]int `json:"knobs,omitempty"`
-}
-
-// Knob is one typed family parameter: integer-valued, bounded, optionally
-// constrained to powers of two.
-type Knob struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Min         int    `json:"min"`
-	Max         int    `json:"max"`
-	Default     int    `json:"default"`
-	Pow2        bool   `json:"pow2,omitempty"`
-}
-
-// Family is one parameterized workload family listing: its knob schema and
-// the canonical all-defaults instance name as a template.
-type Family struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Knobs       []Knob `json:"knobs"`
-	Example     string `json:"example"`
-}
-
-// Catalog is the daemon's workload catalog: the fixed Table I benchmarks
-// plus the parameterized families.
-type Catalog struct {
-	Workloads []Workload `json:"workloads"`
-	Families  []Family   `json:"families"`
-}
-
 // Workloads fetches the daemon's workload catalog — Table I benchmarks and
 // parameterized families with their knob schemas.
 func (c *Client) Workloads(ctx context.Context) (*Catalog, error) {
@@ -216,28 +162,6 @@ func (c *Client) Workloads(ctx context.Context) (*Catalog, error) {
 // Health checks daemon liveness.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, "health", http.MethodGet, "/healthz", nil, nil, nil)
-}
-
-// Recovery summarises the daemon's journal replay, mirroring the recovery
-// block of GET /healthz. Counts are jobs except Records (journal records)
-// and TruncatedBytes (torn tail dropped during replay).
-type Recovery struct {
-	Enabled            bool   `json:"enabled"`
-	Records            uint64 `json:"records_replayed"`
-	TruncatedBytes     int64  `json:"truncated_bytes"`
-	DroppedSegments    int    `json:"dropped_segments"`
-	Jobs               int    `json:"jobs"`
-	Requeued           int    `json:"requeued"`
-	CompletedFromStore int    `json:"completed_from_store"`
-	ResultsMissing     int    `json:"results_missing"`
-	Unrecoverable      int    `json:"unrecoverable"`
-}
-
-// HealthStatus is the full GET /healthz document. Recovery is nil on
-// daemons running without a durable data dir.
-type HealthStatus struct {
-	Status   string    `json:"status"`
-	Recovery *Recovery `json:"recovery,omitempty"`
 }
 
 // HealthStatus fetches daemon health including the journal recovery

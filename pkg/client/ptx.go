@@ -3,33 +3,16 @@ package client
 import (
 	"context"
 	"net/http"
+
+	"critload/pkg/api"
 )
 
-// Diagnostic is one PTX validation failure, with a 1-based source line when
-// the parser can attribute one (0 = whole-program diagnostic).
-type Diagnostic struct {
-	Line    int    `json:"line"`
-	Message string `json:"message"`
-}
-
-// PTXKernel is one accepted kernel from a /v1/ptx submission: static shape
-// plus the daemon's load classification.
-type PTXKernel struct {
-	Name             string `json:"name"`
-	Instructions     int    `json:"instructions"`
-	Registers        int    `json:"registers"`
-	SharedBytes      int    `json:"shared_bytes,omitempty"`
-	Deterministic    int    `json:"deterministic"`
-	NonDeterministic int    `json:"non_deterministic"`
-	Loads            []Load `json:"loads"`
-}
-
-// PTXResult is an accepted raw-PTX submission: a content digest plus
-// per-kernel validation and classification results.
-type PTXResult struct {
-	SHA256  string      `json:"sha256"`
-	Kernels []PTXKernel `json:"kernels"`
-}
+// Raw-PTX wire types; see package api for field documentation.
+type (
+	Diagnostic = api.Diagnostic
+	PTXKernel  = api.PTXKernel
+	PTXResult  = api.PTXResult
+)
 
 // SubmitPTX validates a raw .ptx program against the daemon's PTX-subset
 // grammar and classifies every global load. A malformed program surfaces as
@@ -37,9 +20,7 @@ type PTXResult struct {
 func (c *Client) SubmitPTX(ctx context.Context, ptxSource string) (*PTXResult, error) {
 	var out PTXResult
 	err := c.do(ctx, "ptx_submit", http.MethodPost, "/v1/ptx", nil,
-		struct {
-			PTX string `json:"ptx"`
-		}{ptxSource}, &out)
+		api.PTXRequest{PTX: ptxSource}, &out)
 	if err != nil {
 		return nil, err
 	}

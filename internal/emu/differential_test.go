@@ -79,7 +79,7 @@ func (s *scalarThread) value(o isa.Operand) uint32 {
 	case isa.OpdImm:
 		return uint32(o.Imm)
 	case isa.OpdFImm:
-		return math.Float32bits(float32(o.FImm))
+		return math.Float32bits(float32(o.Float()))
 	case isa.OpdSReg:
 		return s.sreg(o.SReg)
 	case isa.OpdPred:

@@ -158,19 +158,23 @@ type stackEntry struct {
 
 // Warp holds the architectural state of one warp.
 type Warp struct {
-	CTA       *CTA
-	Index     int // warp index within the CTA
-	AtBarrier bool
+	CTA *CTA
 
-	kernel *ptx.Kernel
-	regs   []uint32 // numRegs × WarpSize, laid out reg-major
-	preds  []uint32 // one lane-bitmask per predicate register
-	stack  []stackEntry
+	kernel  *ptx.Kernel
+	decoded []isa.Decoded // the kernel's execution table
+	regs    []uint32      // numRegs × WarpSize, laid out reg-major
+	preds   []uint32      // one lane-bitmask per predicate register
+	stack   []stackEntry
 	// tid[d][l] is %tid.x, .y, .z (d = 0, 1, 2) of lane l, zero for lanes
 	// beyond the block size (a block has at most 1536 threads, so every
 	// coordinate fits); laneMask has a bit per lane with a thread.
 	tid      [3][WarpSize]uint16
 	laneMask uint32
+	// Index is the warp's index within the CTA (at most 48). It and
+	// AtBarrier pack beside laneMask, keeping a warp in the 320-byte
+	// allocation size class.
+	Index     uint16
+	AtBarrier bool
 	// InstructionsExecuted counts warp-level instructions retired.
 	InstructionsExecuted uint64
 }
@@ -178,11 +182,12 @@ type Warp struct {
 func newWarp(l *Launch, c *CTA, index int) *Warp {
 	k := l.Kernel
 	w := &Warp{
-		CTA:    c,
-		Index:  index,
-		kernel: k,
-		regs:   make([]uint32, k.NumRegs*WarpSize),
-		preds:  make([]uint32, k.NumPreds),
+		CTA:     c,
+		Index:   uint16(index),
+		kernel:  k,
+		decoded: k.Decoded(),
+		regs:    make([]uint32, k.NumRegs*WarpSize),
+		preds:   make([]uint32, k.NumPreds),
 	}
 	b := l.Block
 	for lane := 0; lane < WarpSize; lane++ {

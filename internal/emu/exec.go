@@ -38,7 +38,7 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 	top := &w.stack[len(w.stack)-1]
 	pc := top.pc
 	in := w.kernel.Insts[pc]
-	d := &w.kernel.Decoded()[pc]
+	d := &w.decoded[pc]
 	active := top.mask
 
 	exec := active
@@ -209,7 +209,7 @@ func (w *Warp) sreg(l *Launch, sr isa.SpecialReg, buf *lanes) *lanes {
 	case isa.SrNCtaIdZ:
 		v = l.Grid.Z
 	case isa.SrWarpId:
-		v = w.Index
+		v = int(w.Index)
 	}
 	broadcast(buf, uint32(v))
 	return buf

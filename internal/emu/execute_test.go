@@ -2,6 +2,7 @@ package emu
 
 import (
 	"testing"
+	"unsafe"
 
 	"critload/internal/mem"
 	"critload/internal/ptx"
@@ -106,5 +107,17 @@ func TestExecuteDoesNotAllocate(t *testing.T) {
 				t.Errorf("%s under mask %#x: %v allocations per execution, want 0", in, mask, allocs)
 			}
 		}
+	}
+}
+
+// TestWarpSizeClass pins a warp at 320 bytes on 64-bit hosts, the size
+// class it fits since it holds the decoded table itself: every CTA launch
+// allocates one per warp.
+func TestWarpSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Warp{}); got > 320 {
+		t.Errorf("Warp is %d bytes, want at most 320", got)
 	}
 }

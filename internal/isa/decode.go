@@ -156,7 +156,7 @@ func valueSource(o Operand) Source {
 	case OpdImm:
 		return Source{Kind: SrcImm, Val: uint32(o.Imm)}
 	case OpdFImm:
-		return Source{Kind: SrcImm, Val: math.Float32bits(float32(o.FImm))}
+		return Source{Kind: SrcImm, Val: math.Float32bits(float32(o.Float()))}
 	case OpdSReg:
 		return Source{Kind: SrcSReg, Val: uint32(o.SReg)}
 	}

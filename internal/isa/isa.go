@@ -8,7 +8,8 @@ package isa
 
 import (
 	"fmt"
-	"strings"
+	"math"
+	"strconv"
 )
 
 // Opcode enumerates the operations of the PTX subset.
@@ -281,10 +282,9 @@ const (
 // Operand is a single instruction operand.
 type Operand struct {
 	Kind  OperandKind
-	Reg   int        // register index for OpdReg/OpdPred, base register for OpdMem (-1 = none)
-	Imm   int64      // immediate value, or byte offset for OpdMem/OpdParam
-	FImm  float64    // floating immediate for OpdFImm
 	SReg  SpecialReg // for OpdSReg
+	Reg   int        // register index for OpdReg/OpdPred, base register for OpdMem (-1 = none)
+	Imm   int64      // immediate value, byte offset for OpdMem/OpdParam, float64 bits for OpdFImm
 	Param string     // parameter name for OpdParam
 }
 
@@ -298,7 +298,10 @@ func PredReg(i int) Operand { return Operand{Kind: OpdPred, Reg: i} }
 func Imm(v int64) Operand { return Operand{Kind: OpdImm, Imm: v} }
 
 // FImm returns a floating-point immediate operand.
-func FImm(v float64) Operand { return Operand{Kind: OpdFImm, FImm: v} }
+func FImm(v float64) Operand { return Operand{Kind: OpdFImm, Imm: int64(math.Float64bits(v))} }
+
+// Float returns the value of a floating-point immediate operand.
+func (o Operand) Float() float64 { return math.Float64frombits(uint64(o.Imm)) }
 
 // SReg returns a special-register operand.
 func SReg(r SpecialReg) Operand { return Operand{Kind: OpdSReg, SReg: r} }
@@ -314,34 +317,52 @@ func Param(name string, off int64) Operand {
 }
 
 func (o Operand) String() string {
+	var buf [48]byte
+	return string(o.appendTo(buf[:0]))
+}
+
+// appendTo appends the operand's assembly text to dst.
+func (o Operand) appendTo(dst []byte) []byte {
 	switch o.Kind {
 	case OpdNone:
-		return "_"
+		return append(dst, '_')
 	case OpdReg:
-		return fmt.Sprintf("%%r%d", o.Reg)
+		return strconv.AppendInt(append(dst, "%r"...), int64(o.Reg), 10)
 	case OpdPred:
-		return fmt.Sprintf("%%p%d", o.Reg)
+		return strconv.AppendInt(append(dst, "%p"...), int64(o.Reg), 10)
 	case OpdImm:
-		return fmt.Sprintf("%d", o.Imm)
+		return strconv.AppendInt(dst, o.Imm, 10)
 	case OpdFImm:
-		return fmt.Sprintf("%g", o.FImm)
+		// %g prints negative zero as "-0", which would re-parse as the
+		// integer 0 and lose the sign.
+		if f := o.Float(); f == 0 && math.Signbit(f) {
+			return append(dst, "-0.0"...)
+		}
+		return fmt.Appendf(dst, "%g", o.Float())
 	case OpdSReg:
-		return o.SReg.String()
+		return append(dst, o.SReg.String()...)
 	case OpdMem:
+		dst = append(dst, '[')
 		if o.Reg < 0 {
-			return fmt.Sprintf("[%d]", o.Imm)
+			return append(strconv.AppendInt(dst, o.Imm, 10), ']')
 		}
-		if o.Imm != 0 {
-			return fmt.Sprintf("[%%r%d+%d]", o.Reg, o.Imm)
-		}
-		return fmt.Sprintf("[%%r%d]", o.Reg)
+		dst = strconv.AppendInt(append(dst, "%r"...), int64(o.Reg), 10)
+		return append(appendOffset(dst, o.Imm), ']')
 	case OpdParam:
-		if o.Imm != 0 {
-			return fmt.Sprintf("[%s+%d]", o.Param, o.Imm)
-		}
-		return fmt.Sprintf("[%s]", o.Param)
+		return append(appendOffset(append(append(dst, '['), o.Param...), o.Imm), ']')
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+// appendOffset appends a nonzero byte offset with its sign ("+8", "-4").
+func appendOffset(dst []byte, off int64) []byte {
+	if off > 0 {
+		dst = append(dst, '+')
+	}
+	if off != 0 {
+		dst = strconv.AppendInt(dst, off, 10)
+	}
+	return dst
 }
 
 // PredGuard is the optional @%p / @!%p guard on an instruction.
@@ -357,13 +378,20 @@ var NoGuard = PredGuard{Reg: -1}
 func (g PredGuard) Active() bool { return g.Reg >= 0 }
 
 func (g PredGuard) String() string {
+	return string(g.appendTo(nil))
+}
+
+// appendTo appends the guard's assembly prefix ("@%p1 ", "@!%p1 ") to dst,
+// or nothing when the guard is absent.
+func (g PredGuard) appendTo(dst []byte) []byte {
 	if !g.Active() {
-		return ""
+		return dst
 	}
+	dst = append(dst, '@')
 	if g.Negate {
-		return fmt.Sprintf("@!%%p%d ", g.Reg)
+		dst = append(dst, '!')
 	}
-	return fmt.Sprintf("@%%p%d ", g.Reg)
+	return append(strconv.AppendInt(append(dst, "%p"...), int64(g.Reg), 10), ' ')
 }
 
 // InstBytes is the architectural size of one instruction; PCs advance by
@@ -382,7 +410,6 @@ type Instruction struct {
 	Atom    AtomOp   // atom operation
 	Guard   PredGuard
 	Dst     Operand
-	Dst2    Operand // second destination (atom with return not used; reserved)
 	Srcs    [3]Operand
 	NSrc    int
 	Label   string // unresolved branch target
@@ -513,61 +540,49 @@ func (in *Instruction) AddrReg() (int, bool) {
 
 // String disassembles the instruction.
 func (in *Instruction) String() string {
-	var b strings.Builder
-	b.WriteString(in.Guard.String())
-	b.WriteString(in.Op.String())
+	var buf [96]byte
+	return string(in.appendTo(buf[:0]))
+}
+
+// appendTo appends the instruction's assembly text to dst.
+func (in *Instruction) appendTo(b []byte) []byte {
+	b = in.Guard.appendTo(b)
+	b = append(b, in.Op.String()...)
+	dotted := func(s string) { b = append(append(b, '.'), s...) }
 	switch in.Op {
 	case OpLd, OpSt, OpAtom:
-		b.WriteString(".")
-		b.WriteString(in.Space.String())
+		dotted(in.Space.String())
 		if in.Op == OpAtom {
-			b.WriteString(".")
-			b.WriteString(in.Atom.String())
+			dotted(in.Atom.String())
 		}
-		b.WriteString(".")
-		b.WriteString(in.Type.String())
+		dotted(in.Type.String())
 	case OpSetp:
-		b.WriteString(".")
-		b.WriteString(in.Cmp.String())
-		b.WriteString(".")
-		b.WriteString(in.Type.String())
+		dotted(in.Cmp.String())
+		dotted(in.Type.String())
 	case OpCvt:
-		b.WriteString(".")
-		b.WriteString(in.Type.String())
-		b.WriteString(".")
-		b.WriteString(in.SrcType.String())
+		dotted(in.Type.String())
+		dotted(in.SrcType.String())
 	case OpBra, OpBar, OpExit, OpRet, OpNop:
 		// no type suffix
 	default:
-		b.WriteString(".")
-		b.WriteString(in.Type.String())
+		dotted(in.Type.String())
 	}
-	first := true
+	sep := " "
 	writeOpd := func(o Operand) {
 		if o.Kind == OpdNone {
 			return
 		}
-		if first {
-			b.WriteString(" ")
-			first = false
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(o.String())
+		b = o.appendTo(append(b, sep...))
+		sep = ", "
 	}
 	writeOpd(in.Dst)
 	for i := 0; i < in.NSrc; i++ {
 		writeOpd(in.Srcs[i])
 	}
 	if in.Op == OpBra {
-		if first {
-			b.WriteString(" ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(in.Label)
+		b = append(append(b, sep...), in.Label...)
 	}
-	return b.String()
+	return b
 }
 
 // FuncUnit identifies the execution unit an instruction dispatches to.

@@ -1,8 +1,10 @@
 package isa
 
 import (
+	"math"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 func TestOpcodeProperties(t *testing.T) {
@@ -155,16 +157,37 @@ func TestOperandString(t *testing.T) {
 		{PredReg(1), "%p1"},
 		{Imm(-4), "-4"},
 		{FImm(0.5), "0.5"},
+		{FImm(math.Copysign(0, -1)), "-0.0"},
 		{SReg(SrTidX), "%tid.x"},
 		{Mem(3, 8), "[%r3+8]"},
 		{Mem(3, 0), "[%r3]"},
+		{Mem(3, -4), "[%r3-4]"},
 		{Mem(-1, 4096), "[4096]"},
 		{Param("foo", 4), "[foo+4]"},
+		{Param("foo", -8), "[foo-8]"},
 	}
 	for _, c := range cases {
 		if got := c.o.String(); got != c.want {
 			t.Errorf("operand %+v = %q, want %q", c.o, got, c.want)
 		}
+	}
+	if f := FImm(-1.25).Float(); f != -1.25 {
+		t.Errorf("FImm(-1.25).Float() = %v", f)
+	}
+}
+
+// TestInstructionSize pins the static instruction's footprint on 64-bit
+// hosts: a parse carves one per statement, so every byte is paid per
+// instruction of every kernel the daemon accepts.
+func TestInstructionSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Operand{}); got != 40 {
+		t.Errorf("Operand is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(Instruction{}); got != 232 {
+		t.Errorf("Instruction is %d bytes, want 232", got)
 	}
 }
 

@@ -57,46 +57,78 @@ func BuildCFG(k *Kernel) *CFG {
 		}
 	}
 
-	g := &CFG{Kernel: k, blockOf: make([]int, n+1)}
+	// Every block's record, edge lists and the index live in a few shared
+	// arrays rather than one allocation per block.
+	nb := 1 // the virtual exit
+	for i := 1; i <= n; i++ {
+		if i == n || leader[i] {
+			nb++
+		}
+	}
+	blocks := make([]BasicBlock, 0, nb)
 	start := 0
 	for i := 1; i <= n; i++ {
 		if i == n || leader[i] {
-			b := &BasicBlock{ID: len(g.Blocks), Start: start, End: i}
-			g.Blocks = append(g.Blocks, b)
+			blocks = append(blocks, BasicBlock{ID: len(blocks), Start: start, End: i})
 			start = i
 		}
 	}
 	// Virtual exit block.
-	exit := &BasicBlock{ID: len(g.Blocks), Start: n, End: n}
-	g.Blocks = append(g.Blocks, exit)
-	g.ExitID = exit.ID
-
-	for _, b := range g.Blocks {
-		for i := b.Start; i < b.End; i++ {
-			g.blockOf[i] = b.ID
+	blocks = append(blocks, BasicBlock{ID: len(blocks), Start: n, End: n})
+	g := &CFG{Kernel: k, Blocks: make([]*BasicBlock, nb), ExitID: nb - 1, blockOf: make([]int, n+1)}
+	for i := range blocks {
+		b := &blocks[i]
+		g.Blocks[i] = b
+		for j := b.Start; j < b.End; j++ {
+			g.blockOf[j] = b.ID
 		}
 	}
 	g.blockOf[n] = g.ExitID
 
-	addEdge := func(from, to int) {
-		g.Blocks[from].Succ = append(g.Blocks[from].Succ, to)
-		g.Blocks[to].Pred = append(g.Blocks[to].Pred, from)
-	}
+	// Successors first (at most two per block), then the predecessor lists
+	// carved to size, each in the order its edges were added.
+	succ := make([]int, 0, 2*nb)
 	for _, b := range g.Blocks {
 		if b.ID == g.ExitID {
 			continue
 		}
+		from := len(succ)
 		last := k.Insts[b.End-1]
 		switch last.Op {
 		case isa.OpBra:
-			addEdge(b.ID, g.blockOf[last.Targ])
+			succ = append(succ, g.blockOf[last.Targ])
 			if last.Guard.Active() { // conditional branch falls through too
-				addEdge(b.ID, g.blockOf[b.End])
+				succ = append(succ, g.blockOf[b.End])
 			}
 		case isa.OpExit, isa.OpRet:
-			addEdge(b.ID, g.ExitID)
+			succ = append(succ, g.ExitID)
 		default:
-			addEdge(b.ID, g.blockOf[b.End])
+			succ = append(succ, g.blockOf[b.End])
+		}
+		b.Succ = succ[from:len(succ):len(succ)]
+	}
+	next := make([]int, nb+1)
+	for _, to := range succ {
+		next[to+1]++
+	}
+	for i := 0; i < nb; i++ {
+		next[i+1] += next[i]
+	}
+	pred := make([]int, len(succ))
+	for _, b := range g.Blocks {
+		for _, to := range b.Succ {
+			pred[next[to]] = b.ID
+			next[to]++
+		}
+	}
+	// next[x] has advanced to the end of x's list, the start of x+1's.
+	for _, b := range g.Blocks {
+		from := 0
+		if b.ID > 0 {
+			from = next[b.ID-1]
+		}
+		if to := next[b.ID]; from < to {
+			b.Pred = pred[from:to:to]
 		}
 	}
 	g.computePostdominators()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"critload/internal/isa"
 )
@@ -47,8 +48,30 @@ func MustParse(src string) *Program {
 type parser struct {
 	kernels []*Kernel
 	cur     *Kernel
-	pending []string // labels waiting for the next instruction
+	insts   []*isa.Instruction // the current kernel's instructions so far
+	pending []string           // labels waiting for the next instruction
 	line    int
+	// Instructions are carved from slab, allocated in chunks sized by the
+	// statements still expected (left), so a parse allocates a handful of
+	// blocks instead of one object per instruction.
+	slab []isa.Instruction
+	left int
+	opds [4]isa.Operand // the current statement's operands
+}
+
+// maxSlab bounds one slab chunk, so a misestimate wastes little.
+const maxSlab = 1024
+
+// newInst carves a fresh instruction from the slab.
+func (p *parser) newInst() *isa.Instruction {
+	if len(p.slab) == 0 {
+		p.slab = make([]isa.Instruction, min(max(p.left, 32), maxSlab))
+	}
+	in := &p.slab[0]
+	p.slab = p.slab[1:]
+	p.left--
+	*in = isa.Instruction{Guard: isa.NoGuard, Targ: -1}
+	return in
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -56,13 +79,19 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) run(src string) error {
-	for i, raw := range strings.Split(src, "\n") {
-		p.line = i + 1
-		line := stripComment(raw)
+	// Every instruction Disassemble prints ends in ';', so the count sizes
+	// the slab exactly for generated text.
+	p.left = strings.Count(src, ";")
+	for line, more := 1, true; more; line++ {
+		var raw string
+		raw, src, more = strings.Cut(src, "\n")
+		p.line = line
 		// A line may hold several ';'-separated statements.
-		for _, stmt := range strings.Split(line, ";") {
-			stmt = strings.TrimSpace(stmt)
-			if stmt == "" {
+		stmts, next := stripComment(raw), true
+		for next {
+			var stmt string
+			stmt, stmts, next = strings.Cut(stmts, ";")
+			if stmt = strings.TrimSpace(stmt); stmt == "" {
 				continue
 			}
 			if err := p.statement(stmt); err != nil {
@@ -116,25 +145,26 @@ func (p *parser) statement(stmt string) error {
 	if err != nil {
 		return err
 	}
-	idx := len(p.cur.Insts)
+	idx := len(p.insts)
 	in.Index = idx
 	in.PC = uint32(idx * isa.InstBytes)
 	for _, l := range p.pending {
 		p.cur.Labels[l] = idx
 	}
 	p.pending = p.pending[:0]
-	p.cur.Insts = append(p.cur.Insts, in)
+	p.insts = append(p.insts, in)
 	return nil
 }
 
 func (p *parser) directive(stmt string) error {
-	fields := strings.Fields(stmt)
+	var fields [3]string
+	nf := splitFields(stmt, fields[:])
 	switch fields[0] {
 	case ".kernel", ".entry":
 		if err := p.finishKernel(); err != nil {
 			return err
 		}
-		if len(fields) != 2 || !isIdent(fields[1]) {
+		if nf != 2 || !isIdent(fields[1]) {
 			return p.errf("usage: .kernel <name>")
 		}
 		p.cur = &Kernel{Name: fields[1], Labels: map[string]int{}}
@@ -144,7 +174,7 @@ func (p *parser) directive(stmt string) error {
 			return p.errf(".param outside kernel")
 		}
 		// ".param .u32 name" or ".param u32 name"
-		if len(fields) != 3 {
+		if nf != 3 {
 			return p.errf("usage: .param .<type> <name>")
 		}
 		t, ok := parseDType(strings.TrimPrefix(fields[1], "."))
@@ -166,7 +196,7 @@ func (p *parser) directive(stmt string) error {
 		if p.cur == nil {
 			return p.errf(".shared outside kernel")
 		}
-		if len(fields) != 2 {
+		if nf != 2 {
 			return p.errf("usage: .shared <bytes>")
 		}
 		n, err := strconv.Atoi(fields[1])
@@ -189,6 +219,8 @@ func (p *parser) finishKernel() error {
 	}
 	k := p.cur
 	p.cur = nil
+	k.Insts = append([]*isa.Instruction(nil), p.insts...)
+	p.insts = p.insts[:0]
 	if err := k.finish(); err != nil {
 		return p.errf("%v", err)
 	}
@@ -198,7 +230,7 @@ func (p *parser) finishKernel() error {
 
 // instruction parses one instruction statement (guard, mnemonic, operands).
 func (p *parser) instruction(stmt string) (*isa.Instruction, error) {
-	in := &isa.Instruction{Guard: isa.NoGuard, Targ: -1}
+	in := p.newInst()
 
 	// Optional guard "@%p1" or "@!%p1".
 	if strings.HasPrefix(stmt, "@") {
@@ -246,19 +278,39 @@ func (p *parser) instruction(stmt string) (*isa.Instruction, error) {
 		return in, nil
 	}
 
-	opds, err := p.operands(rest)
+	n, err := p.operands(rest)
 	if err != nil {
 		return nil, err
 	}
-	return in, p.assignOperands(in, opds)
+	return in, p.assignOperands(in, p.opds[:min(n, len(p.opds))], n)
+}
+
+// modifiers walks the dot-separated modifiers of a mnemonic in place.
+type modifiers struct {
+	rest string
+	n    int // modifiers left
+}
+
+func (m *modifiers) peek() string {
+	s, _, _ := strings.Cut(m.rest, ".")
+	return s
+}
+
+func (m *modifiers) pop() string {
+	s, rest, _ := strings.Cut(m.rest, ".")
+	m.rest = rest
+	m.n--
+	return s
 }
 
 // decodeMnemonic splits "ld.global.u32" style mnemonics into opcode, state
 // space, comparison, atomic op and data type.
 func (p *parser) decodeMnemonic(in *isa.Instruction, m string) error {
-	parts := strings.Split(m, ".")
-	head := parts[0]
-	mods := parts[1:]
+	head, rest, dotted := strings.Cut(m, ".")
+	mods := modifiers{rest: rest}
+	if dotted {
+		mods.n = strings.Count(rest, ".") + 1
+	}
 
 	// Multi-token opcodes first.
 	switch m {
@@ -275,64 +327,65 @@ func (p *parser) decodeMnemonic(in *isa.Instruction, m string) error {
 
 	switch op {
 	case isa.OpLd, isa.OpSt, isa.OpAtom:
-		if len(mods) < 2 {
+		if mods.n < 2 {
 			return p.errf("%s needs .<space>.<type>", head)
 		}
-		space, ok := spaceByName(mods[0])
+		name := mods.pop()
+		space, ok := spaceByName(name)
 		if !ok {
-			return p.errf("unknown state space %q in %q", mods[0], m)
+			return p.errf("unknown state space %q in %q", name, m)
 		}
 		in.Space = space
-		mods = mods[1:]
 		if op == isa.OpAtom {
-			a, ok := atomByName(mods[0])
+			name := mods.pop()
+			a, ok := atomByName(name)
 			if !ok {
-				return p.errf("unknown atomic op %q in %q", mods[0], m)
+				return p.errf("unknown atomic op %q in %q", name, m)
 			}
 			in.Atom = a
-			mods = mods[1:]
 		}
 	case isa.OpSetp:
-		if len(mods) < 2 {
+		if mods.n < 2 {
 			return p.errf("setp needs .<cmp>.<type>")
 		}
-		c, ok := cmpByName(mods[0])
+		name := mods.pop()
+		c, ok := cmpByName(name)
 		if !ok {
-			return p.errf("unknown comparison %q", mods[0])
+			return p.errf("unknown comparison %q", name)
 		}
 		in.Cmp = c
-		mods = mods[1:]
 	case isa.OpMul, isa.OpMad:
 		// Accept and fold the PTX ".lo"/".hi" width modifiers.
-		if len(mods) > 0 && mods[0] == "lo" {
-			mods = mods[1:]
-		} else if len(mods) > 0 && mods[0] == "hi" {
+		if mods.n > 0 && mods.peek() == "lo" {
+			mods.pop()
+		} else if mods.n > 0 && mods.peek() == "hi" {
 			in.Op = isa.OpMulHi
-			mods = mods[1:]
+			mods.pop()
 		}
 	case isa.OpDiv, isa.OpSqrt, isa.OpRcp, isa.OpRsqrt, isa.OpSin, isa.OpCos, isa.OpEx2, isa.OpLg2:
 		// Accept ".approx"/".rn"/".full" rounding modifiers.
-		if len(mods) > 0 && (mods[0] == "approx" || mods[0] == "rn" || mods[0] == "full") {
-			mods = mods[1:]
+		if r := mods.peek(); mods.n > 0 && (r == "approx" || r == "rn" || r == "full") {
+			mods.pop()
 		}
 	}
 
 	// Remaining modifiers must be types. cvt takes dst then src type.
-	switch len(mods) {
+	switch mods.n {
 	case 0:
 		// keep default
 	case 1:
-		t, ok := parseDType(mods[0])
+		name := mods.pop()
+		t, ok := parseDType(name)
 		if !ok {
-			return p.errf("unknown type %q in %q", mods[0], m)
+			return p.errf("unknown type %q in %q", name, m)
 		}
 		in.Type = t
 	case 2:
 		if in.Op != isa.OpCvt {
 			return p.errf("too many type modifiers in %q", m)
 		}
-		dt, ok1 := parseDType(mods[0])
-		st, ok2 := parseDType(mods[1])
+		dt, ok1 := parseDType(mods.pop())
+		st, ok2 := parseDType(mods.pop())
 		if !ok1 || !ok2 {
 			return p.errf("bad cvt types in %q", m)
 		}
@@ -344,48 +397,48 @@ func (p *parser) decodeMnemonic(in *isa.Instruction, m string) error {
 	return nil
 }
 
-// operands splits an operand list, respecting [...] brackets.
-func (p *parser) operands(rest string) ([]isa.Operand, error) {
-	var out []isa.Operand
-	depth := 0
-	start := 0
-	flush := func(end int) error {
-		tok := strings.TrimSpace(rest[start:end])
+// operands parses an operand list, respecting [...] brackets, into p.opds.
+// It returns how many operands the list has; those past len(p.opds) are
+// parsed for errors but not kept, since no opcode takes that many.
+func (p *parser) operands(rest string) (int, error) {
+	n, depth, start := 0, 0, 0
+	for i := 0; i <= len(rest); i++ {
+		if i < len(rest) {
+			switch rest[i] {
+			case '[':
+				depth++
+				continue
+			case ']':
+				depth--
+				if depth < 0 {
+					return 0, p.errf("unbalanced ']' in %q", rest)
+				}
+				continue
+			case ',':
+				if depth != 0 {
+					continue
+				}
+			default:
+				continue
+			}
+		} else if depth != 0 {
+			return 0, p.errf("unbalanced '[' in %q", rest)
+		}
+		tok := strings.TrimSpace(rest[start:i])
 		if tok == "" {
-			return p.errf("empty operand in %q", rest)
+			return 0, p.errf("empty operand in %q", rest)
 		}
 		o, err := p.operand(tok)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		out = append(out, o)
-		return nil
-	}
-	for i := 0; i < len(rest); i++ {
-		switch rest[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-			if depth < 0 {
-				return nil, p.errf("unbalanced ']' in %q", rest)
-			}
-		case ',':
-			if depth == 0 {
-				if err := flush(i); err != nil {
-					return nil, err
-				}
-				start = i + 1
-			}
+		if n < len(p.opds) {
+			p.opds[n] = o
 		}
+		n++
+		start = i + 1
 	}
-	if depth != 0 {
-		return nil, p.errf("unbalanced '[' in %q", rest)
-	}
-	if err := flush(len(rest)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return n, nil
 }
 
 func (p *parser) operand(tok string) (isa.Operand, error) {
@@ -457,11 +510,12 @@ func (p *parser) memOperand(body string) (isa.Operand, error) {
 	}
 }
 
-// assignOperands distributes parsed operands into dst/src slots per opcode.
-func (p *parser) assignOperands(in *isa.Instruction, opds []isa.Operand) error {
-	need := func(n int) error {
-		if len(opds) != n {
-			return p.errf("%s expects %d operands, got %d", in.Op, n, len(opds))
+// assignOperands distributes parsed operands into dst/src slots per opcode;
+// n is the statement's operand count, of which opds holds the first ones.
+func (p *parser) assignOperands(in *isa.Instruction, opds []isa.Operand, n int) error {
+	need := func(want int) error {
+		if n != want {
+			return p.errf("%s expects %d operands, got %d", in.Op, want, n)
 		}
 		return nil
 	}
@@ -715,6 +769,31 @@ func parsePredName(s string) (int, bool) {
 	}
 	return n, true
 }
+
+// splitFields stores the first len(dst) white-space separated fields of s in
+// dst, as strings.Fields would split them, and returns how many fields s has.
+func splitFields(s string, dst []string) int {
+	n := 0
+	for {
+		i := strings.IndexFunc(s, isNotSpace)
+		if i < 0 {
+			return n
+		}
+		s = s[i:]
+		field := s
+		if j := strings.IndexFunc(s, unicode.IsSpace); j >= 0 {
+			field, s = s[:j], s[j:]
+		} else {
+			s = ""
+		}
+		if n < len(dst) {
+			dst[n] = field
+		}
+		n++
+	}
+}
+
+func isNotSpace(r rune) bool { return !unicode.IsSpace(r) }
 
 func isIdent(s string) bool {
 	if s == "" {

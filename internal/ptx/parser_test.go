@@ -141,7 +141,7 @@ func TestParseOperandForms(t *testing.T) {
 	}
 	k := prog.Kernels[0]
 	in := k.Insts
-	if in[1].Srcs[0].Kind != isa.OpdFImm || in[1].Srcs[0].FImm != 1.5 {
+	if in[1].Srcs[0].Kind != isa.OpdFImm || in[1].Srcs[0].Float() != 1.5 {
 		t.Errorf("float imm: %v", in[1])
 	}
 	if in[2].Srcs[0].Imm != 16 {

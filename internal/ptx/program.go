@@ -26,6 +26,8 @@ package ptx
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 
 	"critload/internal/isa"
 )
@@ -51,17 +53,19 @@ type Kernel struct {
 	Insts       []*isa.Instruction
 	Labels      map[string]int
 
-	cfg     *CFG          // lazily built
-	hazards []isa.Hazard  // per instruction, resolved by finish
-	decoded []isa.Decoded // per instruction, resolved by finish
+	// Derived on first use, once, so kernels that are only classified never
+	// build the execution tables; each result is immutable afterwards and
+	// safe to share between goroutines.
+	cfgOnce    sync.Once
+	cfg        *CFG
+	tablesOnce sync.Once
+	hazards    []isa.Hazard  // per instruction
+	decoded    []isa.Decoded // per instruction
 }
 
-// finish completes an assembled kernel: it resolves branch targets, sizes
-// the register files from the highest index used, and derives every
-// instruction's scoreboard operands and decoded execution form. Parse and
-// Builder.Build both end here, before the kernel is visible to anyone else,
-// so both derived slices are immutable by the time several goroutines read
-// them.
+// finish completes an assembled kernel: it resolves branch targets and sizes
+// the register files from the highest index used. Parse and Builder.Build
+// both end here, before the kernel is visible to anyone else.
 func (k *Kernel) finish() error {
 	bump := func(n *int, reg int) {
 		if reg+1 > *n {
@@ -76,8 +80,6 @@ func (k *Kernel) finish() error {
 			bump(&k.NumPreds, o.Reg)
 		}
 	}
-	k.hazards = make([]isa.Hazard, len(k.Insts))
-	k.decoded = make([]isa.Decoded, len(k.Insts))
 	for i, in := range k.Insts {
 		if in.Op == isa.OpBra {
 			t, ok := k.Labels[in.Label]
@@ -93,22 +95,39 @@ func (k *Kernel) finish() error {
 		if in.Guard.Active() {
 			bump(&k.NumPreds, in.Guard.Reg)
 		}
+	}
+	return nil
+}
+
+// buildTables derives every instruction's scoreboard operands and decoded
+// execution form.
+func (k *Kernel) buildTables() {
+	k.hazards = make([]isa.Hazard, len(k.Insts))
+	k.decoded = make([]isa.Decoded, len(k.Insts))
+	for i, in := range k.Insts {
 		k.hazards[i] = in.Hazard()
 		k.decoded[i] = in.Decode()
 		if in.IsParamLoad() {
 			k.decoded[i].Srcs[0].Val = uint32(k.paramWord(in.Srcs[0]))
 		}
 	}
-	return nil
 }
 
 // Hazards returns the scoreboard operands of every instruction, indexed like
-// Insts. The slice is shared and must not be modified.
-func (k *Kernel) Hazards() []isa.Hazard { return k.hazards }
+// Insts, building them on first use. The slice is shared and must not be
+// modified.
+func (k *Kernel) Hazards() []isa.Hazard {
+	k.tablesOnce.Do(k.buildTables)
+	return k.hazards
+}
 
 // Decoded returns the execution form of every instruction, indexed like
-// Insts. The slice is shared and must not be modified.
-func (k *Kernel) Decoded() []isa.Decoded { return k.decoded }
+// Insts, building it on first use. The slice is shared and must not be
+// modified.
+func (k *Kernel) Decoded() []isa.Decoded {
+	k.tablesOnce.Do(k.buildTables)
+	return k.decoded
+}
 
 // ParamOffset returns the byte offset of a named parameter.
 func (k *Kernel) ParamOffset(name string) (int, bool) {
@@ -137,9 +156,7 @@ func (k *Kernel) paramWord(o isa.Operand) int {
 
 // CFG returns the kernel's control-flow graph, building it on first use.
 func (k *Kernel) CFG() *CFG {
-	if k.cfg == nil {
-		k.cfg = BuildCFG(k)
-	}
+	k.cfgOnce.Do(func() { k.cfg = BuildCFG(k) })
 	return k.cfg
 }
 
@@ -244,20 +261,24 @@ func (k *Kernel) Disassemble() string {
 	for _, names := range byIdx {
 		sort.Strings(names)
 	}
-	out := fmt.Sprintf(".kernel %s\n", k.Name)
+	var b strings.Builder
+	fmt.Fprintf(&b, ".kernel %s\n", k.Name)
 	for _, p := range k.Params {
-		out += fmt.Sprintf(".param .%s %s\n", p.Type, p.Name)
+		fmt.Fprintf(&b, ".param .%s %s\n", p.Type, p.Name)
 	}
 	if k.SharedBytes > 0 {
-		out += fmt.Sprintf(".shared %d\n", k.SharedBytes)
+		fmt.Fprintf(&b, ".shared %d\n", k.SharedBytes)
 	}
 	for i, in := range k.Insts {
 		for _, l := range byIdx[i] {
-			out += l + ":\n"
+			b.WriteString(l)
+			b.WriteString(":\n")
 		}
-		out += "    " + in.String() + ";\n"
+		b.WriteString("    ")
+		b.WriteString(in.String())
+		b.WriteString(";\n")
 	}
-	return out
+	return b.String()
 }
 
 // Program is a collection of kernels assembled from one source unit.

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"critload/internal/checkpoint"
@@ -131,10 +132,34 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	j := jsonWriters.Get().(*jsonWriter)
+	j.buf.Reset()
+	if j.enc.Encode(v) == nil {
+		_, _ = w.Write(j.buf.Bytes())
+	}
+	if j.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(j)
+	}
 }
+
+// jsonWriter is one pooled indenting encoder with its output buffer. A
+// json.Encoder keeps its indentation scratch between calls, so reusing one
+// saves re-growing both buffers for every response; the bytes written are
+// the same single Write a fresh Encoder on the ResponseWriter makes.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledJSON keeps an occasional huge response from pinning its buffers.
+const maxPooledJSON = 1 << 20
+
+var jsonWriters = sync.Pool{New: func() any {
+	j := &jsonWriter{}
+	j.enc = json.NewEncoder(&j.buf)
+	j.enc.SetIndent("", "  ")
+	return j
+}}
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, api.Error{Message: fmt.Sprintf(format, args...)})
@@ -172,32 +197,48 @@ func isJSONBody(ct string, body []byte) bool {
 	return len(trimmed) > 0 && trimmed[0] == '{'
 }
 
-// classifyKernel runs the classifier over one parsed kernel.
+// classifyKernel runs the classifier over one parsed kernel. Every load's
+// roots are carved from one array per kernel.
 func classifyKernel(k *ptx.Kernel) api.Kernel {
 	res := dataflow.Classify(k)
 	det, nondet := res.Counts()
 	kj := api.Kernel{
 		Name: k.Name, Deterministic: det, NonDeterministic: nondet,
-		Loads: []api.Load{},
+		Loads: make([]api.Load, len(res.Loads)),
 	}
+	nroots := 0
 	for _, l := range res.Loads {
-		lj := api.Load{
-			PC:    fmt.Sprintf("0x%03x", l.PC),
+		nroots += len(l.Roots)
+	}
+	roots := make([]api.Root, 0, nroots)
+	for i, l := range res.Loads {
+		start := len(roots)
+		for _, root := range l.Roots {
+			roots = append(roots, api.Root{Kind: root.Kind.String(), Name: root.Name})
+		}
+		kj.Loads[i] = api.Load{
+			PC:    pcString(l.PC),
 			Inst:  k.Insts[l.InstIndex].String(),
 			Class: l.Class.String(),
-			Roots: []api.Root{},
+			Roots: roots[start:len(roots):len(roots)],
 		}
-		for _, root := range l.Roots {
-			lj.Roots = append(lj.Roots, api.Root{Kind: root.Kind.String(), Name: root.Name})
-		}
-		kj.Loads = append(kj.Loads, lj)
 	}
 	return kj
 }
 
+// pcString renders a PC the way the wire has always shown it, "0x%03x".
+func pcString(pc uint32) string {
+	var buf [16]byte
+	b := append(buf[:0], "0x"...)
+	for x := uint32(0x100); x > 1 && pc < x; x >>= 4 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendUint(b, uint64(pc), 16))
+}
+
 // classifyProgram classifies every kernel of a parsed program.
 func classifyProgram(prog *ptx.Program) *api.ClassifyResult {
-	resp := &api.ClassifyResult{Kernels: []api.Kernel{}}
+	resp := &api.ClassifyResult{Kernels: make([]api.Kernel, 0, len(prog.Kernels))}
 	for _, k := range prog.Kernels {
 		resp.Kernels = append(resp.Kernels, classifyKernel(k))
 	}

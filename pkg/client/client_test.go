@@ -202,14 +202,18 @@ func TestPermanentErrorNoRetry(t *testing.T) {
 // yields a context error, not a retry storm.
 func TestTimeoutPropagates(t *testing.T) {
 	var calls atomic.Int64
+	// The handler holds the request until the test ends: closing release
+	// before ts.Close lets Close return at once instead of waiting on it.
+	release := make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		select {
 		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
+		case <-release:
 		}
 	}))
 	defer ts.Close()
+	defer close(release)
 	c := newClient(t, ts.URL, client.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

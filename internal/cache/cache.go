@@ -95,21 +95,19 @@ type line struct {
 }
 
 type mshrEntry struct {
-	targets []*memreq.Request // primary miss first; capacity MSHRTargets once used
+	targets []*memreq.Request // primary miss first; capacity MSHRTargets
 }
 
 // Cache is one cache instance (used for both L1D and L2 slices).
 type Cache struct {
 	cfg     Config
 	numSets int
-	sets    [][]line
+	lines   []line // every set's ways, set s at lines[s*Ways : (s+1)*Ways]
 
 	// mshrs is the MSHR file, a fixed slab of MSHREntries entries. A
 	// reserved line names its entry; free holds the indices of the unused
-	// ones, lowest on top, so a cache whose misses never overlap much only
-	// ever gives target storage to its first few entries. Each entry's
-	// target list is allocated at its first miss and reused after, so the
-	// warm miss path allocates nothing.
+	// ones, lowest on top. Each entry's target list is its window of one
+	// slab of MSHREntries × MSHRTargets pointers, so no miss allocates.
 	mshrs []mshrEntry
 	free  []uint16
 
@@ -127,12 +125,13 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:     cfg,
 		numSets: numSets,
-		sets:    make([][]line, numSets),
+		lines:   make([]line, numSets*cfg.Ways),
 		mshrs:   make([]mshrEntry, cfg.MSHREntries),
 		free:    make([]uint16, cfg.MSHREntries),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+	targets := make([]*memreq.Request, cfg.MSHREntries*cfg.MSHRTargets)
+	for i := range c.mshrs {
+		c.mshrs[i].targets = targets[i*cfg.MSHRTargets : i*cfg.MSHRTargets : (i+1)*cfg.MSHRTargets]
 	}
 	for i := range c.free {
 		c.free[i] = uint16(cfg.MSHREntries - 1 - i)
@@ -155,8 +154,10 @@ func (c *Cache) Config() Config { return c.cfg }
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() int64 { return c.cfg.HitLatency }
 
-func (c *Cache) setIndex(block uint32) int {
-	return int(block/uint32(c.cfg.LineBytes)) % c.numSets
+// set returns the ways of the set block maps to.
+func (c *Cache) set(block uint32) []line {
+	i := int(block/uint32(c.cfg.LineBytes)) % c.numSets * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways : i+c.cfg.Ways]
 }
 
 // Access attempts one (load-class) request against the cache. For misses,
@@ -168,7 +169,7 @@ func (c *Cache) Access(r *memreq.Request, now int64, tryInject func() bool) Outc
 	if r.Block%uint32(c.cfg.LineBytes) != 0 {
 		panic(fmt.Sprintf("cache: unaligned block address %#x", r.Block))
 	}
-	set := c.sets[c.setIndex(r.Block)]
+	set := c.set(r.Block)
 
 	// Tag probe.
 	for i := range set {
@@ -223,9 +224,6 @@ func (c *Cache) Access(r *memreq.Request, now int64, tryInject func() bool) Outc
 	id := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
 	e := &c.mshrs[id]
-	if e.targets == nil {
-		e.targets = make([]*memreq.Request, 0, c.cfg.MSHRTargets)
-	}
 	e.targets = append(e.targets[:0], r)
 	set[victim] = line{tag: r.Block, state: reserved, mshr: id, lastUse: now}
 	c.Accesses[Miss]++
@@ -241,7 +239,7 @@ func (c *Cache) Access(r *memreq.Request, now int64, tryInject func() bool) Outc
 // until the next Access on this cache, which may take the entry again;
 // callers must finish iterating (or copy) before presenting another access.
 func (c *Cache) Fill(block uint32, now int64) []*memreq.Request {
-	set := c.sets[c.setIndex(block)]
+	set := c.set(block)
 	for i := range set {
 		if set[i].state == reserved && set[i].tag == block {
 			id := set[i].mshr
@@ -256,7 +254,7 @@ func (c *Cache) Fill(block uint32, now int64) []*memreq.Request {
 
 // Contains reports whether block is present and valid (a testing aid).
 func (c *Cache) Contains(block uint32) bool {
-	set := c.sets[c.setIndex(block)]
+	set := c.set(block)
 	for i := range set {
 		if set[i].state == valid && set[i].tag == block {
 			return true
@@ -271,11 +269,9 @@ func (c *Cache) PendingMisses() int { return len(c.mshrs) - len(c.free) }
 // InvalidateAll clears the cache contents but keeps in-flight reservations;
 // used between kernel launches where GPUs flush L1.
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].state == valid {
-				c.sets[s][w].state = invalid
-			}
+	for i := range c.lines {
+		if c.lines[i].state == valid {
+			c.lines[i].state = invalid
 		}
 	}
 }

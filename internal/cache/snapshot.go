@@ -18,13 +18,11 @@ func (c *Cache) Snapshot(w *checkpoint.Writer) {
 	w.Tag(snapTag)
 	w.Int(c.numSets)
 	w.Int(c.cfg.Ways)
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			ln := &c.sets[s][i]
-			w.U32(ln.tag)
-			w.U8(uint8(ln.state))
-			w.I64(ln.lastUse)
-		}
+	for i := range c.lines {
+		ln := &c.lines[i]
+		w.U32(ln.tag)
+		w.U8(uint8(ln.state))
+		w.I64(ln.lastUse)
 	}
 	for o := range c.Accesses {
 		w.U64(c.Accesses[o])
@@ -47,16 +45,14 @@ func (c *Cache) Restore(r *checkpoint.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			tag := r.U32()
-			state := lineState(r.U8())
-			lastUse := r.I64()
-			if r.Err() == nil && state == reserved {
-				r.Failf("cache: snapshot holds a reserved line for block %#x", tag)
-			}
-			c.sets[s][i] = line{tag: tag, state: state, lastUse: lastUse}
+	for i := range c.lines {
+		tag := r.U32()
+		state := lineState(r.U8())
+		lastUse := r.I64()
+		if r.Err() == nil && state == reserved {
+			r.Failf("cache: snapshot holds a reserved line for block %#x", tag)
 		}
+		c.lines[i] = line{tag: tag, state: state, lastUse: lastUse}
 	}
 	for o := range c.Accesses {
 		c.Accesses[o] = r.U64()

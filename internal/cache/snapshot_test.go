@@ -20,6 +20,9 @@ func snapBytes(t *testing.T, c *Cache) []byte {
 	return w.Bytes()
 }
 
+// way returns way w of set s.
+func (c *Cache) way(s, w int) *line { return &c.lines[s*c.cfg.Ways+w] }
+
 // TestSnapshotRoundTrip checks that restoring a snapshot into a fresh,
 // identically-configured cache reproduces it byte for byte: tags, line
 // states, LRU timestamps and outcome counters all survive.
@@ -28,9 +31,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	src.sets[0][0] = line{tag: 0x80, state: valid, lastUse: 7}
-	src.sets[0][1] = line{tag: 0x200, state: valid, lastUse: 9}
-	src.sets[3][1] = line{tag: 0x380, state: valid, lastUse: 3}
+	*src.way(0, 0) = line{tag: 0x80, state: valid, lastUse: 7}
+	*src.way(0, 1) = line{tag: 0x200, state: valid, lastUse: 9}
+	*src.way(3, 1) = line{tag: 0x380, state: valid, lastUse: 3}
 	src.Accesses[Hit] = 5
 	src.Accesses[Miss] = 2
 	src.FillCount = 2
@@ -49,8 +52,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if dst.Accesses[Hit] != 5 || dst.Accesses[Miss] != 2 || dst.FillCount != 2 {
 		t.Errorf("counters not restored: %v fills %d", dst.Accesses, dst.FillCount)
 	}
-	if dst.sets[0][1] != (line{tag: 0x200, state: valid, lastUse: 9}) {
-		t.Errorf("line not restored: %+v", dst.sets[0][1])
+	if *dst.way(0, 1) != (line{tag: 0x200, state: valid, lastUse: 9}) {
+		t.Errorf("line not restored: %+v", *dst.way(0, 1))
 	}
 }
 
@@ -95,7 +98,7 @@ func TestRestoreRejections(t *testing.T) {
 		t.Errorf("geometry mismatch: %v", err)
 	}
 
-	src.sets[1][0] = line{tag: 0x180, state: reserved, lastUse: 1}
+	*src.way(1, 0) = line{tag: 0x180, state: reserved, lastUse: 1}
 	withReserved := snapBytes(t, src)
 	dst, _ := New(snapConfig())
 	if err := dst.Restore(checkpoint.NewReader(withReserved)); err == nil || !strings.Contains(err.Error(), "reserved") {

@@ -44,14 +44,19 @@ func (r *RunResult) Add(o RunResult) {
 // warps within a CTA are interleaved in round-robin slices so that barrier
 // semantics hold.
 func Run(env *Env, opts RunOptions) (RunResult, error) {
+	return RunIn(env, new(CTA), opts)
+}
+
+// RunIn is Run over caller-owned CTA storage: every CTA of the launch runs
+// through cta, reset for each, so a caller that keeps one CTA across
+// launches allocates CTA storage only when a launch needs more than any
+// before it.
+func RunIn(env *Env, cta *CTA, opts RunOptions) (RunResult, error) {
 	var res RunResult
 	l := env.Launch
 	if err := l.Validate(); err != nil {
 		return res, err
 	}
-	// Every CTA of a launch has the same shape, so they all run through one
-	// set of CTA storage and one Step record.
-	cta := NewCTA(l, 0)
 	var step Step
 	nCTA := l.Grid.Count()
 	for id := 0; id < nCTA; id++ {

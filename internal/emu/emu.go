@@ -9,6 +9,7 @@ package emu
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"critload/internal/isa"
 	"critload/internal/mem"
@@ -86,39 +87,88 @@ type Env struct {
 	Launch *Launch
 }
 
-// CTA is one cooperative thread array in flight.
+// CTA is one cooperative thread array in flight. Its storage is bound to a
+// launch by Reset and may be rebound to any other: a driver that keeps one
+// CTA allocates only when a launch needs more than any launch before it.
 type CTA struct {
 	ID     int // linearized CTA id: x + y*gridX + z*gridX*gridY
 	Coord  Dim3
 	Shared []byte
 	Warps  []*Warp
+
+	// warps backs Warps, every element in use or kept for a larger launch;
+	// regs and preds back the warps' register files, warp-major; block is
+	// the extent the warps' lane coordinates were computed for.
+	warps []Warp
+	regs  []uint32
+	preds []uint32
+	block Dim3
 }
 
-// NewCTA instantiates the CTA with the given linear id, creating its warps
-// and shared memory.
+// NewCTA instantiates CTA id of the launch in fresh storage.
 func NewCTA(l *Launch, id int) *CTA {
-	c := &CTA{Shared: make([]byte, l.Kernel.SharedBytes), Warps: make([]*Warp, l.WarpsPerCTA())}
-	for w := range c.Warps {
-		c.Warps[w] = newWarp(l, c, w)
-	}
+	c := new(CTA)
 	c.Reset(l, id)
 	return c
 }
 
-// Reset returns the CTA to its launch state as CTA id of the same launch
-// shape it was created for: registers, predicates and shared memory zeroed,
-// every warp back at the first instruction with its full lane mask. It lets a
-// driver run the CTAs of one launch through one set of storage.
+// Reset binds the CTA's storage to CTA id of the launch, in the state a
+// fresh one starts in: registers, predicates and shared memory zeroed, every
+// warp back at the first instruction with its full lane mask. Storage grows
+// only when the launch needs more than the CTA holds, and is zeroed once.
+// Growing moves the warps, so a *Warp taken before a Reset is stale after it.
 func (c *CTA) Reset(l *Launch, id int) {
+	k := l.Kernel
+	n, nr, np := l.WarpsPerCTA(), k.NumRegs*WarpSize, k.NumPreds
 	c.ID, c.Coord = id, l.CTACoord(id)
-	clear(c.Shared)
-	for _, w := range c.Warps {
-		clear(w.regs)
-		clear(w.preds)
+	c.Shared = zeroed(c.Shared, k.SharedBytes)
+	c.regs = zeroed(c.regs, n*nr)
+	c.preds = zeroed(c.preds, n*np)
+	lanes := c.block != l.Block
+	if have := len(c.warps); have < n {
+		c.warps = slices.Grow(c.warps, n-have)
+		c.warps = c.warps[:cap(c.warps)]
+		c.Warps = make([]*Warp, len(c.warps))
+		for i := range c.warps {
+			c.Warps[i] = &c.warps[i]
+		}
+		// The new warps' SIMT stacks start in one slab too; a deeper nest
+		// grows its own.
+		stacks := make([]stackEntry, (len(c.warps)-have)*stackDepth)
+		for i := range c.warps[have:] {
+			c.warps[have+i].stack = stacks[i*stackDepth : i*stackDepth : (i+1)*stackDepth]
+		}
+		lanes = true
+	}
+	c.Warps = c.Warps[:n]
+	c.block = l.Block
+	decoded := k.Decoded()
+	for i, w := range c.Warps {
+		w.CTA, w.Index = c, uint16(i)
+		w.kernel, w.decoded = k, decoded
+		w.regs = c.regs[i*nr : (i+1)*nr]
+		w.preds = c.preds[i*np : (i+1)*np]
+		if lanes {
+			w.setLanes(l.Block)
+		}
 		w.AtBarrier = false
 		w.InstructionsExecuted = 0
-		w.stack = append(w.stack[:0], stackEntry{pc: 0, rpc: len(w.kernel.Insts), mask: w.laneMask})
+		w.stack = append(w.stack[:0], stackEntry{pc: 0, rpc: len(k.Insts), mask: w.laneMask})
 	}
+}
+
+// stackDepth is the SIMT stack capacity a warp starts with.
+const stackDepth = 8
+
+// zeroed returns s resized to n zero elements, reusing its storage when it
+// has room.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Done reports whether every warp of the CTA has exited.
@@ -179,19 +229,13 @@ type Warp struct {
 	InstructionsExecuted uint64
 }
 
-func newWarp(l *Launch, c *CTA, index int) *Warp {
-	k := l.Kernel
-	w := &Warp{
-		CTA:     c,
-		Index:   uint16(index),
-		kernel:  k,
-		decoded: k.Decoded(),
-		regs:    make([]uint32, k.NumRegs*WarpSize),
-		preds:   make([]uint32, k.NumPreds),
-	}
-	b := l.Block
+// setLanes computes the warp's lane coordinates and mask in a block of
+// extent b.
+func (w *Warp) setLanes(b Dim3) {
+	w.laneMask = 0
+	w.tid = [3][WarpSize]uint16{}
 	for lane := 0; lane < WarpSize; lane++ {
-		t := index*WarpSize + lane
+		t := int(w.Index)*WarpSize + lane
 		if t >= b.Count() {
 			break
 		}
@@ -200,7 +244,6 @@ func newWarp(l *Launch, c *CTA, index int) *Warp {
 		w.tid[1][lane] = uint16(t / b.X % b.Y)
 		w.tid[2][lane] = uint16(t / (b.X * b.Y))
 	}
-	return w
 }
 
 // The SIMT stack is kept normalized — no reconverged or empty entry on top —

@@ -111,8 +111,9 @@ func TestExecuteDoesNotAllocate(t *testing.T) {
 }
 
 // TestWarpSizeClass pins a warp at 320 bytes on 64-bit hosts, the size
-// class it fits since it holds the decoded table itself: every CTA launch
-// allocates one per warp.
+// class it fits since it holds the decoded table itself. A CTA allocates
+// one per warp the first time a launch needs that many; reused CTA storage
+// keeps them.
 func TestWarpSizeClass(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit hosts")

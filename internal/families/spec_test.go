@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"critload/internal/ptx"
 	"critload/internal/workloads"
 )
 
@@ -96,5 +97,31 @@ func TestWorkloadResolver(t *testing.T) {
 	}
 	if _, ok := workloads.Get("2mm"); !ok {
 		t.Fatal("Table I workloads must still resolve")
+	}
+}
+
+// TestFamilyKernelsUnderRegisterCaps builds every family with all knobs at
+// their minimum, default and maximum and checks the kernel stays well inside
+// the assembler's register and predicate caps.
+func TestFamilyKernelsUnderRegisterCaps(t *testing.T) {
+	for _, f := range List() {
+		for _, pick := range []func(Knob) int{
+			func(k Knob) int { return k.Min },
+			func(k Knob) int { return k.Default },
+			func(k Knob) int { return k.Max },
+		} {
+			knobs := map[string]int{}
+			for _, k := range f.Knobs {
+				knobs[k.Name] = pick(k)
+			}
+			c, err := (&Spec{Name: f.Name, Knobs: knobs}).Build()
+			if err != nil {
+				t.Fatalf("%s %v: %v", f.Name, knobs, err)
+			}
+			if k := c.Kernel; k.NumRegs > ptx.MaxRegs/4 || k.NumPreds > ptx.MaxPreds/4 {
+				t.Errorf("%s %v: %d registers and %d predicates, over a quarter of the caps",
+					f.Name, knobs, k.NumRegs, k.NumPreds)
+			}
+		}
 	}
 }

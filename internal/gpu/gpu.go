@@ -272,6 +272,9 @@ func (g *GPU) LaunchKernel(l *emu.Launch) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
+	if err := g.cfg.SM.CheckCTA(l); err != nil {
+		return err
+	}
 	g.launch = l
 	g.nextCTA = 0
 	g.liveCTAs = 0

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 
 	"critload/internal/cache"
@@ -265,5 +266,50 @@ func TestPartitionInterleaving(t *testing.T) {
 	}
 	if len(seen) != g.cfg.NumPartitions {
 		t.Errorf("only %d partitions used", len(seen))
+	}
+}
+
+// TestLaunchRejectsCTAThatCannotFit checks that a launch whose one CTA
+// exceeds an empty SM fails before its first cycle, naming the resource,
+// where it used to wait for an SM to accept it until the livelock check
+// fired. The fifth resource, CTA slots, is TestCheckCTA's: Config.Validate
+// already rejects an SM without one.
+func TestLaunchRejectsCTAThatCannotFit(t *testing.T) {
+	const small = ".kernel small\n    mov.u32 %r0, 1;\n    exit;\n"
+	for _, tc := range []struct {
+		name   string
+		src    string
+		block  int
+		shared int
+		tweak  func(*Config)
+	}{
+		{name: "registers", src: ".kernel wide\n    mov.u32 %r1000, 1;\n    exit;\n", block: 64},
+		{name: "shared memory", src: small, block: 32, shared: 64 * 1024},
+		{name: "threads", src: small, block: 1024, tweak: func(c *Config) { c.SM.MaxThreads = 512 }},
+		{name: "warps", src: small, block: 512, tweak: func(c *Config) { c.SM.MaxWarps = 8 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, ff := range []bool{true, false} {
+				cfg := testConfig()
+				cfg.FastForward = ff
+				if tc.tweak != nil {
+					tc.tweak(&cfg)
+				}
+				g := MustNew(cfg, mem.New(), stats.New())
+				prog, err := ptx.Parse(tc.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := prog.Kernels[0]
+				k.SharedBytes = tc.shared
+				err = g.LaunchKernel(&emu.Launch{Kernel: k, Grid: emu.Dim1(2), Block: emu.Dim1(tc.block)})
+				if err == nil || !strings.Contains(err.Error(), tc.name) {
+					t.Errorf("fast-forward %v: error %v, want one naming %s", ff, err, tc.name)
+				}
+				if g.Cycle() != 0 {
+					t.Errorf("fast-forward %v: rejected after %d cycles, want before the first", ff, g.Cycle())
+				}
+			}
+		})
 	}
 }

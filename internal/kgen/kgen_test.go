@@ -185,3 +185,22 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("classifier disagrees with reloaded ground truth")
 	}
 }
+
+// TestGeneratedKernelsUnderRegisterCaps checks that the generator stays well
+// inside the assembler's register and predicate caps: a generated kernel
+// over them would fail to build instead of exercising the simulator.
+func TestGeneratedKernelsUnderRegisterCaps(t *testing.T) {
+	regs, preds := 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		c, err := Build(Generate(seed, DefaultConfig()))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		regs, preds = max(regs, c.Kernel.NumRegs), max(preds, c.Kernel.NumPreds)
+	}
+	if regs > ptx.MaxRegs/4 || preds > ptx.MaxPreds/4 {
+		t.Errorf("seeds 1-300 use up to %d registers and %d predicates, over a quarter of the caps %d and %d",
+			regs, preds, ptx.MaxRegs, ptx.MaxPreds)
+	}
+	t.Logf("seeds 1-300: at most %d registers, %d predicates", regs, preds)
+}

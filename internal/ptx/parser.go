@@ -248,6 +248,9 @@ func (p *parser) instruction(stmt string) (*isa.Instruction, error) {
 		if !ok {
 			return nil, p.errf("bad guard %q", stmt[:sp])
 		}
+		if err := p.capped(g, reg, MaxPreds, "predicates"); err != nil {
+			return nil, err
+		}
 		in.Guard = isa.PredGuard{Reg: reg, Negate: neg}
 		stmt = strings.TrimSpace(stmt[sp:])
 	}
@@ -453,10 +456,10 @@ func (p *parser) operand(tok string) (isa.Operand, error) {
 			return isa.SReg(r), nil
 		}
 		if r, ok := parseRegName(tok); ok {
-			return isa.Reg(r), nil
+			return isa.Reg(r), p.capped(tok, r, MaxRegs, "registers")
 		}
 		if r, ok := parsePredName(strings.TrimPrefix(tok, "%")); ok && strings.HasPrefix(tok, "%p") {
-			return isa.PredReg(r), nil
+			return isa.PredReg(r), p.capped(tok, r, MaxPreds, "predicates")
 		}
 		return isa.Operand{}, p.errf("unknown register %q", tok)
 	default:
@@ -498,7 +501,7 @@ func (p *parser) memOperand(body string) (isa.Operand, error) {
 		if !ok {
 			return isa.Operand{}, p.errf("bad base register in [%s]", body)
 		}
-		return isa.Mem(r, off), nil
+		return isa.Mem(r, off), p.capped(base, r, MaxRegs, "registers")
 	case isIdent(base):
 		return isa.Param(base, off), nil
 	default:
@@ -745,6 +748,15 @@ func parseDType(s string) (isa.DType, bool) {
 		return isa.Pred, true
 	}
 	return 0, false
+}
+
+// capped rejects register index n, written tok, unless it is below limit,
+// the cap of its register file.
+func (p *parser) capped(tok string, n, limit int, file string) error {
+	if n < limit {
+		return nil
+	}
+	return p.errf("%s is beyond the cap of %d %s", tok, limit, file)
 }
 
 func parseRegName(s string) (int, bool) {

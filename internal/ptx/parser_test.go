@@ -1,6 +1,8 @@
 package ptx
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -202,6 +204,41 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error = %v, want substring %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestParseCapsRegisterIndices checks that a register or predicate index at
+// or above its cap is a positioned parse error wherever the index appears,
+// and that the highest index under the cap still parses.
+func TestParseCapsRegisterIndices(t *testing.T) {
+	top := fmt.Sprintf(".kernel k\n    mov.u32 %%r%d, 1;\n    setp.lt.u32 %%p%d, %%r0, 1;\n    exit;\n", MaxRegs-1, MaxPreds-1)
+	prog, err := Parse(top)
+	if err != nil {
+		t.Fatalf("indices just under the caps: %v", err)
+	}
+	if k := prog.Kernels[0]; k.NumRegs != MaxRegs || k.NumPreds != MaxPreds {
+		t.Errorf("NumRegs, NumPreds = %d, %d; want %d, %d", k.NumRegs, k.NumPreds, MaxRegs, MaxPreds)
+	}
+	for _, tc := range []struct{ name, stmt, tok string }{
+		{"destination", "mov.u32 %r100000000, 1", "%r100000000"},
+		{"source", fmt.Sprintf("add.u32 %%r0, %%r%d, 1", MaxRegs), fmt.Sprintf("%%r%d", MaxRegs)},
+		{"memory base", fmt.Sprintf("ld.global.u32 %%r0, [%%r%d+4]", MaxRegs), fmt.Sprintf("%%r%d", MaxRegs)},
+		{"predicate", fmt.Sprintf("setp.lt.u32 %%p%d, %%r0, 1", MaxPreds), fmt.Sprintf("%%p%d", MaxPreds)},
+		{"guard", fmt.Sprintf("@!%%p%d exit", MaxPreds), fmt.Sprintf("%%p%d", MaxPreds)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(".kernel k\n    " + tc.stmt + ";\n    exit;\n")
+			var pe *ParseError
+			if !errors.As(err, &pe) || pe.Line != 2 || !strings.Contains(pe.Msg, tc.tok) || !strings.Contains(pe.Msg, "cap") {
+				t.Errorf("error %v, want a line 2 parse error naming %s and the cap", err, tc.tok)
+			}
+		})
+	}
+	b := NewBuilder("built")
+	b.Op(isa.OpMov, isa.U32, isa.Reg(MaxRegs), isa.Imm(1))
+	b.Exit()
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("built kernel over the register cap: %v", err)
 	}
 }
 

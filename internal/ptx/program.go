@@ -43,6 +43,17 @@ type ParamDecl struct {
 // ParamSize is the byte size of every kernel parameter.
 const ParamSize = 4
 
+// MaxRegs and MaxPreds cap the register and predicate indices a kernel may
+// name: %r0 to %r1023 and %p0 to %p1023. Register files are sized by the
+// highest index, and reused CTA storage keeps the largest files it has
+// held, so one huge index would otherwise cost its allocation for as long
+// as the GPU or executor lives. MaxRegs registers for each of 32 lanes fill
+// the default SM's whole register file; the built-in kernels use at most 66.
+const (
+	MaxRegs  = 1024
+	MaxPreds = 1024
+)
+
 // Kernel is one assembled kernel function.
 type Kernel struct {
 	Name        string
@@ -188,6 +199,10 @@ func (k *Kernel) Validate() error {
 	}
 	if len(k.Insts) == 0 {
 		return fmt.Errorf("kernel %s has no instructions", k.Name)
+	}
+	if k.NumRegs > MaxRegs || k.NumPreds > MaxPreds {
+		return fmt.Errorf("kernel %s uses %d registers and %d predicates, over the caps of %d and %d",
+			k.Name, k.NumRegs, k.NumPreds, MaxRegs, MaxPreds)
 	}
 	checkReg := func(o isa.Operand, at int) error {
 		switch o.Kind {

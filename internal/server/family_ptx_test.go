@@ -88,6 +88,21 @@ func TestPTXRejectsBadParamOffset(t *testing.T) {
 	}
 }
 
+// TestPTXRejectsRegisterBeyondCap pins that one over-cap register index
+// answers 422 with a diagnostic on its line, before any register file is
+// sized by it.
+func TestPTXRejectsRegisterBeyondCap(t *testing.T) {
+	ts, _ := newService(t, server.SimRunner(), 1)
+	src := ".kernel k\n    mov.u32 %r100000000, 1;\n    exit;\n"
+	var e api.Error
+	if code := postJSON(t, ts.URL+"/v1/ptx", map[string]string{"ptx": src}, &e); code != http.StatusUnprocessableEntity {
+		t.Fatalf("code = %d, want 422", code)
+	}
+	if len(e.Diagnostics) != 1 || e.Diagnostics[0].Line != 2 || !strings.Contains(e.Diagnostics[0].Message, "cap") {
+		t.Errorf("diagnostics %+v, want one on line 2 naming the cap", e.Diagnostics)
+	}
+}
+
 // TestSubmitFamilyJob submits a family job and checks it resolves to the
 // canonical workload name, runs, and dedupes against an equivalent spec.
 func TestSubmitFamilyJob(t *testing.T) {

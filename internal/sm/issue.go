@@ -177,6 +177,7 @@ func (s *SM) issueGlobalMemOp(wc *warpCtx, step *emu.Step, now int64) {
 	}
 	op := s.getOp()
 	op.warp, op.inst, op.issued, op.firstAcc = wc, in, now, -1
+	wc.cta.refs++
 	switch in.Op {
 	case isa.OpLd:
 		op.kind = opGlobalLoad

@@ -143,6 +143,12 @@ var readyFixtures = []struct {
     add.u32      %r6, %r5, 1;
     exit;
 `},
+	// CTAs retire with loads in flight, on three times as many CTAs as the
+	// SM has slots; see recycleFixtures.
+	{name: "retire-with-queued-load", grid: 24, block: 64, params: []uint32{1 << 20},
+		blockFrom: 5, blockTo: 100, src: fmt.Sprintf(deadLoadSrc, 3)},
+	{name: "retire-awaiting-reply", grid: 24, block: 64, params: []uint32{1 << 20},
+		src: fmt.Sprintf(deadLoadSrc, 2)},
 	// CTAs loop ctaid-many times, so they retire out of launch order while
 	// later ones are still being launched: positions renumber under live warps.
 	{name: "multi-cta-retire", grid: 24, block: 96, params: []uint32{1 << 16}, src: `

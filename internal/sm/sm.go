@@ -102,6 +102,29 @@ func (c Config) Validate() error {
 	return c.L1.Validate()
 }
 
+// CheckCTA reports why one CTA of the launch cannot run even on an empty SM
+// of this configuration, naming the resource it exceeds; nil when it fits.
+// Such a launch would otherwise wait forever for an SM to accept it.
+func (c Config) CheckCTA(l *emu.Launch) error {
+	threads := l.Block.Count()
+	need := func(n int, what string, have int) error {
+		return fmt.Errorf("sm: a CTA of kernel %s needs %d %s, an SM has %d", l.Kernel.Name, n, what, have)
+	}
+	switch {
+	case c.MaxCTAs < 1:
+		return need(1, "CTA slots", c.MaxCTAs)
+	case threads > c.MaxThreads:
+		return need(threads, "threads", c.MaxThreads)
+	case l.WarpsPerCTA() > c.MaxWarps:
+		return need(l.WarpsPerCTA(), "warps", c.MaxWarps)
+	case l.Kernel.SharedBytes > c.SharedMemBytes:
+		return need(l.Kernel.SharedBytes, "bytes of shared memory", c.SharedMemBytes)
+	case l.Kernel.NumRegs*threads > c.Registers:
+		return need(l.Kernel.NumRegs*threads, "registers", c.Registers)
+	}
+	return nil
+}
+
 // LatencyModel gives the unloaded end-to-end latencies used by the
 // turnaround decomposition (Fig 5's bottom component).
 type LatencyModel struct {
@@ -149,11 +172,21 @@ type Backend interface {
 
 type ctaCtx struct {
 	cta       *emu.CTA
+	warps     []warpCtx    // one per warp of cta, kept with it for reuse
+	pending   []int        // backs the warps' pendingReg and pendingPred
 	hazards   []isa.Hazard // the kernel's per-instruction scoreboard operands
 	liveWarps int
 	threads   int
 	shared    int
 	regs      int
+
+	// refs counts the writeback events and memOps that still name one of
+	// the CTA's warps. A CTA retires at its last exit, but a load issued
+	// before it may still be queued or awaiting replies and will decrement
+	// its warp's scoreboard when it completes; the context is reusable once
+	// it has retired and refs is zero.
+	refs    int
+	retired bool
 }
 
 type warpCtx struct {
@@ -316,6 +349,13 @@ type SM struct {
 	readySets bool
 	ready     []readySet
 
+	// ctaFree holds retired CTA contexts, each with its warp contexts and
+	// emulator CTA, for LaunchCTA to reuse; the third fast-forward-only
+	// structure. The naive engine allocates every context fresh, so a
+	// context reused while a late event still names it shows up as an
+	// engine divergence.
+	ctaFree []*ctaCtx
+
 	nextReqID uint64
 	tracer    Tracer
 
@@ -332,16 +372,20 @@ func (s *SM) SetTracer(t Tracer) { s.tracer = t }
 func (s *SM) SetPool(p *memreq.Pool) { s.pool = p }
 
 // SetFastForward enables the stall cache that lets Step elide provably
-// fruitless scheduler scans, and the ready sets that replace the scans that
-// remain. Only the fast-forward engine turns it on: the serial loop is kept
-// free of event reasoning so it remains an independent differential-testing
-// oracle (a NextEvent overestimate or a stale ready bit then shows up as an
-// engine divergence instead of corrupting both engines identically). It must
-// be called while no CTA is resident.
+// fruitless scheduler scans, the ready sets that replace the scans that
+// remain, and the reuse of retired CTA contexts. Only the fast-forward engine
+// turns it on: the serial loop is kept free of event reasoning so it remains
+// an independent differential-testing oracle (a NextEvent overestimate, a
+// stale ready bit or a context reused too early then shows up as an engine
+// divergence instead of corrupting both engines identically). It must be
+// called while no CTA is resident.
 func (s *SM) SetFastForward(on bool) {
 	s.fastForward = on
 	// One word per scheduler and unit: a wider SM keeps scanning.
 	s.readySets = on && s.cfg.MaxWarps <= 64
+	if !on {
+		s.ctaFree = nil
+	}
 }
 
 // getOp takes a memOp from the free list (or allocates one), keeping the
@@ -354,7 +398,8 @@ func (s *SM) getOp() *memOp {
 		*op = memOp{reqs: op.reqs[:0], slot: op.slot}
 		return op
 	}
-	op := &memOp{slot: uint32(len(s.ops) + 1)}
+	// One request per lane is the coalescer's most.
+	op := &memOp{reqs: make([]*memreq.Request, 0, emu.WarpSize), slot: uint32(len(s.ops) + 1)}
 	s.ops = append(s.ops, op)
 	return op
 }
@@ -367,6 +412,7 @@ func (s *SM) putOp(op *memOp) {
 		op.reqs[i] = nil
 	}
 	op.reqs = op.reqs[:0]
+	s.unref(op.warp.cta)
 	op.warp = nil
 	op.inst = nil
 	s.opFree = append(s.opFree, op)
@@ -423,25 +469,39 @@ func (s *SM) CanAccept(l *emu.Launch) bool {
 // LaunchCTA instantiates CTA id of the launch on this SM; the caller must
 // have checked CanAccept.
 func (s *SM) LaunchCTA(l *emu.Launch, id int) {
-	cta := emu.NewCTA(l, id)
-	cc := &ctaCtx{
-		cta:       cta,
-		hazards:   l.Kernel.Hazards(),
-		liveWarps: len(cta.Warps),
-		threads:   l.Block.Count(),
-		shared:    l.Kernel.SharedBytes,
-		regs:      l.Kernel.NumRegs * l.Block.Count(),
+	var cc *ctaCtx
+	if n := len(s.ctaFree); n > 0 {
+		cc = s.ctaFree[n-1]
+		s.ctaFree = s.ctaFree[:n-1]
+	} else {
+		cc = &ctaCtx{cta: new(emu.CTA)}
 	}
+	cta := cc.cta
+	cta.Reset(l, id)
+	cc.hazards = l.Kernel.Hazards()
+	cc.liveWarps = len(cta.Warps)
+	cc.threads = l.Block.Count()
+	cc.shared = l.Kernel.SharedBytes
+	cc.regs = l.Kernel.NumRegs * l.Block.Count()
+	cc.retired = false
 	s.ctas = append(s.ctas, cc)
 	s.stallUntil = 0 // fresh warps may issue immediately
 	s.usedThreads += cc.threads
 	s.usedShared += cc.shared
 	s.usedRegs += cc.regs
-	for _, w := range cta.Warps {
-		wc := &warpCtx{
+	// Nothing names a context being launched, so its warp contexts may move.
+	n, nr := len(cta.Warps), l.Kernel.NumRegs
+	per := nr + l.Kernel.NumPreds
+	cc.warps = slices.Grow(cc.warps[:0], n)[:n]
+	cc.pending = slices.Grow(cc.pending[:0], n*per)[:n*per]
+	clear(cc.pending)
+	for i, w := range cta.Warps {
+		wc := &cc.warps[i]
+		p := cc.pending[i*per : (i+1)*per]
+		*wc = warpCtx{
 			w: w, cta: cc,
-			pendingReg:  make([]int, l.Kernel.NumRegs),
-			pendingPred: make([]int, l.Kernel.NumPreds),
+			pendingReg:  p[:nr],
+			pendingPred: p[nr:],
 			age:         s.age,
 			sched:       s.age % s.cfg.NumSchedulers,
 			readyIn:     notReady,
@@ -506,6 +566,22 @@ func (s *SM) retireCTA(cc *ctaCtx) {
 		}
 	}
 	s.backend.CTAFinished(s.ID, cc.cta)
+	cc.retired = true
+	s.maybeFree(cc)
+}
+
+// unref drops one writeback or memOp reference to the CTA's warps.
+func (s *SM) unref(cc *ctaCtx) {
+	cc.refs--
+	s.maybeFree(cc)
+}
+
+// maybeFree puts a retired CTA context that nothing names any more on the
+// free list, when the fast-forward engine recycles contexts.
+func (s *SM) maybeFree(cc *ctaCtx) {
+	if cc.retired && cc.refs == 0 && s.fastForward {
+		s.ctaFree = append(s.ctaFree, cc)
+	}
 }
 
 // Step advances the SM one cycle: completions, the LD/ST pipeline, then
@@ -566,6 +642,7 @@ func (s *SM) processWritebacks(now int64) {
 			if s.readySets {
 				s.refreshReady(e.warp)
 			}
+			s.unref(e.warp.cta)
 		}
 	}
 }
@@ -583,5 +660,6 @@ func (s *SM) scheduleWriteback(wc *warpCtx, in *isa.Instruction, c wbClass, now 
 	if pred >= 0 {
 		wc.pendingPred[pred]++
 	}
+	wc.cta.refs++
 	s.wb[c].Push(wbEvent{at: now + s.wbLat[c], warp: wc, reg: reg, pred: pred})
 }

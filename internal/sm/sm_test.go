@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"strings"
 	"testing"
 
 	"critload/internal/emu"
@@ -470,11 +471,15 @@ func TestCompleteRequestDoesNotAllocate(t *testing.T) {
 	k := mustKernel(t, ".kernel k\n    ld.global.u32 %r0, [%r1];\n    exit;\n")
 	l := &emu.Launch{Kernel: k, Grid: emu.Dim1(1), Block: emu.Dim1(32)}
 	s.SetKernel(&emu.Env{Mem: mem.New(), Launch: l}, k.Name, nil)
-	wc := &warpCtx{pendingReg: make([]int, k.NumRegs), pendingPred: make([]int, k.NumPreds)}
+	cc := &ctaCtx{cta: emu.NewCTA(l, 0), hazards: k.Hazards(), warps: make([]warpCtx, 1)}
+	wc := &cc.warps[0]
+	*wc = warpCtx{w: cc.cta.Warps[0], cta: cc,
+		pendingReg: make([]int, k.NumRegs), pendingPred: make([]int, k.NumPreds)}
 	now := int64(0)
 	opLife := func() {
 		op := s.getOp()
 		op.kind, op.isLoad, op.warp, op.inst = opGlobalLoad, true, wc, k.Insts[0]
+		cc.refs++
 		op.issued, op.firstAcc, op.lastAcc = now, now, now+3
 		for i := 0; i < 4; i++ {
 			r := s.pool.Get()
@@ -494,10 +499,47 @@ func TestCompleteRequestDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, opLife); n != 0 {
 		t.Errorf("a load op's completion allocates %v times", n)
 	}
-	if ops := col.Turnaround[stats.Det].Ops; ops != 102 || !s.Idle() || wc.pendingReg[0] != 0 {
-		t.Errorf("ops recorded = %d, idle = %v, pending = %d; want 102, true, 0", ops, s.Idle(), wc.pendingReg[0])
+	if ops := col.Turnaround[stats.Det].Ops; ops != 102 || !s.Idle() || wc.pendingReg[0] != 0 || cc.refs != 0 {
+		t.Errorf("ops recorded = %d, idle = %v, pending = %d, CTA refs = %d; want 102, true, 0, 0",
+			ops, s.Idle(), wc.pendingReg[0], cc.refs)
 	}
 	if p := col.PerPC[stats.PCKey{Kernel: "k", PC: 0}]; p == nil || p.ByNReq[4].Ops != 102 {
 		t.Errorf("per-PC entry = %+v, want 102 ops in bucket 4", p)
+	}
+}
+
+// TestCheckCTA checks the fit of one CTA against an empty SM, one row per
+// resource, each naming the resource it exceeds.
+func TestCheckCTA(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		block int
+		tweak func(*Config, *ptx.Kernel)
+	}{
+		{name: "fits", block: 512},
+		{name: "CTA slots", block: 32, tweak: func(c *Config, _ *ptx.Kernel) { c.MaxCTAs = 0 }},
+		{name: "threads", block: 1024, tweak: func(c *Config, _ *ptx.Kernel) { c.MaxThreads = 512 }},
+		{name: "warps", block: 512, tweak: func(c *Config, _ *ptx.Kernel) { c.MaxWarps = 8 }},
+		{name: "shared memory", block: 32, tweak: func(c *Config, k *ptx.Kernel) { k.SharedBytes = c.SharedMemBytes + 4 }},
+		{name: "registers", block: 1024},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			k := mustKernel(t, ".kernel k\n    mov.u32 %r63, 1;\n    exit;\n") // 64 registers
+			if tc.tweak != nil {
+				tc.tweak(&cfg, k)
+			}
+			l := &emu.Launch{Kernel: k, Grid: emu.Dim1(1), Block: emu.Dim1(tc.block)}
+			err := cfg.CheckCTA(l)
+			if tc.name == "fits" {
+				if err != nil {
+					t.Errorf("a fitting CTA rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.name) {
+				t.Errorf("error %v, want one naming %s", err, tc.name)
+			}
+		})
 	}
 }

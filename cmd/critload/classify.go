@@ -51,11 +51,10 @@ func classify(args []string, stdout, stderr io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown workload %q (try -list)", *workload)
 		}
-		inst, err := w.Setup(workloads.Params{})
-		if err != nil {
+		var err error
+		if prog, err = w.Program(); err != nil {
 			return err
 		}
-		prog = inst.Prog
 	default:
 		fs.Usage()
 		return fmt.Errorf("one of -file, -workload or -list is required")

@@ -101,11 +101,11 @@ func ClassifyWorkload(name string) (map[string]*ClassificationResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("critload: unknown workload %q", name)
 	}
-	inst, err := w.Setup(workloads.Params{})
+	prog, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-	return dataflow.ClassifyProgram(inst.Prog), nil
+	return dataflow.ClassifyProgram(prog), nil
 }
 
 // WorkloadInfo describes one registered benchmark.

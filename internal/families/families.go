@@ -31,17 +31,6 @@ import (
 // Knob is one typed family parameter; /v1/workloads lists the schemas as is.
 type Knob = api.Knob
 
-// validate checks one value against the knob's bounds.
-func validate(k Knob, v int) error {
-	if v < k.Min || v > k.Max {
-		return fmt.Errorf("knob %s=%d out of range [%d, %d]", k.Name, v, k.Min, k.Max)
-	}
-	if k.Pow2 && v&(v-1) != 0 {
-		return fmt.Errorf("knob %s=%d must be a power of two", k.Name, v)
-	}
-	return nil
-}
-
 // Family is one registered workload family: a knob schema plus a builder
 // that assembles the kgen IR op list from resolved knob values.
 type Family struct {

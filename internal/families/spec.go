@@ -37,7 +37,7 @@ func (s *Spec) Resolve() (*Family, map[string]int, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("families: %s has no knob %q", f.Name, name)
 		}
-		if err := validate(k, val); err != nil {
+		if err := k.Check(val); err != nil {
 			return nil, nil, fmt.Errorf("families: %s: %w", f.Name, err)
 		}
 		v[name] = val
@@ -160,7 +160,8 @@ func (s *Spec) Build() (*kgen.Case, error) {
 
 // Workload adapts the spec to the workloads registry contract, so a family
 // instance runs everywhere a Table I benchmark does: experiments, job specs,
-// checkpointing, all three engines. Verify replays the case on the
+// checkpointing, all three engines. Its size knob is the family's, with the
+// instance's own size as the default. Verify replays the case on the
 // functional emulator from a fresh environment and compares snapshots —
 // valid for any engine because generated kernels are race-free by
 // construction (stores hit own slots; atomics are commutative).
@@ -170,27 +171,17 @@ func (s *Spec) Workload() (*workloads.Workload, error) {
 		return nil, err
 	}
 	canonical := canonicalName(f, v)
-	w := &workloads.Workload{
-		Name:        canonical,
-		Category:    workloads.Synthetic,
-		Description: f.Description,
-		DataSet:     fmt.Sprintf("seeded synthetic arrays, %d words per bank", v["size"]),
-	}
-	w.Setup = func(p workloads.Params) (*workloads.Instance, error) {
+	size, _ := f.knob("size")
+	size.Default = v["size"]
+	build := func(n int, seed int64) (*workloads.Instance, error) {
 		vv := make(map[string]int, len(v))
 		for k, val := range v {
 			vv[k] = val
 		}
-		if p.Size != 0 {
-			sz, _ := f.knob("size")
-			if err := validate(sz, p.Size); err != nil {
-				return nil, fmt.Errorf("families: %s: size override: %w", f.Name, err)
-			}
-			vv["size"] = p.Size
-		}
-		if p.Seed != 0 {
+		vv["size"] = n
+		if seed != 0 {
 			sk, _ := f.knob("seed")
-			vv["seed"] = int(uint64(p.Seed) % uint64(sk.Max+1))
+			vv["seed"] = int(uint64(seed) % uint64(sk.Max+1))
 		}
 		c, err := (&Spec{Name: f.Name, Knobs: vv}).Build()
 		if err != nil {
@@ -198,10 +189,8 @@ func (s *Spec) Workload() (*workloads.Workload, error) {
 		}
 		env := c.NewEnv()
 		return &workloads.Instance{
-			Workload:      w,
 			Mem:           env.Mem,
 			Prog:          &ptx.Program{Kernels: []*ptx.Kernel{c.Kernel}},
-			MainKernel:    c.Kernel.Name,
 			CTAs:          c.GridX,
 			ThreadsPerCTA: c.BlockX,
 			Run: func(exec workloads.Executor) error {
@@ -223,7 +212,14 @@ func (s *Spec) Workload() (*workloads.Workload, error) {
 			},
 		}, nil
 	}
-	return w, nil
+	return &workloads.Workload{
+		Name:        canonical,
+		Category:    workloads.Synthetic,
+		Description: f.Description,
+		DataSet:     fmt.Sprintf("seeded synthetic arrays, %d words per bank", v["size"]),
+		Size:        size,
+		Build:       build,
+	}, nil
 }
 
 func init() {

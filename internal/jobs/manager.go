@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -467,9 +466,6 @@ func (m *Manager) run(e *execution) {
 	e.started = true
 	now := time.Now()
 	e.progress = newProgressTracker(now)
-	if m.journal != nil {
-		e.progress.onReport = m.progressJournalHook(e.jobs[0].id)
-	}
 	for _, j := range e.jobs {
 		j.state = StateRunning
 		j.started = now
@@ -609,29 +605,6 @@ func (m *Manager) terminalRecordLocked(j *job) (r journal.Record, ok bool) {
 		return r, false
 	}
 	return r, true
-}
-
-// journalProgressEvery throttles progressed records: heartbeats are
-// write-buffer-only (never fsync'd) and purely diagnostic, so one every
-// few seconds is plenty.
-const journalProgressEvery = 5 * time.Second
-
-// progressJournalHook returns the throttled heartbeat callback installed
-// on an execution's progress tracker. The payload is the 16-byte
-// little-endian (cycles, warp instructions) pair.
-func (m *Manager) progressJournalHook(id string) func(int64, uint64) {
-	var last atomic.Int64
-	return func(cycles int64, warpInsts uint64) {
-		now := time.Now()
-		prev := last.Load()
-		if now.UnixNano()-prev < int64(journalProgressEvery) || !last.CompareAndSwap(prev, now.UnixNano()) {
-			return
-		}
-		var data [16]byte
-		binary.LittleEndian.PutUint64(data[:8], uint64(cycles))
-		binary.LittleEndian.PutUint64(data[8:], warpInsts)
-		m.journalAppend(journal.Record{Type: journal.TypeProgressed, At: now, ID: id, Data: data[:]}, false)
-	}
 }
 
 // Get returns a snapshot of the job.

@@ -3,10 +3,15 @@ package jobs
 import (
 	"context"
 	"errors"
+	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"critload/internal/workloads"
+	"critload/pkg/api"
 )
 
 // instantRunner completes immediately, echoing the workload name.
@@ -60,6 +65,19 @@ func newManager(t *testing.T, cfg Config) *Manager {
 
 func spec(workload string) Spec {
 	return Spec{Workload: workload, Mode: ModeFunctional}
+}
+
+// The manager tests run fake runners, so most of their specs name made-up
+// workloads; this resolver admits those names, at any size, while real
+// names keep their own size knobs.
+func init() {
+	fake := regexp.MustCompile(`^([a-e]|aes|bad|gauss|hotspot|late|lava|nw|slow|victim|x|wl[0-9]+)$`)
+	workloads.RegisterResolver(func(name string) (*workloads.Workload, bool) {
+		if !fake.MatchString(name) {
+			return nil, false
+		}
+		return &workloads.Workload{Name: name, Size: api.Knob{Name: "size", Max: math.MaxInt}}, true
+	})
 }
 
 func TestJobLifecycleToDone(t *testing.T) {

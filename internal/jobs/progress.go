@@ -18,11 +18,6 @@ type progressTracker struct {
 	cycles    atomic.Int64
 	warpInsts atomic.Uint64
 	updated   atomic.Int64 // unix nanos of the last report; 0 = none yet
-
-	// onReport, when set (before the runner starts — it is not guarded),
-	// receives every heartbeat; the manager installs a throttled journal
-	// hook here so progress survives a crash as progressed records.
-	onReport func(cycles int64, warpInsts uint64)
 }
 
 func newProgressTracker(start time.Time) *progressTracker {
@@ -33,9 +28,6 @@ func (t *progressTracker) report(cycles int64, warpInsts uint64) {
 	t.cycles.Store(cycles)
 	t.warpInsts.Store(warpInsts)
 	t.updated.Store(time.Now().UnixNano())
-	if t.onReport != nil {
-		t.onReport(cycles, warpInsts)
-	}
 }
 
 // snapshot returns the latest heartbeat, or nil before the first report.

@@ -86,8 +86,8 @@ func (rs *replayState) apply(r journal.Record) error {
 			rj.state, rj.started = StateRunning, r.At
 		}
 	case journal.TypeProgressed:
-		// Heartbeats carry no state; the timestamp alone says the job was
-		// still alive, which TypeStarted already established.
+		// Journals before the heartbeat writer was removed carry these;
+		// they hold no state, so replay skips them.
 	case journal.TypeCompleted:
 		rs.terminal(r.ID, StateDone, "", r.At)
 	case journal.TypeCancelled:

@@ -310,6 +310,38 @@ func TestRecoveryUnusableSpecFails(t *testing.T) {
 	}
 }
 
+// TestRecoveryOversizeSpecFailsUnrun: a spec journaled before sizes were
+// admitted, one far beyond its workload's Max, comes back failed on replay
+// and never reaches the runner, so it cannot exhaust memory on every start.
+func TestRecoveryOversizeSpecFailsUnrun(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, filepath.Join(dir, "journal"), []journal.Record{
+		submittedRec(t, "j00000001", Spec{Workload: "2mm", Mode: ModeTiming, Size: 32768}),
+		submittedRec(t, "j00000002", Spec{Workload: "2mm", Mode: ModeTiming, Size: 32}),
+	})
+	var ran []Spec
+	var mu sync.Mutex
+	m := newManager(t, durableConfig(t, dir, func(_ context.Context, s Spec) (any, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		ran = append(ran, s)
+		return "ok", nil
+	}))
+	ok, err := m.Wait(context.Background(), "j00000002")
+	if err != nil || ok.State != StateDone {
+		t.Fatalf("admissible job = %+v, %v", ok, err)
+	}
+	info, err := m.Get("j00000001")
+	if err != nil || info.State != StateFailed || !strings.Contains(info.Error, "not recoverable") || !strings.Contains(info.Error, "size") {
+		t.Fatalf("oversize job = %+v, %v; want a RecoveredError naming size", info, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 || ran[0].Size != 32 {
+		t.Fatalf("runner saw %+v, want only the admissible spec", ran)
+	}
+}
+
 // TestRecoveryQueueFull: more live jobs than the restarted queue can hold
 // fail with RecoveredError instead of wedging or crashing the startup.
 func TestRecoveryQueueFull(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"critload/internal/workloads"
 )
 
 // Mode selects which engine executes a job.
@@ -47,7 +49,8 @@ type Spec struct {
 	ReuseCheckpoints bool `json:"reuse_checkpoints,omitempty"`
 }
 
-// Validate checks the spec against the registered workloads and modes.
+// Validate checks the spec against the registered workloads, their size
+// knobs and the modes. Size stays as given, so 0 keeps its own cache key.
 func (s Spec) Validate() error {
 	if s.Workload == "" {
 		return fmt.Errorf("jobs: spec has no workload")
@@ -55,8 +58,12 @@ func (s Spec) Validate() error {
 	if s.Mode != ModeFunctional && s.Mode != ModeTiming {
 		return fmt.Errorf("jobs: unknown mode %q", s.Mode)
 	}
-	if s.Size < 0 {
-		return fmt.Errorf("jobs: negative size %d", s.Size)
+	w, ok := workloads.Get(s.Workload)
+	if !ok {
+		return fmt.Errorf("jobs: unknown workload %q", s.Workload)
+	}
+	if _, err := w.CheckSize(s.Size); err != nil {
+		return err
 	}
 	if s.Timeout < 0 {
 		return fmt.Errorf("jobs: negative timeout %s", s.Timeout)

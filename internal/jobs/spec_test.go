@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"critload/internal/workloads"
 )
 
 func TestSpecKeyDerivation(t *testing.T) {
@@ -54,6 +56,8 @@ func with(s Spec, mut func(*Spec)) Spec {
 }
 
 func TestSpecValidate(t *testing.T) {
+	dwt, _ := workloads.Get("dwt")
+	mm, _ := workloads.Get("2mm")
 	tests := []struct {
 		name string
 		spec Spec
@@ -64,6 +68,13 @@ func TestSpecValidate(t *testing.T) {
 		{"missing workload", Spec{Mode: ModeTiming}, false},
 		{"unknown mode", Spec{Workload: "bfs", Mode: "warp-speed"}, false},
 		{"negative size", Spec{Workload: "bfs", Mode: ModeTiming, Size: -1}, false},
+		{"unknown workload", Spec{Workload: "nope", Mode: ModeTiming}, false},
+		{"size 0 is the default", Spec{Workload: "dwt", Mode: ModeTiming, Size: 0}, true},
+		{"size at min", Spec{Workload: "dwt", Mode: ModeTiming, Size: dwt.Size.Min}, true},
+		{"size below min", Spec{Workload: "dwt", Mode: ModeTiming, Size: dwt.Size.Min - 1}, false},
+		{"size at max", Spec{Workload: "2mm", Mode: ModeTiming, Size: mm.Size.Max}, true},
+		{"size above max", Spec{Workload: "2mm", Mode: ModeTiming, Size: mm.Size.Max + 1}, false},
+		{"12 GiB of 2mm", Spec{Workload: "2mm", Mode: ModeTiming, Size: 32768}, false},
 		{"negative timeout", Spec{Workload: "bfs", Mode: ModeTiming, Timeout: -time.Second}, false},
 	}
 	for _, tt := range tests {

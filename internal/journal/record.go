@@ -1,10 +1,10 @@
 // Package journal is an append-only, fsync'd write-ahead log of job
 // lifecycle records. The jobs manager appends one record per state
-// transition (submitted, started, progressed, completed, cancelled,
-// failed) and replays the log on startup to rebuild its queue after a
-// crash; completed results themselves live in the content-addressed
-// result store, so the journal stays small and compacts to the set of
-// retained terminal jobs on clean shutdown.
+// transition (submitted, started, completed, cancelled, failed) and
+// replays the log on startup to rebuild its queue after a crash; completed
+// results themselves live in the content-addressed result store, so the
+// journal stays small and compacts to the set of retained terminal jobs on
+// clean shutdown.
 //
 // On-disk layout: a directory of numbered segment files
 // (00000001.wal, 00000002.wal, ...), each opening with an 12-byte
@@ -31,8 +31,9 @@ import (
 type Type uint8
 
 // Record types, one per job state transition. Submitted carries the spec
-// (JSON) in Data; Failed carries the error text; Progressed carries a
-// cycles/warp-insts heartbeat; the rest need no payload.
+// (JSON) in Data; Failed carries the error text; the rest need no payload.
+// Progressed is a cycles/warp-insts heartbeat that is no longer written;
+// it stays decodable so older journals replay.
 const (
 	TypeSubmitted Type = iota + 1
 	TypeStarted

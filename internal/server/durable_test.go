@@ -10,11 +10,13 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"critload/internal/jobs"
+	"critload/internal/journal"
 	"critload/internal/server"
 	"critload/internal/workloads"
 	"critload/pkg/api"
@@ -264,5 +266,38 @@ func TestAllWorkloadsResultPersistence(t *testing.T) {
 					raw, reser)
 			}
 		})
+	}
+}
+
+// TestOversizeJobRejectedBeforeJournal: a size beyond a workload's declared
+// Max, or below its Min, is a 400 naming size, and the journal never sees
+// the spec, so a restart cannot replay it.
+func TestOversizeJobRejectedBeforeJournal(t *testing.T) {
+	dir := t.TempDir()
+	ts, _, shutdown := startDurableService(t, dir, 1)
+	bodies := []map[string]any{
+		{"workload": "2mm", "mode": "timing", "size": 32768},
+		{"workload": "dwt", "mode": "functional", "size": 1},
+		{"family": map[string]any{"name": "stream"}, "mode": "functional", "size": 1 << 20},
+	}
+	for _, w := range workloads.All() {
+		bodies = append(bodies, map[string]any{"workload": w.Name, "mode": "functional", "size": w.Size.Max + 1})
+	}
+	for _, body := range bodies {
+		var e api.Error
+		if code := postJSON(t, ts.URL+"/v1/jobs", body, &e); code != http.StatusBadRequest || !strings.Contains(e.Message, "size") {
+			t.Errorf("%v: %d %q, want 400 naming size", body, code, e.Message)
+		}
+	}
+	shutdown()
+	var recs []journal.Record
+	if _, err := journal.Replay(filepath.Join(dir, "journal"), func(r journal.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Errorf("journal holds %d records after rejected submissions, want 0", len(recs))
 	}
 }

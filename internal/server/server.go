@@ -370,10 +370,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Workload = canonical
 	}
-	if _, ok := workloads.Get(req.Workload); !ok {
-		writeError(w, http.StatusBadRequest, "unknown workload %q", req.Workload)
-		return
-	}
 	spec := jobs.Spec{
 		Workload:         req.Workload,
 		Mode:             jobs.Mode(req.Mode),
@@ -448,6 +444,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 		resp.Workloads = append(resp.Workloads, api.Workload{
 			Name: wl.Name, Category: wl.Category.String(),
 			Description: wl.Description, DataSet: wl.DataSet,
+			Knobs: []api.Knob{wl.Size},
 		})
 	}
 	for _, f := range families.List() {

@@ -108,7 +108,7 @@ func TestMetrics(t *testing.T) {
 func TestWorkloadsListing(t *testing.T) {
 	ts, _ := newService(t, server.SimRunner(), 1)
 	var catalog struct {
-		Workloads []map[string]string `json:"workloads"`
+		Workloads []api.Workload `json:"workloads"`
 		Families  []struct {
 			Name    string           `json:"name"`
 			Knobs   []map[string]any `json:"knobs"`
@@ -120,6 +120,11 @@ func TestWorkloadsListing(t *testing.T) {
 	}
 	if len(catalog.Workloads) != 15 {
 		t.Fatalf("listed %d workloads, want the paper's 15", len(catalog.Workloads))
+	}
+	for _, w := range catalog.Workloads {
+		if len(w.Knobs) != 1 || w.Knobs[0].Name != "size" || w.Knobs[0].Max < 4*w.Knobs[0].Default {
+			t.Errorf("workload %s knobs %+v, want one size knob admitting 4× its default", w.Name, w.Knobs)
+		}
 	}
 	if len(catalog.Families) != len(families.Names()) {
 		t.Fatalf("listed %d families, want %d", len(catalog.Families), len(families.Names()))

@@ -114,72 +114,65 @@ func init() {
 		Category:    Graph,
 		Description: "breadth-first search with frontier masks (Rodinia bfs)",
 		DataSet:     "65536-vertex skewed random graph, avg degree 8",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 65536
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 11))
-			m := mem.New()
-			prog := ptx.MustParse(bfsSrc)
-			k1 := prog.MustKernel("bfs_k1")
-			k2 := prog.MustKernel("bfs_k2")
+		Size:        sizeKnob("graph vertices", 1, 65536, 400000),
+		src:         bfsSrc, salt: 11,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		k1 := prog.MustKernel("bfs_k1")
+		k2 := prog.MustKernel("bfs_k2")
 
-			g := randomGraph(rng, n, 8)
-			nodes := make([]uint32, 2*n)
-			for v := 0; v < n; v++ {
-				nodes[2*v] = g.rowPtr[v]
-				nodes[2*v+1] = g.rowPtr[v+1] - g.rowPtr[v]
-			}
-			const inf = math.MaxUint32
-			cost := make([]uint32, n)
-			for i := range cost {
-				cost[i] = inf
-			}
-			src := 0
-			cost[src] = 0
-			maskArr := make([]uint32, n)
-			maskArr[src] = 1
-			visited := make([]uint32, n)
-			visited[src] = 1
+		g := randomGraph(rng, n, 8)
+		nodes := make([]uint32, 2*n)
+		for v := 0; v < n; v++ {
+			nodes[2*v] = g.rowPtr[v]
+			nodes[2*v+1] = g.rowPtr[v+1] - g.rowPtr[v]
+		}
+		const inf = math.MaxUint32
+		cost := make([]uint32, n)
+		for i := range cost {
+			cost[i] = inf
+		}
+		src := 0
+		cost[src] = 0
+		maskArr := make([]uint32, n)
+		maskArr[src] = 1
+		visited := make([]uint32, n)
+		visited[src] = 1
 
-			nodesB := m.AllocU32s(nodes)
-			edgesB := m.AllocU32s(g.cols)
-			maskB := m.AllocU32s(maskArr)
-			updB := m.Alloc(uint32(4 * n))
-			visB := m.AllocU32s(visited)
-			costB := m.AllocU32s(cost)
-			overB := m.Alloc(4)
+		nodesB := m.AllocU32s(nodes)
+		edgesB := m.AllocU32s(g.cols)
+		maskB := m.AllocU32s(maskArr)
+		updB := m.Alloc(uint32(4 * n))
+		visB := m.AllocU32s(visited)
+		costB := m.AllocU32s(cost)
+		overB := m.Alloc(4)
 
-			const block = 512
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "bfs_k1",
-				CTAs:          grid1D(n, block),
-				ThreadsPerCTA: block,
-			}
-			inst.Run = func(exec Executor) error {
-				for iter := 0; ; iter++ {
-					if iter > n {
-						return fmt.Errorf("bfs: no convergence after %d iterations", iter)
-					}
-					m.Write32(overB, 0)
-					if err := exec(launch1D(k1, n, block, nodesB, edgesB, maskB, updB, visB, costB, uint32(n))); err != nil {
-						return err
-					}
-					if err := exec(launch1D(k2, n, block, maskB, updB, visB, overB, uint32(n))); err != nil {
-						return err
-					}
-					if !flagSet(m, overB) {
-						return nil
-					}
+		const block = 512
+		inst := &Instance{
+			CTAs:          grid1D(n, block),
+			ThreadsPerCTA: block,
+		}
+		inst.Run = func(exec Executor) error {
+			for iter := 0; ; iter++ {
+				if iter > n {
+					return fmt.Errorf("bfs: no convergence after %d iterations", iter)
+				}
+				m.Write32(overB, 0)
+				if err := exec(launch1D(k1, n, block, nodesB, edgesB, maskB, updB, visB, costB, uint32(n))); err != nil {
+					return err
+				}
+				if err := exec(launch1D(k2, n, block, maskB, updB, visB, overB, uint32(n))); err != nil {
+					return err
+				}
+				if !flagSet(m, overB) {
+					return nil
 				}
 			}
-			inst.Verify = func() error {
-				want := g.bfsDistances(src)
-				return checkU32(m, costB, want, "bfs cost")
-			}
-			return inst, nil
-		},
+		}
+		inst.Verify = func() error {
+			want := g.bfsDistances(src)
+			return checkU32(m, costB, want, "bfs cost")
+		}
+		return inst
 	})
 }
 
@@ -276,73 +269,66 @@ func init() {
 		Category:    Graph,
 		Description: "single-source shortest path, Bellman-Ford with atomic relaxation",
 		DataSet:     "32768-vertex weighted random graph, avg degree 8",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 32768
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 12))
-			m := mem.New()
-			prog := ptx.MustParse(ssspSrc)
-			k1 := prog.MustKernel("sssp_k1")
-			k2 := prog.MustKernel("sssp_k2")
+		Size:        sizeKnob("graph vertices", 1, 32768, 360000),
+		src:         ssspSrc, salt: 12,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		k1 := prog.MustKernel("sssp_k1")
+		k2 := prog.MustKernel("sssp_k2")
 
-			g := randomGraph(rng, n, 8)
-			const inf = uint32(0x3FFFFFFF)
-			dist := make([]uint32, n)
-			for i := range dist {
-				dist[i] = inf
-			}
-			src := 0
-			dist[src] = 0
-			maskArr := make([]uint32, n)
-			maskArr[src] = 1
+		g := randomGraph(rng, n, 8)
+		const inf = uint32(0x3FFFFFFF)
+		dist := make([]uint32, n)
+		for i := range dist {
+			dist[i] = inf
+		}
+		src := 0
+		dist[src] = 0
+		maskArr := make([]uint32, n)
+		maskArr[src] = 1
 
-			rowB := m.AllocU32s(g.rowPtr)
-			colsB := m.AllocU32s(g.cols)
-			wtsB := m.AllocU32s(g.wts)
-			distB := m.AllocU32s(dist)
-			maskB := m.AllocU32s(maskArr)
-			updB := m.Alloc(uint32(4 * n))
-			overB := m.Alloc(4)
+		rowB := m.AllocU32s(g.rowPtr)
+		colsB := m.AllocU32s(g.cols)
+		wtsB := m.AllocU32s(g.wts)
+		distB := m.AllocU32s(dist)
+		maskB := m.AllocU32s(maskArr)
+		updB := m.Alloc(uint32(4 * n))
+		overB := m.Alloc(4)
 
-			const block = 512
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "sssp_k1",
-				CTAs:          grid1D(n, block),
-				ThreadsPerCTA: block,
-			}
-			inst.Run = func(exec Executor) error {
-				for iter := 0; ; iter++ {
-					if iter > n {
-						return fmt.Errorf("sssp: no convergence after %d iterations", iter)
-					}
-					m.Write32(overB, 0)
-					if err := exec(launch1D(k1, n, block, rowB, colsB, wtsB, distB, maskB, updB, uint32(n))); err != nil {
-						return err
-					}
-					if err := exec(launch1D(k2, n, block, maskB, updB, overB, uint32(n))); err != nil {
-						return err
-					}
-					if !flagSet(m, overB) {
-						return nil
-					}
+		const block = 512
+		inst := &Instance{
+			CTAs:          grid1D(n, block),
+			ThreadsPerCTA: block,
+		}
+		inst.Run = func(exec Executor) error {
+			for iter := 0; ; iter++ {
+				if iter > n {
+					return fmt.Errorf("sssp: no convergence after %d iterations", iter)
+				}
+				m.Write32(overB, 0)
+				if err := exec(launch1D(k1, n, block, rowB, colsB, wtsB, distB, maskB, updB, uint32(n))); err != nil {
+					return err
+				}
+				if err := exec(launch1D(k2, n, block, maskB, updB, overB, uint32(n))); err != nil {
+					return err
+				}
+				if !flagSet(m, overB) {
+					return nil
 				}
 			}
-			inst.Verify = func() error {
-				cpu := g.shortestPaths(src)
-				want := make([]uint32, n)
-				for i, d := range cpu {
-					if d == math.MaxUint32 {
-						want[i] = inf
-					} else {
-						want[i] = d
-					}
+		}
+		inst.Verify = func() error {
+			cpu := g.shortestPaths(src)
+			want := make([]uint32, n)
+			for i, d := range cpu {
+				if d == math.MaxUint32 {
+					want[i] = inf
+				} else {
+					want[i] = d
 				}
-				return checkU32(m, distB, want, "sssp dist")
 			}
-			return inst, nil
-		},
+			return checkU32(m, distB, want, "sssp dist")
+		}
+		return inst
 	})
 }
 
@@ -408,53 +394,46 @@ func init() {
 		Category:    Graph,
 		Description: "connected component labeling by min-label propagation with pointer jumping",
 		DataSet:     "32768-vertex random graph, avg degree 6",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 32768
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 13))
-			m := mem.New()
-			prog := ptx.MustParse(cclSrc)
-			k := prog.MustKernel("ccl_prop")
+		Size:        sizeKnob("graph vertices", 1, 32768, 1340000),
+		src:         cclSrc, salt: 13,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		k := prog.MustKernel("ccl_prop")
 
-			// A sparse graph with isolated pockets: several components.
-			g := randomGraph(rng, n, 2)
-			label := make([]uint32, n)
-			for i := range label {
-				label[i] = uint32(i)
-			}
-			rowB := m.AllocU32s(g.rowPtr)
-			colsB := m.AllocU32s(g.cols)
-			labelB := m.AllocU32s(label)
-			chB := m.Alloc(4)
+		// A sparse graph with isolated pockets: several components.
+		g := randomGraph(rng, n, 2)
+		label := make([]uint32, n)
+		for i := range label {
+			label[i] = uint32(i)
+		}
+		rowB := m.AllocU32s(g.rowPtr)
+		colsB := m.AllocU32s(g.cols)
+		labelB := m.AllocU32s(label)
+		chB := m.Alloc(4)
 
-			const block = 256
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "ccl_prop",
-				CTAs:          grid1D(n, block),
-				ThreadsPerCTA: block,
-			}
-			inst.Run = func(exec Executor) error {
-				for iter := 0; ; iter++ {
-					if iter > n {
-						return fmt.Errorf("ccl: no convergence after %d iterations", iter)
-					}
-					m.Write32(chB, 0)
-					if err := exec(launch1D(k, n, block, rowB, colsB, labelB, chB, uint32(n))); err != nil {
-						return err
-					}
-					if !flagSet(m, chB) {
-						return nil
-					}
+		const block = 256
+		inst := &Instance{
+			CTAs:          grid1D(n, block),
+			ThreadsPerCTA: block,
+		}
+		inst.Run = func(exec Executor) error {
+			for iter := 0; ; iter++ {
+				if iter > n {
+					return fmt.Errorf("ccl: no convergence after %d iterations", iter)
+				}
+				m.Write32(chB, 0)
+				if err := exec(launch1D(k, n, block, rowB, colsB, labelB, chB, uint32(n))); err != nil {
+					return err
+				}
+				if !flagSet(m, chB) {
+					return nil
 				}
 			}
-			inst.Verify = func() error {
-				want := g.components()
-				return checkU32(m, labelB, want, "ccl label")
-			}
-			return inst, nil
-		},
+		}
+		inst.Verify = func() error {
+			want := g.components()
+			return checkU32(m, labelB, want, "ccl label")
+		}
+		return inst
 	})
 }
 
@@ -602,86 +581,79 @@ func init() {
 		Category:    Graph,
 		Description: "maximal independent set, Luby-style priority selection",
 		DataSet:     "32768-vertex random graph, avg degree 8",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 32768
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 14))
-			m := mem.New()
-			prog := ptx.MustParse(misSrc)
-			sel := prog.MustKernel("mis_select")
-			commit := prog.MustKernel("mis_commit")
-			excl := prog.MustKernel("mis_exclude")
+		Size:        sizeKnob("graph vertices", 1, 32768, 440000),
+		src:         misSrc, salt: 14,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		sel := prog.MustKernel("mis_select")
+		commit := prog.MustKernel("mis_commit")
+		excl := prog.MustKernel("mis_exclude")
 
-			g := randomGraph(rng, n, 8)
-			// Unique priorities: a random permutation.
-			prio := make([]uint32, n)
-			for i, p := range rng.Perm(n) {
-				prio[i] = uint32(p)
-			}
-			rowB := m.AllocU32s(g.rowPtr)
-			colsB := m.AllocU32s(g.cols)
-			prioB := m.AllocU32s(prio)
-			stateB := m.Alloc(uint32(4 * n))
-			candB := m.Alloc(uint32(4 * n))
-			chB := m.Alloc(4)
+		g := randomGraph(rng, n, 8)
+		// Unique priorities: a random permutation.
+		prio := make([]uint32, n)
+		for i, p := range rng.Perm(n) {
+			prio[i] = uint32(p)
+		}
+		rowB := m.AllocU32s(g.rowPtr)
+		colsB := m.AllocU32s(g.cols)
+		prioB := m.AllocU32s(prio)
+		stateB := m.Alloc(uint32(4 * n))
+		candB := m.Alloc(uint32(4 * n))
+		chB := m.Alloc(4)
 
-			const block = 512
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "mis_select",
-				CTAs:          grid1D(n, block),
-				ThreadsPerCTA: block,
-			}
-			inst.Run = func(exec Executor) error {
-				for iter := 0; ; iter++ {
-					if iter > n {
-						return fmt.Errorf("mis: no convergence after %d iterations", iter)
-					}
-					m.Write32(chB, 0)
-					if err := exec(launch1D(sel, n, block, rowB, colsB, prioB, stateB, candB, uint32(n))); err != nil {
-						return err
-					}
-					if err := exec(launch1D(commit, n, block, candB, stateB, chB, uint32(n))); err != nil {
-						return err
-					}
-					if err := exec(launch1D(excl, n, block, rowB, colsB, stateB, chB, uint32(n))); err != nil {
-						return err
-					}
-					if !flagSet(m, chB) {
-						return nil
-					}
+		const block = 512
+		inst := &Instance{
+			CTAs:          grid1D(n, block),
+			ThreadsPerCTA: block,
+		}
+		inst.Run = func(exec Executor) error {
+			for iter := 0; ; iter++ {
+				if iter > n {
+					return fmt.Errorf("mis: no convergence after %d iterations", iter)
+				}
+				m.Write32(chB, 0)
+				if err := exec(launch1D(sel, n, block, rowB, colsB, prioB, stateB, candB, uint32(n))); err != nil {
+					return err
+				}
+				if err := exec(launch1D(commit, n, block, candB, stateB, chB, uint32(n))); err != nil {
+					return err
+				}
+				if err := exec(launch1D(excl, n, block, rowB, colsB, stateB, chB, uint32(n))); err != nil {
+					return err
+				}
+				if !flagSet(m, chB) {
+					return nil
 				}
 			}
-			inst.Verify = func() error {
-				state := m.ReadU32s(stateB, n)
-				for v := 0; v < n; v++ {
-					switch state[v] {
-					case 1:
-						for e := g.rowPtr[v]; e < g.rowPtr[v+1]; e++ {
-							if state[g.cols[e]] == 1 {
-								return fmt.Errorf("mis: adjacent IN vertices %d and %d", v, g.cols[e])
-							}
+		}
+		inst.Verify = func() error {
+			state := m.ReadU32s(stateB, n)
+			for v := 0; v < n; v++ {
+				switch state[v] {
+				case 1:
+					for e := g.rowPtr[v]; e < g.rowPtr[v+1]; e++ {
+						if state[g.cols[e]] == 1 {
+							return fmt.Errorf("mis: adjacent IN vertices %d and %d", v, g.cols[e])
 						}
-					case 2:
-						ok := false
-						for e := g.rowPtr[v]; e < g.rowPtr[v+1]; e++ {
-							if state[g.cols[e]] == 1 {
-								ok = true
-								break
-							}
-						}
-						if !ok {
-							return fmt.Errorf("mis: OUT vertex %d has no IN neighbour", v)
-						}
-					default:
-						return fmt.Errorf("mis: vertex %d undecided (state %d)", v, state[v])
 					}
+				case 2:
+					ok := false
+					for e := g.rowPtr[v]; e < g.rowPtr[v+1]; e++ {
+						if state[g.cols[e]] == 1 {
+							ok = true
+							break
+						}
+					}
+					if !ok {
+						return fmt.Errorf("mis: OUT vertex %d has no IN neighbour", v)
+					}
+				default:
+					return fmt.Errorf("mis: vertex %d undecided (state %d)", v, state[v])
 				}
-				return nil
 			}
-			return inst, nil
-		},
+			return nil
+		}
+		return inst
 	})
 }
 
@@ -869,111 +841,104 @@ func init() {
 		Category:    Graph,
 		Description: "Borůvka minimum spanning forest with atomic component minima",
 		DataSet:     "16384-vertex weighted random graph, avg degree 6, unique weights",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 16384
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 15))
-			m := mem.New()
-			prog := ptx.MustParse(mstSrc)
-			kReset := prog.MustKernel("mst_reset")
-			kFind := prog.MustKernel("mst_find")
-			kHook := prog.MustKernel("mst_hook")
-			kBreak := prog.MustKernel("mst_break")
-			kJump := prog.MustKernel("mst_jump")
+		Size:        sizeKnob("graph vertices", 1, 16384, 440000),
+		src:         mstSrc, salt: 15,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		kReset := prog.MustKernel("mst_reset")
+		kFind := prog.MustKernel("mst_find")
+		kHook := prog.MustKernel("mst_hook")
+		kBreak := prog.MustKernel("mst_break")
+		kJump := prog.MustKernel("mst_jump")
 
-			g := randomGraph(rng, n, 6)
-			comp := make([]uint32, n)
-			for i := range comp {
-				comp[i] = uint32(i)
+		g := randomGraph(rng, n, 6)
+		comp := make([]uint32, n)
+		for i := range comp {
+			comp[i] = uint32(i)
+		}
+		maxW := uint32(0)
+		for _, w := range g.wts {
+			if w > maxW {
+				maxW = w
 			}
-			maxW := uint32(0)
-			for _, w := range g.wts {
-				if w > maxW {
-					maxW = w
+		}
+		rowB := m.AllocU32s(g.rowPtr)
+		colsB := m.AllocU32s(g.cols)
+		wtsB := m.AllocU32s(g.wts)
+		compB := m.AllocU32s(comp)
+		bestwB := m.Alloc(uint32(4 * n))
+		bestcB := m.Alloc(uint32(4 * n))
+		minwB := m.Alloc(uint32(4 * n))
+		selB := m.Alloc(uint32(4 * (maxW + 1)))
+		chB := m.Alloc(4)
+
+		const block = 384
+		inst := &Instance{
+			CTAs:          grid1D(n, block),
+			ThreadsPerCTA: block,
+		}
+		inst.Run = func(exec Executor) error {
+			for round := 0; ; round++ {
+				if round > 64 {
+					return fmt.Errorf("mst: no convergence after %d rounds", round)
 				}
-			}
-			rowB := m.AllocU32s(g.rowPtr)
-			colsB := m.AllocU32s(g.cols)
-			wtsB := m.AllocU32s(g.wts)
-			compB := m.AllocU32s(comp)
-			bestwB := m.Alloc(uint32(4 * n))
-			bestcB := m.Alloc(uint32(4 * n))
-			minwB := m.Alloc(uint32(4 * n))
-			selB := m.Alloc(uint32(4 * (maxW + 1)))
-			chB := m.Alloc(4)
-
-			const block = 384
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "mst_find",
-				CTAs:          grid1D(n, block),
-				ThreadsPerCTA: block,
-			}
-			inst.Run = func(exec Executor) error {
-				for round := 0; ; round++ {
-					if round > 64 {
-						return fmt.Errorf("mst: no convergence after %d rounds", round)
-					}
+				m.Write32(chB, 0)
+				if err := exec(launch1D(kReset, n, block, minwB, uint32(n))); err != nil {
+					return err
+				}
+				if err := exec(launch1D(kFind, n, block, rowB, colsB, wtsB, compB, bestwB, bestcB, minwB, uint32(n))); err != nil {
+					return err
+				}
+				if err := exec(launch1D(kHook, n, block, compB, bestwB, bestcB, minwB, selB, chB, uint32(n))); err != nil {
+					return err
+				}
+				if !flagSet(m, chB) {
+					return nil
+				}
+				if err := exec(launch1D(kBreak, n, block, compB, uint32(n))); err != nil {
+					return err
+				}
+				// Pointer-jump until the component forest is flat,
+				// reusing the flag word for jump convergence.
+				for {
 					m.Write32(chB, 0)
-					if err := exec(launch1D(kReset, n, block, minwB, uint32(n))); err != nil {
-						return err
-					}
-					if err := exec(launch1D(kFind, n, block, rowB, colsB, wtsB, compB, bestwB, bestcB, minwB, uint32(n))); err != nil {
-						return err
-					}
-					if err := exec(launch1D(kHook, n, block, compB, bestwB, bestcB, minwB, selB, chB, uint32(n))); err != nil {
+					if err := exec(launch1D(kJump, n, block, compB, chB, uint32(n))); err != nil {
 						return err
 					}
 					if !flagSet(m, chB) {
-						return nil
-					}
-					if err := exec(launch1D(kBreak, n, block, compB, uint32(n))); err != nil {
-						return err
-					}
-					// Pointer-jump until the component forest is flat,
-					// reusing the flag word for jump convergence.
-					for {
-						m.Write32(chB, 0)
-						if err := exec(launch1D(kJump, n, block, compB, chB, uint32(n))); err != nil {
-							return err
-						}
-						if !flagSet(m, chB) {
-							break
-						}
+						break
 					}
 				}
 			}
-			inst.Verify = func() error {
-				// The selected edges must sum to the Kruskal forest weight
-				// (unique weights make the MST unique).
-				var total uint64
-				for w := uint32(1); w <= maxW; w++ {
-					if m.Read32(selB+4*w) != 0 {
-						total += uint64(w)
-					}
+		}
+		inst.Verify = func() error {
+			// The selected edges must sum to the Kruskal forest weight
+			// (unique weights make the MST unique).
+			var total uint64
+			for w := uint32(1); w <= maxW; w++ {
+				if m.Read32(selB+4*w) != 0 {
+					total += uint64(w)
 				}
-				want := g.mstWeight()
-				if total != want {
-					return fmt.Errorf("mst: selected weight %d, want %d", total, want)
-				}
-				// And the component structure must match CPU connectivity.
-				cpu := g.components()
-				gpu := m.ReadU32s(compB, n)
-				groups := map[uint32]uint32{}
-				for v := 0; v < n; v++ {
-					root := gpu[v]
-					if seen, ok := groups[root]; ok {
-						if seen != cpu[v] {
-							return fmt.Errorf("mst: component mix-up at vertex %d", v)
-						}
-					} else {
-						groups[root] = cpu[v]
-					}
-				}
-				return nil
 			}
-			return inst, nil
-		},
+			want := g.mstWeight()
+			if total != want {
+				return fmt.Errorf("mst: selected weight %d, want %d", total, want)
+			}
+			// And the component structure must match CPU connectivity.
+			cpu := g.components()
+			gpu := m.ReadU32s(compB, n)
+			groups := map[uint32]uint32{}
+			for v := 0; v < n; v++ {
+				root := gpu[v]
+				if seen, ok := groups[root]; ok {
+					if seen != cpu[v] {
+						return fmt.Errorf("mst: component mix-up at vertex %d", v)
+					}
+				} else {
+					groups[root] = cpu[v]
+				}
+			}
+			return nil
+		}
+		return inst
 	})
 }

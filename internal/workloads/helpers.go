@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -87,14 +88,9 @@ func (g *csr) nnz() int { return len(g.cols) }
 // inputs. The first draw of an unordered pair wins and takes the next weight;
 // each row lists its neighbours in ascending order.
 func randomGraph(rng *rand.Rand, n, degree int) *csr {
-	// edges[i] is the i-th distinct pair drawn; unique weights (i+1) keep
-	// MST selection deterministic.
 	type edge struct{ u, v uint32 }
-	draws := n * degree / 2
-	seen := make(map[uint64]struct{}, draws)
-	edges := make([]edge, 0, draws)
-	g := &csr{n: n, rowPtr: make([]uint32, n+1)}
-	for e := 0; e < draws; e++ {
+	drawn := make([]edge, 0, n*degree/2)
+	for e := n * degree / 2; e > 0; e-- {
 		// Mildly skewed endpoint selection (exponent 1.5): a heavy-ish tail
 		// like the paper's R-MAT inputs without creating mega-hubs that
 		// would let the edge loops dominate the dynamic instruction mix.
@@ -103,17 +99,45 @@ func randomGraph(rng *rand.Rand, n, degree int) *csr {
 		if u >= n {
 			u = n - 1
 		}
-		if u == v {
-			continue
+		if u != v {
+			drawn = append(drawn, edge{uint32(u), uint32(v)})
 		}
-		key := uint64(min(u, v))<<32 | uint64(max(u, v))
-		if _, dup := seen[key]; dup {
-			continue
+	}
+	// Keep each unordered pair's first draw: bucket the draws by their lower
+	// endpoint, in draw order, and within a bucket drop a higher endpoint
+	// already seen there.
+	byLow := make([]uint32, n+1)
+	for _, d := range drawn {
+		byLow[min(d.u, d.v)+1]++
+	}
+	for u := 0; u < n; u++ {
+		byLow[u+1] += byLow[u]
+	}
+	order := make([]uint32, len(drawn))
+	for j, d := range drawn {
+		lo := min(d.u, d.v)
+		order[byLow[lo]] = uint32(j)
+		byLow[lo]++
+	}
+	first := make([]bool, len(drawn))
+	seenIn := make([]int32, n) // the bucket that last saw each higher endpoint, plus one
+	for _, j := range order {
+		d := drawn[j]
+		lo, hi := min(d.u, d.v), max(d.u, d.v)
+		if seenIn[hi] != int32(lo)+1 {
+			seenIn[hi], first[j] = int32(lo)+1, true
 		}
-		seen[key] = struct{}{}
-		edges = append(edges, edge{uint32(u), uint32(v)})
-		g.rowPtr[u+1]++
-		g.rowPtr[v+1]++
+	}
+	// edges[i] is the i-th distinct pair drawn; unique weights (i+1) keep
+	// MST selection deterministic.
+	edges := drawn[:0]
+	g := &csr{n: n, rowPtr: make([]uint32, n+1)}
+	for j, d := range drawn {
+		if first[j] {
+			edges = append(edges, d)
+			g.rowPtr[d.u+1]++
+			g.rowPtr[d.v+1]++
+		}
 	}
 	for u := 0; u < n; u++ {
 		g.rowPtr[u+1] += g.rowPtr[u]
@@ -208,34 +232,43 @@ func (g *csr) bfsDistances(src int) []uint32 {
 	return dist
 }
 
-// shortestPaths computes weighted single-source distances (Dijkstra) on the
-// CPU for sssp verification.
+// shortestPaths computes weighted single-source distances (Dijkstra over a
+// binary heap) on the CPU for sssp verification.
 func (g *csr) shortestPaths(src int) []uint32 {
-	const inf = math.MaxUint32
 	dist := make([]uint32, g.n)
-	done := make([]bool, g.n)
 	for i := range dist {
-		dist[i] = inf
+		dist[i] = math.MaxUint32
 	}
 	dist[src] = 0
-	for {
-		u, best := -1, uint32(inf)
-		for v := 0; v < g.n; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
+	h := &distHeap{{0, uint32(src)}}
+	for h.Len() > 0 {
+		top := heap.Pop(h).(distEntry)
+		if top.d > dist[top.v] {
+			continue // superseded by a shorter path
 		}
-		if u < 0 {
-			return dist
-		}
-		done[u] = true
-		for e := g.rowPtr[u]; e < g.rowPtr[u+1]; e++ {
+		for e := g.rowPtr[top.v]; e < g.rowPtr[top.v+1]; e++ {
 			v := g.cols[e]
-			if nd := dist[u] + g.wts[e]; nd < dist[v] {
+			if nd := top.d + g.wts[e]; nd < dist[v] {
 				dist[v] = nd
+				heap.Push(h, distEntry{nd, v})
 			}
 		}
 	}
+	return dist
+}
+
+// distHeap is a min-heap of tentative distances.
+type distEntry struct{ d, v uint32 }
+type distHeap []distEntry
+
+func (h distHeap) Len() int           { return len(h) }
+func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
+func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *distHeap) Push(x any)        { *h = append(*h, x.(distEntry)) }
+func (h *distHeap) Pop() any {
+	x := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return x
 }
 
 // mstWeight computes the minimum-spanning-forest weight (Kruskal) on the CPU.

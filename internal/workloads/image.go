@@ -121,54 +121,47 @@ func init() {
 		Category:    Image,
 		Description: "one-level 2-D Haar discrete wavelet transform (Rodinia dwt2d)",
 		DataSet:     "512×512 float image",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 512
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 6))
-			m := mem.New()
-			prog := ptx.MustParse(dwtSrc)
-			rows := prog.MustKernel("dwt_rows")
-			cols := prog.MustKernel("dwt_cols")
+		Size:        sizeKnob("image edge in pixels", 2, 512, 2500),
+		src:         dwtSrc, salt: 6,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		rows := prog.MustKernel("dwt_rows")
+		cols := prog.MustKernel("dwt_cols")
 
-			img := randF32s(rng, n*n, 0, 255)
-			imgB := m.AllocF32s(img)
-			tmpB := m.Alloc(uint32(4 * n * n))
-			outB := m.Alloc(uint32(4 * n * n))
+		img := randF32s(rng, n*n, 0, 255)
+		imgB := m.AllocF32s(img)
+		tmpB := m.Alloc(uint32(4 * n * n))
+		outB := m.Alloc(uint32(4 * n * n))
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "dwt_rows",
-				CTAs:          grid1D(n*n/2, 256),
-				ThreadsPerCTA: 256,
+		inst := &Instance{
+			CTAs:          grid1D(n*n/2, 256),
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			if err := exec(launch1D(rows, n*n/2, 256, imgB, tmpB, uint32(n), uint32(n))); err != nil {
+				return err
 			}
-			inst.Run = func(exec Executor) error {
-				if err := exec(launch1D(rows, n*n/2, 256, imgB, tmpB, uint32(n), uint32(n))); err != nil {
-					return err
+			return exec(launch1D(cols, n*n/2, 256, tmpB, outB, uint32(n), uint32(n)))
+		}
+		inst.Verify = func() error {
+			tmp := make([]float32, n*n)
+			for r := 0; r < n; r++ {
+				for c := 0; c < n/2; c++ {
+					a, b := img[r*n+2*c], img[r*n+2*c+1]
+					tmp[r*n+c] = (a + b) * 0.5
+					tmp[r*n+n/2+c] = (a - b) * 0.5
 				}
-				return exec(launch1D(cols, n*n/2, 256, tmpB, outB, uint32(n), uint32(n)))
 			}
-			inst.Verify = func() error {
-				tmp := make([]float32, n*n)
-				for r := 0; r < n; r++ {
-					for c := 0; c < n/2; c++ {
-						a, b := img[r*n+2*c], img[r*n+2*c+1]
-						tmp[r*n+c] = (a + b) * 0.5
-						tmp[r*n+n/2+c] = (a - b) * 0.5
-					}
+			want := make([]float32, n*n)
+			for r := 0; r < n/2; r++ {
+				for c := 0; c < n; c++ {
+					a, b := tmp[(2*r)*n+c], tmp[(2*r+1)*n+c]
+					want[r*n+c] = (a + b) * 0.5
+					want[(r+n/2)*n+c] = (a - b) * 0.5
 				}
-				want := make([]float32, n*n)
-				for r := 0; r < n/2; r++ {
-					for c := 0; c < n; c++ {
-						a, b := tmp[(2*r)*n+c], tmp[(2*r+1)*n+c]
-						want[r*n+c] = (a + b) * 0.5
-						want[(r+n/2)*n+c] = (a - b) * 0.5
-					}
-				}
-				return checkF32(m, outB, want, 1e-4, "dwt out")
 			}
-			return inst, nil
-		},
+			return checkF32(m, outB, want, 1e-4, "dwt out")
+		}
+		return inst
 	})
 }
 
@@ -247,73 +240,66 @@ func init() {
 		Category:    Image,
 		Description: "heartwall-style region tracking: shared-memory SSD template matching",
 		DataSet:     "256 regions × 256 px, 4 templates, 4 frames",
-		Setup: func(p Params) (*Instance, error) {
-			regions := p.Size
-			if regions == 0 {
-				regions = 256
-			}
-			const kTemplates = 4
-			const frames = 4
-			rng := rand.New(rand.NewSource(p.Seed + 7))
-			m := mem.New()
-			prog := ptx.MustParse(htwSrc)
-			k := prog.MustKernel("htw")
+		Size:        sizeKnob("tracked regions of 256 pixels", 1, 256, 10500),
+		src:         htwSrc, salt: 7,
+	}, func(regions int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		const kTemplates = 4
+		const frames = 4
+		k := prog.MustKernel("htw")
 
-			npix := regions * 256
-			imgs := make([][]uint32, frames)
-			for f := range imgs {
-				imgs[f] = make([]uint32, npix)
-				for i := range imgs[f] {
-					imgs[f][i] = uint32(rng.Intn(256))
-				}
+		npix := regions * 256
+		imgs := make([][]uint32, frames)
+		for f := range imgs {
+			imgs[f] = make([]uint32, npix)
+			for i := range imgs[f] {
+				imgs[f][i] = uint32(rng.Intn(256))
 			}
-			tmpl := make([]uint32, kTemplates*256)
-			for i := range tmpl {
-				tmpl[i] = uint32(rng.Intn(256))
-			}
-			tmplB := m.AllocU32s(tmpl)
-			imgBs := make([]uint32, frames)
-			ssdBs := make([]uint32, frames)
+		}
+		tmpl := make([]uint32, kTemplates*256)
+		for i := range tmpl {
+			tmpl[i] = uint32(rng.Intn(256))
+		}
+		tmplB := m.AllocU32s(tmpl)
+		imgBs := make([]uint32, frames)
+		ssdBs := make([]uint32, frames)
+		for f := 0; f < frames; f++ {
+			imgBs[f] = m.AllocU32s(imgs[f])
+			ssdBs[f] = m.Alloc(uint32(4 * regions * kTemplates))
+		}
+
+		inst := &Instance{
+			CTAs:          regions,
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
 			for f := 0; f < frames; f++ {
-				imgBs[f] = m.AllocU32s(imgs[f])
-				ssdBs[f] = m.Alloc(uint32(4 * regions * kTemplates))
-			}
-
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "htw",
-				CTAs:          regions,
-				ThreadsPerCTA: 256,
-			}
-			inst.Run = func(exec Executor) error {
-				for f := 0; f < frames; f++ {
-					l := launch1D(k, regions*256, 256, imgBs[f], tmplB, ssdBs[f], kTemplates)
-					if err := exec(l); err != nil {
-						return err
-					}
+				l := launch1D(k, regions*256, 256, imgBs[f], tmplB, ssdBs[f], kTemplates)
+				if err := exec(l); err != nil {
+					return err
 				}
-				return nil
 			}
-			inst.Verify = func() error {
-				for f := 0; f < frames; f++ {
-					want := make([]uint32, regions*kTemplates)
-					for rgn := 0; rgn < regions; rgn++ {
-						for t := 0; t < kTemplates; t++ {
-							var sum uint32
-							for i := 0; i < 256; i++ {
-								d := imgs[f][rgn*256+i] - tmpl[t*256+i]
-								sum += d * d
-							}
-							want[rgn*kTemplates+t] = sum
+			return nil
+		}
+		inst.Verify = func() error {
+			for f := 0; f < frames; f++ {
+				want := make([]uint32, regions*kTemplates)
+				for rgn := 0; rgn < regions; rgn++ {
+					for t := 0; t < kTemplates; t++ {
+						var sum uint32
+						for i := 0; i < 256; i++ {
+							d := imgs[f][rgn*256+i] - tmpl[t*256+i]
+							sum += d * d
 						}
-					}
-					if err := checkU32(m, ssdBs[f], want, "htw ssd"); err != nil {
-						return err
+						want[rgn*kTemplates+t] = sum
 					}
 				}
-				return nil
+				if err := checkU32(m, ssdBs[f], want, "htw ssd"); err != nil {
+					return err
+				}
 			}
-			return inst, nil
-		},
+			return nil
+		}
+		return inst
 	})
 }
 
@@ -391,59 +377,52 @@ func init() {
 		Category:    Image,
 		Description: "MRI Q-matrix calibration, sin/cos heavy (Parboil mri-q)",
 		DataSet:     "16384 pixels × 256 k-space samples",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 16384
-			}
-			numK := 256
-			if n < 1024 {
-				numK = 64
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 8))
-			m := mem.New()
-			prog := ptx.MustParse(mriqSrc)
-			k := prog.MustKernel("mriq")
+		Size:        sizeKnob("pixels", 1, 16384, 2900000),
+		src:         mriqSrc, salt: 8,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		numK := 256
+		if n < 1024 {
+			numK = 64
+		}
+		k := prog.MustKernel("mriq")
 
-			x := randF32s(rng, n, -1, 1)
-			y := randF32s(rng, n, -1, 1)
-			z := randF32s(rng, n, -1, 1)
-			samples := randF32s(rng, numK*5, -0.5, 0.5)
-			xB, yB, zB := m.AllocF32s(x), m.AllocF32s(y), m.AllocF32s(z)
-			kB := m.AllocF32s(samples)
-			qrB := m.Alloc(uint32(4 * n))
-			qiB := m.Alloc(uint32(4 * n))
+		x := randF32s(rng, n, -1, 1)
+		y := randF32s(rng, n, -1, 1)
+		z := randF32s(rng, n, -1, 1)
+		samples := randF32s(rng, numK*5, -0.5, 0.5)
+		xB, yB, zB := m.AllocF32s(x), m.AllocF32s(y), m.AllocF32s(z)
+		kB := m.AllocF32s(samples)
+		qrB := m.Alloc(uint32(4 * n))
+		qiB := m.Alloc(uint32(4 * n))
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "mriq",
-				CTAs:          grid1D(n, 256),
-				ThreadsPerCTA: 256,
-			}
-			inst.Run = func(exec Executor) error {
-				return exec(launch1D(k, n, 256, xB, yB, zB, kB, qrB, qiB, uint32(numK), uint32(n)))
-			}
-			inst.Verify = func() error {
-				wantR := make([]float32, n)
-				wantI := make([]float32, n)
-				for i := 0; i < n; i++ {
-					var qr, qi float32
-					for kk := 0; kk < numK; kk++ {
-						s := samples[kk*5:]
-						arg := s[0]*x[i] + s[1]*y[i]
-						arg = s[2]*z[i] + arg
-						arg = arg * 6.2831853
-						qr = s[3]*float32(math.Cos(float64(arg))) + qr
-						qi = s[4]*float32(math.Sin(float64(arg))) + qi
-					}
-					wantR[i], wantI[i] = qr, qi
+		inst := &Instance{
+			CTAs:          grid1D(n, 256),
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			return exec(launch1D(k, n, 256, xB, yB, zB, kB, qrB, qiB, uint32(numK), uint32(n)))
+		}
+		inst.Verify = func() error {
+			wantR := make([]float32, n)
+			wantI := make([]float32, n)
+			for i := 0; i < n; i++ {
+				var qr, qi float32
+				for kk := 0; kk < numK; kk++ {
+					s := samples[kk*5:]
+					arg := s[0]*x[i] + s[1]*y[i]
+					arg = s[2]*z[i] + arg
+					arg = arg * 6.2831853
+					qr = s[3]*float32(math.Cos(float64(arg))) + qr
+					qi = s[4]*float32(math.Sin(float64(arg))) + qi
 				}
-				if err := checkF32(m, qrB, wantR, 1e-2, "mriq qr"); err != nil {
-					return err
-				}
-				return checkF32(m, qiB, wantI, 1e-2, "mriq qi")
+				wantR[i], wantI[i] = qr, qi
 			}
-			return inst, nil
-		},
+			if err := checkF32(m, qrB, wantR, 1e-2, "mriq qr"); err != nil {
+				return err
+			}
+			return checkF32(m, qiB, wantI, 1e-2, "mriq qi")
+		}
+		return inst
 	})
 }
 
@@ -566,73 +545,68 @@ func init() {
 		Category:    Image,
 		Description: "neural-net layer forward + weight adjust (Rodinia backprop)",
 		DataSet:     "65536 input units × 16 hidden units",
-		Setup: func(p Params) (*Instance, error) {
-			nin := p.Size
-			if nin == 0 {
-				nin = 65536
-			}
-			const hid = 16
-			rng := rand.New(rand.NewSource(p.Seed + 9))
-			m := mem.New()
-			prog := ptx.MustParse(bprSrc)
-			fwd := prog.MustKernel("bpr_forward")
-			adj := prog.MustKernel("bpr_adjust")
+		Size:        sizeKnob("input units", 1, 65536, 620000),
+		src:         bprSrc, salt: 9,
+	}, func(nin int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		const hid = 16
+		fwd := prog.MustKernel("bpr_forward")
+		adj := prog.MustKernel("bpr_adjust")
 
-			input := randF32s(rng, nin, 0, 1)
-			weights := randF32s(rng, nin*hid, -0.5, 0.5)
-			delta := randF32s(rng, hid, -0.1, 0.1)
-			inB := m.AllocF32s(input)
-			wB := m.AllocF32s(weights)
-			dB := m.AllocF32s(delta)
-			tiles := nin / 16
-			partB := m.Alloc(uint32(4 * tiles * hid))
+		// The forward kernel reads whole 16-row tiles; zero rows pad the last.
+		tiles := grid1D(nin, 16)
+		pad := tiles*16 - nin
+		input := append(randF32s(rng, nin, 0, 1), make([]float32, pad)...)
+		weights := append(randF32s(rng, nin*hid, -0.5, 0.5), make([]float32, pad*hid)...)
+		delta := randF32s(rng, hid, -0.1, 0.1)
+		inB := m.AllocF32s(input)
+		wB := m.AllocF32s(weights)
+		dB := m.AllocF32s(delta)
+		partB := m.Alloc(uint32(4 * tiles * hid))
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "bpr_forward",
-				CTAs:          tiles,
-				ThreadsPerCTA: 256,
+		inst := &Instance{
+			CTAs:          tiles,
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			// Grid: one 16×16 CTA per 16-row input tile.
+			fl := launch2D(fwd, nin, 16, 16, 16, inB, wB, partB, hid)
+			if err := exec(fl); err != nil {
+				return err
 			}
-			inst.Run = func(exec Executor) error {
-				// Grid: one 16×16 CTA per 16-row input tile.
-				fl := launch2D(fwd, nin, 16, 16, 16, inB, wB, partB, hid)
-				if err := exec(fl); err != nil {
-					return err
-				}
-				return exec(launch1D(adj, nin*hid, 256, wB, inB, dB, hid, uint32(nin)))
-			}
-			inst.Verify = func() error {
-				// Partial sums per tile.
-				want := make([]float32, tiles*hid)
-				for t := 0; t < tiles; t++ {
-					for j := 0; j < hid; j++ {
-						// Tree reduction order: stride 8,4,2,1 over 16 rows.
-						var vals [16]float32
-						for r := 0; r < 16; r++ {
-							i := t*16 + r
-							vals[r] = input[i] * weights[i*hid+j]
-						}
-						for stride := 8; stride > 0; stride /= 2 {
-							for r := 0; r < stride; r++ {
-								vals[r] = vals[r+stride] + vals[r]
-							}
-						}
-						want[t*hid+j] = vals[0]
+			return exec(launch1D(adj, nin*hid, 256, wB, inB, dB, hid, uint32(nin)))
+		}
+		inst.Verify = func() error {
+			// Partial sums per tile.
+			want := make([]float32, tiles*hid)
+			for t := 0; t < tiles; t++ {
+				for j := 0; j < hid; j++ {
+					// Tree reduction order: stride 8,4,2,1 over 16 rows.
+					var vals [16]float32
+					for r := 0; r < 16; r++ {
+						i := t*16 + r
+						vals[r] = input[i] * weights[i*hid+j]
 					}
-				}
-				if err := checkF32(m, partB, want, 1e-3, "bpr partial"); err != nil {
-					return err
-				}
-				// Adjusted weights.
-				wantW := make([]float32, nin*hid)
-				for i := 0; i < nin; i++ {
-					for j := 0; j < hid; j++ {
-						wantW[i*hid+j] = input[i]*delta[j]*0.3 + weights[i*hid+j]
+					for stride := 8; stride > 0; stride /= 2 {
+						for r := 0; r < stride; r++ {
+							vals[r] = vals[r+stride] + vals[r]
+						}
 					}
+					want[t*hid+j] = vals[0]
 				}
-				return checkF32(m, wB, wantW, 1e-3, "bpr weights")
 			}
-			return inst, nil
-		},
+			if err := checkF32(m, partB, want, 1e-3, "bpr partial"); err != nil {
+				return err
+			}
+			// Adjusted weights.
+			wantW := make([]float32, nin*hid)
+			for i := 0; i < nin; i++ {
+				for j := 0; j < hid; j++ {
+					wantW[i*hid+j] = input[i]*delta[j]*0.3 + weights[i*hid+j]
+				}
+			}
+			return checkF32(m, wB, wantW, 1e-3, "bpr weights")
+		}
+		return inst
 	})
 }
 
@@ -833,100 +807,93 @@ func init() {
 		Category:    Image,
 		Description: "speckle-reducing anisotropic diffusion (Rodinia srad)",
 		DataSet:     "256×256 float image, 4 iterations",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 256
-			}
-			const iters = 4
-			const lambda = float32(0.5)
-			rng := rand.New(rand.NewSource(p.Seed + 10))
-			m := mem.New()
-			prog := ptx.MustParse(sradSrc)
-			k1 := prog.MustKernel("srad1")
-			k2 := prog.MustKernel("srad2")
+		Size:        sizeKnob("image edge in pixels", 1, 256, 1950),
+		src:         sradSrc, salt: 10,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		const iters = 4
+		const lambda = float32(0.5)
+		k1 := prog.MustKernel("srad1")
+		k2 := prog.MustKernel("srad2")
 
-			size := n * n
-			j := randF32s(rng, size, 1, 2) // exp-scaled image, strictly positive
-			iN := make([]uint32, n)
-			iS := make([]uint32, n)
-			jW := make([]uint32, n)
-			jE := make([]uint32, n)
-			for i := 0; i < n; i++ {
-				iN[i], iS[i], jW[i], jE[i] = uint32(i-1), uint32(i+1), uint32(i-1), uint32(i+1)
-			}
-			iN[0], jW[0] = 0, 0
-			iS[n-1], jE[n-1] = uint32(n-1), uint32(n-1)
+		size := n * n
+		j := randF32s(rng, size, 1, 2) // exp-scaled image, strictly positive
+		iN := make([]uint32, n)
+		iS := make([]uint32, n)
+		jW := make([]uint32, n)
+		jE := make([]uint32, n)
+		for i := 0; i < n; i++ {
+			iN[i], iS[i], jW[i], jE[i] = uint32(i-1), uint32(i+1), uint32(i-1), uint32(i+1)
+		}
+		iN[0], jW[0] = 0, 0
+		iS[n-1], jE[n-1] = uint32(n-1), uint32(n-1)
 
-			jB := m.AllocF32s(j)
-			dNB := m.Alloc(uint32(4 * size))
-			dSB := m.Alloc(uint32(4 * size))
-			dWB := m.Alloc(uint32(4 * size))
-			dEB := m.Alloc(uint32(4 * size))
-			cB := m.Alloc(uint32(4 * size))
-			iNB, iSB, jWB, jEB := m.AllocU32s(iN), m.AllocU32s(iS), m.AllocU32s(jW), m.AllocU32s(jE)
+		jB := m.AllocF32s(j)
+		dNB := m.Alloc(uint32(4 * size))
+		dSB := m.Alloc(uint32(4 * size))
+		dWB := m.Alloc(uint32(4 * size))
+		dEB := m.Alloc(uint32(4 * size))
+		cB := m.Alloc(uint32(4 * size))
+		iNB, iSB, jWB, jEB := m.AllocU32s(iN), m.AllocU32s(iS), m.AllocU32s(jW), m.AllocU32s(jE)
 
-			const q0sqr = float32(0.05)
+		const q0sqr = float32(0.05)
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "srad1",
-				CTAs:          grid1D(size, 256),
-				ThreadsPerCTA: 256,
-			}
-			inst.Run = func(exec Executor) error {
-				for it := 0; it < iters; it++ {
-					if err := exec(launch1D(k1, size, 256,
-						jB, dNB, dSB, dWB, dEB, cB, iNB, iSB, jWB, jEB,
-						uint32(n), uint32(size), f32bits(q0sqr))); err != nil {
-						return err
-					}
-					if err := exec(launch1D(k2, size, 256,
-						jB, dNB, dSB, dWB, dEB, cB, iSB, jEB,
-						uint32(n), uint32(size), f32bits(lambda))); err != nil {
-						return err
-					}
+		inst := &Instance{
+			CTAs:          grid1D(size, 256),
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			for it := 0; it < iters; it++ {
+				if err := exec(launch1D(k1, size, 256,
+					jB, dNB, dSB, dWB, dEB, cB, iNB, iSB, jWB, jEB,
+					uint32(n), uint32(size), f32bits(q0sqr))); err != nil {
+					return err
 				}
-				return nil
-			}
-			inst.Verify = func() error {
-				ref := append([]float32(nil), j...)
-				dN := make([]float32, size)
-				dS := make([]float32, size)
-				dW := make([]float32, size)
-				dE := make([]float32, size)
-				c := make([]float32, size)
-				for it := 0; it < iters; it++ {
-					for cell := 0; cell < size; cell++ {
-						r, cc := cell/n, cell%n
-						jc := ref[cell]
-						dN[cell] = ref[int(iN[r])*n+cc] - jc
-						dS[cell] = ref[int(iS[r])*n+cc] - jc
-						dW[cell] = ref[r*n+int(jW[cc])] - jc
-						dE[cell] = ref[r*n+int(jE[cc])] - jc
-						g2 := (dN[cell]*dN[cell] + dS[cell]*dS[cell] + dW[cell]*dW[cell] + dE[cell]*dE[cell]) / (jc * jc)
-						l := (dN[cell] + dS[cell] + dW[cell] + dE[cell]) / jc
-						num := g2*0.5 - l*l*0.0625
-						den := l*0.25 + 1
-						qsqr := num / (den * den)
-						cv := 1 / ((qsqr-q0sqr)/(q0sqr*(q0sqr+1)) + 1)
-						if cv < 0 {
-							cv = 0
-						}
-						if cv > 1 {
-							cv = 1
-						}
-						c[cell] = cv
-					}
-					for cell := 0; cell < size; cell++ {
-						r, cc := cell/n, cell%n
-						d := c[cell]*dN[cell] + c[int(iS[r])*n+cc]*dS[cell] +
-							c[cell]*dW[cell] + c[r*n+int(jE[cc])]*dE[cell]
-						ref[cell] += lambda * 0.25 * d
-					}
+				if err := exec(launch1D(k2, size, 256,
+					jB, dNB, dSB, dWB, dEB, cB, iSB, jEB,
+					uint32(n), uint32(size), f32bits(lambda))); err != nil {
+					return err
 				}
-				return checkF32(m, jB, ref, 1e-2, "srad J")
 			}
-			return inst, nil
-		},
+			return nil
+		}
+		inst.Verify = func() error {
+			ref := append([]float32(nil), j...)
+			dN := make([]float32, size)
+			dS := make([]float32, size)
+			dW := make([]float32, size)
+			dE := make([]float32, size)
+			c := make([]float32, size)
+			for it := 0; it < iters; it++ {
+				for cell := 0; cell < size; cell++ {
+					r, cc := cell/n, cell%n
+					jc := ref[cell]
+					dN[cell] = ref[int(iN[r])*n+cc] - jc
+					dS[cell] = ref[int(iS[r])*n+cc] - jc
+					dW[cell] = ref[r*n+int(jW[cc])] - jc
+					dE[cell] = ref[r*n+int(jE[cc])] - jc
+					g2 := (dN[cell]*dN[cell] + dS[cell]*dS[cell] + dW[cell]*dW[cell] + dE[cell]*dE[cell]) / (jc * jc)
+					l := (dN[cell] + dS[cell] + dW[cell] + dE[cell]) / jc
+					num := g2*0.5 - l*l*0.0625
+					den := l*0.25 + 1
+					qsqr := num / (den * den)
+					cv := 1 / ((qsqr-q0sqr)/(q0sqr*(q0sqr+1)) + 1)
+					if cv < 0 {
+						cv = 0
+					}
+					if cv > 1 {
+						cv = 1
+					}
+					c[cell] = cv
+				}
+				for cell := 0; cell < size; cell++ {
+					r, cc := cell/n, cell%n
+					d := c[cell]*dN[cell] + c[int(iS[r])*n+cc]*dS[cell] +
+						c[cell]*dW[cell] + c[r*n+int(jE[cc])]*dE[cell]
+					ref[cell] += lambda * 0.25 * d
+				}
+			}
+			return checkF32(m, jB, ref, 1e-2, "srad J")
+		}
+		return inst
 	})
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -79,44 +78,34 @@ func init() {
 		Category:    Linear,
 		Description: "two chained dense matrix multiplications (PolyBench 2mm)",
 		DataSet:     "256×256 float matrices",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 256
-			}
-			if n%16 != 0 {
-				return nil, fmt.Errorf("2mm: size %d not a multiple of 16", n)
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 1))
-			m := mem.New()
-			prog := ptx.MustParse(mmSrc)
-			k := prog.MustKernel("mm")
+		Size:        sizeKnob("matrix dimension", 1, 256, 1700),
+		src:         mmSrc, salt: 1,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		k := prog.MustKernel("mm")
 
-			a := randF32s(rng, n*n, -1, 1)
-			b := randF32s(rng, n*n, -1, 1)
-			c := randF32s(rng, n*n, -1, 1)
-			aB, bB, cB := m.AllocF32s(a), m.AllocF32s(b), m.AllocF32s(c)
-			tmpB := m.Alloc(uint32(4 * n * n))
-			outB := m.Alloc(uint32(4 * n * n))
+		a := randF32s(rng, n*n, -1, 1)
+		b := randF32s(rng, n*n, -1, 1)
+		c := randF32s(rng, n*n, -1, 1)
+		aB, bB, cB := m.AllocF32s(a), m.AllocF32s(b), m.AllocF32s(c)
+		tmpB := m.Alloc(uint32(4 * n * n))
+		outB := m.Alloc(uint32(4 * n * n))
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "mm",
-				CTAs:          (n / 16) * (n / 16),
-				ThreadsPerCTA: 256,
+		inst := &Instance{
+			CTAs:          grid1D(n, 16) * grid1D(n, 16),
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			if err := exec(launch2D(k, n, n, 16, 16, aB, bB, tmpB, uint32(n))); err != nil {
+				return err
 			}
-			inst.Run = func(exec Executor) error {
-				if err := exec(launch2D(k, n, n, 16, 16, aB, bB, tmpB, uint32(n))); err != nil {
-					return err
-				}
-				return exec(launch2D(k, n, n, 16, 16, tmpB, cB, outB, uint32(n)))
-			}
-			inst.Verify = func() error {
-				tmp := cpuMatMul(a, b, n)
-				want := cpuMatMul(tmp, c, n)
-				return checkF32(m, outB, want, 1e-3, "2mm out")
-			}
-			return inst, nil
-		},
+			return exec(launch2D(k, n, n, 16, 16, tmpB, cB, outB, uint32(n)))
+		}
+		inst.Verify = func() error {
+			tmp := cpuMatMul(a, b, n)
+			want := cpuMatMul(tmp, c, n)
+			return checkF32(m, outB, want, 1e-3, "2mm out")
+		}
+		return inst
 	})
 }
 
@@ -204,55 +193,48 @@ func init() {
 		Category:    Linear,
 		Description: "Gaussian elimination, fan1/fan2 kernels (Rodinia gaussian)",
 		DataSet:     "192×192 diagonally dominant float matrix",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 192
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 2))
-			m := mem.New()
-			prog := ptx.MustParse(gausSrc)
-			fan1 := prog.MustKernel("fan1")
-			fan2 := prog.MustKernel("fan2")
+		Size:        sizeKnob("matrix dimension", 1, 192, 2800),
+		src:         gausSrc, salt: 2,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		fan1 := prog.MustKernel("fan1")
+		fan2 := prog.MustKernel("fan2")
 
-			a := randF32s(rng, n*n, 0.1, 1)
-			for i := 0; i < n; i++ {
-				a[i*n+i] += float32(n) // diagonal dominance: stable pivots
-			}
-			aB := m.AllocF32s(a)
-			multsB := m.Alloc(uint32(4 * n * n))
+		a := randF32s(rng, n*n, 0.1, 1)
+		for i := 0; i < n; i++ {
+			a[i*n+i] += float32(n) // diagonal dominance: stable pivots
+		}
+		aB := m.AllocF32s(a)
+		multsB := m.Alloc(uint32(4 * n * n))
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "fan2",
-				CTAs:          grid1D(n, 16) * grid1D(n, 16),
-				ThreadsPerCTA: 256,
+		inst := &Instance{
+			CTAs:          grid1D(n, 16) * grid1D(n, 16),
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			for t := 0; t < n-1; t++ {
+				if err := exec(launch1D(fan1, n-t-1, 256, aB, multsB, uint32(n), uint32(t))); err != nil {
+					return err
+				}
+				if err := exec(launch2D(fan2, n-t, n-t-1, 16, 16, aB, multsB, uint32(n), uint32(t))); err != nil {
+					return err
+				}
 			}
-			inst.Run = func(exec Executor) error {
-				for t := 0; t < n-1; t++ {
-					if err := exec(launch1D(fan1, n-t-1, 256, aB, multsB, uint32(n), uint32(t))); err != nil {
-						return err
-					}
-					if err := exec(launch2D(fan2, n-t, n-t-1, 16, 16, aB, multsB, uint32(n), uint32(t))); err != nil {
-						return err
+			return nil
+		}
+		inst.Verify = func() error {
+			// CPU elimination in the same arithmetic order.
+			ref := append([]float32(nil), a...)
+			for t := 0; t < n-1; t++ {
+				for i := t + 1; i < n; i++ {
+					mult := ref[i*n+t] / ref[t*n+t]
+					for j := t; j < n; j++ {
+						ref[i*n+j] -= mult * ref[t*n+j]
 					}
 				}
-				return nil
 			}
-			inst.Verify = func() error {
-				// CPU elimination in the same arithmetic order.
-				ref := append([]float32(nil), a...)
-				for t := 0; t < n-1; t++ {
-					for i := t + 1; i < n; i++ {
-						mult := ref[i*n+t] / ref[t*n+t]
-						for j := t; j < n; j++ {
-							ref[i*n+j] -= mult * ref[t*n+j]
-						}
-					}
-				}
-				return checkF32(m, aB, ref, 1e-2, "gaus a")
-			}
-			return inst, nil
-		},
+			return checkF32(m, aB, ref, 1e-2, "gaus a")
+		}
+		return inst
 	})
 }
 
@@ -336,55 +318,48 @@ func init() {
 		Category:    Linear,
 		Description: "LU decomposition without pivoting (PolyBench lu)",
 		DataSet:     "192×192 diagonally dominant float matrix",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 192
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 3))
-			m := mem.New()
-			prog := ptx.MustParse(luSrc)
-			norm := prog.MustKernel("lu_norm")
-			update := prog.MustKernel("lu_update")
+		Size:        sizeKnob("matrix dimension", 1, 192, 3200),
+		src:         luSrc, salt: 3,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		norm := prog.MustKernel("lu_norm")
+		update := prog.MustKernel("lu_update")
 
-			a := randF32s(rng, n*n, 0.1, 1)
-			for i := 0; i < n; i++ {
-				a[i*n+i] += float32(n)
-			}
-			aB := m.AllocF32s(a)
+		a := randF32s(rng, n*n, 0.1, 1)
+		for i := 0; i < n; i++ {
+			a[i*n+i] += float32(n)
+		}
+		aB := m.AllocF32s(a)
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "lu_update",
-				CTAs:          grid1D(n, 16) * grid1D(n, 16),
-				ThreadsPerCTA: 256,
-			}
-			inst.Run = func(exec Executor) error {
-				for k := 0; k < n-1; k++ {
-					if err := exec(launch1D(norm, n-k-1, 256, aB, uint32(n), uint32(k))); err != nil {
-						return err
-					}
-					if err := exec(launch2D(update, n-k-1, n-k-1, 16, 16, aB, uint32(n), uint32(k))); err != nil {
-						return err
-					}
+		inst := &Instance{
+			CTAs:          grid1D(n, 16) * grid1D(n, 16),
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			for k := 0; k < n-1; k++ {
+				if err := exec(launch1D(norm, n-k-1, 256, aB, uint32(n), uint32(k))); err != nil {
+					return err
 				}
-				return nil
+				if err := exec(launch2D(update, n-k-1, n-k-1, 16, 16, aB, uint32(n), uint32(k))); err != nil {
+					return err
+				}
 			}
-			inst.Verify = func() error {
-				ref := append([]float32(nil), a...)
-				for k := 0; k < n-1; k++ {
+			return nil
+		}
+		inst.Verify = func() error {
+			ref := append([]float32(nil), a...)
+			for k := 0; k < n-1; k++ {
+				for j := k + 1; j < n; j++ {
+					ref[k*n+j] /= ref[k*n+k]
+				}
+				for i := k + 1; i < n; i++ {
 					for j := k + 1; j < n; j++ {
-						ref[k*n+j] /= ref[k*n+k]
-					}
-					for i := k + 1; i < n; i++ {
-						for j := k + 1; j < n; j++ {
-							ref[i*n+j] -= ref[i*n+k] * ref[k*n+j]
-						}
+						ref[i*n+j] -= ref[i*n+k] * ref[k*n+j]
 					}
 				}
-				return checkF32(m, aB, ref, 1e-2, "lu a")
 			}
-			return inst, nil
-		},
+			return checkF32(m, aB, ref, 1e-2, "lu a")
+		}
+		return inst
 	})
 }
 
@@ -537,77 +512,70 @@ func init() {
 		Category:    Linear,
 		Description: "Gram-Schmidt QR decomposition (PolyBench gramschmidt)",
 		DataSet:     "64×64 float matrix",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 64
-			}
-			rng := rand.New(rand.NewSource(p.Seed + 4))
-			m := mem.New()
-			prog := ptx.MustParse(grmSrc)
-			kNorm := prog.MustKernel("gs_norm")
-			kQ := prog.MustKernel("gs_q")
-			kUpd := prog.MustKernel("gs_update")
+		Size:        sizeKnob("matrix dimension", 1, 64, 2800),
+		src:         grmSrc, salt: 4,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		kNorm := prog.MustKernel("gs_norm")
+		kQ := prog.MustKernel("gs_q")
+		kUpd := prog.MustKernel("gs_update")
 
-			a := randF32s(rng, n*n, 0.1, 1)
-			for i := 0; i < n; i++ {
-				a[i*n+i] += 2 // keep columns well conditioned
-			}
-			aB := m.AllocF32s(a)
-			qB := m.Alloc(uint32(4 * n * n))
-			rdB := m.Alloc(uint32(4 * n))
+		a := randF32s(rng, n*n, 0.1, 1)
+		for i := 0; i < n; i++ {
+			a[i*n+i] += 2 // keep columns well conditioned
+		}
+		aB := m.AllocF32s(a)
+		qB := m.Alloc(uint32(4 * n * n))
+		rdB := m.Alloc(uint32(4 * n))
 
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "gs_update",
-				CTAs:          grid1D(n, 256),
-				ThreadsPerCTA: 256,
-			}
-			inst.Run = func(exec Executor) error {
-				for k := 0; k < n; k++ {
-					if err := exec(launch1D(kNorm, 256, 256, aB, rdB, uint32(n), uint32(k))); err != nil {
+		inst := &Instance{
+			CTAs:          grid1D(n, 256),
+			ThreadsPerCTA: 256,
+		}
+		inst.Run = func(exec Executor) error {
+			for k := 0; k < n; k++ {
+				if err := exec(launch1D(kNorm, 256, 256, aB, rdB, uint32(n), uint32(k))); err != nil {
+					return err
+				}
+				if err := exec(launch1D(kQ, n, 256, aB, qB, rdB, uint32(n), uint32(k))); err != nil {
+					return err
+				}
+				if k+1 < n {
+					if err := exec(launch1D(kUpd, n-k-1, 256, aB, qB, uint32(n), uint32(k))); err != nil {
 						return err
 					}
-					if err := exec(launch1D(kQ, n, 256, aB, qB, rdB, uint32(n), uint32(k))); err != nil {
-						return err
+				}
+			}
+			return nil
+		}
+		inst.Verify = func() error {
+			// CPU modified Gram-Schmidt; Q columns must be orthonormal
+			// within tolerance and match the device Q loosely (float
+			// summation order differs between the tree reduction and the
+			// serial CPU sum, so compare against a tolerance).
+			ref := append([]float32(nil), a...)
+			q := make([]float32, n*n)
+			for k := 0; k < n; k++ {
+				var sum float64
+				for i := 0; i < n; i++ {
+					sum += float64(ref[i*n+k]) * float64(ref[i*n+k])
+				}
+				norm := float32(math.Sqrt(sum))
+				for i := 0; i < n; i++ {
+					q[i*n+k] = ref[i*n+k] / norm
+				}
+				for j := k + 1; j < n; j++ {
+					var r float64
+					for i := 0; i < n; i++ {
+						r += float64(q[i*n+k]) * float64(ref[i*n+j])
 					}
-					if k+1 < n {
-						if err := exec(launch1D(kUpd, n-k-1, 256, aB, qB, uint32(n), uint32(k))); err != nil {
-							return err
-						}
+					for i := 0; i < n; i++ {
+						ref[i*n+j] -= q[i*n+k] * float32(r)
 					}
 				}
-				return nil
 			}
-			inst.Verify = func() error {
-				// CPU modified Gram-Schmidt; Q columns must be orthonormal
-				// within tolerance and match the device Q loosely (float
-				// summation order differs between the tree reduction and the
-				// serial CPU sum, so compare against a tolerance).
-				ref := append([]float32(nil), a...)
-				q := make([]float32, n*n)
-				for k := 0; k < n; k++ {
-					var sum float64
-					for i := 0; i < n; i++ {
-						sum += float64(ref[i*n+k]) * float64(ref[i*n+k])
-					}
-					norm := float32(math.Sqrt(sum))
-					for i := 0; i < n; i++ {
-						q[i*n+k] = ref[i*n+k] / norm
-					}
-					for j := k + 1; j < n; j++ {
-						var r float64
-						for i := 0; i < n; i++ {
-							r += float64(q[i*n+k]) * float64(ref[i*n+j])
-						}
-						for i := 0; i < n; i++ {
-							ref[i*n+j] -= q[i*n+k] * float32(r)
-						}
-					}
-				}
-				return checkF32(m, qB, q, 5e-2, "grm q")
-			}
-			return inst, nil
-		},
+			return checkF32(m, qB, q, 5e-2, "grm q")
+		}
+		return inst
 	})
 }
 
@@ -665,57 +633,50 @@ func init() {
 		Category:    Linear,
 		Description: "sparse matrix dense vector multiply, ELLPACK layout (Parboil spmv)",
 		DataSet:     "32768-row sparse matrix, 12 nnz/row, scattered columns",
-		Setup: func(p Params) (*Instance, error) {
-			n := p.Size
-			if n == 0 {
-				n = 32768
-			}
-			const ell = 12
-			rng := rand.New(rand.NewSource(p.Seed + 5))
-			m := mem.New()
-			prog := ptx.MustParse(spmvSrc)
-			k := prog.MustKernel("spmv")
+		Size:        sizeKnob("matrix rows", 1, 32768, 420000),
+		src:         spmvSrc, salt: 5,
+	}, func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance {
+		const ell = 12
+		k := prog.MustKernel("spmv")
 
-			// Column-major ELL arrays. Column indices scatter within a band
-			// around the row, like real sparse operator matrices; a warp's 32
-			// gathers then touch a handful of distinct blocks, reproducing
-			// the ~6 requests/warp the paper reports for spmv in Figure 2.
-			const band = 192
-			data := make([]float32, n*ell)
-			indices := make([]uint32, n*ell)
+		// Column-major ELL arrays. Column indices scatter within a band
+		// around the row, like real sparse operator matrices; a warp's 32
+		// gathers then touch a handful of distinct blocks, reproducing
+		// the ~6 requests/warp the paper reports for spmv in Figure 2.
+		const band = 192
+		data := make([]float32, n*ell)
+		indices := make([]uint32, n*ell)
+		for row := 0; row < n; row++ {
+			for kk := 0; kk < ell; kk++ {
+				col := ((row+rng.Intn(band)-band/2)%n + n) % n
+				indices[kk*n+row] = uint32(col)
+				data[kk*n+row] = rng.Float32()
+			}
+		}
+		x := randF32s(rng, n, -1, 1)
+		dataB := m.AllocF32s(data)
+		idxB := m.AllocU32s(indices)
+		xB := m.AllocF32s(x)
+		yB := m.Alloc(uint32(4 * n))
+
+		inst := &Instance{
+			CTAs:          grid1D(n, 192),
+			ThreadsPerCTA: 192,
+		}
+		inst.Run = func(exec Executor) error {
+			return exec(launch1D(k, n, 192, dataB, idxB, xB, yB, uint32(n), ell))
+		}
+		inst.Verify = func() error {
+			want := make([]float32, n)
 			for row := 0; row < n; row++ {
+				var acc float32
 				for kk := 0; kk < ell; kk++ {
-					col := (row + rng.Intn(band) - band/2 + n) % n
-					indices[kk*n+row] = uint32(col)
-					data[kk*n+row] = rng.Float32()
+					acc = data[kk*n+row]*x[indices[kk*n+row]] + acc
 				}
+				want[row] = acc
 			}
-			x := randF32s(rng, n, -1, 1)
-			dataB := m.AllocF32s(data)
-			idxB := m.AllocU32s(indices)
-			xB := m.AllocF32s(x)
-			yB := m.Alloc(uint32(4 * n))
-
-			inst := &Instance{
-				Mem: m, Prog: prog, MainKernel: "spmv",
-				CTAs:          grid1D(n, 192),
-				ThreadsPerCTA: 192,
-			}
-			inst.Run = func(exec Executor) error {
-				return exec(launch1D(k, n, 192, dataB, idxB, xB, yB, uint32(n), ell))
-			}
-			inst.Verify = func() error {
-				want := make([]float32, n)
-				for row := 0; row < n; row++ {
-					var acc float32
-					for kk := 0; kk < ell; kk++ {
-						acc = data[kk*n+row]*x[indices[kk*n+row]] + acc
-					}
-					want[row] = acc
-				}
-				return checkF32(m, yB, want, 1e-3, "spmv y")
-			}
-			return inst, nil
-		},
+			return checkF32(m, yB, want, 1e-3, "spmv y")
+		}
+		return inst
 	})
 }

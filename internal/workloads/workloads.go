@@ -9,11 +9,14 @@ package workloads
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"sync"
 
 	"critload/internal/emu"
 	"critload/internal/mem"
 	"critload/internal/ptx"
+	"critload/pkg/api"
 )
 
 // Category groups workloads as in Table I.
@@ -43,6 +46,11 @@ func (c Category) String() string {
 	return "?"
 }
 
+// Budget is the most memory one built-in instance may take, in bytes: the
+// heap Setup allocates plus the device memory it reserves. Each built-in's
+// Size.Max is the largest size that stays within it.
+const Budget = 128 << 20
+
 // Params configures an instance. Size scales the main data structure with a
 // workload-specific meaning (matrix dimension, image edge, vertex count);
 // zero selects the workload's standard size. Seed drives input generation.
@@ -58,13 +66,10 @@ type Executor func(l *emu.Launch) error
 // Instance is a ready-to-run workload instance: device memory initialized,
 // host logic captured in Run, and a CPU reference check in Verify.
 type Instance struct {
-	Workload *Workload
-	Mem      *mem.Memory
-	Prog     *ptx.Program
+	Mem  *mem.Memory
+	Prog *ptx.Program
 
-	// MainKernel is the kernel whose geometry Table I reports.
-	MainKernel string
-	// CTAs and ThreadsPerCTA describe the main kernel's launch geometry.
+	// CTAs and ThreadsPerCTA describe the launch geometry Table I reports.
 	CTAs          int
 	ThreadsPerCTA int
 
@@ -80,8 +85,65 @@ type Workload struct {
 	Category    Category
 	Description string
 	DataSet     string // description of the synthetic input at default size
-	// Setup builds an instance.
-	Setup func(p Params) (*Instance, error)
+	// Size is the one scale knob. Setup maps a zero size to Size.Default and
+	// admits only values Size.Check accepts.
+	Size api.Knob
+	// Build makes an instance at an admitted size.
+	Build func(size int, seed int64) (*Instance, error)
+
+	// A built-in's PTX source, parsed on first use into prog and shared by
+	// every instance, and the offset it adds to the seed so that workloads
+	// draw different inputs at one seed.
+	src   string
+	salt  int64
+	parse sync.Once
+	prog  *ptx.Program
+}
+
+// CheckSize resolves a requested size, zero meaning the default, and checks
+// it against the size knob.
+func (w *Workload) CheckSize(size int) (int, error) {
+	if size == 0 {
+		return w.Size.Default, nil
+	}
+	if err := w.Size.Check(size); err != nil {
+		return 0, fmt.Errorf("workloads: %s: %w", w.Name, err)
+	}
+	return size, nil
+}
+
+// Setup builds an instance.
+func (w *Workload) Setup(p Params) (*Instance, error) {
+	n, err := w.CheckSize(p.Size)
+	if err != nil {
+		return nil, err
+	}
+	return w.Build(n, p.Seed)
+}
+
+// Program returns the workload's kernels without building inputs when it
+// can: a built-in's program is parsed once per process and is read-only.
+// Other workloads set up a default instance to get theirs.
+func (w *Workload) Program() (*ptx.Program, error) {
+	if w.src == "" {
+		inst, err := w.Setup(Params{})
+		if err != nil {
+			return nil, err
+		}
+		return inst.Prog, nil
+	}
+	return w.parsed(), nil
+}
+
+// parsed returns a built-in's program, parsing its source on first use.
+func (w *Workload) parsed() *ptx.Program {
+	w.parse.Do(func() { w.prog = ptx.MustParse(w.src) })
+	return w.prog
+}
+
+// sizeKnob declares a built-in's size knob.
+func sizeKnob(description string, min, def, max int) api.Knob {
+	return api.Knob{Name: "size", Description: description, Min: min, Max: max, Default: def}
 }
 
 var registry = map[string]*Workload{}
@@ -100,9 +162,18 @@ func RegisterResolver(fn func(name string) (*Workload, bool)) {
 	resolvers = append(resolvers, fn)
 }
 
-func register(w *Workload) {
+// register declares a built-in. Its Build hands build the admitted size, a
+// generator seeded with the seed plus salt, empty device memory and the
+// shared program; build returns the instance without Mem and Prog.
+func register(w *Workload, build func(n int, rng *rand.Rand, m *mem.Memory, prog *ptx.Program) *Instance) {
 	if _, dup := registry[w.Name]; dup {
 		panic(fmt.Sprintf("workloads: duplicate %q", w.Name))
+	}
+	w.Build = func(n int, seed int64) (*Instance, error) {
+		m, prog := mem.New(), w.parsed()
+		inst := build(n, rand.New(rand.NewSource(seed+w.salt)), m, prog)
+		inst.Mem, inst.Prog = m, prog
+		return inst, nil
 	}
 	registry[w.Name] = w
 }
@@ -155,17 +226,6 @@ func All() []*Workload {
 	var out []*Workload
 	for _, n := range Names() {
 		out = append(out, registry[n])
-	}
-	return out
-}
-
-// ByCategory returns workloads of one category in Table I order.
-func ByCategory(c Category) []*Workload {
-	var out []*Workload
-	for _, w := range All() {
-		if w.Category == c {
-			out = append(out, w)
-		}
 	}
 	return out
 }

@@ -1,10 +1,15 @@
 package workloads
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"critload/internal/dataflow"
 	"critload/internal/emu"
+	"critload/internal/ptx"
 	"critload/internal/stats"
 )
 
@@ -85,18 +90,16 @@ func TestWorkloadMetadata(t *testing.T) {
 			t.Errorf("Names()[%d] = %q, want %q", i, names[i], n)
 		}
 	}
-	if got := len(ByCategory(Linear)); got != 5 {
-		t.Errorf("linear workloads = %d, want 5", got)
-	}
-	if got := len(ByCategory(Image)); got != 5 {
-		t.Errorf("image workloads = %d, want 5", got)
-	}
-	if got := len(ByCategory(Graph)); got != 5 {
-		t.Errorf("graph workloads = %d, want 5", got)
-	}
+	perCategory := map[Category]int{}
 	for _, w := range All() {
+		perCategory[w.Category]++
 		if w.Description == "" || w.DataSet == "" {
 			t.Errorf("%s: missing metadata", w.Name)
+		}
+	}
+	for _, c := range []Category{Linear, Image, Graph} {
+		if perCategory[c] != 5 {
+			t.Errorf("%s workloads = %d, want 5", c, perCategory[c])
 		}
 	}
 }
@@ -107,12 +110,6 @@ func TestWorkloadInstancesExposeGeometry(t *testing.T) {
 		inst := setupSmall(t, name)
 		if inst.CTAs <= 0 || inst.ThreadsPerCTA <= 0 {
 			t.Errorf("%s: geometry %d CTAs × %d threads", name, inst.CTAs, inst.ThreadsPerCTA)
-		}
-		if inst.MainKernel == "" {
-			t.Errorf("%s: no main kernel", name)
-		}
-		if _, ok := inst.Prog.Kernel(inst.MainKernel); !ok {
-			t.Errorf("%s: main kernel %q not in program", name, inst.MainKernel)
 		}
 	}
 }
@@ -162,6 +159,85 @@ func TestCategoriesShowExpectedLoadMix(t *testing.T) {
 	for _, name := range []string{"bfs", "sssp", "mis", "ccl", "mst", "spmv"} {
 		if f := nondetFraction(name); f <= 0.05 {
 			t.Errorf("%s: non-deterministic fraction %v, want > 0.05", name, f)
+		}
+	}
+}
+
+// TestSizeKnobs holds every built-in to its size knob: it runs and verifies
+// at Size.Min, at 17 and at Size.Default, and at Size.Max the heap Setup
+// allocates plus the device memory it reserves stays within Budget. 17 is a
+// partial tile everywhere and is narrower than spmv's column band. The Max
+// cases run first and one at a time, because heap growth is read
+// process-wide.
+func TestSizeKnobs(t *testing.T) {
+	for _, w := range All() {
+		t.Run(w.Name+"/max", func(t *testing.T) {
+			if _, err := w.Setup(Params{Size: w.Size.Max + 1}); err == nil || !strings.Contains(err.Error(), "size") {
+				t.Errorf("size Max+1 = %d: err %v, want one naming size", w.Size.Max+1, err)
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			inst, err := w.Setup(Params{Size: w.Size.Max, Seed: 1})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("Setup(%d): %v", w.Size.Max, err)
+			}
+			used := after.TotalAlloc - before.TotalAlloc + uint64(inst.Mem.Allocated())
+			if used > Budget {
+				t.Errorf("Setup(%d) takes %d bytes, over the %d budget", w.Size.Max, used, Budget)
+			}
+		})
+	}
+	for _, w := range All() {
+		for _, n := range []int{w.Size.Min, 17, w.Size.Default} {
+			t.Run(fmt.Sprintf("%s/%d", w.Name, n), func(t *testing.T) {
+				t.Parallel()
+				inst, err := w.Setup(Params{Size: n, Seed: 1})
+				if err != nil {
+					t.Fatalf("Setup: %v", err)
+				}
+				if err := inst.Run(FunctionalExecutor(inst.Mem, nil, 0)); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if err := inst.Verify(); err != nil {
+					t.Fatalf("Verify: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestSetupSharesOneProgram: a built-in's program is parsed once and every
+// instance runs the same read-only copy, including instances set up
+// concurrently and a first parse raced from many goroutines.
+func TestSetupSharesOneProgram(t *testing.T) {
+	w, _ := Get("srad")
+	want, _ := w.Program()
+	fresh := &Workload{Name: "srad", src: sradSrc}
+	var wg sync.WaitGroup
+	progs := make([]*ptx.Program, 8)
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				progs[i], _ = fresh.Program()
+				return
+			}
+			inst, err := w.Setup(Params{Size: 16, Seed: int64(i)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			progs[i] = inst.Prog
+		}()
+	}
+	wg.Wait()
+	first, _ := fresh.Program()
+	for i, p := range progs {
+		if i%2 == 0 && p != first || i%2 == 1 && p != want {
+			t.Errorf("goroutine %d got program %p, want one shared copy", i, p)
 		}
 	}
 }

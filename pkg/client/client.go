@@ -4,10 +4,9 @@
 // It is built for sustained high-QPS use: the default transport keeps a
 // deep pool of keep-alive connections to the daemon, every operation
 // retries transient failures (transport errors, 429, 5xx) with exponential
-// backoff and jitter — honouring the server's Retry-After push-back — and a
-// circuit breaker sheds load fast when the daemon is down instead of
-// queueing doomed requests behind dial timeouts. Per-operation counters and
-// latency histograms are available from Stats at any time.
+// backoff and jitter, honouring the server's Retry-After push-back.
+// Per-operation counters and latency histograms are available from Stats at
+// any time.
 //
 // Typical use:
 //
@@ -65,13 +64,11 @@ type Config struct {
 	RetryBaseDelay time.Duration
 	// RetryMaxDelay caps the backoff (0 = default).
 	RetryMaxDelay time.Duration
-	// Breaker tunes the circuit breaker; see BreakerConfig.
-	Breaker BreakerConfig
 }
 
 // Client is a critloadd API client. It is safe for concurrent use; one
 // Client should be shared across all goroutines talking to one daemon so
-// they share its connection pool, breaker and stats.
+// they share its connection pool and stats.
 type Client struct {
 	base    *url.URL
 	httpc   *http.Client
@@ -79,7 +76,6 @@ type Client struct {
 	retries int
 	baseDel time.Duration
 	maxDel  time.Duration
-	breaker *breaker
 	stats   *statsSet
 	jitter  *jitterSource
 }
@@ -103,7 +99,6 @@ func New(cfg Config) (*Client, error) {
 		retries: cfg.MaxRetries,
 		baseDel: cfg.RetryBaseDelay,
 		maxDel:  cfg.RetryMaxDelay,
-		breaker: newBreaker(cfg.Breaker),
 		stats:   newStatsSet(),
 		jitter:  newJitterSource(),
 	}
@@ -157,10 +152,6 @@ func (c *Client) Close() {
 // accumulated since the client was built.
 func (c *Client) Stats() StatsSnapshot { return c.stats.snapshot() }
 
-// BreakerState reports the circuit breaker's current state — "closed",
-// "open" or "half-open" — for dashboards and tests.
-func (c *Client) BreakerState() string { return c.breaker.state() }
-
 // APIError is a non-2xx response from the daemon.
 type APIError struct {
 	// Status is the HTTP status code.
@@ -190,7 +181,7 @@ func (e *APIError) IsRetryable() bool {
 	return false
 }
 
-// do runs one logical operation with retries, breaker accounting and stats.
+// do runs one logical operation with retries and stats.
 // body (when non-nil) is marshalled once and replayed on every attempt; a
 // 2xx response is decoded into out (when non-nil).
 func (c *Client) do(ctx context.Context, op, method, path string, query url.Values, body, out any) error {
@@ -214,11 +205,6 @@ func (c *Client) doAttempts(ctx context.Context, op, method, path string, query 
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if err := c.breaker.allow(); err != nil {
-			// Shed immediately: the breaker is open because recent attempts
-			// kept failing; burning the retry budget against it helps no one.
-			return err
-		}
 		lastErr = c.attempt(ctx, method, u, payload, out)
 		if lastErr == nil {
 			return nil
@@ -238,9 +224,7 @@ func (c *Client) doAttempts(ctx context.Context, op, method, path string, query 
 	}
 }
 
-// attempt is one HTTP round trip: build, send, classify, decode. It reports
-// the outcome to the breaker — transport errors and server faults (429/5xx)
-// count against it, caller errors (4xx) do not.
+// attempt is one HTTP round trip: build, send, classify, decode.
 func (c *Client) attempt(ctx context.Context, method string, u *url.URL, payload []byte, out any) error {
 	var rd io.Reader
 	if payload != nil {
@@ -258,17 +242,14 @@ func (c *Client) attempt(ctx context.Context, method string, u *url.URL, payload
 
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		c.breaker.record(false)
 		return &transportError{err: err}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
-		c.breaker.record(false)
 		return &transportError{err: fmt.Errorf("reading response: %w", err)}
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		c.breaker.record(true)
 		if out == nil {
 			return nil
 		}
@@ -279,14 +260,12 @@ func (c *Client) attempt(ctx context.Context, method string, u *url.URL, payload
 	}
 	var body api.Error
 	_ = json.Unmarshal(raw, &body) // a non-JSON body leaves it zero
-	apiErr := &APIError{
+	return &APIError{
 		Status:      resp.StatusCode,
 		Message:     errorMessage(raw, body.Message, resp.StatusCode),
 		RetryAfter:  parseRetryAfter(resp.Header.Get("Retry-After")),
 		Diagnostics: body.Diagnostics,
 	}
-	c.breaker.record(!apiErr.IsRetryable())
-	return apiErr
 }
 
 // transportError wraps a failed round trip (dial, reset, timeout); always

@@ -230,73 +230,6 @@ func TestTimeoutPropagates(t *testing.T) {
 	}
 }
 
-// TestBreakerShedsAfterConsecutiveFailures: a hard-down server opens the
-// circuit, after which calls fail fast without touching the network.
-func TestBreakerShedsAfterConsecutiveFailures(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprint(w, `{"error":"boom"}`)
-	}))
-	defer ts.Close()
-	c := newClient(t, ts.URL, client.Config{
-		MaxRetries: -1, // isolate the breaker from the retry loop
-		Breaker:    client.BreakerConfig{FailureThreshold: 3, Cooloff: time.Minute},
-	})
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := c.Classify(ctx, kernelSrc); err == nil {
-			t.Fatalf("call %d unexpectedly succeeded", i)
-		}
-	}
-	if got := c.BreakerState(); got != "open" {
-		t.Fatalf("breaker state = %q, want open", got)
-	}
-	seen := calls.Load()
-	_, err := c.Classify(ctx, kernelSrc)
-	if !errors.Is(err, client.ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen", err)
-	}
-	if calls.Load() != seen {
-		t.Fatal("open circuit still reached the server")
-	}
-}
-
-// TestBreakerHalfOpenRecovery: once the server heals and the cooloff
-// passes, a probe closes the circuit and traffic resumes.
-func TestBreakerHalfOpenRecovery(t *testing.T) {
-	var healthy atomic.Bool
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			w.WriteHeader(http.StatusInternalServerError)
-			fmt.Fprint(w, `{"error":"boom"}`)
-			return
-		}
-		fmt.Fprint(w, `{"kernels":[]}`)
-	}))
-	defer ts.Close()
-	c := newClient(t, ts.URL, client.Config{
-		MaxRetries: -1,
-		Breaker:    client.BreakerConfig{FailureThreshold: 2, Cooloff: 30 * time.Millisecond},
-	})
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		c.Classify(ctx, kernelSrc)
-	}
-	if got := c.BreakerState(); got != "open" {
-		t.Fatalf("breaker state = %q, want open", got)
-	}
-	healthy.Store(true)
-	time.Sleep(50 * time.Millisecond) // past the cooloff: next call is the probe
-	if _, err := c.Classify(ctx, kernelSrc); err != nil {
-		t.Fatalf("probe call: %v", err)
-	}
-	if got := c.BreakerState(); got != "closed" {
-		t.Fatalf("breaker state after probe = %q, want closed", got)
-	}
-}
-
 // TestClassifyBatchPartialFailure drives batch semantics end to end
 // against the real server: bad items fail their slots, good ones succeed.
 func TestClassifyBatchPartialFailure(t *testing.T) {
@@ -475,7 +408,7 @@ func TestJobNotFound(t *testing.T) {
 
 // TestConcurrentWorkers hammers one shared client from many goroutines with
 // every kind of op — the -race CI job turns this into a data-race check over
-// the client's pool, breaker and stats paths. Against a server that answers
+// the client's pool and stats paths. Against a server that answers
 // 5% of requests 503, retries must absorb the faults: under 1% of ops may
 // surface an error.
 func TestConcurrentWorkers(t *testing.T) {

@@ -1,10 +1,6 @@
 package emu
 
-import (
-	"fmt"
-
-	"critload/internal/isa"
-)
+import "fmt"
 
 // StepListener observes every executed warp instruction. The Step value is
 // only valid for the duration of the call.
@@ -20,24 +16,11 @@ type RunOptions struct {
 	MaxWarpInsts uint64
 }
 
-// RunResult summarizes a functional run.
+// RunResult summarizes a functional run. A Listener, such as a
+// stats.Collector's, counts everything else.
 type RunResult struct {
-	WarpInsts    uint64 // warp-level instructions executed
-	ThreadInsts  uint64 // thread-level instructions (sum of exec-lane counts)
-	GlobalLoads  uint64 // warp-level ld.global instructions
-	SharedLoads  uint64 // warp-level ld.shared instructions
-	GlobalStores uint64
-	Truncated    bool // true when MaxWarpInsts stopped the run early
-}
-
-// Add accumulates another result (for multi-launch workloads).
-func (r *RunResult) Add(o RunResult) {
-	r.WarpInsts += o.WarpInsts
-	r.ThreadInsts += o.ThreadInsts
-	r.GlobalLoads += o.GlobalLoads
-	r.SharedLoads += o.SharedLoads
-	r.GlobalStores += o.GlobalStores
-	r.Truncated = r.Truncated || o.Truncated
+	WarpInsts uint64 // warp-level instructions executed
+	Truncated bool   // true when MaxWarpInsts stopped the run early
 }
 
 // Run functionally executes the launch to completion: CTAs run sequentially,
@@ -113,16 +96,6 @@ func runCTA(env *Env, cta *CTA, step *Step, opts RunOptions, res *RunResult) err
 
 func record(cta *CTA, w *Warp, step *Step, opts RunOptions, res *RunResult) {
 	res.WarpInsts++
-	res.ThreadInsts += uint64(step.ExecCount())
-	in := step.Inst
-	switch {
-	case in.IsGlobalLoad():
-		res.GlobalLoads++
-	case in.IsSharedLoad():
-		res.SharedLoads++
-	case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:
-		res.GlobalStores++
-	}
 	if opts.Listener != nil {
 		opts.Listener(cta.ID, w, step)
 	}

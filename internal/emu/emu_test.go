@@ -70,8 +70,7 @@ func TestVecAdd(t *testing.T) {
 		Params: []uint32{aBase, bBase, cBase, n},
 	}
 	env := &Env{Mem: m, Launch: l}
-	res, err := Run(env, RunOptions{})
-	if err != nil {
+	if _, err := Run(env, RunOptions{}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for i := 0; i < n; i++ {
@@ -82,9 +81,6 @@ func TestVecAdd(t *testing.T) {
 	// Out-of-range threads must not write past the array.
 	if got := m.Read32(cBase + 4*n); got != 0 {
 		t.Errorf("c[n] = %d, want 0 (guard failed)", got)
-	}
-	if res.GlobalLoads == 0 || res.GlobalStores == 0 {
-		t.Errorf("load/store counts = %d/%d, want nonzero", res.GlobalLoads, res.GlobalStores)
 	}
 }
 

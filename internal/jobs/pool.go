@@ -9,7 +9,6 @@ package jobs
 import (
 	"errors"
 	"runtime"
-	"runtime/debug"
 	"sync"
 )
 
@@ -26,17 +25,17 @@ var (
 // value is not usable; construct with NewPool. Close drains: every task
 // already accepted — queued or running — completes before Close returns.
 //
-// Workers are panic-contained: a panicking task is recovered (reported to
-// the handler installed with SetPanicHandler, if any) and the worker moves
-// on to the next task, so one bad simulation cannot kill the pool.
+// A task panic is not recovered: it crashes the process with its stack, as
+// it would in a serial caller, rather than leaving whoever waits on the
+// task's result blocked forever. Tasks that must survive a panic contain it
+// themselves, as the job manager does around its runner.
 type Pool struct {
 	tasks chan func()
 	wg    sync.WaitGroup
 
-	mu      sync.RWMutex
-	closed  bool
-	onPanic func(v any, stack []byte)
-	once    sync.Once
+	mu     sync.RWMutex
+	closed bool
+	once   sync.Once
 }
 
 // NewPool starts workers goroutines consuming a queue of the given depth.
@@ -57,37 +56,11 @@ func NewPool(workers, queue int) *Pool {
 	return p
 }
 
-// SetPanicHandler installs fn to receive the value and stack of every task
-// panic the pool recovers. Without one, recovered panics are dropped
-// silently; either way the worker survives.
-func (p *Pool) SetPanicHandler(fn func(v any, stack []byte)) {
-	p.mu.Lock()
-	p.onPanic = fn
-	p.mu.Unlock()
-}
-
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for fn := range p.tasks {
-		p.protect(fn)
+		fn()
 	}
-}
-
-// protect runs one task, containing any panic to that task.
-func (p *Pool) protect(fn func()) {
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		p.mu.RLock()
-		h := p.onPanic
-		p.mu.RUnlock()
-		if h != nil {
-			h(v, debug.Stack())
-		}
-	}()
-	fn()
 }
 
 // Submit enqueues fn, blocking while the queue is full.

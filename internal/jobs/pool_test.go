@@ -1,6 +1,11 @@
 package jobs
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,50 +86,27 @@ func TestPoolShutdownWhileBusy(t *testing.T) {
 	}
 }
 
-// TestPoolWorkerSurvivesPanic is the containment contract: a panicking task
-// must neither kill its worker nor leak into the caller — subsequent tasks
-// still run and the panic reaches the installed handler with a stack.
-func TestPoolWorkerSurvivesPanic(t *testing.T) {
-	p := NewPool(1, 8)
-	var (
-		mu      sync.Mutex
-		panics  []any
-		stackOK bool
-	)
-	p.SetPanicHandler(func(v any, stack []byte) {
-		mu.Lock()
-		panics = append(panics, v)
-		stackOK = len(stack) > 0
-		mu.Unlock()
-	})
-	var ran atomic.Int64
-	if err := p.Submit(func() { panic("task boom") }); err != nil {
-		t.Fatalf("Submit: %v", err)
+// TestPoolTaskPanicCrashes pins that the pool does not swallow a task
+// panic: the panicking task exits the process non-zero with the panic value
+// on stderr, run here in a child copy of the test binary.
+func TestPoolTaskPanicCrashes(t *testing.T) {
+	if os.Getenv("CRITLOAD_POOL_PANIC_CHILD") == "1" {
+		p := NewPool(1, 1)
+		p.Submit(func() { panic("task boom") })
+		p.Close()
+		return
 	}
-	if err := p.Submit(func() { ran.Add(1) }); err != nil {
-		t.Fatalf("Submit: %v", err)
+	cmd := exec.Command(os.Args[0], "-test.run=^TestPoolTaskPanicCrashes$")
+	cmd.Env = append(os.Environ(), "CRITLOAD_POOL_PANIC_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("child with a panicking task exited %v, want a non-zero status", err)
 	}
-	p.Close()
-	if ran.Load() != 1 {
-		t.Fatal("task after a panic never ran: worker died")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(panics) != 1 || panics[0] != "task boom" || !stackOK {
-		t.Fatalf("panic handler saw %v (stack ok %v), want [task boom] with stack", panics, stackOK)
-	}
-}
-
-// TestPoolPanicWithoutHandler checks the worker survives even when no
-// handler is installed.
-func TestPoolPanicWithoutHandler(t *testing.T) {
-	p := NewPool(1, 4)
-	var ran atomic.Int64
-	p.Submit(func() { panic("silent") })
-	p.Submit(func() { ran.Add(1) })
-	p.Close()
-	if ran.Load() != 1 {
-		t.Fatal("worker died on unhandled panic")
+	if !strings.Contains(stderr.String(), "panic: task boom") {
+		t.Errorf("child stderr does not carry the panic value:\n%s", stderr.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package kgen is a seeded, deterministic random PTX-kernel generator for
-// differential testing. It layers a small dataflow IR (Prog) on top of the
-// ptx.Builder: every Op produces at most one fresh register or predicate
+// differential testing. It lowers a small dataflow IR (Prog) to PTX text
+// and assembles it with ptx.Parse, the front end every other kernel goes
+// through. Every Op produces at most one fresh register or predicate
 // (SSA-like single static definitions), references only earlier ops in an
 // enclosing scope, and carries enough structure that the lowering pass can
 // compute, by construction, the ground-truth classification of every global

@@ -1,11 +1,16 @@
 package kgen
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"critload/internal/dataflow"
+	"critload/internal/isa"
 	"critload/internal/ptx"
 )
 
@@ -203,4 +208,136 @@ func TestGeneratedKernelsUnderRegisterCaps(t *testing.T) {
 			regs, preds, ptx.MaxRegs, ptx.MaxPreds)
 	}
 	t.Logf("seeds 1-300: at most %d registers, %d predicates", regs, preds)
+}
+
+// lowerGoldenProg is a hand-written program that reaches every lowering
+// path: every OpKind, KGuard and KIf under both guard polarities, a counted
+// loop around two nested ifs closed by KEnd, and a loop and an if left open
+// to the end of the program, whose headers Repair drops while keeping their
+// bodies.
+func lowerGoldenProg() *Prog {
+	const none = -1
+	add, xor, sub := AluIndex(isa.OpAdd), AluIndex(isa.OpXor), AluIndex(isa.OpSub)
+	return &Prog{
+		Seed: 0x10e4, GridX: 2, BlockX: 32, DataWords: 256, AtomOp: isa.AtomAdd,
+		Ops: []Op{
+			{Kind: KImm, A: none, B: none, P: none, Imm: 7},          // 0
+			{Kind: KAlu, A: 0, B: none, P: none, Alu: add, Imm: 3},   // 1
+			{Kind: KLoadG, A: 1, B: none, P: none, Imm: 0},           // 2: D
+			{Kind: KLoadG, A: 2, B: none, P: none, Imm: 1},           // 3: N
+			{Kind: KLoadC, A: 3, B: none, P: none},                   // 4
+			{Kind: KLoadT, A: 4, B: none, P: none, Imm: 1},           // 5
+			{Kind: KSetp, A: 0, B: none, P: none, Alu: 2, Imm: 5},    // 6
+			{Kind: KSelp, A: 1, B: none, P: 6, Alu: add, Imm: 9},     // 7
+			{Kind: KGuard, A: 1, B: 0, P: 6, Alu: xor, Imm: 0x10},    // 8: @p
+			{Kind: KGuard, A: 7, B: none, P: 6, Alu: sub, Imm: 0x21}, // 9: @!p
+			{Kind: KAtom, A: 0, B: none, P: none, Imm: 3},            // 10
+			{Kind: KShStore, A: 8, B: none, P: none},                 // 11
+			{Kind: KBar, A: none, B: none, P: none},                  // 12
+			{Kind: KShLoad, A: 0, B: none, P: none},                  // 13
+			{Kind: KLoop, A: none, B: none, P: none, Imm: 2},         // 14
+			{Kind: KSetp, A: 13, B: none, P: none, Alu: 0, Imm: 4},   // 15
+			{Kind: KIf, A: none, B: none, P: 6, Imm: 0},              // 16
+			{Kind: KLoadG, A: 10, B: none, P: none, Imm: 0},          // 17: N
+			{Kind: KStore, A: 5, B: none, P: none, Imm: 1},           // 18
+			{Kind: KEnd, A: none, B: none, P: none},                  // 19
+			{Kind: KIf, A: none, B: none, P: 15, Imm: 1},             // 20
+			{Kind: KStore, A: 3, B: none, P: none, Imm: 2},           // 21
+			{Kind: KEnd, A: none, B: none, P: none},                  // 22
+			{Kind: KEnd, A: none, B: none, P: none},                  // 23
+			{Kind: KStore, A: 9, B: none, P: none, Imm: 0},           // 24
+			{Kind: KLoop, A: none, B: none, P: none, Imm: 1},         // 25: open
+			{Kind: KIf, A: none, B: none, P: 6, Imm: 1},              // 26: open
+			{Kind: KLoadG, A: 13, B: none, P: none, Imm: 1},          // 27: N
+			{Kind: KStore, A: 27, B: none, P: none, Imm: 3},          // 28
+		},
+	}
+}
+
+// lowerGoldenText renders a case as its disassembly followed by one
+// "// want <index> <D|N>" comment per global load, in index order.
+func lowerGoldenText(c *Case) string {
+	idx := make([]int, 0, len(c.Want))
+	for i := range c.Want {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	var b strings.Builder
+	b.WriteString(c.Kernel.Disassemble())
+	for _, i := range idx {
+		fmt.Fprintf(&b, "// want %d %s\n", i, classString(c.Want[i]))
+	}
+	return b.String()
+}
+
+// buildLowerGolden lowers the hand-written golden program, checking first
+// that it covers every op kind.
+func buildLowerGolden(t *testing.T) *Case {
+	t.Helper()
+	p := Repair(lowerGoldenProg())
+	kinds := map[OpKind]bool{}
+	for _, op := range p.Ops {
+		kinds[op.Kind] = true
+	}
+	if len(kinds) != int(numKinds) {
+		t.Fatalf("program covers %d of %d op kinds", len(kinds), numKinds)
+	}
+	c, err := Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestLowerGolden pins the lowering of one hand-written program, so a change
+// to how ops become PTX shows as a diff against testdata/lower.ptx without
+// depending on what the generator happens to draw.
+func TestLowerGolden(t *testing.T) {
+	c := buildLowerGolden(t)
+	want, err := os.ReadFile("testdata/lower.ptx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lowerGoldenText(c); got != string(want) {
+		t.Errorf("lowering drifted from testdata/lower.ptx; got:\n%s", got)
+	}
+}
+
+// TestLowerStructuredLoop checks that every loop of the golden program ends
+// in a backward branch on the trip test.
+func TestLowerStructuredLoop(t *testing.T) {
+	k := buildLowerGolden(t).Kernel
+	loops := 0
+	for i, in := range k.Insts {
+		if in.Op != isa.OpBra || !strings.HasPrefix(in.Label, "__loop") {
+			continue
+		}
+		loops++
+		if in.Targ > i || in.Guard.Negate {
+			t.Errorf("loop branch at %d: %s to %d, want a backward branch on the trip test", i, in, in.Targ)
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no loop branch emitted")
+	}
+}
+
+// TestLowerStructuredIf checks that each if of the golden program skips
+// forward past its body on the negation of the block's guard.
+func TestLowerStructuredIf(t *testing.T) {
+	k := buildLowerGolden(t).Kernel
+	var skips []bool
+	for i, in := range k.Insts {
+		if in.Op != isa.OpBra || !strings.HasPrefix(in.Label, "__endif") {
+			continue
+		}
+		if in.Targ <= i {
+			t.Errorf("if-skip branch at %d: %s to %d, want a forward branch", i, in, in.Targ)
+		}
+		skips = append(skips, in.Guard.Negate)
+	}
+	// Ops 16 (@p) and 20 (@!p) become an @!p and an @p skip, in that order.
+	if !reflect.DeepEqual(skips, []bool{true, false}) {
+		t.Errorf("if-skip guards negated %v, want [true false]", skips)
+	}
 }

@@ -2,6 +2,7 @@ package kgen
 
 import (
 	"fmt"
+	"strings"
 
 	"critload/internal/dataflow"
 	"critload/internal/isa"
@@ -14,19 +15,20 @@ import (
 // must never construct on purpose.
 const RegisterBudget = 30720
 
-// Build lowers a program to a PTX kernel and packages it as a self-contained
-// test case: kernel, launch geometry, seeded input arrays, and the
-// ground-truth classification (Want) of every emitted global load. The
-// ground truth falls out of the same reference analysis the lowering uses to
-// pick operands, so it is correct by construction; dataflow.Classify must
-// reproduce it exactly.
+// Build lowers a program to PTX text, assembles it with ptx.Parse, and
+// packages the kernel as a self-contained test case: kernel, launch
+// geometry, seeded input arrays, and the ground-truth classification (Want)
+// of every emitted global load. The ground truth falls out of the same
+// reference analysis the lowering uses to pick operands, so it is correct by
+// construction; dataflow.Classify must reproduce it exactly.
 //
 // Build expects a well-formed program (Generate or Repair output).
 func Build(p *Prog) (*Case, error) {
 	infos := analyze(p)
-	b := ptx.NewBuilder(fmt.Sprintf("kgen_%016x", uint64(p.Seed)))
+	var t text
+	fmt.Fprintf(&t, ".kernel kgen_%016x\n", uint64(p.Seed))
 	for _, name := range paramNames {
-		b.Param(name, isa.U32)
+		fmt.Fprintf(&t, ".param .u32 %s\n", name)
 	}
 	useShared := false
 	for _, op := range p.Ops {
@@ -36,7 +38,7 @@ func Build(p *Prog) (*Case, error) {
 		}
 	}
 	if useShared {
-		b.Shared(4 * p.BlockX)
+		fmt.Fprintf(&t, ".shared %d\n", 4*p.BlockX)
 	}
 
 	nextReg, nextPred := 0, 0
@@ -47,24 +49,24 @@ func Build(p *Prog) (*Case, error) {
 	// addresses. Always emitted in full so register numbering is a pure
 	// function of the op list.
 	rTid, rCta, rNtid := nr(), nr(), nr()
-	b.Op(isa.OpMov, isa.U32, isa.Reg(rTid), isa.SReg(isa.SrTidX))
-	b.Op(isa.OpMov, isa.U32, isa.Reg(rCta), isa.SReg(isa.SrCtaIdX))
-	b.Op(isa.OpMov, isa.U32, isa.Reg(rNtid), isa.SReg(isa.SrNTidX))
+	t.ins("mov.u32 %%r%d, %%tid.x", rTid)
+	t.ins("mov.u32 %%r%d, %%ctaid.x", rCta)
+	t.ins("mov.u32 %%r%d, %%ntid.x", rNtid)
 	rGtid := nr()
-	b.Op(isa.OpMad, isa.U32, isa.Reg(rGtid), isa.Reg(rCta), isa.Reg(rNtid), isa.Reg(rTid))
+	t.ins("mad.u32 %%r%d, %%r%d, %%r%d, %%r%d", rGtid, rCta, rNtid, rTid)
 	bases := make([]int, len(paramNames))
 	for i, name := range paramNames {
 		bases[i] = nr()
-		b.LdParam(isa.Reg(bases[i]), name)
+		t.ins("ld.param.u32 %%r%d, [%s]", bases[i], name)
 	}
 	rData := [2]int{bases[0], bases[1]}
 	rCBase, rOut, rScratch := bases[2], bases[3], bases[4]
 	rOutSelf := nr()
-	b.Op(isa.OpMad, isa.U32, isa.Reg(rOutSelf), isa.Reg(rGtid), isa.Imm(OutSlots*4), isa.Reg(rOut))
+	t.ins("mad.u32 %%r%d, %%r%d, %d, %%r%d", rOutSelf, rGtid, OutSlots*4, rOut)
 	rShSelf := -1
 	if useShared {
 		rShSelf = nr()
-		b.Op(isa.OpShl, isa.U32, isa.Reg(rShSelf), isa.Reg(rTid), isa.Imm(2))
+		t.ins("shl.u32 %%r%d, %%r%d, 2", rShSelf, rTid)
 	}
 
 	regOf := make([]int, len(p.Ops))
@@ -96,6 +98,14 @@ func Build(p *Prog) (*Case, error) {
 		}
 		return isa.Imm(int64(imm))
 	}
+	// calmOpnd is aOpnd for the slots that must not see a volatile value,
+	// with fallback in place of the gtid.
+	calmOpnd := func(i, ref int, fallback isa.Operand) isa.Operand {
+		if validRef(i, ref, false) && !infos[ref].vol {
+			return isa.Reg(regOf[ref])
+		}
+		return fallback
+	}
 	// refTaint reports the effective taint of an A-slot reference (the
 	// fallback gtid is clean).
 	refTaint := func(i, ref int) bool {
@@ -107,15 +117,19 @@ func Build(p *Prog) (*Case, error) {
 	//   t1 = idx & mask; t2 = t1*4 + base; dst = ld.space [t2]
 	emitIndexed := func(space isa.MemSpace, base int, mask uint32, idx isa.Operand) int {
 		t1, t2, dst := nr(), nr(), nr()
-		b.Op(isa.OpAnd, isa.U32, isa.Reg(t1), idx, isa.Imm(int64(mask)))
-		b.Op(isa.OpMad, isa.U32, isa.Reg(t2), isa.Reg(t1), isa.Imm(4), isa.Reg(base))
-		b.Ld(space, isa.U32, isa.Reg(dst), isa.Mem(t2, 0))
+		t.ins("and.u32 %%r%d, %v, %d", t1, idx, mask)
+		t.ins("mad.u32 %%r%d, %%r%d, 4, %%r%d", t2, t1, base)
+		t.ins("ld.%v.u32 %%r%d, [%%r%d]", space, dst, t2)
 		return dst
 	}
 
+	// open is a KLoop or KIf awaiting its KEnd: a loop's head label,
+	// counter, trip test predicate and trip count, or an if's skip label
+	// (empty for an if lowered without a guard).
 	type open struct {
-		loop *ptx.Loop
-		iff  *ptx.If
+		head, skip string
+		cnt, pred  int
+		trip       int64
 	}
 	var stack []open
 
@@ -126,31 +140,31 @@ func Build(p *Prog) (*Case, error) {
 		switch op.Kind {
 		case KImm:
 			regOf[i] = nr()
-			b.Op(isa.OpMov, isa.U32, isa.Reg(regOf[i]), isa.Imm(int64(op.Imm)))
+			t.ins("mov.u32 %%r%d, %d", regOf[i], op.Imm)
 		case KAlu:
 			regOf[i] = nr()
-			b.Op(aluOps[normIdx(op.Alu, len(aluOps))], isa.U32, isa.Reg(regOf[i]),
+			t.ins("%v.u32 %%r%d, %v, %v", aluOps[normIdx(op.Alu, len(aluOps))], regOf[i],
 				aOpnd(i, op.A), bOpnd(i, op.B, op.Imm))
 		case KSelp:
 			regOf[i] = nr()
 			if validRef(i, op.P, true) {
-				b.Selp(isa.U32, isa.Reg(regOf[i]), aOpnd(i, op.A), bOpnd(i, op.B, op.Imm), predOf[op.P])
+				t.ins("selp.u32 %%r%d, %v, %v, %%p%d", regOf[i], aOpnd(i, op.A), bOpnd(i, op.B, op.Imm), predOf[op.P])
 			} else {
-				b.Op(isa.OpAdd, isa.U32, isa.Reg(regOf[i]), aOpnd(i, op.A), bOpnd(i, op.B, op.Imm))
+				t.ins("add.u32 %%r%d, %v, %v", regOf[i], aOpnd(i, op.A), bOpnd(i, op.B, op.Imm))
 			}
 		case KGuard:
 			regOf[i] = nr()
 			alu := aluOps[normIdx(op.Alu, len(aluOps))]
 			if validRef(i, op.P, true) {
-				b.Op(isa.OpMov, isa.U32, isa.Reg(regOf[i]), isa.Imm(int64(op.Imm>>1)))
-				b.GuardedOp(predOf[op.P], op.Imm&1 == 1, alu, isa.U32, isa.Reg(regOf[i]),
+				t.ins("mov.u32 %%r%d, %d", regOf[i], op.Imm>>1)
+				t.ins("%s %v.u32 %%r%d, %v, %v", guard(predOf[op.P], op.Imm&1 == 1), alu, regOf[i],
 					aOpnd(i, op.A), bOpnd(i, op.B, op.Imm))
 			} else {
-				b.Op(alu, isa.U32, isa.Reg(regOf[i]), aOpnd(i, op.A), bOpnd(i, op.B, op.Imm))
+				t.ins("%v.u32 %%r%d, %v, %v", alu, regOf[i], aOpnd(i, op.A), bOpnd(i, op.B, op.Imm))
 			}
 		case KSetp:
 			predOf[i] = np()
-			b.Setp(cmpOps[normIdx(op.Alu, len(cmpOps))], isa.U32, predOf[i],
+			t.ins("setp.%v.u32 %%p%d, %v, %v", cmpOps[normIdx(op.Alu, len(cmpOps))], predOf[i],
 				aOpnd(i, op.A), bOpnd(i, op.B, op.Imm))
 		case KLoadG:
 			cls := dataflow.Deterministic
@@ -158,83 +172,71 @@ func Build(p *Prog) (*Case, error) {
 				cls = dataflow.NonDeterministic
 			}
 			regOf[i] = emitIndexed(isa.SpaceGlobal, rData[op.Imm&1], uint32(p.DataWords-1), aOpnd(i, op.A))
-			want[b.Len()-1] = cls
+			want[t.n-1] = cls
 		case KLoadC:
 			regOf[i] = emitIndexed(isa.SpaceConst, rCBase, ConstWords-1, aOpnd(i, op.A))
 		case KLoadT:
 			regOf[i] = emitIndexed(isa.SpaceTex, rData[op.Imm&1], uint32(p.DataWords-1), aOpnd(i, op.A))
 		case KAtom:
-			addr := isa.Reg(rGtid)
-			if validRef(i, op.A, false) && !infos[op.A].vol {
-				addr = isa.Reg(regOf[op.A])
-			}
-			val := isa.Imm(int64(op.Imm | 1))
-			if validRef(i, op.B, false) && !infos[op.B].vol {
-				val = isa.Reg(regOf[op.B])
-			}
+			addr := calmOpnd(i, op.A, isa.Reg(rGtid))
+			val := calmOpnd(i, op.B, isa.Imm(int64(op.Imm|1)))
 			t1, t2 := nr(), nr()
-			b.Op(isa.OpAnd, isa.U32, isa.Reg(t1), addr, isa.Imm(ScratchWords-1))
-			b.Op(isa.OpMad, isa.U32, isa.Reg(t2), isa.Reg(t1), isa.Imm(4), isa.Reg(rScratch))
+			t.ins("and.u32 %%r%d, %v, %d", t1, addr, ScratchWords-1)
+			t.ins("mad.u32 %%r%d, %%r%d, 4, %%r%d", t2, t1, rScratch)
 			regOf[i] = nr()
-			b.Atom(p.AtomOp, isa.U32, isa.Reg(regOf[i]), isa.Mem(t2, 0), val)
+			t.ins("atom.global.%v.u32 %%r%d, [%%r%d], %v", p.AtomOp, regOf[i], t2, val)
 		case KShStore:
-			val := isa.Reg(rGtid)
-			if validRef(i, op.A, false) && !infos[op.A].vol {
-				val = isa.Reg(regOf[op.A])
-			}
-			b.St(isa.SpaceShared, isa.U32, isa.Mem(rShSelf, 0), val)
+			t.ins("st.shared.u32 [%%r%d], %v", rShSelf, calmOpnd(i, op.A, isa.Reg(rGtid)))
 		case KBar:
-			b.Bar()
+			t.ins("bar.sync")
 		case KShLoad:
 			t1, t2 := nr(), nr()
-			b.Op(isa.OpAnd, isa.U32, isa.Reg(t1), aOpnd(i, op.A), isa.Imm(int64(p.BlockX-1)))
-			b.Op(isa.OpShl, isa.U32, isa.Reg(t2), isa.Reg(t1), isa.Imm(2))
+			t.ins("and.u32 %%r%d, %v, %d", t1, aOpnd(i, op.A), p.BlockX-1)
+			t.ins("shl.u32 %%r%d, %%r%d, 2", t2, t1)
 			regOf[i] = nr()
-			b.Ld(isa.SpaceShared, isa.U32, isa.Reg(regOf[i]), isa.Mem(t2, 0))
+			t.ins("ld.shared.u32 %%r%d, [%%r%d]", regOf[i], t2)
 		case KStore:
-			val := isa.Reg(rGtid)
-			if validRef(i, op.A, false) && !infos[op.A].vol {
-				val = isa.Reg(regOf[op.A])
-			}
-			b.St(isa.SpaceGlobal, isa.U32, isa.Mem(rOutSelf, int64(op.Imm%OutSlots)*4), val)
+			t.ins("st.global.u32 %v, %v", isa.Mem(rOutSelf, int64(op.Imm%OutSlots)*4),
+				calmOpnd(i, op.A, isa.Reg(rGtid)))
 		case KLoop:
-			cnt, pred := nr(), np()
-			stack = append(stack, open{loop: b.BeginLoop(cnt, pred, int64(1+op.Imm%MaxTrip))})
+			// A counted loop with an immediate trip count is uniform across
+			// lanes and always terminates.
+			l := open{cnt: nr(), pred: np(), trip: int64(1 + op.Imm%MaxTrip)}
+			l.head = t.fresh("loop")
+			t.ins("mov.u32 %%r%d, 0", l.cnt)
+			t.label(l.head)
+			stack = append(stack, l)
 		case KIf:
+			var o open
 			if validRef(i, op.P, true) && !infos[op.P].vol {
-				stack = append(stack, open{iff: b.BeginIf(predOf[op.P], op.Imm&1 == 1)})
-			} else {
-				stack = append(stack, open{})
+				// Branch around the body on the negation of its guard.
+				o.skip = t.fresh("endif")
+				t.ins("%s bra %s", guard(predOf[op.P], op.Imm&1 == 0), o.skip)
 			}
+			stack = append(stack, o)
 		case KEnd:
-			if n := len(stack); n > 0 {
-				o := stack[n-1]
-				stack = stack[:n-1]
-				switch {
-				case o.loop != nil:
-					o.loop.End()
-				case o.iff != nil:
-					o.iff.End()
-				}
+			// analyze matches every live KEnd to a live KLoop/KIf and marks
+			// unclosed ones dead, so the stack is never empty here and is
+			// empty again at the end of the program.
+			o := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			switch {
+			case o.head != "":
+				t.ins("add.u32 %%r%d, %%r%d, 1", o.cnt, o.cnt)
+				t.ins("setp.lt.u32 %%p%d, %%r%d, %d", o.pred, o.cnt, o.trip)
+				t.ins("%s bra %s", guard(o.pred, false), o.head)
+			case o.skip != "":
+				t.label(o.skip)
 			}
 		}
 	}
-	for n := len(stack); n > 0; n = len(stack) {
-		o := stack[n-1]
-		stack = stack[:n-1]
-		switch {
-		case o.loop != nil:
-			o.loop.End()
-		case o.iff != nil:
-			o.iff.End()
-		}
-	}
-	b.Exit()
+	t.ins("exit")
 
-	k, err := b.Build()
+	prog, err := ptx.Parse(t.String())
 	if err != nil {
 		return nil, fmt.Errorf("kgen: lower seed %d: %w", p.Seed, err)
 	}
+	k := prog.Kernels[0]
 	if k.NumRegs*p.BlockX > RegisterBudget {
 		return nil, fmt.Errorf("kgen: seed %d: %d regs × %d threads exceeds the register budget",
 			p.Seed, k.NumRegs, p.BlockX)
@@ -272,4 +274,42 @@ func seededWords(seed int64, salt uint64, n int) []uint32 {
 		out[i] = uint32(z ^ (z >> 31))
 	}
 	return out
+}
+
+// text is a kernel being written as PTX text for ptx.Parse, one statement a
+// line.
+type text struct {
+	strings.Builder
+	n    int // instructions written: the index of the next one
+	auto int // structured-control-flow labels handed out
+}
+
+// ins writes one instruction.
+func (t *text) ins(format string, args ...any) {
+	t.WriteString("    ")
+	fmt.Fprintf(t, format, args...)
+	t.WriteString(";\n")
+	t.n++
+}
+
+// label places name on the next instruction.
+func (t *text) label(name string) {
+	t.WriteString(name)
+	t.WriteString(":\n")
+}
+
+// fresh returns a new structured-control-flow label. The "__" prefix keeps
+// it apart from the kernel's other identifiers.
+func (t *text) fresh(kind string) string {
+	t.auto++
+	return fmt.Sprintf("__%s%d", kind, t.auto)
+}
+
+// guard is the prefix that predicates an instruction on %p<pred>, or on its
+// negation.
+func guard(pred int, negate bool) string {
+	if negate {
+		return fmt.Sprintf("@!%%p%d", pred)
+	}
+	return fmt.Sprintf("@%%p%d", pred)
 }

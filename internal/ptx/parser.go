@@ -185,6 +185,9 @@ func (p *parser) directive(stmt string) error {
 		if !isIdent(name) {
 			return p.errf("bad param name %q", name)
 		}
+		if len(p.cur.Params) == MaxParams {
+			return p.errf("param %q is beyond the cap of %d parameters", name, MaxParams)
+		}
 		if _, dup := p.cur.ParamOffset(name); dup {
 			return p.errf("duplicate param %q", name)
 		}

@@ -234,11 +234,31 @@ func TestParseCapsRegisterIndices(t *testing.T) {
 			}
 		})
 	}
-	b := NewBuilder("built")
-	b.Op(isa.OpMov, isa.U32, isa.Reg(MaxRegs), isa.Imm(1))
-	b.Exit()
-	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Errorf("built kernel over the register cap: %v", err)
+}
+
+// TestParseCapsParams checks that a kernel may declare MaxParams parameters
+// and that the next one is a positioned parse error naming the cap.
+func TestParseCapsParams(t *testing.T) {
+	src := func(n int) string {
+		var b strings.Builder
+		b.WriteString(".kernel k\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, ".param .u32 p%d\n", i)
+		}
+		fmt.Fprintf(&b, "    ld.param.u32 %%r0, [p%d];\n    exit;\n", n-1)
+		return b.String()
+	}
+	prog, err := Parse(src(MaxParams))
+	if err != nil {
+		t.Fatalf("%d params: %v", MaxParams, err)
+	}
+	if got := len(prog.Kernels[0].Params); got != MaxParams {
+		t.Errorf("parsed %d params, want %d", got, MaxParams)
+	}
+	_, err = Parse(src(MaxParams + 1))
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != MaxParams+2 || !strings.Contains(pe.Msg, "cap") {
+		t.Errorf("%d params: %v, want a line %d parse error naming the cap", MaxParams+1, err, MaxParams+2)
 	}
 }
 

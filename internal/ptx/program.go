@@ -54,6 +54,12 @@ const (
 	MaxPreds = 1024
 )
 
+// MaxParams caps the parameters a kernel may declare, 4 KiB of parameter
+// space. Each .param is checked against those declared before it, so the
+// cap also bounds that check to MaxParams comparisons a parameter; the
+// built-in kernels declare at most 13.
+const MaxParams = 1024
+
 // Kernel is one assembled kernel function.
 type Kernel struct {
 	Name        string
@@ -75,8 +81,8 @@ type Kernel struct {
 }
 
 // finish completes an assembled kernel: it resolves branch targets and sizes
-// the register files from the highest index used. Parse and Builder.Build
-// both end here, before the kernel is visible to anyone else.
+// the register files from the highest index used. Parse ends every kernel
+// here, before the kernel is visible to anyone else.
 func (k *Kernel) finish() error {
 	bump := func(n *int, reg int) {
 		if reg+1 > *n {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"critload/internal/ptx"
 	"critload/internal/server"
 	"critload/pkg/api"
 )
@@ -100,6 +101,28 @@ func TestPTXRejectsRegisterBeyondCap(t *testing.T) {
 	}
 	if len(e.Diagnostics) != 1 || e.Diagnostics[0].Line != 2 || !strings.Contains(e.Diagnostics[0].Message, "cap") {
 		t.Errorf("diagnostics %+v, want one on line 2 naming the cap", e.Diagnostics)
+	}
+}
+
+// TestPTXRejectsParamsBeyondCap pins that the parameter past ptx.MaxParams
+// answers 422 on both PTX endpoints, naming its line and the cap.
+func TestPTXRejectsParamsBeyondCap(t *testing.T) {
+	ts, _ := newService(t, server.SimRunner(), 1)
+	var b strings.Builder
+	b.WriteString(".kernel k\n")
+	for i := 0; i <= ptx.MaxParams; i++ {
+		fmt.Fprintf(&b, ".param .u32 p%d\n", i)
+	}
+	b.WriteString("    exit;\n")
+	for _, path := range []string{"/v1/ptx", "/v1/classify"} {
+		var e api.Error
+		if code := postJSON(t, ts.URL+path, map[string]string{"ptx": b.String()}, &e); code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s = %d, want 422", path, code)
+		}
+		msg := fmt.Sprint(e.Message, e.Diagnostics)
+		if !strings.Contains(msg, fmt.Sprint(ptx.MaxParams+2)) || !strings.Contains(msg, "cap") {
+			t.Errorf("%s answer %q does not name line %d and the cap", path, msg, ptx.MaxParams+2)
+		}
 	}
 }
 

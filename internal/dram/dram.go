@@ -56,11 +56,14 @@ type inflight struct {
 	readyAt int64
 }
 
-// queued is one waiting request with its enqueue cycle, replacing the
-// per-request map the controller used to carry for the wait statistic.
+// queued is one waiting request with its enqueue cycle (for the wait
+// statistic) and its bank and row, decoded once at Enqueue because the
+// scheduler and NextEvent read them for every queued entry every cycle.
 type queued struct {
-	req *memreq.Request
-	at  int64
+	req  *memreq.Request
+	at   int64
+	bank int
+	row  int64
 }
 
 // Controller is one memory channel's controller.
@@ -121,7 +124,8 @@ func (c *Controller) Enqueue(r *memreq.Request, now int64) {
 	if !c.CanAccept() {
 		panic("dram: enqueue on full queue")
 	}
-	c.queue = append(c.queue, queued{req: r, at: now})
+	b, row := c.bankAndRow(r.Block)
+	c.queue = append(c.queue, queued{req: r, at: now, bank: b, row: row})
 }
 
 func (c *Controller) bankAndRow(block uint32) (int, int64) {
@@ -151,7 +155,7 @@ func (c *Controller) Step(now int64) {
 	// First ready row-hit, else first ready request (FCFS fallback).
 	pick := -1
 	for i := range c.queue {
-		b, row := c.bankAndRow(c.queue[i].req.Block)
+		b, row := c.queue[i].bank, c.queue[i].row
 		if c.banks[b].busyUntil > now {
 			continue
 		}
@@ -168,8 +172,7 @@ func (c *Controller) Step(now int64) {
 	}
 	q := c.queue[pick]
 	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-	r := q.req
-	b, row := c.bankAndRow(r.Block)
+	r, b, row := q.req, q.bank, q.row
 	occupancy := c.cfg.BurstCycles
 	latency := c.cfg.AccessLatency
 	if c.banks[b].openRow == row {
@@ -212,8 +215,7 @@ func (c *Controller) NextEvent(now int64) int64 {
 		}
 	}
 	for i := range c.queue {
-		b, _ := c.bankAndRow(c.queue[i].req.Block)
-		t := c.banks[b].busyUntil
+		t := c.banks[c.queue[i].bank].busyUntil
 		if t <= now {
 			t = now + 1
 		}

@@ -98,3 +98,40 @@ func TestBudgetWindowMatchesSerialLoop(t *testing.T) {
 		})
 	}
 }
+
+// TestFastForwardMatchesSerialLoopUnderAblations runs the engine oracle
+// under each Section X hardware variant. The bypass, the prefetcher,
+// clustered CTA placement and the semi-global L2 each change the L1 and
+// injection paths that the fast-forward engine's stall and park logic
+// reasons about, and the default configuration exercises none of them. The
+// warp ablation is GTO, which TestFastForwardMatchesSerialLoop covers.
+func TestFastForwardMatchesSerialLoopUnderAblations(t *testing.T) {
+	names := []string{"bfs", "sssp", "spmv", "2mm", "mis", "srad"}
+	for _, a := range Ablations {
+		if a.Name == "warp" {
+			continue
+		}
+		a := a
+		t.Run(a.Name, func(t *testing.T) {
+			t.Parallel()
+			fastCfg, serialCfg := enginePair(sm.LRR)
+			a.Apply(fastCfg)
+			a.Apply(serialCfg)
+			for _, name := range names {
+				opts := Options{Size: timingSmokeSizes[name], Seed: 7, GPU: fastCfg}
+				fast, err := RunTiming(name, opts)
+				if err != nil {
+					t.Fatalf("%s: fast-forward run: %v", name, err)
+				}
+				opts.GPU = serialCfg
+				serial, err := RunTiming(name, opts)
+				if err != nil {
+					t.Fatalf("%s: serial run: %v", name, err)
+				}
+				for _, d := range DiffRuns(fast, serial) {
+					t.Errorf("%s: fast-forward vs serial: %s", name, d)
+				}
+			}
+		})
+	}
+}

@@ -175,7 +175,9 @@ func (p *partition) quietHorizon(now int64) int64 {
 // observable state (or a statistic it records) can change, assuming it was
 // just stepped at now and nothing arrives before the reported cycle. A
 // non-empty input queue pins the horizon to now+1: every retry of the head
-// request mutates the L2 outcome counters.
+// request mutates the L2 outcome counters. Unlike an SM's L1 head, a refused
+// L2 head is not parked and batch-accounted: bfs/16384 refuses about 32 k L2
+// accesses against 1.5 M L1 ones, too few to pay for the wake plumbing.
 func (p *partition) nextEvent(now int64) int64 {
 	// A valid quiet cache is already a sound answer (it only ever
 	// underestimates relative to this scan), so skip the re-scan.

@@ -9,6 +9,7 @@ package icnt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"critload/internal/memreq"
 	"critload/internal/ring"
@@ -64,6 +65,9 @@ type Network struct {
 	// pending counts queued packets across all sources, so stepping or
 	// scanning an empty network is O(1) instead of a walk over every queue.
 	pending int
+	// nonEmpty has bit src set exactly when queues[src] holds a packet, one
+	// word per 64 sources, so Step and NextEvent visit only busy sources.
+	nonEmpty []uint64
 	// Quiet cache, enabled only under the fast-forward engine (the naive
 	// loop stays a dumb oracle): after a scan, quietUntil holds the earliest
 	// cycle a delivery can happen — no head packet is ready and no port frees
@@ -95,10 +99,11 @@ func New(numSrc, numDst int, cfg Config, deliver DeliverFunc) (*Network, error) 
 	}
 	return &Network{
 		cfg: cfg, numSrc: numSrc, numDst: numDst,
-		queues:  make([]ring.Buffer[Packet], numSrc),
-		srcBusy: make([]int64, numSrc),
-		dstBusy: make([]int64, numDst),
-		deliver: deliver,
+		queues:   make([]ring.Buffer[Packet], numSrc),
+		nonEmpty: make([]uint64, (numSrc+63)/64),
+		srcBusy:  make([]int64, numSrc),
+		dstBusy:  make([]int64, numDst),
+		deliver:  deliver,
 	}, nil
 }
 
@@ -130,6 +135,7 @@ func (n *Network) Inject(src, dst int, req *memreq.Request, flits int64, now int
 		readyAt: now + n.cfg.Latency,
 	})
 	n.pending++
+	n.nonEmpty[src/64] |= 1 << (src % 64)
 	n.quietUntil = 0
 	n.Injected++
 	return true
@@ -153,29 +159,56 @@ func (n *Network) Step(now int64) {
 	if now < n.quietUntil {
 		return // no head packet ready and no port free before quietUntil
 	}
+	// Visit the non-empty sources in the order rr, rr+1, ..., numSrc-1, 0,
+	// ..., rr-1. Deliveries never inject into the network delivering them
+	// (the request network feeds partitions, the reply network SMs), so
+	// during the walk the set only loses the bit of the source just visited:
+	// walking the words as read here is walking a snapshot of the set taken
+	// at the top of Step.
 	rr := int(now % int64(n.numSrc))
-	for i := 0; i < n.numSrc; i++ {
-		src := (rr + i) % n.numSrc
-		q := &n.queues[src]
-		if q.Len() == 0 {
-			continue
-		}
-		p := q.Peek()
-		if p.readyAt > now || n.srcBusy[src] > now || n.dstBusy[p.Dst] > now {
-			continue
-		}
-		q.Pop()
-		n.pending--
-		n.srcBusy[src] = now + p.Flits
-		n.dstBusy[p.Dst] = now + p.Flits
-		n.Delivered++
-		n.TotalDelay += now - p.readyAt
-		n.scratch = p
-		n.deliver(&n.scratch, now)
-	}
+	n.stepSources(rr, n.numSrc, now)
+	n.stepSources(0, rr, now)
 	if n.fastForward {
 		n.quietUntil = n.NextEvent(now)
 	}
+}
+
+// stepSources offers each non-empty source in [lo, hi), in index order, one
+// delivery of its head packet.
+func (n *Network) stepSources(lo, hi int, now int64) {
+	for w := lo / 64; w*64 < hi; w++ {
+		word := n.nonEmpty[w]
+		if base := w * 64; lo > base {
+			word &^= 1<<(lo-base) - 1
+		}
+		if end := hi - w*64; end < 64 {
+			word &= 1<<end - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			n.tryDeliver(w*64+bits.TrailingZeros64(word), now)
+		}
+	}
+}
+
+// tryDeliver delivers source src's head packet when its transmit port, its
+// destination port and the traversal latency all allow it.
+func (n *Network) tryDeliver(src int, now int64) {
+	q := &n.queues[src]
+	p := q.Peek()
+	if p.readyAt > now || n.srcBusy[src] > now || n.dstBusy[p.Dst] > now {
+		return
+	}
+	q.Pop()
+	if q.Len() == 0 {
+		n.nonEmpty[src/64] &^= 1 << (src % 64)
+	}
+	n.pending--
+	n.srcBusy[src] = now + p.Flits
+	n.dstBusy[p.Dst] = now + p.Flits
+	n.Delivered++
+	n.TotalDelay += now - p.readyAt
+	n.scratch = p
+	n.deliver(&n.scratch, now)
 }
 
 // NextEvent reports the earliest cycle after now at which the network can
@@ -194,27 +227,19 @@ func (n *Network) NextEvent(now int64) int64 {
 		return n.quietUntil
 	}
 	horizon := int64(math.MaxInt64)
-	for src := 0; src < n.numSrc; src++ {
-		q := &n.queues[src]
-		if q.Len() == 0 {
-			continue
-		}
-		p := q.Peek()
-		t := p.readyAt
-		if b := n.srcBusy[src]; b > t {
-			t = b
-		}
-		if b := n.dstBusy[p.Dst]; b > t {
-			t = b
-		}
-		if t <= now {
-			t = now + 1
-		}
-		if t < horizon {
-			horizon = t
+	for w, word := range n.nonEmpty {
+		for ; word != 0; word &= word - 1 {
+			horizon = min(horizon, n.headReady(w*64+bits.TrailingZeros64(word), now))
 		}
 	}
 	return horizon
+}
+
+// headReady is the earliest cycle after now at which non-empty source src's
+// head packet can be delivered.
+func (n *Network) headReady(src int, now int64) int64 {
+	p := n.queues[src].Peek()
+	return max(p.readyAt, n.srcBusy[src], n.dstBusy[p.Dst], now+1)
 }
 
 // Pending returns the total number of queued packets, a quiescence check for

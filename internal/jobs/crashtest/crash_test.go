@@ -50,9 +50,9 @@ func testDir(t *testing.T) string {
 	return dir
 }
 
-// campaignSize reads the kill-point count: 5 under -short (the PR gate),
-// 20 by default, or CRITLOAD_CRASHTEST_POINTS when the nightly campaign
-// wants a longer sweep.
+// campaignSize reads the kill-point count: 5 by default, or
+// CRITLOAD_CRASHTEST_POINTS when a longer sweep is wanted (CI's
+// crash-recovery job runs 20 under -race, the nightly campaign 100).
 func campaignSize(t *testing.T) int {
 	if v := os.Getenv("CRITLOAD_CRASHTEST_POINTS"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -61,10 +61,7 @@ func campaignSize(t *testing.T) int {
 		}
 		return n
 	}
-	if testing.Short() {
-		return 5
-	}
-	return 20
+	return 5
 }
 
 // campaignSeed fixes the kill-delay sequence. The default is constant so a

@@ -7,11 +7,22 @@ import (
 	"critload/internal/stats"
 )
 
+// headFail is the LD/ST head's refused attempt of the last cycle: what a
+// parked SM repeats in every frozen cycle (accountIdle).
+type headFail struct {
+	outcome cache.Outcome
+	cat     stats.Category
+	fig3    bool // a global load: recorded in the Figure 3 outcomes
+	l1      bool // presented to the L1: counted in L1.Accesses
+	icnt    bool // refused injection: a free slot can accept it without a fill
+}
+
 // stepLDST advances the memory pipeline one cycle: local hit completions,
 // then one L1 access attempt for the oldest op that still has requests to
 // present (strictly in order, as in the paper: "trailing requests must wait
-// even longer until cache resources are available").
-func (s *SM) stepLDST(now int64) {
+// even longer until cache resources are available"). It reports whether that
+// attempt was refused, leaving the refusal in s.fail.
+func (s *SM) stepLDST(now int64) (refused bool) {
 	s.processHits(now)
 
 	// Fully accepted ops at the head have left the issue stage and only
@@ -20,47 +31,56 @@ func (s *SM) stepLDST(now int64) {
 		s.ldstQ.Pop()
 	}
 	if s.ldstQ.Len() == 0 {
-		return
+		return false
 	}
 	op := s.ldstQ.Peek()
 	r := op.reqs[op.next]
+	accepted := false
 	switch op.kind {
 	case opGlobalStore:
-		s.tryStore(op, r, now)
+		accepted = s.tryStore(op, r, now)
 	default:
-		s.tryLoad(op, r, now)
+		accepted = s.tryLoad(op, r, now)
+	}
+	if !accepted {
+		return true
 	}
 	// Ops that finished presenting all requests leave the issue queue so
 	// the next op can start next cycle.
 	if op.next >= len(op.reqs) {
 		s.ldstQ.Pop()
-		if op.kind == opGlobalStore {
+		if !op.isLoad {
 			// Stores retire at acceptance; nothing outstanding. Their
 			// requests are recycled downstream when the DRAM channel issues
-			// them, so only the op itself returns to the free list here.
-			s.putOp(op)
-			return
-		}
-		if !op.isLoad {
-			// Atomic without a destination: nothing tracks the op, and its
+			// them, so only the op itself returns to the free list here. An
+			// atomic without a destination is tracked by nothing either: its
 			// requests retire individually as ownerless replies.
 			s.putOp(op)
 		}
 		// A load op now only waits for its responses; the last one
 		// completes it (completeRequest).
 	}
+	return false
+}
+
+// refuse records the head's refused attempt: in the Figure 3 outcomes for a
+// global load, and in s.fail for the park that may follow.
+func (s *SM) refuse(op *memOp, o cache.Outcome, l1 bool) {
+	s.fail = headFail{outcome: o, cat: op.category(), fig3: op.kind == opGlobalLoad,
+		l1: l1, icnt: o == cache.RsrvFailICNT}
+	if s.fail.fig3 {
+		s.col.RecordL1Outcome(s.fail.cat, o)
+	}
 }
 
 // tryLoad presents one load/atomic request to the L1 (or, for
 // non-deterministic loads under the Section X.A bypass, straight to the
-// request network).
-func (s *SM) tryLoad(op *memOp, r *memreq.Request, now int64) {
+// request network) and reports whether it was accepted.
+func (s *SM) tryLoad(op *memOp, r *memreq.Request, now int64) bool {
 	if s.cfg.NonDetBypassL1 && op.nonDet {
 		if !s.backend.CanInject(s.ID) {
-			if op.kind == opGlobalLoad {
-				s.col.RecordL1Outcome(op.category(), cache.RsrvFailICNT)
-			}
-			return
+			s.refuse(op, cache.RsrvFailICNT, false)
+			return false
 		}
 		r.BypassL1 = true
 		r.AcceptedL1 = now
@@ -71,7 +91,7 @@ func (s *SM) tryLoad(op *memOp, r *memreq.Request, now int64) {
 		}
 		op.noteAccept(now)
 		op.next++
-		return
+		return true
 	}
 	inject := func() bool {
 		if !s.backend.CanInject(s.ID) {
@@ -82,11 +102,12 @@ func (s *SM) tryLoad(op *memOp, r *memreq.Request, now int64) {
 		return true
 	}
 	outcome := s.L1.Access(r, now, inject)
+	if !outcome.Accepted() {
+		s.refuse(op, outcome, true)
+		return false
+	}
 	if op.kind == opGlobalLoad {
 		s.col.RecordL1Outcome(op.category(), outcome)
-	}
-	if !outcome.Accepted() {
-		return
 	}
 	r.AcceptedL1 = now
 	if outcome == cache.Hit {
@@ -98,6 +119,7 @@ func (s *SM) tryLoad(op *memOp, r *memreq.Request, now int64) {
 	}
 	op.noteAccept(now)
 	op.next++
+	return true
 }
 
 // tryPrefetch issues a best-effort next-line prefetch after a demand miss.
@@ -141,16 +163,19 @@ func (s *SM) tryPrefetch(demand *memreq.Request, now int64) {
 }
 
 // tryStore injects one write-through store request into the request network
-// (no L1 allocation on the Fermi write-no-allocate path).
-func (s *SM) tryStore(op *memOp, r *memreq.Request, now int64) {
+// (no L1 allocation on the Fermi write-no-allocate path) and reports whether
+// the network took it. A refused store counts nowhere.
+func (s *SM) tryStore(op *memOp, r *memreq.Request, now int64) bool {
 	if !s.backend.CanInject(s.ID) {
-		return
+		s.refuse(op, cache.RsrvFailICNT, false)
+		return false
 	}
 	r.AcceptedL1 = now
 	r.InjectedICNT = now
 	s.backend.Inject(r, icnt.DataFlits, now)
 	op.noteAccept(now)
 	op.next++
+	return true
 }
 
 func (op *memOp) noteAccept(now int64) {
@@ -176,8 +201,9 @@ func (s *SM) HandleReply(r *memreq.Request, now int64) {
 	if r.Kind == memreq.Store {
 		return // write acks are not modeled
 	}
-	// A completing load can clear a scoreboard hazard right now; the stall
-	// cache's deadlines know nothing about external arrivals.
+	// A completing load can clear a scoreboard hazard right now, and a fill
+	// frees the tag or MSHR a parked head waits for; the stall cache's
+	// deadlines know nothing about external arrivals.
 	s.stallUntil = 0
 	if r.BypassL1 {
 		r.Returned = now

@@ -127,10 +127,14 @@ func (s *SM) pickReady(sched int, now int64) *warpCtx {
 
 // readyUnitFree returns the earliest cycle at which a function unit with a
 // scoreboard-ready warp waiting on it is free (possibly in the past), or
-// horizon when there is none sooner; NextEvent's warp term.
-func (s *SM) readyUnitFree(horizon int64) int64 {
+// horizon when there is none sooner; wakeAt's warp term. skipLDST leaves the
+// LD/ST unit out.
+func (s *SM) readyUnitFree(horizon int64, skipLDST bool) int64 {
 	for sched := range s.ready {
 		for u, set := range s.ready[sched] {
+			if skipLDST && isa.FuncUnit(u) == isa.UnitLDST {
+				continue
+			}
 			if set != 0 && s.unitBusyUntil[u] < horizon {
 				horizon = s.unitBusyUntil[u]
 			}

@@ -3,8 +3,10 @@ package sm
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
+	"critload/internal/cache"
 	"critload/internal/emu"
 	"critload/internal/mem"
 	"critload/internal/memreq"
@@ -13,14 +15,16 @@ import (
 )
 
 // rig is one SM under a scripted backend: CTAs of a grid are handed out as
-// resources allow, and every injected load is answered replyAfter cycles
-// later, replies first in the cycle as the GPU loop delivers them.
+// resources allow, and every injected load is answered latency cycles later
+// (replyAfter unless a test sets it), replies first in the cycle as the GPU
+// loop delivers them.
 type rig struct {
 	s       *SM
 	mb      *mockBackend
 	l       *emu.Launch
 	nextCTA int
 	replied int
+	latency int64
 }
 
 const replyAfter = 40
@@ -38,13 +42,13 @@ func newRig(t *testing.T, cfg Config, fastForward bool, k *ptx.Kernel, grid, blo
 		t.Fatal(err)
 	}
 	s.SetKernel(&emu.Env{Mem: mem.New(), Launch: l}, k.Name, nil)
-	return &rig{s: s, mb: mb, l: l}
+	return &rig{s: s, mb: mb, l: l, latency: replyAfter}
 }
 
 // step runs one cycle and reports whether the rig still has work.
 func (r *rig) step(t *testing.T, now int64) bool {
 	t.Helper()
-	for r.replied < len(r.mb.injected) && r.mb.injected[r.replied].InjectedICNT+replyAfter <= now {
+	for r.replied < len(r.mb.injected) && r.mb.injected[r.replied].InjectedICNT+r.latency <= now {
 		req := r.mb.injected[r.replied]
 		req.Serviced = memreq.LvlL2
 		r.s.HandleReply(req, now)
@@ -99,6 +103,10 @@ var readyFixtures = []struct {
 	params      []uint32
 	// blockNet makes the request network refuse injections over this window.
 	blockFrom, blockTo int64
+	latency            int64 // reply latency; 0 is replyAfter
+	// park is a refusal the fast-forward SM must park its LD/ST head on;
+	// Hit, the zero value, for fixtures that need not park.
+	park cache.Outcome
 }{
 	{name: "alu", grid: 1, block: 256, src: `
 .kernel alu
@@ -117,7 +125,10 @@ var readyFixtures = []struct {
 @%p0 add.u32 %r4, %r3, 1;
     exit;
 `},
-	{name: "uncoalesced+blocked-net", grid: 1, block: 192, params: []uint32{1 << 20}, blockFrom: 30, blockTo: 120, src: `
+	// The network refuses injections while every warp waits on a load: the
+	// head parks on the interconnect with no internal deadline, and only a
+	// free injection slot wakes it.
+	{name: "uncoalesced+blocked-net", grid: 1, block: 192, params: []uint32{1 << 20}, blockFrom: 30, blockTo: 120, park: cache.RsrvFailICNT, src: `
 .kernel scatter
 .param .u32 a
     mov.u32      %r0, %tid.x;
@@ -146,9 +157,29 @@ var readyFixtures = []struct {
 	// CTAs retire with loads in flight, on three times as many CTAs as the
 	// SM has slots; see recycleFixtures.
 	{name: "retire-with-queued-load", grid: 24, block: 64, params: []uint32{1 << 20},
-		blockFrom: 5, blockTo: 100, src: fmt.Sprintf(deadLoadSrc, 3)},
+		blockFrom: 5, blockTo: 100, park: cache.RsrvFailICNT, src: fmt.Sprintf(deadLoadSrc, 3)},
 	{name: "retire-awaiting-reply", grid: 24, block: 64, params: []uint32{1 << 20},
 		src: fmt.Sprintf(deadLoadSrc, 2)},
+	// One block per thread and slow replies: the 65th distinct miss finds
+	// the 64 MSHR entries taken, and with six blocks per four-way set later
+	// ones find every way reserved. Six warps' loads fill the four-op LD/ST
+	// queue, so the parked SM's LD/ST warps wait for the head, not the unit.
+	{name: "mshr-full", grid: 1, block: 192, params: []uint32{1 << 20}, latency: 300, park: cache.RsrvFailMSHR,
+		src: fmt.Sprintf(spreadLoadSrc, 7)},
+	// Blocks 4 KB apart all map to one L1 set: the fifth in-flight miss
+	// finds all four ways reserved until a fill.
+	{name: "tag-full", grid: 1, block: 64, params: []uint32{1 << 20}, park: cache.RsrvFailTag,
+		src: fmt.Sprintf(spreadLoadSrc, 12)},
+	// Every warp loads the same block: the first misses, seven merge onto
+	// its MSHR entry, and the ninth finds the entry's target list full.
+	{name: "mshr-targets", grid: 1, block: 384, params: []uint32{1 << 20}, park: cache.RsrvFailMSHR, src: `
+.kernel same
+.param .u32 a
+    ld.param.u32 %r0, [a];
+    ld.global.u32 %r1, [%r0];
+    add.u32      %r2, %r1, 1;
+    exit;
+`},
 	// CTAs loop ctaid-many times, so they retire out of launch order while
 	// later ones are still being launched: positions renumber under live warps.
 	{name: "multi-cta-retire", grid: 24, block: 96, params: []uint32{1 << 16}, src: `
@@ -172,10 +203,57 @@ DONE:
 `},
 }
 
+// spreadLoadSrc is a kernel of the reservation-fail fixtures: each thread
+// loads the word at a + (tid << shift) and uses it. Shift 7 puts every
+// thread on its own block, 12 puts them all in one L1 set.
+const spreadLoadSrc = `
+.kernel spread
+.param .u32 a
+    mov.u32      %%r0, %%tid.x;
+    shl.u32      %%r1, %%r0, %d;
+    ld.param.u32 %%r2, [a];
+    add.u32      %%r3, %%r2, %%r1;
+    ld.global.u32 %%r4, [%%r3];
+    add.u32      %%r5, %%r4, 1;
+    exit;
+`
+
+// scanWake derives a parked SM's horizon from scratch, on the naive twin in
+// the same state: the earliest writeback or hit due, else the first cycle at
+// which eligible() admits some warp. Parked, the SM's state is constant
+// until then, so probing each cycle up to the last unit's busy horizon finds
+// every warp that can issue without an event.
+func scanWake(s *SM, now int64) int64 {
+	h := int64(math.MaxInt64)
+	for c := range s.wb {
+		for i := 0; i < s.wb[c].Len(); i++ {
+			h = min(h, s.wb[c].At(i).at)
+		}
+	}
+	for i := 0; i < s.hitEvents.Len(); i++ {
+		h = min(h, s.hitEvents.At(i).at)
+	}
+	last := now + 1
+	for _, b := range s.unitBusyUntil {
+		last = max(last, b)
+	}
+	for t := now + 1; t <= last && t < h; t++ {
+		for _, wc := range s.warps {
+			if s.eligible(wc, t) {
+				return t
+			}
+		}
+	}
+	return max(h, now+1)
+}
+
 // TestReadySetsMatchScan drives a fast-forward SM and a naive twin through
 // the same script in lockstep. After every cycle the fast-forward SM's ready
 // sets must equal the invariant evaluated from scratch, and the two must have
-// issued the same number of instructions and report the same horizon.
+// issued the same number of instructions and report the same horizon. While
+// the fast-forward SM is parked, the naive twin still reports now+1 (its head
+// retries every cycle), so the fast one's horizon must instead equal the
+// naive twin's state scanned from scratch (scanWake).
 func TestReadySetsMatchScan(t *testing.T) {
 	for _, pol := range []Policy{LRR, GTO} {
 		for _, fx := range readyFixtures {
@@ -186,9 +264,11 @@ func TestReadySetsMatchScan(t *testing.T) {
 				k.SharedBytes = fx.shared
 				fast := newRig(t, cfg, true, k, fx.grid, fx.block, fx.params...)
 				naive := newRig(t, cfg, false, k, fx.grid, fx.block, fx.params...)
+				fast.latency, naive.latency = fixtureLatency(fx.latency), fixtureLatency(fx.latency)
 				if !fast.s.readySets || naive.s.readySets {
 					t.Fatal("ready sets must follow SetFastForward")
 				}
+				parkedOn := map[cache.Outcome]bool{}
 				for now := int64(0); ; now++ {
 					if now > 200000 {
 						t.Fatal("SM never drained")
@@ -212,8 +292,14 @@ func TestReadySetsMatchScan(t *testing.T) {
 					if f, n := fast.s.InstructionsIssued, naive.s.InstructionsIssued; f != n {
 						t.Fatalf("cycle %d: issued %d under ready sets, %d under the scan", now, f, n)
 					}
-					if f, n := fast.s.NextEvent(now), naive.s.NextEvent(now); f != n {
-						t.Fatalf("cycle %d: NextEvent %d under ready sets, %d under the scan", now, f, n)
+					f, n := fast.s.NextEvent(now), naive.s.NextEvent(now)
+					if fast.s.parked {
+						parkedOn[fast.s.fail.outcome] = true
+						n = scanWake(naive.s, now)
+					}
+					if f != n {
+						t.Fatalf("cycle %d: NextEvent %d under ready sets, %d under the scan (parked %v)",
+							now, f, n, fast.s.parked)
 					}
 					if !more {
 						break
@@ -222,6 +308,9 @@ func TestReadySetsMatchScan(t *testing.T) {
 				if fast.s.InstructionsIssued == 0 || fast.mb.finished != fx.grid {
 					t.Fatalf("fixture did not run: %d instructions, %d/%d CTAs",
 						fast.s.InstructionsIssued, fast.mb.finished, fx.grid)
+				}
+				if fx.park != cache.Hit && !parkedOn[fx.park] {
+					t.Errorf("the fast-forward SM never parked on %v (parked on %v)", fx.park, parkedOn)
 				}
 			})
 		}
@@ -235,7 +324,11 @@ func TestReadySetsMatchScan(t *testing.T) {
 // same SM cycles and per-unit busy cycles. After every step neither SM may
 // still hold a due writeback. Each fixture also runs with SPInit 0, under
 // which both schedulers issue to the SP unit in one cycle and two SP
-// writebacks fall due together.
+// writebacks fall due together, and with the ready sets off, so the
+// fast-forward SM takes the scan that an SM with more than 64 warps keeps.
+//
+// The fixtures that park also compare the Figure 3 outcomes and the L1's
+// access counters at every flush, and whole collectors at drain.
 //
 // Each of these hand mutations fails this test or
 // TestFastForwardMatchesSerialLoop:
@@ -246,17 +339,26 @@ func TestReadySetsMatchScan(t *testing.T) {
 //   - processWritebacks popping at most one event per ring per cycle (here,
 //     under SPInit 0: a due writeback left queued).
 func TestIdleAccountingMatchesNaive(t *testing.T) {
+	def := DefaultConfig().SPInit
+	variants := []struct {
+		name   string
+		spInit int64
+		sets   bool
+	}{{fmt.Sprintf("spinit%d", def), def, true}, {"spinit0", 0, true}, {"scan", def, false}}
 	for _, pol := range []Policy{LRR, GTO} {
-		for _, spInit := range []int64{DefaultConfig().SPInit, 0} {
+		for _, v := range variants {
 			for _, fx := range readyFixtures {
-				t.Run(fmt.Sprintf("%v/spinit%d/%s", pol, spInit, fx.name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%v/%s/%s", pol, v.name, fx.name), func(t *testing.T) {
 					cfg := DefaultConfig()
-					cfg.Policy, cfg.SPInit = pol, spInit
+					cfg.Policy, cfg.SPInit = pol, v.spInit
 					k := mustKernel(t, fx.src)
 					k.SharedBytes = fx.shared
 					fast := newRig(t, cfg, true, k, fx.grid, fx.block, fx.params...)
 					naive := newRig(t, cfg, false, k, fx.grid, fx.block, fx.params...)
+					fast.s.readySets = v.sets
+					fast.latency, naive.latency = fixtureLatency(fx.latency), fixtureLatency(fx.latency)
 					var maxLag uint64 // cycles the fast SM had yet to account
+					parked := false
 					flushAndCompare := func(now int64) {
 						t.Helper()
 						fast.s.FlushIdle(now + 1)
@@ -264,6 +366,10 @@ func TestIdleAccountingMatchesNaive(t *testing.T) {
 						if f.SMCycles != n.SMCycles || f.UnitBusy != n.UnitBusy {
 							t.Fatalf("cycle %d: %d SM cycles, unit busy %v after the flush; naive %d, %v",
 								now, f.SMCycles, f.UnitBusy, n.SMCycles, n.UnitBusy)
+						}
+						if f.L1Outcomes != n.L1Outcomes || fast.s.L1.Accesses != naive.s.L1.Accesses {
+							t.Fatalf("cycle %d: L1 outcomes %v, accesses %v after the flush; naive %v, %v",
+								now, f.L1Outcomes, fast.s.L1.Accesses, n.L1Outcomes, naive.s.L1.Accesses)
 						}
 					}
 					for now := int64(0); ; now++ {
@@ -285,8 +391,12 @@ func TestIdleAccountingMatchesNaive(t *testing.T) {
 							}
 						}
 						maxLag = max(maxLag, naive.s.col.SMCycles-fast.s.col.SMCycles)
+						parked = parked || fast.s.parked
 						if !more {
 							flushAndCompare(now)
+							if !bytes.Equal(collectorBytes(t, fast.s.col), collectorBytes(t, naive.s.col)) {
+								t.Fatal("collectors differ at drain")
+							}
 							break
 						}
 						if now%37 == 0 {
@@ -297,10 +407,21 @@ func TestIdleAccountingMatchesNaive(t *testing.T) {
 					if maxLag == 0 && fx.name != "alu" {
 						t.Error("the fast-forward SM never froze; no idle window was exercised")
 					}
+					if fx.park != cache.Hit && !parked {
+						t.Error("the fast-forward SM never parked its LD/ST head")
+					}
 				})
 			}
 		}
 	}
+}
+
+// fixtureLatency is a fixture's reply latency.
+func fixtureLatency(l int64) int64 {
+	if l == 0 {
+		return replyAfter
+	}
+	return l
 }
 
 // TestSnapshotUnchangedByReadySets runs the multi-CTA fixture to the launch
@@ -481,9 +602,10 @@ func BenchmarkSMFrozen(b *testing.B) {
 
 // BenchmarkSMIssue is the ledger's "sm issue" layer in the regime the paper
 // studies: one SM, 48 resident warps all scoreboard-blocked behind an
-// outstanding load, and an LD/ST queue whose head retries a reservation
-// failure every cycle (so neither the stall cache nor cycle skipping can
-// engage). One op is one SM.Step.
+// outstanding load, and an LD/ST queue whose head is refused an MSHR every
+// cycle. One op is one SM.Step. The naive engine retries the head every
+// cycle; under fast-forward the head is parked and the step is the frozen
+// path's compare.
 func BenchmarkSMIssue(b *testing.B) {
 	prog, err := ptx.Parse(`
 .kernel stalled

@@ -340,9 +340,19 @@ type SM struct {
 	// opens an idle window at idleFrom (0 = none open; a window never starts
 	// at cycle 0), and the next real step or FlushIdle folds the window's
 	// cycles into the collector in one accountIdle call.
+	//
+	// The parked head is the fourth fast-forward-only structure. After a
+	// cycle in which nothing issued and the LD/ST head was refused (fail),
+	// stallUntil holds the earliest internal deadline instead (wakeAt), and
+	// the SM is frozen and parked: every cycle until a wake would repeat the
+	// refusal exactly, so the window folds them in with the occupancy. A
+	// fill wakes it through HandleReply; a refused injection also wakes when
+	// the network has a free slot again, which the frozen test re-reads.
 	fastForward bool
 	stallUntil  int64
 	idleFrom    int64
+	parked      bool
+	fail        headFail
 
 	// ready[sched] are the scheduler's per-unit ready sets, the second
 	// fast-forward-only structure; see ready.go for the invariant.
@@ -588,25 +598,34 @@ func (s *SM) maybeFree(cc *ctaCtx) {
 // instruction issue (functionally executing the chosen warp instructions),
 // then occupancy statistics.
 func (s *SM) Step(now int64) error {
-	if now < s.stallUntil {
+	if now < s.stallUntil && !(s.parked && s.fail.icnt && s.backend.CanInject(s.ID)) {
 		// Frozen: stallUntil is the minimum over every internal deadline, so
-		// no writeback or hit is due, the LD/ST queue is empty and no warp can
-		// issue. The open idle window accounts this cycle.
+		// no writeback or hit is due and no warp can issue. The LD/ST queue is
+		// empty, or its head is parked and would be refused again. The open
+		// idle window accounts this cycle.
 		return nil
 	}
 	s.foldIdle(now)
 	s.processWritebacks(now)
-	s.stepLDST(now)
+	refused := s.stepLDST(now)
 	if err := s.issue(now); err != nil {
 		return err
 	}
 	s.stallUntil = 0
-	if s.fastForward && s.lastIssue != now && s.ldstQ.Len() == 0 {
-		s.stallUntil = s.NextEvent(now)
+	if s.fastForward && s.lastIssue != now {
+		switch {
+		case s.ldstQ.Len() == 0:
+			s.stallUntil = s.NextEvent(now)
+		case refused:
+			// The refusal repeats until a fill, a free injection slot or an
+			// internal deadline changes something: park until the latter.
+			s.stallUntil = s.wakeAt(now)
+		}
 	}
 	s.recordOccupancy(now)
 	if s.stallUntil > now+1 {
 		s.idleFrom = now + 1
+		s.parked = refused
 	}
 	return nil
 }

@@ -17,8 +17,12 @@ const snapTag = 0x534D3030 // "SM00"
 // queues, in-flight requests — is empty at a boundary by the drain contract,
 // and snapshotting a busy SM is a caller bug. So is snapshotting an SM whose
 // idle window is still open: its cycles would be missing from the collector
-// saved beside it (FlushIdle closes it).
+// saved beside it (FlushIdle closes it), and so is snapshotting a parked SM,
+// whose window also holds refusals the collector and the L1 lack.
 func (s *SM) Snapshot(w *checkpoint.Writer) {
+	if s.parked {
+		panic("sm: snapshot of a parked SM")
+	}
 	if !s.Idle() || len(s.ctas) != 0 {
 		panic("sm: snapshot of a busy SM")
 	}

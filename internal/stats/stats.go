@@ -343,6 +343,12 @@ func (c *Collector) RecordL1Outcome(cat Category, o cache.Outcome) {
 	}
 }
 
+// RecordL1Refusals counts n reservation failures of one kind at once, as n
+// RecordL1Outcome calls would; a parked SM's refusals arrive this way.
+func (c *Collector) RecordL1Refusals(cat Category, o cache.Outcome, n uint64) {
+	c.L1Outcomes[cat][o] += n
+}
+
 // RecordL2Outcome counts one L2 access (accepted accesses only feed the miss
 // ratio; retried reservation failures are not re-counted). slice is the L2
 // slice (partition parity) for the Table III sector counters.

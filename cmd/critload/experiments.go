@@ -20,9 +20,9 @@ import (
 const checkpointBudgetBytes = 4 << 30
 
 // runExperiments regenerates the paper's tables and figures. One shared suite
-// runs each workload at most once functionally and once under the timing
-// model; every entry of experiments.Artifacts is then derived from those
-// runs, as in the paper's methodology.
+// runs each workload at most once per configuration, functionally and under
+// the timing model; every entry of experiments.Artifacts is then derived
+// from those runs, as in the paper's methodology.
 func runExperiments(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet(stderr, "experiments", "[flags]",
 		"experiments                                # everything, text tables",
@@ -65,12 +65,9 @@ func runExperiments(args []string, stdout, stderr io.Writer) error {
 		return warmstart(stdout, emit, *warmOut, *warmCheck, *seed)
 	}
 	var selected []experiments.Artifact
-	var functional, timing bool
 	for _, a := range experiments.Artifacts {
 		if name == "all" || name == a.Name {
 			selected = append(selected, a)
-			functional = functional || a.Functional
-			timing = timing || a.Timing
 		}
 	}
 	if len(selected) == 0 {
@@ -97,7 +94,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) error {
 		// runs the selected artifacts declare; they then render in their
 		// usual serial order, so the output is byte-identical to a serial
 		// sweep no matter in which order the workloads finish.
-		if err := suite.Warm(context.Background(), *parallel, functional, timing); err != nil {
+		if err := suite.Warm(context.Background(), *parallel, selected); err != nil {
 			return fmt.Errorf("warm: %w", err)
 		}
 	}

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"context"
 
 	"critload/internal/gpu"
 	"critload/internal/sm"
@@ -9,40 +9,44 @@ import (
 	"critload/internal/workloads"
 )
 
-// AblationRow compares one workload under two configurations.
+// Summary is what an ablation table prints of one timing run. A variant run
+// is reduced to it on completion, so the suite keeps neither its instance
+// nor its collector.
+type Summary struct {
+	Cycles int64
+	// L1Hit is the L1 hit ratio over both load categories.
+	L1Hit float64
+	// Turnaround is the mean load turnaround over both categories.
+	Turnaround float64
+}
+
+func summarize(r *Run) Summary {
+	col := r.Col
+	sum := Summary{Cycles: r.Cycles}
+	if acc := col.L1Acc[stats.Det] + col.L1Acc[stats.NonDet]; acc > 0 {
+		miss := col.L1Miss[stats.Det] + col.L1Miss[stats.NonDet]
+		sum.L1Hit = 1 - float64(miss)/float64(acc)
+	}
+	t, n := col.Turnaround[stats.Det], col.Turnaround[stats.NonDet]
+	if ops := t.Ops + n.Ops; ops > 0 {
+		sum.Turnaround = float64(t.Total+n.Total) / float64(ops)
+	}
+	return sum
+}
+
+// AblationRow compares one workload under the base and the variant
+// configuration.
 type AblationRow struct {
-	Name     string
-	Category workloads.Category
-	// Baseline / variant cycle counts and L1 hit ratios.
-	BaseCycles, VariantCycles         int64
-	BaseL1Hit, VariantL1Hit           float64
-	BaseTurnaround, VariantTurnaround float64
-}
-
-func l1HitRatio(col *stats.Collector) float64 {
-	acc := col.L1Acc[stats.Det] + col.L1Acc[stats.NonDet]
-	miss := col.L1Miss[stats.Det] + col.L1Miss[stats.NonDet]
-	if acc == 0 {
-		return 0
-	}
-	return 1 - float64(miss)/float64(acc)
-}
-
-func meanTurnaround(col *stats.Collector) float64 {
-	t := col.Turnaround[stats.Det]
-	n := col.Turnaround[stats.NonDet]
-	ops := t.Ops + n.Ops
-	if ops == 0 {
-		return 0
-	}
-	return float64(t.Total+n.Total) / float64(ops)
+	Name          string
+	Category      workloads.Category
+	Base, Variant Summary
 }
 
 // Ablation is one base-versus-variant hardware comparison: the baseline is
 // the sweep's own configuration, the variant is that configuration after
 // Apply.
 type Ablation struct {
-	Name  string // selector for RunAblation
+	Name  string // short name, e.g. "bypass"
 	Title string // table heading
 	// Base and Variant label the two configurations in column headings.
 	Base, Variant string
@@ -84,46 +88,23 @@ var Ablations = []Ablation{
 		Apply: func(c *gpu.Config) { c.L2Clusters = 2 }},
 }
 
-// RunAblation runs the named entry of Ablations over the selected workloads,
-// each once under the baseline and once under the variant.
-func RunAblation(name string, opts Options) ([]AblationRow, error) {
-	for _, a := range Ablations {
-		if a.Name != name {
-			continue
-		}
-		base := opts.gpuConfig()
-		variant := base
-		a.Apply(&variant)
-		return compare(opts, base, variant)
-	}
-	return nil, fmt.Errorf("experiments: unknown ablation %q", name)
-}
-
-func compare(opts Options, base, variant gpu.Config) ([]AblationRow, error) {
+// Ablation compares every selected workload's timing run with its run under
+// a.Apply. The base is the suite's own timing run; a variant equal to the
+// base configuration resolves to that same run.
+func (s *Suite) Ablation(a Ablation) ([]AblationRow, error) {
+	ctx := context.Background()
 	var rows []AblationRow
-	for _, name := range opts.names() {
-		bOpts := opts
-		bOpts.GPU = &base
-		bRun, err := RunTiming(name, bOpts)
-		if err != nil {
-			return rows, err
+	for _, name := range s.Opts.names() {
+		base := s.run(ctx, s.timingKey(name, nil))
+		if base.err != nil {
+			return rows, base.err
 		}
-		vOpts := opts
-		vOpts.GPU = &variant
-		vRun, err := RunTiming(name, vOpts)
-		if err != nil {
-			return rows, err
+		variant := s.run(ctx, s.timingKey(name, a.Apply))
+		if variant.err != nil {
+			return rows, variant.err
 		}
-		rows = append(rows, AblationRow{
-			Name:              name,
-			Category:          bRun.Workload.Category,
-			BaseCycles:        bRun.Cycles,
-			VariantCycles:     vRun.Cycles,
-			BaseL1Hit:         l1HitRatio(bRun.Col),
-			VariantL1Hit:      l1HitRatio(vRun.Col),
-			BaseTurnaround:    meanTurnaround(bRun.Col),
-			VariantTurnaround: meanTurnaround(vRun.Col),
-		})
+		rows = append(rows, AblationRow{Name: name, Category: base.r.Workload.Category,
+			Base: base.sum, Variant: variant.sum})
 	}
 	return rows, nil
 }

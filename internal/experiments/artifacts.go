@@ -15,11 +15,12 @@ import (
 // -artifact <Name>` regenerates it.
 type Artifact struct {
 	Name string // selector
-	// Functional and Timing declare which of the suite's cached runs Render
-	// reads, so a parallel sweep warms neither more nor less than the serial
-	// one would execute. The ablation reads neither: it runs its own
-	// base/variant pairs.
+	// Functional, Timing and Variants declare the suite runs Render reads:
+	// each selected workload's functional run, its timing run, and its
+	// timing run under each variant's Apply. Warm executes exactly these,
+	// so a parallel sweep runs neither more nor less than the serial one.
 	Functional, Timing bool
+	Variants           []Ablation
 	Render             func(*Suite) ([]*report.Table, error)
 }
 
@@ -109,7 +110,7 @@ var Artifacts = []Artifact{
 		}, "Figure 12 — CTA distance frequency for shared blocks (top 6 distances)",
 		"name", "category", "distance:fraction ...")},
 	{Name: "table3", Timing: true, Render: renderTable3},
-	{Name: "ablation", Render: renderAblations},
+	{Name: "ablation", Timing: true, Variants: Ablations, Render: renderAblations},
 }
 
 // perRow renders one table with the rows get returns, add appending each.
@@ -186,7 +187,7 @@ func renderTable3(s *Suite) ([]*report.Table, error) {
 func renderAblations(s *Suite) ([]*report.Table, error) {
 	var out []*report.Table
 	for _, a := range Ablations {
-		rows, err := RunAblation(a.Name, s.Opts)
+		rows, err := s.Ablation(a)
 		if err != nil {
 			return nil, err
 		}
@@ -198,9 +199,9 @@ func renderAblations(s *Suite) ([]*report.Table, error) {
 			a.Base+" "+metric, a.Variant+" "+metric)
 		for _, r := range rows {
 			if a.Turnaround {
-				t.Add(r.Name, r.BaseCycles, r.VariantCycles, r.BaseTurnaround, r.VariantTurnaround)
+				t.Add(r.Name, r.Base.Cycles, r.Variant.Cycles, r.Base.Turnaround, r.Variant.Turnaround)
 			} else {
-				t.Add(r.Name, r.BaseCycles, r.VariantCycles, report.Pct(r.BaseL1Hit), report.Pct(r.VariantL1Hit))
+				t.Add(r.Name, r.Base.Cycles, r.Variant.Cycles, report.Pct(r.Base.L1Hit), report.Pct(r.Variant.L1Hit))
 			}
 		}
 		out = append(out, t)

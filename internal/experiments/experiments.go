@@ -102,81 +102,107 @@ type Run struct {
 	WarmStartCycles int64
 }
 
+// runKey names one run of a suite. Size, seed and window are fixed per
+// suite, so a workload and, for a timing run, its device configuration are
+// the whole identity; gpu.Config is plain comparable data and is the key
+// as-is. A functional run has no device and leaves cfg zero.
+type runKey struct {
+	workload string
+	timing   bool
+	cfg      gpu.Config
+}
+
 // suiteCall is one singleflight execution slot: the first caller runs the
 // workload, every concurrent caller blocks on done and shares the result.
 type suiteCall struct {
 	done chan struct{}
-	r    *Run
-	err  error
+	// r is the whole run, kept for functional runs and for timing runs at
+	// the suite's own configuration; a variant run keeps only sum.
+	r   *Run
+	sum Summary
+	err error
 }
 
-// Suite caches one functional and one timing run per workload so that the
-// table/figure generators sharing it run each application once, the way one
-// profiling session feeds many plots in the paper. It is safe for concurrent
-// use: simultaneous requests for the same workload are deduplicated, so a
-// parallel sweep never simulates an application twice.
+// Suite caches every run its generators read, so each application runs once
+// per configuration, the way one profiling session feeds many plots in the
+// paper: one functional run and one timing run per workload, plus the
+// ablations' variant runs. It is safe for concurrent use: simultaneous
+// requests for the same run are deduplicated, so a parallel sweep never
+// simulates an application twice.
 type Suite struct {
 	Opts Options
 
-	mu sync.Mutex
-	fn map[string]*suiteCall
-	tm map[string]*suiteCall
+	mu   sync.Mutex
+	runs map[runKey]*suiteCall
 }
 
 // NewSuite builds an empty suite over the given options.
 func NewSuite(opts Options) *Suite {
-	return &Suite{Opts: opts, fn: map[string]*suiteCall{}, tm: map[string]*suiteCall{}}
+	return &Suite{Opts: opts, runs: map[runKey]*suiteCall{}}
 }
 
-// share runs exec(name) at most once per key concurrently: the first caller
-// executes, later callers wait and share. A failed call is forgotten so a
-// later retry is possible, but concurrent waiters observe the same error.
-func (s *Suite) share(ctx context.Context, m map[string]*suiteCall, name string,
-	exec func(context.Context, string, Options) (*Run, error)) (*Run, error) {
+// timingKey names the timing run of a workload at the suite's configuration
+// after apply (nil = the configuration itself).
+func (s *Suite) timingKey(name string, apply func(*gpu.Config)) runKey {
+	cfg := s.Opts.gpuConfig()
+	if apply != nil {
+		apply(&cfg)
+	}
+	return runKey{workload: name, timing: true, cfg: cfg}
+}
+
+// run executes k at most once concurrently: the first caller executes,
+// later callers wait and share. A failed call is forgotten so a later retry
+// is possible, but concurrent waiters observe the same error.
+func (s *Suite) run(ctx context.Context, k runKey) *suiteCall {
 	s.mu.Lock()
-	if c, ok := m[name]; ok {
+	if c, ok := s.runs[k]; ok {
 		s.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.r, c.err
+			return c
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return &suiteCall{err: ctx.Err()}
 		}
 	}
 	c := &suiteCall{done: make(chan struct{})}
-	m[name] = c
+	s.runs[k] = c
 	s.mu.Unlock()
 
-	c.r, c.err = exec(ctx, name, s.Opts)
+	if !k.timing {
+		c.r, c.err = RunFunctionalCtx(ctx, k.workload, s.Opts)
+	} else {
+		opts := s.Opts
+		opts.GPU = &k.cfg
+		c.r, c.err = RunTimingCtx(ctx, k.workload, opts)
+		if c.err == nil {
+			c.sum = summarize(c.r)
+			if k != s.timingKey(k.workload, nil) {
+				c.r = nil
+			}
+		}
+	}
 	if c.err != nil {
 		s.mu.Lock()
-		delete(m, name)
+		delete(s.runs, k)
 		s.mu.Unlock()
 	}
 	close(c.done)
-	return c.r, c.err
+	return c
 }
 
 // Functional returns the cached functional run of a workload, executing it
 // on first use.
 func (s *Suite) Functional(name string) (*Run, error) {
-	return s.FunctionalCtx(context.Background(), name)
-}
-
-// FunctionalCtx is Functional with cancellation between kernel launches.
-func (s *Suite) FunctionalCtx(ctx context.Context, name string) (*Run, error) {
-	return s.share(ctx, s.fn, name, RunFunctionalCtx)
+	c := s.run(context.Background(), runKey{workload: name})
+	return c.r, c.err
 }
 
 // Timing returns the cached timing run of a workload, executing it on first
 // use.
 func (s *Suite) Timing(name string) (*Run, error) {
-	return s.TimingCtx(context.Background(), name)
-}
-
-// TimingCtx is Timing with cancellation between kernel launches.
-func (s *Suite) TimingCtx(ctx context.Context, name string) (*Run, error) {
-	return s.share(ctx, s.tm, name, RunTimingCtx)
+	c := s.run(context.Background(), s.timingKey(name, nil))
+	return c.r, c.err
 }
 
 // classifiers builds a per-kernel classifier map for an instance.

@@ -293,53 +293,68 @@ func TestFigure12NeighbourCTAsShareMost(t *testing.T) {
 	}
 }
 
-func TestAblationsRun(t *testing.T) {
-	rows, err := RunAblation("cta", Options{Workloads: []string{"2mm"}, Size: 32, Seed: 10, MaxWarpInsts: 50_000})
-	if err != nil {
-		t.Fatalf("RunAblation cta: %v", err)
+// ablationNamed returns the entry of Ablations with the given name.
+func ablationNamed(t *testing.T, name string) Ablation {
+	t.Helper()
+	for _, a := range Ablations {
+		if a.Name == name {
+			return a
+		}
 	}
-	if len(rows) != 1 || rows[0].BaseCycles == 0 || rows[0].VariantCycles == 0 {
+	t.Fatalf("no ablation %q", name)
+	return Ablation{}
+}
+
+func TestAblationsRun(t *testing.T) {
+	s := NewSuite(Options{Workloads: []string{"2mm"}, Size: 32, Seed: 10, MaxWarpInsts: 50_000})
+	rows, err := s.Ablation(ablationNamed(t, "cta"))
+	if err != nil {
+		t.Fatalf("Ablation cta: %v", err)
+	}
+	if len(rows) != 1 || rows[0].Base.Cycles == 0 || rows[0].Variant.Cycles == 0 {
 		t.Errorf("bad ablation rows %+v", rows)
 	}
-	rows, err = RunAblation("warp", Options{Workloads: []string{"bfs"}, Size: 512, Seed: 10, MaxWarpInsts: 50_000})
+	s = NewSuite(Options{Workloads: []string{"bfs"}, Size: 512, Seed: 10, MaxWarpInsts: 50_000})
+	rows, err = s.Ablation(ablationNamed(t, "warp"))
 	if err != nil {
-		t.Fatalf("RunAblation warp: %v", err)
+		t.Fatalf("Ablation warp: %v", err)
 	}
-	if len(rows) != 1 || rows[0].BaseCycles == 0 {
+	if len(rows) != 1 || rows[0].Base.Cycles == 0 {
 		t.Errorf("bad ablation rows %+v", rows)
 	}
 }
 
+// TestExtensionAblations runs three ablations on one suite, so spmv's
+// baseline executes once and all three share it.
 func TestExtensionAblations(t *testing.T) {
-	opts := Options{Workloads: []string{"spmv"}, Size: 2048, Seed: 10}
-	rows, err := RunAblation("bypass", opts)
+	s := NewSuite(Options{Workloads: []string{"spmv"}, Size: 2048, Seed: 10})
+	rows, err := s.Ablation(ablationNamed(t, "bypass"))
 	if err != nil {
-		t.Fatalf("RunAblation bypass: %v", err)
+		t.Fatalf("Ablation bypass: %v", err)
 	}
-	if len(rows) != 1 || rows[0].VariantCycles == 0 {
+	if len(rows) != 1 || rows[0].Variant.Cycles == 0 {
 		t.Fatalf("bad rows %+v", rows)
 	}
 	// With spmv's non-deterministic gathers off the L1, the remaining
-	// (deterministic) accesses see a different hit profile; the run must
-	// stay functionally correct either way — compare() re-runs Setup, so
-	// just check cycle counts moved at all or stayed positive.
-	if rows[0].BaseCycles <= 0 || rows[0].VariantCycles <= 0 {
+	// (deterministic) accesses see a different hit profile; both runs must
+	// still complete with positive cycle counts.
+	if rows[0].Base.Cycles <= 0 || rows[0].Variant.Cycles <= 0 {
 		t.Errorf("cycles = %+v", rows[0])
 	}
 
-	rows, err = RunAblation("l2", opts)
+	rows, err = s.Ablation(ablationNamed(t, "l2"))
 	if err != nil {
-		t.Fatalf("RunAblation l2: %v", err)
+		t.Fatalf("Ablation l2: %v", err)
 	}
-	if len(rows) != 1 || rows[0].VariantCycles == 0 {
+	if len(rows) != 1 || rows[0].Variant.Cycles == 0 {
 		t.Errorf("bad rows %+v", rows)
 	}
 
-	rows, err = RunAblation("prefetch", opts)
+	rows, err = s.Ablation(ablationNamed(t, "prefetch"))
 	if err != nil {
-		t.Fatalf("RunAblation prefetch: %v", err)
+		t.Fatalf("Ablation prefetch: %v", err)
 	}
-	if len(rows) != 1 || rows[0].VariantCycles == 0 {
+	if len(rows) != 1 || rows[0].Variant.Cycles == 0 {
 		t.Errorf("bad rows %+v", rows)
 	}
 }
@@ -383,9 +398,9 @@ func TestUnknownWorkloadErrors(t *testing.T) {
 
 // TestArtifactsDeclareTheirRuns renders every entry of Artifacts on a small
 // two-workload suite. Each must produce non-empty tables, must have executed
-// functional and timing runs exactly where it declares them — the property
-// `critload experiments -parallel` relies on to warm neither more nor less
-// than the serial sweep runs — and must be documented in DESIGN.md §4.
+// exactly the runs it declares — the property `critload experiments
+// -parallel` relies on to warm neither more nor less than the serial sweep
+// runs — and must be documented in DESIGN.md §4.
 func TestArtifactsDeclareTheirRuns(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -417,11 +432,21 @@ func TestArtifactsDeclareTheirRuns(t *testing.T) {
 				t.Errorf("%s: table %q has %d rows", a.Name, tb.Title, len(tb.Rows))
 			}
 		}
-		if ran := len(s.fn) > 0; ran != a.Functional {
-			t.Errorf("%s: executed %d functional runs, declares Functional=%v", a.Name, len(s.fn), a.Functional)
+		declared := map[runKey]bool{}
+		for _, k := range s.plan([]Artifact{a}) {
+			declared[k] = true
 		}
-		if ran := len(s.tm) > 0; ran != a.Timing {
-			t.Errorf("%s: executed %d timing runs, declares Timing=%v", a.Name, len(s.tm), a.Timing)
+		var functional, timing bool
+		for k := range s.runs {
+			if !declared[k] {
+				t.Errorf("%s: executed an undeclared run of %s (timing=%v)", a.Name, k.workload, k.timing)
+			}
+			functional = functional || !k.timing
+			timing = timing || k.timing
+		}
+		if functional != a.Functional || timing != a.Timing {
+			t.Errorf("%s: executed functional=%v timing=%v runs, declares Functional=%v Timing=%v",
+				a.Name, functional, timing, a.Functional, a.Timing)
 		}
 	}
 }

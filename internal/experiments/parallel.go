@@ -3,65 +3,54 @@ package experiments
 import (
 	"context"
 	"errors"
-	"sort"
-	"sync"
 
 	"critload/internal/jobs"
 )
 
-// Warm pre-executes the suite's selected workloads concurrently on a
-// bounded worker pool, filling the functional and/or timing run caches.
-// Generators called afterwards find every run already present and emit in
-// their usual serial order, so a parallel sweep's output is byte-identical
-// to a serial one — completion order never leaks into the artifacts.
-//
-// workers <= 0 selects one worker per CPU. Errors from all workloads are
-// joined; the remaining runs still execute (a broken workload should not
-// abort a 15-application sweep). Cancellation via ctx stops each run at its
-// next kernel-launch boundary.
-func (s *Suite) Warm(ctx context.Context, workers int, functional, timing bool) error {
-	names := s.Opts.names()
-	pool := jobs.NewPool(workers, 2*len(names))
-	var (
-		mu   sync.Mutex
-		errs = map[string]error{}
-	)
-	record := func(name string, err error) {
-		if err != nil {
-			mu.Lock()
-			errs[name] = err
-			mu.Unlock()
+// plan lists, without repeats, the runs the given artifacts declare over the
+// suite's selected workloads.
+func (s *Suite) plan(arts []Artifact) []runKey {
+	seen := map[runKey]bool{}
+	var keys []runKey
+	add := func(k runKey) {
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
 		}
 	}
-	for _, name := range names {
-		name := name
-		if functional {
-			pool.Submit(func() {
-				_, err := s.FunctionalCtx(ctx, name)
-				record("functional/"+name, err)
-			})
+	for _, name := range s.Opts.names() {
+		for _, a := range arts {
+			if a.Functional {
+				add(runKey{workload: name})
+			}
+			if a.Timing {
+				add(s.timingKey(name, nil))
+			}
+			for _, v := range a.Variants {
+				add(s.timingKey(name, v.Apply))
+			}
 		}
-		if timing {
-			pool.Submit(func() {
-				_, err := s.TimingCtx(ctx, name)
-				record("timing/"+name, err)
-			})
-		}
+	}
+	return keys
+}
+
+// Warm pre-executes every run the given artifacts declare concurrently on a
+// bounded worker pool, each distinct run once. Renderers called afterwards
+// find every run already cached and emit in their usual serial order, so a
+// parallel sweep's output is byte-identical to a serial one — completion
+// order never leaks into the artifacts.
+//
+// workers <= 0 selects one worker per CPU. Errors from all runs are joined
+// in plan order; the remaining runs still execute (a broken workload should
+// not abort a 15-application sweep). Cancellation via ctx stops each run at
+// its next kernel-launch boundary.
+func (s *Suite) Warm(ctx context.Context, workers int, arts []Artifact) error {
+	keys := s.plan(arts)
+	errs := make([]error, len(keys))
+	pool := jobs.NewPool(workers, len(keys))
+	for i, k := range keys {
+		pool.Submit(func() { errs[i] = s.run(ctx, k).err })
 	}
 	pool.Close()
-
-	if len(errs) == 0 {
-		return nil
-	}
-	// Deterministic error order regardless of completion order.
-	keys := make([]string, 0, len(errs))
-	for k := range errs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	joined := make([]error, 0, len(keys))
-	for _, k := range keys {
-		joined = append(joined, errs[k])
-	}
-	return errors.Join(joined...)
+	return errors.Join(errs...)
 }

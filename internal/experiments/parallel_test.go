@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -99,7 +101,7 @@ func TestWarmSweepMatchesSerial(t *testing.T) {
 	serial := functionalArtifacts(t, NewSuite(opts))
 
 	warmed := NewSuite(opts)
-	if err := warmed.Warm(context.Background(), 8, true, false); err != nil {
+	if err := warmed.Warm(context.Background(), 8, []Artifact{artifactNamed(t, "table1")}); err != nil {
 		t.Fatalf("Warm: %v", err)
 	}
 	parallel := functionalArtifacts(t, warmed)
@@ -110,17 +112,48 @@ func TestWarmSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestWarmTimingMatchesSerial does the same for a timing artifact on a
-// restricted workload set.
+// artifactNamed returns the entry of Artifacts with the given name.
+func artifactNamed(t *testing.T, name string) Artifact {
+	t.Helper()
+	for _, a := range Artifacts {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no artifact %q", name)
+	return Artifact{}
+}
+
+// renderMarkdown renders artifacts on s into one comparable string.
+func renderMarkdown(t *testing.T, s *Suite, arts ...Artifact) string {
+	t.Helper()
+	var out strings.Builder
+	for _, a := range arts {
+		tables, err := a.Render(s)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		for _, tb := range tables {
+			out.WriteString(tb.Markdown())
+		}
+	}
+	return out.String()
+}
+
+// TestWarmTimingMatchesSerial does the same for timing artifacts on a
+// restricted workload set: Figure 3, and the ablation tables, whose variant
+// runs Warm executes alongside the suite's timing runs.
 func TestWarmTimingMatchesSerial(t *testing.T) {
 	opts := Options{Workloads: []string{"2mm", "bfs"}, Size: 32, Seed: 4, MaxWarpInsts: 20_000}
+	ablation := artifactNamed(t, "ablation")
 	s1 := NewSuite(opts)
 	rows1, err := s1.Figure3()
 	if err != nil {
 		t.Fatalf("serial Figure3: %v", err)
 	}
+	tables1 := renderMarkdown(t, s1, ablation)
 	s2 := NewSuite(opts)
-	if err := s2.Warm(context.Background(), 4, false, true); err != nil {
+	if err := s2.Warm(context.Background(), 4, []Artifact{artifactNamed(t, "fig3"), ablation}); err != nil {
 		t.Fatalf("Warm: %v", err)
 	}
 	rows2, err := s2.Figure3()
@@ -130,11 +163,48 @@ func TestWarmTimingMatchesSerial(t *testing.T) {
 	if got, want := fmt.Sprintf("%+v", rows2), fmt.Sprintf("%+v", rows1); got != want {
 		t.Fatalf("warmed Figure3 = %s, want %s", got, want)
 	}
+	if got := renderMarkdown(t, s2, ablation); got != tables1 {
+		t.Fatalf("warmed ablation tables:\n%s\nwant:\n%s", got, tables1)
+	}
+}
+
+// TestAblationSharesSuiteRuns pins the ablations to the suite's run cache.
+// Each workload's base run is its Timing run, shared by all five ablations,
+// so rendering executes one base and one variant run per ablation and
+// workload; after Warm, rendering executes none. A run is counted at its
+// first progress heartbeat, at cycle 0 with no warp instruction executed.
+func TestAblationSharesSuiteRuns(t *testing.T) {
+	var starts atomic.Int64
+	opts := Options{Workloads: []string{"2mm", "bfs"}, Size: 32, Seed: 4, MaxWarpInsts: 20_000,
+		Progress: func(cycles int64, warpInsts uint64) {
+			if cycles == 0 && warpInsts == 0 {
+				starts.Add(1)
+			}
+		}}
+	ablation := artifactNamed(t, "ablation")
+	want := int64(len(opts.Workloads) * (1 + len(Ablations)))
+
+	renderMarkdown(t, NewSuite(opts), ablation)
+	if got := starts.Swap(0); got != want {
+		t.Errorf("rendering the ablations executed %d timing runs, want %d", got, want)
+	}
+
+	warmed := NewSuite(opts)
+	if err := warmed.Warm(context.Background(), 2, []Artifact{ablation}); err != nil {
+		t.Fatalf("Warm: %v", err)
+	}
+	if got := starts.Swap(0); got != want {
+		t.Errorf("Warm executed %d timing runs, want %d", got, want)
+	}
+	renderMarkdown(t, warmed, ablation)
+	if got := starts.Load(); got != 0 {
+		t.Errorf("rendering after Warm executed %d timing runs, want 0", got)
+	}
 }
 
 func TestWarmReportsWorkloadErrors(t *testing.T) {
 	s := NewSuite(Options{Workloads: []string{"2mm", "no-such-workload"}, Size: 32})
-	err := s.Warm(context.Background(), 2, true, false)
+	err := s.Warm(context.Background(), 2, []Artifact{artifactNamed(t, "table1")})
 	if err == nil {
 		t.Fatal("Warm succeeded despite unknown workload")
 	}

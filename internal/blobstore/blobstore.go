@@ -2,7 +2,10 @@
 // the result store: a flat directory of framed, integrity-checked blobs,
 // written atomically (temp file + rename), validated on every read (invalid
 // files are deleted and counted), and evicted least-recently-used by mtime
-// against a byte budget (reads refresh mtime). A Store is safe for
+// against a byte budget (reads refresh mtime). A write costs O(1): the
+// directory is scanned only when a write takes the store past its budget,
+// and that pass evicts down to a low-water mark of 7/8 of the budget, so a
+// full store scans once per budget/8 bytes written. A Store is safe for
 // concurrent use; concurrent processes sharing a directory are safe too,
 // because every write is an atomic rename and every read validates.
 package blobstore
@@ -16,6 +19,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -45,7 +49,7 @@ type Format struct {
 	Version   uint32 // files of another version are dropped, never decoded
 	Ext       string // file suffix, with the dot
 	HeaderLen int    // bytes of caller-owned header
-	Sync      bool   // fsync the temp file before the rename
+	Sync      bool   // fsync the temp file before the rename and the directory after it
 }
 
 // Encode frames header and payload; len(header) must be f.HeaderLen.
@@ -103,16 +107,29 @@ type Stats struct {
 }
 
 // Store is one directory of blobs in one Format.
+//
+// It keeps an upper bound on its footprint instead of scanning the
+// directory on every write: the bytes one scan found (at Open, or at the
+// last eviction pass) plus the framed size of every blob written since.
+// Replaced blobs, and files removed by Drop or by another process, only
+// make the bound loose, never low. Another process sharing the directory adds bytes this bound
+// does not see until this store's next pass, so the directory can exceed
+// the budget by what other processes wrote since then, until any writer's
+// pass runs.
 type Store struct {
 	dir    string
 	budget int64 // bytes; <= 0 disables eviction
 	format Format
 
+	mu    sync.Mutex // guards bound and serializes eviction passes
+	bound int64      // upper bound on the store-owned bytes on disk
+
 	writes, evictions, dropped atomic.Uint64
 }
 
 // Open creates (if needed) and opens a store directory. budgetBytes bounds
-// the on-disk footprint; <= 0 means unlimited.
+// the on-disk footprint; <= 0 means unlimited. A budgeted store scans the
+// directory once here, so blobs left by earlier runs count from the start.
 func Open(dir string, budgetBytes int64, format Format) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("empty store directory")
@@ -120,7 +137,11 @@ func Open(dir string, budgetBytes int64, format Format) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, budget: budgetBytes, format: format}, nil
+	s := &Store{dir: dir, budget: budgetBytes, format: format}
+	if s.budget > 0 {
+		_, s.bound = s.scan()
+	}
+	return s, nil
 }
 
 // Dir returns the store directory.
@@ -135,14 +156,18 @@ func (s *Store) Has(name string) bool {
 }
 
 // Write frames and stores one blob under name, replacing any existing file
-// atomically, then evicts down to the byte budget.
+// atomically. Under Format.Sync the blob's bytes are on disk before the
+// rename and its directory entry after it, so a blob that Write reported is
+// still there after a power loss. If the write takes the store past its
+// byte budget, Write runs an eviction pass.
 func (s *Store) Write(name string, header, payload []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "tmp-*"+s.format.Ext+partialExt)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // a no-op once the rename has happened
-	_, err = tmp.Write(s.format.Encode(header, payload))
+	blob := s.format.Encode(header, payload)
+	_, err = tmp.Write(blob)
 	if err == nil && s.format.Sync {
 		err = tmp.Sync()
 	}
@@ -153,12 +178,28 @@ func (s *Store) Write(name string, header, payload []byte) error {
 	if err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
+	if err == nil && s.format.Sync {
+		err = syncDir(s.dir)
+	}
 	if err != nil {
 		return err
 	}
 	s.writes.Add(1)
-	s.evict(path)
+	s.evict(path, int64(len(blob)))
 	return nil
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Read returns the validated header and payload stored under name and
@@ -231,25 +272,32 @@ func (s *Store) scan() (files []os.FileInfo, total int64) {
 	return files, total
 }
 
-// evict removes least-recently-used files until the directory fits the
-// byte budget, never removing the just-written file. Orphaned temp files
+// evict adds a just-written blob of size bytes to the footprint bound and,
+// only if that takes the bound past the budget, runs an eviction pass: one
+// directory scan, then least-recently-used files are removed until the
+// store fits the low-water mark (7/8 of the budget), never the just-written
+// file, and the bound is reset to what the pass left. Orphaned temp files
 // age out the same way; an in-flight one has the newest mtime and goes last.
-func (s *Store) evict(keep string) {
+func (s *Store) evict(keep string, size int64) {
 	if s.budget <= 0 {
 		return
 	}
-	files, total := s.scan()
-	if total <= s.budget {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.bound += size; s.bound <= s.budget {
 		return
 	}
+	files, total := s.scan()
+	lowWater := s.budget - s.budget/8
 	sort.Slice(files, func(i, j int) bool { return files[i].ModTime().Before(files[j].ModTime()) })
 	for _, f := range files {
-		if total <= s.budget {
-			return
+		if total <= lowWater {
+			break
 		}
 		if path := filepath.Join(s.dir, f.Name()); path != keep && os.Remove(path) == nil {
 			total -= f.Size()
 			s.evictions.Add(1)
 		}
 	}
+	s.bound = total
 }

@@ -213,6 +213,79 @@ func TestEvictsLRUOverBudget(t *testing.T) {
 	}
 }
 
+// TestEvictionHysteresis: a write past the budget evicts down to the
+// low-water mark, 7/8 of the budget, so the writes that fit in the space
+// it freed evict nothing; the next write past the budget runs a pass again.
+func TestEvictionHysteresis(t *testing.T) {
+	for name, f := range formats {
+		t.Run(name, func(t *testing.T) {
+			budget := 8 * blobSize(f) // low-water mark: exactly 7 blobs
+			s, err := Open(t.TempDir(), budget, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			header, payload := make([]byte, f.HeaderLen), make([]byte, 1024)
+			write := func(i int) {
+				t.Helper()
+				if err := s.Write(fmt.Sprint("b", i), header, payload); err != nil {
+					t.Fatal(err)
+				}
+				setMtime(t, s.path(fmt.Sprint("b", i)), time.Duration(100-i)*time.Hour)
+			}
+			for i := 0; i < 9; i++ {
+				write(i)
+			}
+			st := s.Stats()
+			if st.Evictions != 2 || st.Bytes > budget-budget/8 || s.Has("b0") || s.Has("b1") {
+				t.Fatalf("after the first pass: stats = %+v, want b0 and b1 evicted and at most %d bytes", st, budget-budget/8)
+			}
+			write(9) // fits under the budget: no pass
+			if st := s.Stats(); st.Evictions != 2 || st.Files != 8 {
+				t.Fatalf("a write under the budget evicted: %+v", st)
+			}
+			write(10) // past the budget again
+			if st := s.Stats(); st.Evictions != 4 || st.Files != 7 || s.Has("b2") || s.Has("b3") {
+				t.Fatalf("second pass: stats = %+v, want b2 and b3 evicted, 7 files left", st)
+			}
+		})
+	}
+}
+
+// TestOpenAccountsExistingFiles: a store reopened over a populated
+// directory counts the blobs already there, so its first write past the
+// budget evicts the least recently used file by mtime, not by name or
+// write order.
+func TestOpenAccountsExistingFiles(t *testing.T) {
+	for name, f := range formats {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			first, err := Open(dir, 0, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			header, payload := make([]byte, f.HeaderLen), make([]byte, 1024)
+			for i, age := range []time.Duration{3, 1, 4, 2} {
+				if err := first.Write(fmt.Sprint("b", i), header, payload); err != nil {
+					t.Fatal(err)
+				}
+				setMtime(t, first.path(fmt.Sprint("b", i)), age*time.Hour)
+			}
+			// Four blobs fit; a fifth does not, and evicting one is enough
+			// to reach the low-water mark.
+			s, err := Open(dir, 5*blobSize(f)-1, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write("b4", header, payload); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.Evictions != 1 || st.Files != 4 || s.Has("b2") {
+				t.Fatalf("stats = %+v, Has(b2) = %v; want the oldest blob, b2, evicted", st, s.Has("b2"))
+			}
+		})
+	}
+}
+
 // TestBudgetSmallerThanOneBlob: the just-written blob is never evicted, even
 // when it alone exceeds the budget.
 func TestBudgetSmallerThanOneBlob(t *testing.T) {
@@ -303,7 +376,39 @@ func TestConcurrentAccess(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		if st := s.Stats(); st.Bytes > s.budget {
+			t.Fatalf("store holds %d bytes after the writers joined, budget %d", st.Bytes, s.budget)
+		}
 	})
+}
+
+// BenchmarkWrite times one Write into a store already holding files blobs
+// of 1.5 KiB under a 1 GiB budget: the put path when the store is far from
+// full. Each write replaces one of the files, so the count holds.
+func BenchmarkWrite(b *testing.B) {
+	f := formats["ckpt"] // Sync off: the cost measured is the store's, not the disk's
+	header, payload := make([]byte, f.HeaderLen), make([]byte, 1536)
+	blob := f.Encode(header, payload)
+	for _, files := range []int{100, 5000} {
+		b.Run(fmt.Sprint("files=", files), func(b *testing.B) {
+			dir := b.TempDir()
+			for i := 0; i < files; i++ {
+				if err := os.WriteFile(filepath.Join(dir, fmt.Sprint("b", i)+f.Ext), blob, 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s, err := Open(dir, 1<<30, f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Write(fmt.Sprint("b", i%files), header, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // FuzzBlobDecode feeds arbitrary bytes to both formats' decoders: the result

@@ -15,9 +15,9 @@ import (
 const ResultStoreVersion = 1
 
 // resultFormat is the result file framing: internal/blobstore's, with no
-// header. Writes are fsync'd before the rename: the completed journal
-// record that follows a Put must never refer to a result the filesystem
-// could still lose.
+// header. Writes are fsync'd before the rename and the directory after it:
+// the completed journal record that follows a Put must never refer to a
+// result the filesystem could still lose.
 var resultFormat = blobstore.Format{Magic: "CRITRES\x00", Version: ResultStoreVersion, Ext: ".res", Sync: true}
 
 // ResultStoreStats is a point-in-time snapshot of store effectiveness

@@ -65,3 +65,15 @@ func errActive(r *checkpoint.Reader) error {
 	r.Failf("cache: restore with in-flight misses")
 	return r.Err()
 }
+
+// Reset returns a cache with no miss in flight to the state New builds,
+// reusing its storage: every line invalid with a zero tag and LRU stamp and
+// the counters zero, so Snapshot writes what a fresh cache would write.
+func (c *Cache) Reset() {
+	if c.PendingMisses() != 0 {
+		panic("cache: reset with in-flight misses")
+	}
+	clear(c.lines)
+	c.Accesses = [NumOutcomes]uint64{}
+	c.FillCount = 0
+}

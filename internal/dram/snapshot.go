@@ -50,3 +50,15 @@ func (c *Controller) Restore(r *checkpoint.Reader) error {
 	c.TotalWait = r.I64()
 	return r.Err()
 }
+
+// Reset returns a drained channel to the state New builds, reusing its
+// storage: every bank free and closed, the statistics zero.
+func (c *Controller) Reset() {
+	if c.Pending() != 0 {
+		panic("dram: reset with pending requests")
+	}
+	for i := range c.banks {
+		c.banks[i] = bank{openRow: -1}
+	}
+	c.Serviced, c.RowHits, c.RowMisses, c.TotalWait = 0, 0, 0, 0
+}

@@ -1,8 +1,16 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"critload/internal/checkpoint"
 	"critload/internal/gpu"
 	"critload/internal/sm"
 	"critload/internal/stats"
@@ -20,29 +28,124 @@ func enginePair(pol sm.Policy) (fast, serial *gpu.Config) {
 
 // TestFastForwardMatchesSerialLoop is the fast-forward engine's core
 // contract: for every workload, event-horizon skipping must produce a
-// byte-identical statistics collector and the same cycle count as the
-// naive one-cycle-at-a-time loop it replaces, under either warp scheduler.
+// byte-identical statistics collector, the same cycle count and the same
+// device memory as the naive one-cycle-at-a-time loop it replaces, under
+// either warp scheduler.
+//
+// It is also the oracle for device reuse: fast-forward runs take the devices
+// earlier runs released, and the naive engine builds every device fresh. So
+// the fast-forward side runs twice. The second pass goes in reverse workload
+// order on two goroutines (concurrent New and Release for the race
+// detector), and before each workload runs the three kinds of run whose
+// devices must never reach a default-configuration run: a budget-stopped
+// one, a cancelled one and one under an ablation configuration.
 func TestFastForwardMatchesSerialLoop(t *testing.T) {
-	for name, size := range timingSmokeSizes {
-		name, size := name, size
+	var names []string
+	for name := range timingSmokeSizes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	policies := []sm.Policy{sm.LRR, sm.GTO}
+	var mu sync.Mutex
+	serial := map[string][]*Run{}
+	fastRun := func(name string, pol sm.Policy) (*Run, error) {
+		fastCfg, _ := enginePair(pol)
+		return RunTiming(name, Options{Size: timingSmokeSizes[name], Seed: 7, GPU: fastCfg})
+	}
+	// The second pass needs every first-pass result, and a test's cleanup
+	// runs once its parallel subtests have finished.
+	t.Cleanup(func() {
+		if t.Failed() {
+			return
+		}
+		slices.Reverse(names)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(names); i = int(next.Add(1)) - 1 {
+					name := names[i]
+					if err := runDroppedDevices(); err != nil {
+						t.Errorf("before %s: %v", name, err)
+					}
+					for j, pol := range policies {
+						fast, err := fastRun(name, pol)
+						if err != nil {
+							t.Errorf("second pass %s %v: fast-forward run: %v", name, pol, err)
+							continue
+						}
+						for _, d := range diffEngines(fast, serial[name][j]) {
+							t.Errorf("second pass %s %v: fast-forward vs serial: %s", name, pol, d)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for _, pol := range []sm.Policy{sm.LRR, sm.GTO} {
-				fastCfg, serialCfg := enginePair(pol)
-				fast, err := RunTiming(name, Options{Size: size, Seed: 7, GPU: fastCfg})
+			runs := make([]*Run, len(policies))
+			for i, pol := range policies {
+				fast, err := fastRun(name, pol)
 				if err != nil {
 					t.Fatalf("%v: fast-forward run: %v", pol, err)
 				}
-				serial, err := RunTiming(name, Options{Size: size, Seed: 7, GPU: serialCfg})
+				_, serialCfg := enginePair(pol)
+				runs[i], err = RunTiming(name, Options{Size: timingSmokeSizes[name], Seed: 7, GPU: serialCfg})
 				if err != nil {
 					t.Fatalf("%v: serial run: %v", pol, err)
 				}
-				for _, d := range DiffRuns(fast, serial) {
+				for _, d := range diffEngines(fast, runs[i]) {
 					t.Errorf("%v: fast-forward vs serial: %s", pol, d)
 				}
 			}
+			mu.Lock()
+			serial[name] = runs
+			mu.Unlock()
 		})
 	}
+}
+
+// runDroppedDevices runs, on the fast-forward engine, the three kinds of run
+// whose devices Release must keep from default-configuration runs: one
+// hard-stopped by its warp-instruction budget, one cancelled between
+// launches, and one under an ablation (a different architecture, so a
+// different pool).
+func runDroppedDevices() error {
+	fastCfg, _ := enginePair(sm.LRR)
+	opts := Options{Size: timingSmokeSizes["bfs"], Seed: 9, MaxWarpInsts: 5000, GPU: fastCfg}
+	if _, err := RunTiming("bfs", opts); err != nil {
+		return fmt.Errorf("budget-stopped run: %w", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts = Options{Size: timingSmokeSizes["bfs"], Seed: 9, GPU: fastCfg,
+		Progress: func(int64, uint64) { cancel() }}
+	if _, err := RunTimingCtx(ctx, "bfs", opts); !errors.Is(err, context.Canceled) {
+		return fmt.Errorf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	variant := *fastCfg
+	Ablations[0].Apply(&variant)
+	if _, err := RunTiming("srad", Options{Size: 32, Seed: 9, GPU: &variant}); err != nil {
+		return fmt.Errorf("%s ablation run: %w", Ablations[0].Name, err)
+	}
+	return nil
+}
+
+// diffEngines is DiffRuns plus the device memory the runs left behind.
+func diffEngines(a, b *Run) []string {
+	diffs := DiffRuns(a, b)
+	wa, wb := checkpoint.NewWriter(), checkpoint.NewWriter()
+	a.Instance.Mem.Snapshot(wa)
+	b.Instance.Mem.Snapshot(wb)
+	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+		diffs = append(diffs, "device memory diverges")
+	}
+	return diffs
 }
 
 // TestTimingRunsAreDeterministic re-runs a compute-bound, a memory-bound and

@@ -186,5 +186,6 @@ func runTiming(ctx context.Context, w *workloads.Workload, inst *workloads.Insta
 		run.WarmStartIndex = target.Index
 		run.WarmStartCycles = target.Cycle
 	}
+	g.Release()
 	return run, nil
 }

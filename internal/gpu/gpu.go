@@ -161,9 +161,16 @@ type GPU struct {
 	liveCTAs   int
 	stopIssue  bool // warp-instruction budget exhausted: no new CTAs
 	classCache map[*ptx.Kernel]*dataflow.Result
+
+	// failed marks a device whose launch or Restore returned an error: its
+	// state is undefined, so Release drops it.
+	failed bool
 }
 
-// New builds a GPU over the given memory.
+// New builds a GPU over the given memory (nil = fresh memory) recording into
+// col (nil = a fresh collector). A fast-forward configuration takes an idle
+// device of the same architecture that an earlier run released, if there is
+// one, instead of building it; see Release.
 func New(cfg Config, memory *mem.Memory, col *stats.Collector) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -174,6 +181,17 @@ func New(cfg Config, memory *mem.Memory, col *stats.Collector) (*GPU, error) {
 	if col == nil {
 		col = stats.New()
 	}
+	if cfg.FastForward {
+		if g := poolOf(cfg).get(); g != nil {
+			g.bind(cfg, memory, col)
+			return g, nil
+		}
+	}
+	return build(cfg, memory, col)
+}
+
+// build constructs a GPU from scratch.
+func build(cfg Config, memory *mem.Memory, col *stats.Collector) (*GPU, error) {
 	g := &GPU{cfg: cfg, Mem: memory, Col: col, classCache: map[*ptx.Kernel]*dataflow.Result{}}
 
 	g.reqNet = icnt.MustNew(cfg.NumSMs, cfg.NumPartitions, cfg.ICNT, g.deliverToPartition)
@@ -288,6 +306,7 @@ func (g *GPU) LaunchKernel(l *emu.Launch) error {
 	}
 	g.stopIssue = false
 	err := g.run(l)
+	g.failed = g.failed || err != nil
 	// However the launch ended, the SMs' open idle windows hold its last
 	// frozen cycles; the collector must have them before anyone reads it.
 	for _, s := range g.sms {

@@ -86,6 +86,12 @@ func (g *GPU) Snapshot() ([]byte, error) {
 // that need to survive a failed restore re-run cold from a fresh device (see
 // the experiments warm-start planner).
 func (g *GPU) Restore(payload []byte) error {
+	err := g.restore(payload)
+	g.failed = g.failed || err != nil
+	return err
+}
+
+func (g *GPU) restore(payload []byte) error {
 	if !g.AtBoundary() {
 		return fmt.Errorf("gpu: restore outside a kernel-launch boundary")
 	}

@@ -56,3 +56,15 @@ func (n *Network) Restore(r *checkpoint.Reader) error {
 	n.TotalDelay = r.I64()
 	return r.Err()
 }
+
+// Reset returns a drained network to the state New builds, reusing its
+// storage: every port free, the quiet cache and the statistics zero.
+func (n *Network) Reset() {
+	if n.pending != 0 {
+		panic("icnt: reset with packets in flight")
+	}
+	clear(n.srcBusy)
+	clear(n.dstBusy)
+	n.quietUntil = 0
+	n.Injected, n.Delivered, n.TotalDelay = 0, 0, 0
+}

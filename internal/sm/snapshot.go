@@ -3,6 +3,7 @@ package sm
 import (
 	"critload/internal/checkpoint"
 	"critload/internal/isa"
+	"critload/internal/stats"
 )
 
 // snapTag marks one SM section of a checkpoint payload.
@@ -81,3 +82,28 @@ func (s *SM) Restore(r *checkpoint.Reader) error {
 	s.InstructionsIssued = r.U64()
 	return r.Err()
 }
+
+// Reset returns an idle SM to the state New builds, keeping its storage: the
+// retired CTA contexts, the memOp slab and the event rings survive for the
+// next run, everything Snapshot writes goes back to its initial value, and
+// the SM lets go of the finished run's kernel, memory, collector and tracer.
+// SetCollector binds the next run's collector.
+func (s *SM) Reset() {
+	if !s.Idle() || len(s.ctas) != 0 || s.idleFrom != 0 {
+		panic("sm: reset of a busy SM")
+	}
+	s.L1.Reset()
+	s.unitBusyUntil = [isa.NumFuncUnits]int64{}
+	clear(s.rr)
+	s.age = 0
+	s.lastIssue = -1
+	s.stallUntil = 0
+	s.nextReqID = 0
+	s.InstructionsIssued = 0
+	s.env, s.classify = nil, nil
+	clear(s.pcStats)
+	s.col, s.tracer = nil, nil
+}
+
+// SetCollector binds the collector the SM records into.
+func (s *SM) SetCollector(col *stats.Collector) { s.col = col }

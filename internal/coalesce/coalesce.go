@@ -6,6 +6,8 @@
 package coalesce
 
 import (
+	"math/bits"
+
 	"critload/internal/emu"
 	"critload/internal/mem"
 )
@@ -29,13 +31,27 @@ func (a Access) LaneCount() int {
 // instruction into block accesses appended to dst, ordered by first
 // contributing lane. exec is the executed-lane mask; addrs holds per-lane byte
 // addresses (valid where the exec bit is set). Per-step callers pass a reused
-// or stack-backed dst[:0], so coalescing allocates nothing; an empty exec mask
-// appends nothing.
+// dst[:0], so coalescing allocates nothing; an empty exec mask appends
+// nothing.
 func CoalesceInto(dst []Access, exec uint32, addrs *[emu.WarpSize]uint32) []Access {
+	if exec == 0 {
+		return dst
+	}
+	// A warp inside one block (the common, fully coalesced case) makes one
+	// pass and one access, with no search.
+	first := mem.BlockAddr(addrs[bits.TrailingZeros32(exec)&(emu.WarpSize-1)])
+	m := exec
+	for ; m != 0; m &= m - 1 {
+		if mem.BlockAddr(addrs[bits.TrailingZeros32(m)&(emu.WarpSize-1)]) != first {
+			break
+		}
+	}
+	if m == 0 {
+		return append(dst, Access{Block: first, Lanes: exec})
+	}
 	base := len(dst)
-	// Typical warps touch 1-32 blocks; linear scan keeps ordering stable by
-	// first-lane appearance and avoids map allocation in the common
-	// fully-coalesced case.
+	// Typical warps touch 1-32 blocks; a linear scan of the accesses so far
+	// keeps the order by first lane and needs no map.
 	for lane := 0; lane < emu.WarpSize; lane++ {
 		if exec&(1<<lane) == 0 {
 			continue

@@ -86,13 +86,20 @@ func TestSameAddressAllLanes(t *testing.T) {
 // Properties checked with testing/quick: (1) appending after existing
 // entries leaves them alone and yields the same accesses as an empty dst,
 // (2) lane masks partition the exec mask, (3) every lane's address falls in
-// its access's block, (4) access count never exceeds active lanes.
+// its access's block, (4) access count never exceeds active lanes, (5) no
+// two accesses share a block and they are ordered by first lane. Half the
+// warps draw from 1 MiB, where lanes rarely share a block, half from 1 KiB
+// (eight blocks), where runs of one block break and resume.
 func TestQuickCoalesceInvariants(t *testing.T) {
 	f := func(exec uint32, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		span := 1 << 20
+		if seed&1 == 0 {
+			span = 1 << 10
+		}
 		var addrs [emu.WarpSize]uint32
 		for l := range addrs {
-			addrs[l] = uint32(rng.Intn(1 << 20))
+			addrs[l] = uint32(rng.Intn(span))
 		}
 		acc := CoalesceInto(nil, exec, &addrs)
 		after := CoalesceInto([]Access{{Block: 1}}, exec, &addrs)
@@ -105,10 +112,15 @@ func TestQuickCoalesceInvariants(t *testing.T) {
 			}
 		}
 		var union uint32
-		for _, a := range acc {
+		blocks := map[uint32]bool{}
+		for i, a := range acc {
 			if a.Lanes&union != 0 {
 				return false // overlap
 			}
+			if blocks[a.Block] || i > 0 && a.Lanes&-a.Lanes < acc[i-1].Lanes&-acc[i-1].Lanes {
+				return false // a block split, or out of first-lane order
+			}
+			blocks[a.Block] = true
 			union |= a.Lanes
 			for l := 0; l < emu.WarpSize; l++ {
 				if a.Lanes&(1<<l) != 0 && mem.BlockAddr(addrs[l]) != a.Block {

@@ -336,15 +336,61 @@ func (s *scalarThread) run(m *mem.Memory, maxSteps int) bool {
 // word in %r1, an integer hash in %r2 and a float accumulator in %r6; %r7 is
 // scratch. Predicates %p4..%p7 are set and read anywhere, including across
 // divergent regions, so lanes that skipped a setp must keep their old bit.
+//
+// Beyond its own input and output words, a thread reaches four regions at
+// fixed addresses, laid out so that a warp's words cross 64 KiB pages. Lane
+// l of warp w (w = ctaid*8 + warpid) uses:
+//   - %r17 = diffLoads - 256 + 8*l, read at displacements 0-7 and 128-135:
+//     pristine words the scalar reference reads too. At 5, 6 and 7, which
+//     every epilogue reads, lane 31's word lies at offset PageSize-3, -2 and
+//     -1 of the page its warp's other words are in; from 128 up the warp's
+//     words span both pages.
+//   - %r22 = diffZeros + 4*gtid: zeros, from a mapped page for gtid < 16 and
+//     an unmapped one above, so one warp spans the two and the others lie
+//     in one page or the other.
+//   - %r18 = diffStores + w*PageSize - 256 + 8*l, written at a displacement
+//     d of 5, 6 or 7 drawn per kernel (lane 31's word at offset PageSize-3,
+//     -2 or -1, the warp's other words in the page below) and at d+124
+//     (spanning two pages). The two words of a lane, and of the lanes,
+//     never overlap, so the stores' order across lanes cannot matter.
+//   - %r19 = diffSlots + 4*(w*4 + l%4): one word that every fourth lane of
+//     the warp writes in the epilogue, where all of the warp's lanes store
+//     at once and the last exec lane must win.
+const (
+	diffLoads  = 4 * mem.PageSize
+	diffZeros  = 5*mem.PageSize - 64
+	diffSlots  = 7 * mem.PageSize
+	diffStores = 8 * mem.PageSize
+)
+
 type kernelGen struct {
-	rng   *rand.Rand
-	b     strings.Builder
-	label int
+	rng    *rand.Rand
+	b      strings.Builder
+	label  int
+	stDisp int // the kernel's store displacement off %r18
+}
+
+// store is a global store of the hash to one of the thread's two words off
+// %r18, under an optional guard.
+func (g *kernelGen) store() {
+	d := g.stDisp + 124*g.rng.Intn(2)
+	g.emit("%sst.global.u32 [%%r18+%d], %%r2;", g.guard(), d)
 }
 
 func (g *kernelGen) pick(xs ...string) string { return xs[g.rng.Intn(len(xs))] }
 
 func (g *kernelGen) pred() string { return fmt.Sprintf("%%p%d", 4+g.rng.Intn(4)) }
+
+// guard is an optional guard predicate, either sense.
+func (g *kernelGen) guard() string {
+	switch g.rng.Intn(3) {
+	case 0:
+		return ""
+	case 1:
+		return "@" + g.pred() + " "
+	}
+	return "@!" + g.pred() + " "
+}
 
 func (g *kernelGen) intImm() string {
 	switch g.rng.Intn(4) {
@@ -399,9 +445,9 @@ func (g *kernelGen) newLabel() string { g.label++; return fmt.Sprintf("L%d", g.l
 func (g *kernelGen) block(depth int) {
 	n := 1 + g.rng.Intn(4)
 	for i := 0; i < n; i++ {
-		choice := g.rng.Intn(10)
-		if depth >= 3 && choice >= 8 {
-			choice = g.rng.Intn(8)
+		choice := g.rng.Intn(11)
+		if depth >= 3 && choice >= 9 {
+			choice = g.rng.Intn(9)
 		}
 		switch choice {
 		case 0:
@@ -459,6 +505,18 @@ func (g *kernelGen) block(depth int) {
 			g.emit("    mov.u32 %%r7, %s;", g.pick("%laneid", "%warpid", "%tid.y", "%ntid.y"))
 			g.emit("    mad.u32 %%r2, %%r7, %d, %%r2;", 1+g.rng.Intn(1000))
 		case 8:
+			// Global memory beyond the thread's own words (see diffLoads).
+			switch g.rng.Intn(3) {
+			case 0:
+				g.emit("    ld.global.u32 %%r23, [%%r17+%d];", g.rng.Intn(8)+128*g.rng.Intn(2))
+				g.emit("    xor.b32 %%r2, %%r2, %%r23;")
+			case 1:
+				g.emit("    ld.global.u32 %%r23, [%%r22];")
+				g.emit("    xor.b32 %%r2, %%r2, %%r23;")
+			default:
+				g.store()
+			}
+		case 9:
 			// Data-dependent if/else diamond.
 			thenL, joinL := g.newLabel(), g.newLabel()
 			g.emit("    and.b32 %%r3, %%r1, %d;", uint32(1)<<g.rng.Intn(8))
@@ -486,10 +544,11 @@ func (g *kernelGen) block(depth int) {
 }
 
 // genDivergentKernel builds a random kernel with nested data-dependent
-// branches, bounded loops, predicated instructions and every ALU executor,
-// ending with a store of both accumulators to out[2*gtid].
+// branches, bounded loops, predicated instructions, every ALU executor and
+// global accesses across pages, ending with a store of both accumulators to
+// out[2*gtid] and of the hash to the thread's straddling and shared words.
 func genDivergentKernel(rng *rand.Rand) string {
-	g := &kernelGen{rng: rng}
+	g := &kernelGen{rng: rng, stDisp: 5 + rng.Intn(3)}
 	g.b.WriteString(".kernel diffk\n.param .u32 out\n.param .u32 in\n")
 	// gtid = ctaid.x * (ntid.x*ntid.y) + tid.y*ntid.x + tid.x under a 2-D block.
 	g.b.WriteString(`    mov.u32 %r10, %ctaid.x;
@@ -505,14 +564,37 @@ func genDivergentKernel(rng *rand.Rand) string {
     cvt.f32.u32 %r6, %r1;
     mov.f32 %r7, 0.5;
 `)
+	g.emit(`    shl.b32 %%r24, %%laneid, 3;
+    add.u32 %%r17, %%r24, %d;
+    mad.u32 %%r25, %%ctaid.x, 8, %%warpid;
+    mad.u32 %%r18, %%r25, %d, %%r24;
+    add.u32 %%r18, %%r18, %d;
+    shl.b32 %%r24, %%r0, 2;
+    add.u32 %%r22, %%r24, %d;
+    and.b32 %%r24, %%laneid, 3;
+    mad.u32 %%r24, %%r25, 4, %%r24;
+    shl.b32 %%r24, %%r24, 2;
+    add.u32 %%r19, %%r24, %d;`, diffLoads-256, mem.PageSize, diffStores-256, diffZeros, diffSlots)
 	g.block(0)
-	g.b.WriteString(`    ld.param.u32 %r20, [out];
-    shl.b32 %r12, %r0, 3;
-    add.u32 %r21, %r20, %r12;
-    st.global.u32 [%r21], %r2;
-    st.global.u32 [%r21+4], %r6;
-    exit;
-`)
+	g.emit(`    ld.global.u32 %%r23, [%%r17+5];
+    xor.b32 %%r2, %%r2, %%r23;
+    ld.global.u32 %%r23, [%%r17+6];
+    add.u32 %%r2, %%r2, %%r23;
+    ld.global.u32 %%r23, [%%r17+7];
+    xor.b32 %%r2, %%r2, %%r23;
+    ld.global.u32 %%r23, [%%r17+134];
+    add.u32 %%r2, %%r2, %%r23;
+    ld.global.u32 %%r23, [%%r22];
+    xor.b32 %%r2, %%r2, %%r23;
+    ld.param.u32 %%r20, [out];
+    shl.b32 %%r12, %%r0, 3;
+    add.u32 %%r21, %%r20, %%r12;
+    st.global.u32 [%%r21], %%r2;
+    st.global.u32 [%%r21+4], %%r6;
+%sst.global.u32 [%%r19], %%r2;`, g.guard())
+	g.store()
+	g.store()
+	g.emit("    exit;")
 	return g.b.String()
 }
 
@@ -539,20 +621,30 @@ func checkSIMTMatchesScalar(t *testing.T, seed int64) bool {
 		input[i] = rng.Uint32()
 	}
 
+	loads := make([]uint32, 512/4)
+	for i := range loads {
+		loads[i] = rng.Uint32()
+	}
+
 	// SIMT execution.
 	m := mem.New()
 	inB := m.AllocU32s(input)
 	outB := m.Alloc(uint32(8 * nThreads))
+	m.WriteU32s(diffLoads-256, loads)
 	l := &Launch{Kernel: k, Grid: Dim1(nCTA), Block: block, Params: []uint32{outB, inB}}
 	if _, err := Run(&Env{Mem: m, Launch: l}, RunOptions{}); err != nil {
 		t.Fatalf("SIMT run: %v\n%s", err, src)
 	}
 
-	// Scalar reference, thread by thread against pristine inputs.
+	// Scalar reference, thread by thread against pristine inputs. Its
+	// stores are replayed in thread order into exp, so the highest thread
+	// storing a word wins, as the last exec lane does in a warp.
 	ref := mem.New()
 	if ref.AllocU32s(input) != inB {
 		t.Fatalf("allocator divergence")
 	}
+	ref.WriteU32s(diffLoads-256, loads)
+	exp := mem.New()
 	ok := true
 	for gtid := 0; gtid < nThreads; gtid++ {
 		lin := gtid % perCTA
@@ -569,6 +661,9 @@ func checkSIMTMatchesScalar(t *testing.T, seed int64) bool {
 		if !st.run(ref, 100000) {
 			t.Fatalf("scalar reference did not terminate\n%s", src)
 		}
+		for addr, v := range st.out {
+			exp.Write32(addr, v)
+		}
 		for w := uint32(0); w < 2; w++ {
 			addr := outB + uint32(8*gtid) + 4*w
 			got, want := m.Read32(addr), st.out[addr]
@@ -580,6 +675,22 @@ func checkSIMTMatchesScalar(t *testing.T, seed int64) bool {
 				t.Logf("thread %d word %d: SIMT %#x != scalar %#x (seed %d)\n%s", gtid, w, got, want, seed, src)
 				ok = false
 			}
+		}
+	}
+	// The straddling and shared words, byte by byte, so a write outside the
+	// exec lanes or across the wrong page shows too.
+	check := func(base, n uint32) {
+		for a := base; a < base+n; a++ {
+			if got, want := m.Read8(a), exp.Read8(a); got != want {
+				t.Logf("byte %#x: SIMT %#x != scalar %#x (seed %d)\n%s", a, got, want, seed, src)
+				ok = false
+			}
+		}
+	}
+	check(diffSlots, 4*4*8*nCTA)
+	for cta := range nCTA {
+		for w := range (perCTA + WarpSize - 1) / WarpSize {
+			check(diffStores+uint32(cta*8+w)*mem.PageSize-256, 8*WarpSize+136)
 		}
 	}
 	return ok

@@ -27,24 +27,23 @@ type RunResult struct {
 // warps within a CTA are interleaved in round-robin slices so that barrier
 // semantics hold.
 func Run(env *Env, opts RunOptions) (RunResult, error) {
-	return RunIn(env, new(CTA), opts)
+	return RunIn(env, new(CTA), new(Step), opts)
 }
 
-// RunIn is Run over caller-owned CTA storage: every CTA of the launch runs
-// through cta, reset for each, so a caller that keeps one CTA across
-// launches allocates CTA storage only when a launch needs more than any
-// before it.
-func RunIn(env *Env, cta *CTA, opts RunOptions) (RunResult, error) {
+// RunIn is Run over caller-owned CTA storage and step record: every CTA of
+// the launch runs through cta, reset for each, and every instruction
+// executes into step, so a caller that keeps one of each across launches
+// allocates only when a launch needs more CTA storage than any before it.
+func RunIn(env *Env, cta *CTA, step *Step, opts RunOptions) (RunResult, error) {
 	var res RunResult
 	l := env.Launch
 	if err := l.Validate(); err != nil {
 		return res, err
 	}
-	var step Step
 	nCTA := l.Grid.Count()
 	for id := 0; id < nCTA; id++ {
 		cta.Reset(l, id)
-		if err := runCTA(env, cta, &step, opts, &res); err != nil {
+		if err := runCTA(env, cta, step, opts, &res); err != nil {
 			return res, fmt.Errorf("emu: CTA %d: %w", id, err)
 		}
 		if res.Truncated {

@@ -298,8 +298,10 @@ type Step struct {
 	// Exec is the set of lanes that actually executed (guard applied). For
 	// memory instructions these are the lanes that generate accesses.
 	Exec uint32
-	// Addrs holds per-lane effective byte addresses for memory operations
-	// (valid for lanes set in Exec).
+	// Addrs holds per-lane effective byte addresses for memory operations.
+	// Only lanes set in Exec are valid: Execute does not clear the array, so
+	// the other lanes are stale, left by an earlier instruction or computed
+	// from registers those lanes did not execute with.
 	Addrs [WarpSize]uint32
 	// Mem marks global/shared/local/tex data-space memory operations.
 	Mem bool
@@ -307,6 +309,12 @@ type Step struct {
 	Barrier bool
 	// Exited marks that the warp fully retired with this instruction.
 	Exited bool
+
+	// scratch is the executor's lane storage: gathered sources and, under a
+	// partial mask, results on their way to the register row. It lives here,
+	// in a record the caller reuses, so that no instruction zeroes a buffer;
+	// a caller keeps one Step rather than declaring one per instruction.
+	scratch [4]lanes
 }
 
 // ActiveCount returns the number of pre-guard active lanes.

@@ -7,14 +7,27 @@ import (
 	"math/bits"
 
 	"critload/internal/isa"
+	"critload/internal/mem"
 )
 
 // The executor runs each warp instruction from its decoded form
-// (isa.Decoded, resolved once per kernel by ptx): every source is gathered
-// into a [WarpSize]uint32 once, the executor is selected once, and one tight
-// loop runs over all lanes. Lanes outside the exec mask may be computed but
-// are never written. Memory accesses, shared-memory bounds errors and
-// atomics stay strictly per exec lane, in ascending lane order.
+// (isa.Decoded, resolved once per kernel by ptx) and does no work its result
+// does not need:
+//   - A register source (and %laneid) is read in place. Any other source is
+//     filled into the Step's scratch, which the caller reuses, so no
+//     instruction zeroes a buffer. The register-immediate forms of the hot
+//     integer ops read the immediate as a scalar.
+//   - When every lane executes, results are written straight into the
+//     destination row: lane i reads only lane i of its sources, so a
+//     destination that is also a source is safe. Under a partial mask every
+//     lane is computed into scratch and only the exec lanes are scattered.
+//   - A global load or store looks up the page of its first exec lane's
+//     word once and accesses every word wholly inside that page directly;
+//     any other word (in another page, or straddling a page end) goes
+//     through mem.Read32 or mem.Write32.
+//
+// Memory accesses, shared-memory bounds errors and atomics stay strictly per
+// exec lane, in ascending lane order.
 
 // lanes is one value per lane of a warp.
 type lanes = [WarpSize]uint32
@@ -29,8 +42,9 @@ var laneIDs = func() (l lanes) {
 
 // Execute runs the warp's next instruction against env, updating register
 // state, memory, and the SIMT stack, and overwrites *step with the execution
-// record (the caller owns the Step and may reuse one across calls). Calling
-// Execute on a finished warp is a programming error and returns an error.
+// record (the caller owns the Step and reuses one across calls; its scratch
+// is the executor's lane storage). Calling Execute on a finished warp is a
+// programming error and returns an error.
 func (w *Warp) Execute(env *Env, step *Step) error {
 	if len(w.stack) == 0 {
 		return fmt.Errorf("emu: execute on finished warp")
@@ -50,7 +64,8 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 		exec &= bits
 	}
 
-	*step = Step{Inst: in, Active: active, Exec: exec}
+	step.Inst, step.Active, step.Exec = in, active, exec
+	step.Mem, step.Barrier, step.Exited = false, false, false
 	w.InstructionsExecuted++
 
 	switch d.Exec {
@@ -73,8 +88,7 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 		var err error
 		switch d.Exec {
 		case isa.ExLdParam:
-			var buf lanes
-			w.scatter(d.Dst, exec, w.gather(env, d.Srcs[0], &buf))
+			w.move(env, d, exec, &step.scratch[0])
 		case isa.ExLdGlobal:
 			step.Mem = in.Space != isa.SpaceConst
 			w.loadGlobal(env, d, exec, step)
@@ -94,7 +108,7 @@ func (w *Warp) Execute(env *Env, step *Step) error {
 			err = unsupported(in)
 		default:
 			if exec != 0 {
-				w.execALU(env, d, exec)
+				w.execALU(env, d, exec, &step.scratch)
 			}
 		}
 		if err != nil {
@@ -223,13 +237,27 @@ func (w *Warp) address(env *Env, d *isa.Decoded, out *lanes) {
 	}
 }
 
-// scatter writes r to the destination register in the exec lanes, copying
-// the whole row when every lane executed.
+// dest returns where an instruction writing register dst under exec
+// computes its lanes: the register row itself when every lane executes, buf
+// otherwise.
+func (w *Warp) dest(dst int32, exec uint32, buf *lanes) *lanes {
+	if exec == FullMask && dst >= 0 {
+		return w.row(int(dst))
+	}
+	return buf
+}
+
+// scatter writes r to the destination register in the exec lanes: nothing
+// when r is the row itself (computed in place by way of dest), the whole
+// row when every lane executed.
 func (w *Warp) scatter(dst int32, exec uint32, r *lanes) {
 	if dst < 0 {
 		return
 	}
 	row := w.row(int(dst))
+	if row == r {
+		return
+	}
 	if exec == FullMask {
 		*row = *r
 		return
@@ -240,55 +268,89 @@ func (w *Warp) scatter(dst int32, exec uint32, r *lanes) {
 	}
 }
 
+// move copies a one-source value (mov, ld.param) into the destination; an
+// immediate, parameter or special register is filled straight into the row
+// when every lane executes.
+func (w *Warp) move(env *Env, d *isa.Decoded, exec uint32, buf *lanes) {
+	w.scatter(d.Dst, exec, w.gather(env, d.Srcs[0], w.dest(d.Dst, exec, buf)))
+}
+
+// firstPage returns the base address of the page holding the first exec
+// lane's word, and the page itself, looked up once for the whole warp:
+// mapped first when write is set, nil when a load finds it unmapped (it
+// reads as zeros). A lane's word lies wholly inside that page when
+// addr-base <= PageSize-4; any other word goes through Read32 or Write32.
+// exec must not be empty.
+func firstPage(m *mem.Memory, exec uint32, addr *lanes, write bool) (uint32, *[mem.PageSize]byte) {
+	base := addr[bits.TrailingZeros32(exec)&(WarpSize-1)] &^ (mem.PageSize - 1)
+	return base, m.Page(base, write)
+}
+
 func (w *Warp) loadGlobal(env *Env, d *isa.Decoded, exec uint32, step *Step) {
-	var addr, r lanes
-	w.address(env, d, &addr)
+	addr := &step.Addrs
+	w.address(env, d, addr)
+	if exec == 0 {
+		return
+	}
+	r := w.dest(d.Dst, exec, &step.scratch[0])
+	base, p := firstPage(env.Mem, exec, addr, false)
 	for m := exec; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m) & (WarpSize - 1)
-		step.Addrs[i] = addr[i]
-		r[i] = env.Mem.Read32(addr[i])
+		switch off := addr[i] - base; {
+		case off > mem.PageSize-4:
+			r[i] = env.Mem.Read32(addr[i])
+		case p == nil:
+			r[i] = 0
+		default:
+			r[i] = binary.LittleEndian.Uint32(p[off:])
+		}
 	}
-	w.scatter(d.Dst, exec, &r)
+	w.scatter(d.Dst, exec, r)
 }
 
 func (w *Warp) loadShared(env *Env, d *isa.Decoded, exec uint32, step *Step) error {
-	var addr, r lanes
-	w.address(env, d, &addr)
+	addr, r := &step.Addrs, &step.scratch[0]
+	w.address(env, d, addr)
 	sh := w.CTA.Shared
 	for m := exec; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m) & (WarpSize - 1)
 		a := addr[i]
-		step.Addrs[i] = a
-		if int(a)+4 > len(sh) {
+		if uint64(a)+4 > uint64(len(sh)) {
 			return fmt.Errorf("shared read at %d beyond %d bytes", a, len(sh))
 		}
 		r[i] = binary.LittleEndian.Uint32(sh[a:])
 	}
-	w.scatter(d.Dst, exec, &r)
+	w.scatter(d.Dst, exec, r)
 	return nil
 }
 
 func (w *Warp) storeGlobal(env *Env, d *isa.Decoded, exec uint32, step *Step) {
-	var addr, buf lanes
-	w.address(env, d, &addr)
-	v := w.gather(env, d.Srcs[1], &buf)
+	addr := &step.Addrs
+	w.address(env, d, addr)
+	if exec == 0 {
+		return
+	}
+	v := w.gather(env, d.Srcs[1], &step.scratch[0])
+	base, p := firstPage(env.Mem, exec, addr, true)
 	for m := exec; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m) & (WarpSize - 1)
-		step.Addrs[i] = addr[i]
-		env.Mem.Write32(addr[i], v[i])
+		if off := addr[i] - base; off <= mem.PageSize-4 {
+			binary.LittleEndian.PutUint32(p[off:], v[i])
+		} else {
+			env.Mem.Write32(addr[i], v[i])
+		}
 	}
 }
 
 func (w *Warp) storeShared(env *Env, d *isa.Decoded, exec uint32, step *Step) error {
-	var addr, buf lanes
-	w.address(env, d, &addr)
-	v := w.gather(env, d.Srcs[1], &buf)
+	addr := &step.Addrs
+	w.address(env, d, addr)
+	v := w.gather(env, d.Srcs[1], &step.scratch[0])
 	sh := w.CTA.Shared
 	for m := exec; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m) & (WarpSize - 1)
 		a := addr[i]
-		step.Addrs[i] = a
-		if int(a)+4 > len(sh) {
+		if uint64(a)+4 > uint64(len(sh)) {
 			return fmt.Errorf("shared write at %d beyond %d bytes", a, len(sh))
 		}
 		binary.LittleEndian.PutUint32(sh[a:], v[i])
@@ -297,14 +359,14 @@ func (w *Warp) storeShared(env *Env, d *isa.Decoded, exec uint32, step *Step) er
 }
 
 func (w *Warp) execAtomic(env *Env, in *isa.Instruction, d *isa.Decoded, exec uint32, step *Step) {
-	var addr, bufB, bufC, old lanes
-	w.address(env, d, &addr)
-	b := w.gather(env, d.Srcs[1], &bufB)
-	c := w.gather(env, d.Srcs[2], &bufC)
+	addr, sc := &step.Addrs, &step.scratch
+	w.address(env, d, addr)
+	b := w.gather(env, d.Srcs[1], &sc[1])
+	c := w.gather(env, d.Srcs[2], &sc[2])
+	old := &sc[3]
 	for m := exec; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m) & (WarpSize - 1)
 		a := addr[i]
-		step.Addrs[i] = a
 		o := env.Mem.Read32(a)
 		var nv uint32
 		switch in.Atom {
@@ -329,35 +391,42 @@ func (w *Warp) execAtomic(env *Env, in *isa.Instruction, d *isa.Decoded, exec ui
 		env.Mem.Write32(a, nv)
 		old[i] = o
 	}
-	w.scatter(d.Dst, exec, &old)
+	w.scatter(d.Dst, exec, old)
 }
 
-// execALU runs a register-to-register instruction: gather, one loop over
-// the lanes, scatter. setp merges its lane mask into the predicate instead.
-func (w *Warp) execALU(env *Env, d *isa.Decoded, exec uint32) {
-	var bufA, bufB, bufC, r lanes
-	a, b, c := &bufA, &bufB, &bufC
+// execALU runs a register-to-register instruction: one loop over the lanes
+// into dest, then scatter. setp merges its lane mask into the predicate
+// instead. sc[0..2] take the gathered sources, sc[3] a partial mask's
+// results.
+func (w *Warp) execALU(env *Env, d *isa.Decoded, exec uint32, sc *[4]lanes) {
+	switch d.Exec {
+	case isa.ExNop:
+		return
+	case isa.ExMov:
+		w.move(env, d, exec, &sc[0])
+		return
+	}
+	a, b, c := w.gather(env, d.Srcs[0], &sc[0]), &sc[1], &sc[2]
+	switch d.Exec {
+	case isa.ExSetpU, isa.ExSetpS, isa.ExSetpF:
+		m := setpMask(d, a, w.gather(env, d.Srcs[1], b))
+		p := &w.preds[d.Dst]
+		*p = *p&^exec | m&exec
+		return
+	}
+	r := w.dest(d.Dst, exec, &sc[3])
+	if d.NSrc == 2 && d.Srcs[1].Kind == isa.SrcImm && aluImm(d.Exec, r, a, d.Srcs[1].Val) {
+		w.scatter(d.Dst, exec, r)
+		return
+	}
 	switch d.NSrc {
 	case 3:
 		c = w.gather(env, d.Srcs[2], c)
 		fallthrough
 	case 2:
 		b = w.gather(env, d.Srcs[1], b)
-		fallthrough
-	case 1:
-		a = w.gather(env, d.Srcs[0], a)
 	}
 	switch d.Exec {
-	case isa.ExNop:
-		return
-	case isa.ExSetpU, isa.ExSetpS, isa.ExSetpF:
-		m := setpMask(d, a, b)
-		p := &w.preds[d.Dst]
-		*p = *p&^exec | m&exec
-		return
-	case isa.ExMov:
-		w.scatter(d.Dst, exec, a)
-		return
 	case isa.ExSelp:
 		var sel uint32
 		if s := d.Srcs[2]; s.Kind == isa.SrcPred {
@@ -412,15 +481,19 @@ func (w *Warp) execALU(env *Env, d *isa.Decoded, exec uint32) {
 		}
 	case isa.ExDivU:
 		for i := range r {
+			var q uint32
 			if b[i] != 0 {
-				r[i] = a[i] / b[i]
+				q = a[i] / b[i]
 			}
+			r[i] = q
 		}
 	case isa.ExDivS:
 		for i := range r {
+			var q uint32
 			if b[i] != 0 {
-				r[i] = uint32(int32(a[i]) / int32(b[i]))
+				q = uint32(int32(a[i]) / int32(b[i]))
 			}
+			r[i] = q
 		}
 	case isa.ExDivF:
 		for i := range r {
@@ -428,15 +501,19 @@ func (w *Warp) execALU(env *Env, d *isa.Decoded, exec uint32) {
 		}
 	case isa.ExRemU:
 		for i := range r {
+			var q uint32
 			if b[i] != 0 {
-				r[i] = a[i] % b[i]
+				q = a[i] % b[i]
 			}
+			r[i] = q
 		}
 	case isa.ExRemS:
 		for i := range r {
+			var q uint32
 			if b[i] != 0 {
-				r[i] = uint32(int32(a[i]) % int32(b[i]))
+				q = uint32(int32(a[i]) % int32(b[i]))
 			}
+			r[i] = q
 		}
 	case isa.ExMinU:
 		for i := range r {
@@ -555,47 +632,117 @@ func (w *Warp) execALU(env *Env, d *isa.Decoded, exec uint32) {
 			r[i] = fbits(float32(math.Log2(float64(ffrom(a[i])))))
 		}
 	}
-	w.scatter(d.Dst, exec, &r)
+	w.scatter(d.Dst, exec, r)
+}
+
+// aluImm runs the register-immediate form of a hot integer op, reading the
+// immediate v as a scalar, and reports false for any other op.
+func aluImm(op isa.ExecOp, r, a *lanes, v uint32) bool {
+	switch op {
+	case isa.ExAdd:
+		for i := range r {
+			r[i] = a[i] + v
+		}
+	case isa.ExSub:
+		for i := range r {
+			r[i] = a[i] - v
+		}
+	case isa.ExMul:
+		for i := range r {
+			r[i] = a[i] * v
+		}
+	case isa.ExAnd:
+		for i := range r {
+			r[i] = a[i] & v
+		}
+	case isa.ExOr:
+		for i := range r {
+			r[i] = a[i] | v
+		}
+	case isa.ExXor:
+		for i := range r {
+			r[i] = a[i] ^ v
+		}
+	case isa.ExShl:
+		for i := range r {
+			r[i] = a[i] << (v & 31)
+		}
+	case isa.ExShrU:
+		for i := range r {
+			r[i] = a[i] >> (v & 31)
+		}
+	case isa.ExShrS:
+		for i := range r {
+			r[i] = uint32(int32(a[i]) >> (v & 31))
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // setpMask compares a and b in every lane and returns the lanes where d's
-// comparison holds. gt is "neither lt nor eq" and ge is "not lt", so a NaN
+// comparison holds. It computes only the relation the comparison needs: ne is
+// "not eq", gt is "not le" (neither lt nor eq) and ge is "not lt", so a NaN
 // operand makes ne, gt and ge hold.
 func setpMask(d *isa.Decoded, a, b *lanes) uint32 {
-	var lt, eq uint32
-	switch d.Exec {
-	case isa.ExSetpU:
-		for i := range a {
-			lt |= b2u(a[i] < b[i]) << i
-			eq |= b2u(a[i] == b[i]) << i
-		}
-	case isa.ExSetpS:
-		for i := range a {
-			lt |= b2u(int32(a[i]) < int32(b[i])) << i
-			eq |= b2u(a[i] == b[i]) << i
-		}
-	case isa.ExSetpF:
-		for i := range a {
-			fa, fb := ffrom(a[i]), ffrom(b[i])
-			lt |= b2u(fa < fb) << i
-			eq |= b2u(fa == fb) << i
-		}
-	}
-	switch d.Cmp {
-	case isa.CmpEQ:
-		return eq
+	rel := d.Cmp
+	switch rel {
 	case isa.CmpNE:
-		return ^eq
-	case isa.CmpLT:
-		return lt
-	case isa.CmpLE:
-		return lt | eq
+		rel = isa.CmpEQ
 	case isa.CmpGT:
-		return ^(lt | eq)
+		rel = isa.CmpLE
 	case isa.CmpGE:
-		return ^lt
+		rel = isa.CmpLT
 	}
-	return 0
+	var m uint32
+	switch {
+	case d.Exec == isa.ExSetpF:
+		switch rel {
+		case isa.CmpEQ:
+			for i := WarpSize - 1; i >= 0; i-- {
+				m = m<<1 | b2u(ffrom(a[i]) == ffrom(b[i]))
+			}
+		case isa.CmpLT:
+			for i := WarpSize - 1; i >= 0; i-- {
+				m = m<<1 | b2u(ffrom(a[i]) < ffrom(b[i]))
+			}
+		case isa.CmpLE:
+			for i := WarpSize - 1; i >= 0; i-- {
+				m = m<<1 | b2u(ffrom(a[i]) <= ffrom(b[i]))
+			}
+		}
+	case rel == isa.CmpEQ: // signed or unsigned alike
+		for i := WarpSize - 1; i >= 0; i-- {
+			m = m<<1 | b2u(a[i] == b[i])
+		}
+	case d.Exec == isa.ExSetpS:
+		switch rel {
+		case isa.CmpLT:
+			for i := WarpSize - 1; i >= 0; i-- {
+				m = m<<1 | b2u(int32(a[i]) < int32(b[i]))
+			}
+		case isa.CmpLE:
+			for i := WarpSize - 1; i >= 0; i-- {
+				m = m<<1 | b2u(int32(a[i]) <= int32(b[i]))
+			}
+		}
+	default:
+		switch rel {
+		case isa.CmpLT:
+			for i := WarpSize - 1; i >= 0; i-- {
+				m = m<<1 | b2u(a[i] < b[i])
+			}
+		case isa.CmpLE:
+			for i := WarpSize - 1; i >= 0; i-- {
+				m = m<<1 | b2u(a[i] <= b[i])
+			}
+		}
+	}
+	if rel != d.Cmp {
+		m = ^m
+	}
+	return m
 }
 
 func b2u(c bool) uint32 {

@@ -9,8 +9,9 @@ import (
 )
 
 // benchKernel holds one instruction of every class the executor
-// distinguishes. %r4 holds a per-lane word address into a global buffer;
-// %r5 one into shared memory.
+// distinguishes. %r4 holds a per-lane word address into a global buffer,
+// %r5 one into shared memory and %r14 one into a global buffer whose lanes
+// straddle two pages.
 const benchKernel = `
 .kernel bench
 .param .u32 buf
@@ -27,6 +28,8 @@ const benchKernel = `
     ld.shared.u32  %r11, [%r5];
     st.shared.u32  [%r5], %r2;
     atom.global.add.u32 %r12, [%r4], 1;
+    add.u32        %r13, %r0, 7;
+    st.global.u32  [%r14], %r2;
     bra            NEXT;
 NEXT:
     exit;
@@ -41,6 +44,7 @@ func benchWarp(tb testing.TB) (*Warp, *Env) {
 	}
 	m := mem.New()
 	buf := m.Alloc(4 * (WarpSize + 1))
+	m.Alloc(mem.PageSize) // spans the page boundary at 2*PageSize, where %r14 points
 	l := &Launch{Kernel: prog.Kernels[0], Grid: Dim1(1), Block: Dim1(WarpSize), Params: []uint32{buf}}
 	w := NewCTA(l, 0).Warps[0]
 	for i := range WarpSize {
@@ -48,6 +52,7 @@ func benchWarp(tb testing.TB) (*Warp, *Env) {
 		w.row(1)[i] = uint32(3 * i)
 		w.row(4)[i] = buf + uint32(4*i)
 		w.row(5)[i] = uint32(4 * i)
+		w.row(14)[i] = 2*mem.PageSize - 32 + uint32(4*i)
 	}
 	return w, &Env{Mem: m, Launch: l}
 }
@@ -57,11 +62,13 @@ func (w *Warp) at(pc int, mask uint32) {
 	w.stack = append(w.stack[:0], stackEntry{pc: pc, rpc: len(w.kernel.Insts), mask: mask})
 }
 
-// benchClasses names the benchKernel instruction of each measured class.
+// benchClasses names the benchKernel instruction of each measured class:
+// alu.imm is a register-immediate add, st.global.2pages a store whose lanes
+// straddle two pages (the per-lane path).
 var benchClasses = []struct {
 	name string
 	pc   int
-}{{"alu", 0}, {"setp", 1}, {"ld.global", 2}, {"st.global", 3}}
+}{{"alu", 0}, {"alu.imm", 12}, {"setp", 1}, {"ld.global", 2}, {"st.global", 3}, {"st.global.2pages", 13}}
 
 // BenchmarkExecute reports the cost of one warp instruction per class, at a
 // full and a half active mask: each op is one warp instruction.
@@ -86,8 +93,9 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
-// TestExecuteDoesNotAllocate pins the executor's gather buffers to the
-// stack: a warm warp executes every instruction class without allocating.
+// TestExecuteDoesNotAllocate pins the executor's lane storage to the
+// caller's Step: a warm warp executes every instruction class without
+// allocating.
 func TestExecuteDoesNotAllocate(t *testing.T) {
 	w, env := benchWarp(t)
 	var step Step

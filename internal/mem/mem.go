@@ -84,6 +84,17 @@ func (m *Memory) page(addr uint32) *[PageSize]byte {
 	return p
 }
 
+// Page returns the page holding addr, so that a caller touching many words
+// of one page looks it up once: word addr is at addr&(PageSize-1) in it,
+// little-endian. With write set an unmapped page is mapped first; without, an
+// unmapped page is nil and reads as zeros.
+func (m *Memory) Page(addr uint32, write bool) *[PageSize]byte {
+	if write {
+		return m.page(addr)
+	}
+	return m.mapped(addr)
+}
+
 // Read8 reads one byte.
 func (m *Memory) Read8(addr uint32) byte {
 	p := m.mapped(addr)

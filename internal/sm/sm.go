@@ -320,12 +320,14 @@ type SM struct {
 
 	// Zero-alloc hot-path state: the device-wide request free list, every
 	// memOp this SM allocated (ops[slot-1], how a response finds its op) and
-	// the free ones among them, a coalescer scratch slice, and the cycle of
-	// the last instruction issue (a cheap NextEvent shortcut).
+	// the free ones among them, a coalescer scratch slice, the step record
+	// every issue executes into, and the cycle of the last instruction issue
+	// (a cheap NextEvent shortcut).
 	pool       *memreq.Pool
 	ops        []*memOp
 	opFree     []*memOp
 	accScratch []coalesce.Access
+	step       emu.Step
 	lastIssue  int64
 
 	// Stall cache, used only under the fast-forward engine (the naive loop

@@ -101,6 +101,7 @@ func (s *SM) Reset() {
 	s.nextReqID = 0
 	s.InstructionsIssued = 0
 	s.env, s.classify = nil, nil
+	s.step.Inst = nil
 	clear(s.pcStats)
 	s.col, s.tracer = nil, nil
 }

@@ -254,11 +254,18 @@ type Collector struct {
 	// CTADist[d] counts cross-CTA touches d CTAs apart. Index 0 stays zero.
 	CTADist    []uint64
 	CTADistCat [NumCats][]uint64
+
+	// accs is ObserveStep's coalescer output, reused from step to step and
+	// grown by the first loads. It is empty between calls and never nil (an
+	// empty literal allocates nothing, so a timing run's collector, which
+	// observes no step, pays nothing), so two collectors that counted the
+	// same steps stay reflect.DeepEqual.
+	accs []coalesce.Access
 }
 
 // New returns an empty collector.
 func New() *Collector {
-	return &Collector{PerPC: map[PCKey]*PCStats{}}
+	return &Collector{PerPC: map[PCKey]*PCStats{}, accs: []coalesce.Access{}}
 }
 
 // ---------------------------------------------------------------------------
@@ -279,12 +286,12 @@ func (c *Collector) ObserveStep(ctaID int, s *emu.Step, classify Classifier) {
 		}
 		c.GLoadWarps[cat]++
 		c.GLoadThreads[cat] += uint64(s.ExecCount())
-		var buf [emu.WarpSize]coalesce.Access
-		accs := coalesce.CoalesceInto(buf[:0], s.Exec, &s.Addrs)
+		accs := coalesce.CoalesceInto(c.accs, s.Exec, &s.Addrs)
 		c.Requests[cat] += uint64(len(accs))
 		for _, a := range accs {
 			c.observeBlock(ctaID, a.Block, cat)
 		}
+		c.accs = accs[:0]
 	case in.IsSharedLoad():
 		c.SLoadWarps++
 	case in.Op == isa.OpSt && in.Space == isa.SpaceGlobal:

@@ -232,10 +232,10 @@ func All() []*Workload {
 
 // FunctionalExecutor returns an Executor running launches on the functional
 // emulator against m, with an optional listener. Its launches share one CTA's
-// storage.
+// storage and one step record.
 func FunctionalExecutor(m *mem.Memory, listener emu.StepListener, maxWarpInsts uint64) Executor {
 	var used uint64
-	cta := new(emu.CTA)
+	cta, step := new(emu.CTA), new(emu.Step)
 	return func(l *emu.Launch) error {
 		budget := uint64(0)
 		if maxWarpInsts > 0 {
@@ -245,7 +245,7 @@ func FunctionalExecutor(m *mem.Memory, listener emu.StepListener, maxWarpInsts u
 			budget = maxWarpInsts - used
 		}
 		env := &emu.Env{Mem: m, Launch: l}
-		res, err := emu.RunIn(env, cta, emu.RunOptions{Listener: listener, MaxWarpInsts: budget})
+		res, err := emu.RunIn(env, cta, step, emu.RunOptions{Listener: listener, MaxWarpInsts: budget})
 		used += res.WarpInsts
 		return err
 	}

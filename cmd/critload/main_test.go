@@ -7,8 +7,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"critload/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
@@ -139,23 +142,45 @@ func TestFuzzExitStatus(t *testing.T) {
 	}
 }
 
-// TestWarmstartReproducesCommittedReport is CI's warm-start step in tier-1:
-// the incremental sweep regenerates BENCH_warmstart.json exactly, both through
-// -warmstart-check and as the bytes -warmstart-out writes.
-func TestWarmstartReproducesCommittedReport(t *testing.T) {
-	const committed = "../../BENCH_warmstart.json"
-	out := filepath.Join(t.TempDir(), "warmstart.json")
-	code, stdout, stderr := critload("experiments", "-artifact", "warmstart",
-		"-warmstart-check", committed, "-warmstart-out", out)
-	if code != 0 || !strings.Contains(stdout, "warmstart-check: "+committed+" reproduced exactly") {
-		t.Fatalf("exit %d\n%s%s", code, stdout, stderr)
-	}
-	want, err := os.ReadFile(committed)
+// TestExperimentsDocNamesTheOneCommand pins EXPERIMENTS.md to the command
+// that reproduces it: every `critload experiments` command the file shows,
+// the reproduction block at its top and the "Generated by" footer included,
+// is the no-flag -markdown sweep (optionally narrowed to one artifact), and
+// the window the footer states is the one that command defaults to.
+func TestExperimentsDocNamesTheOneCommand(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := os.ReadFile(out); !bytes.Equal(got, want) {
-		t.Errorf("-warmstart-out wrote\n%s\nwant the committed\n%s", got, want)
+	text := string(doc)
+	const cmd = "go run ./cmd/critload experiments -markdown"
+	uses := regexp.MustCompile(`go run \./cmd/critload experiments[^\x60#\n]*`).FindAllString(text, -1)
+	if len(uses) < 4 {
+		t.Errorf("EXPERIMENTS.md shows %d experiments commands, want the reproduction block's two, the ablation note's and the footer's", len(uses))
+	}
+	for _, use := range uses {
+		use = strings.TrimSpace(use)
+		rest, ok := strings.CutPrefix(use, cmd)
+		if rest = strings.TrimSpace(rest); !ok || (rest != "" && !regexp.MustCompile(`^-artifact [a-z0-9]+$`).MatchString(rest)) {
+			t.Errorf("EXPERIMENTS.md shows %q, want %q with at most -artifact", use, cmd)
+		}
+	}
+	if !regexp.MustCompile("(?m)^" + regexp.QuoteMeta(cmd) + ` +# everything below$`).MatchString(text) {
+		t.Errorf("the reproduction block does not open with the no-flag %q", cmd)
+	}
+
+	_, footer, ok := strings.Cut(text, "Generated by ")
+	if !ok || !strings.HasPrefix(footer, "`"+cmd+"`") {
+		t.Fatalf("the footer does not say it was generated by `%s`", cmd)
+	}
+	footer, _, _ = strings.Cut(footer, "\n\n")
+	m := regexp.MustCompile(`([0-9][0-9,]*) warp instructions`).FindStringSubmatch(footer)
+	if m == nil {
+		t.Fatalf("the footer states no window:\n%s", footer)
+	}
+	window, err := strconv.ParseUint(strings.ReplaceAll(m[1], ",", ""), 10, 64)
+	if err != nil || window != experiments.ReproductionWindow {
+		t.Errorf("the footer states a %s-instruction window, the command defaults to %d", m[1], experiments.ReproductionWindow)
 	}
 }
 
@@ -219,7 +244,7 @@ func TestFlagSetsAreTheDeletedMains(t *testing.T) {
 	want := map[string]string{
 		"classify":    "file list v workload",
 		"sim":         "cpuprofile cta-policy functional max-insts memprofile seed size trace verify warp-policy workload",
-		"experiments": "artifact checkpoint-dir cpuprofile markdown max-insts memprofile parallel seed warmstart-check warmstart-out",
+		"experiments": "artifact cpuprofile markdown max-insts memprofile parallel seed",
 		"fuzz":        "duration emit-corpus out plant replay seeds start v",
 		"tracestat":   "",
 	}

@@ -10,12 +10,13 @@
 //	critloadd                         # listen on :8321, one worker per CPU
 //	critloadd -addr :9000 -workers 4  # custom bind and pool size
 //	critloadd -cache 1024 -queue 512  # larger result cache and job queue
-//	critloadd -cache-dir /var/cache/critload   # on-disk checkpoint store so
-//	                                  # jobs with reuse_checkpoints warm-start
 //	critloadd -data-dir /var/lib/critload      # durable job tier: journal +
 //	                                  # result store, crash recovery on start
 //	critloadd -log-format json        # machine-readable logs
 //	critloadd -pprof localhost:6060   # expose net/http/pprof separately
+//
+// Every job simulates cold. -cache-dir is still accepted so that old start
+// scripts keep working; it is ignored with one warning.
 package main
 
 import (
@@ -41,9 +42,7 @@ func main() {
 	cacheEntries := flag.Int("cache", jobs.DefaultCacheEntries,
 		"result cache entries (negative disables caching)")
 	cacheDir := flag.String("cache-dir", "",
-		"on-disk cache directory; checkpoints live under <cache-dir>/checkpoints (empty disables checkpoint reuse)")
-	cacheDiskBytes := flag.Int64("cache-disk-bytes", 1<<30,
-		"eviction budget in bytes for the on-disk cache directory (0 = unbounded)")
+		"deprecated and ignored: every job simulates cold")
 	dataDir := flag.String("data-dir", "",
 		"durable state directory; the job journal lives under <data-dir>/journal and results under <data-dir>/results (empty disables durability)")
 	dataDiskBytes := flag.Int64("data-disk-bytes", 1<<30,
@@ -58,23 +57,26 @@ func main() {
 		"serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	flag.Parse()
 
+	log := obsv.NewLogger(os.Stderr, *logFormat, obsv.ParseLevel(*logLevel))
+	if *cacheDir != "" {
+		log.Warn("-cache-dir is deprecated and ignored: every job simulates cold", "cache_dir", *cacheDir)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	err := daemon.Run(ctx, daemon.Config{
-		Addr:           *addr,
-		AddrFile:       *addrFile,
-		PprofAddr:      *pprofAddr,
-		Workers:        *workers,
-		Queue:          *queue,
-		CacheEntries:   *cacheEntries,
-		CacheDir:       *cacheDir,
-		CacheDiskBytes: *cacheDiskBytes,
-		DataDir:        *dataDir,
-		DataDiskBytes:  *dataDiskBytes,
-		Grace:          *grace,
-		IdleTimeout:    *idleTimeout,
-		Log:            obsv.NewLogger(os.Stderr, *logFormat, obsv.ParseLevel(*logLevel)),
+		Addr:          *addr,
+		AddrFile:      *addrFile,
+		PprofAddr:     *pprofAddr,
+		Workers:       *workers,
+		Queue:         *queue,
+		CacheEntries:  *cacheEntries,
+		DataDir:       *dataDir,
+		DataDiskBytes: *dataDiskBytes,
+		Grace:         *grace,
+		IdleTimeout:   *idleTimeout,
+		Log:           log,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "critloadd:", err)

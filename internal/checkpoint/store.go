@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"critload/internal/blobstore"
 )
@@ -70,17 +69,10 @@ func decodeMeta(b []byte) Meta {
 	}
 }
 
-// Stats is a point-in-time snapshot of store effectiveness counters, exported
-// on the service's /metrics endpoint under the names in the field tags.
+// Stats is the store's on-disk footprint.
 type Stats struct {
-	Hits          uint64 `metric:"critloadd_checkpoint_hits_total,counter" help:"Timing runs that warm-started from a stored checkpoint."`
-	Misses        uint64 `metric:"critloadd_checkpoint_misses_total,counter" help:"Timing runs that found no usable checkpoint and ran cold."`
-	Saves         uint64 `metric:"critloadd_checkpoint_saves_total,counter" help:"Kernel-launch boundaries serialized into the store."`
-	Evictions     uint64 `metric:"critloadd_checkpoint_evictions_total,counter" help:"Checkpoint files evicted to stay under the disk budget."`
-	Dropped       uint64 `metric:"critloadd_checkpoint_dropped_total,counter" help:"Corrupt or version-mismatched checkpoint files deleted on read."`
-	CyclesSkipped int64  `metric:"critloadd_checkpoint_cycles_skipped_total,counter" help:"Simulated cycles inherited from checkpoints instead of re-simulated."`
-	Files         int    `metric:"critloadd_checkpoint_files,gauge" help:"Checkpoint files currently on disk."`
-	Bytes         int64  `metric:"critloadd_checkpoint_disk_bytes,gauge" help:"Bytes of checkpoint data currently on disk."`
+	Files int
+	Bytes int64
 }
 
 // Store is the on-disk content-addressed checkpoint store: a blobstore of
@@ -89,9 +81,6 @@ type Stats struct {
 // for concurrent use by multiple goroutines and processes.
 type Store struct {
 	blobs *blobstore.Store
-
-	hits, misses  atomic.Uint64
-	cyclesSkipped atomic.Int64
 }
 
 // Open creates (if needed) and opens a store directory. budgetBytes bounds
@@ -175,23 +164,13 @@ func (s *Store) Best(key Key, maxWarpInsts uint64, maxCycles int64) (Meta, []byt
 		if maxCycles > 0 && m.Cycle >= maxCycles {
 			continue
 		}
-		s.hits.Add(1)
 		return m, payload, true
 	}
-	s.misses.Add(1)
 	return Meta{}, nil, false
 }
 
-// NoteWarmStart records that a run resumed from a checkpoint, inheriting the
-// given number of simulated cycles instead of re-simulating them.
-func (s *Store) NoteWarmStart(cycles int64) { s.cyclesSkipped.Add(cycles) }
-
-// Stats returns current counters plus an on-disk scan.
+// Stats scans the store directory.
 func (s *Store) Stats() Stats {
 	b := s.blobs.Stats()
-	return Stats{
-		Hits: s.hits.Load(), Misses: s.misses.Load(), Saves: b.Writes,
-		Evictions: b.Evictions, Dropped: b.Dropped,
-		CyclesSkipped: s.cyclesSkipped.Load(), Files: b.Files, Bytes: b.Bytes,
-	}
+	return Stats{Files: b.Files, Bytes: b.Bytes}
 }

@@ -99,10 +99,6 @@ func TestStoreBestPicksDeepestValid(t *testing.T) {
 	if _, _, ok := s.Best(testKey(3), 0, 0); ok {
 		t.Fatal("Best under a foreign key returned a checkpoint")
 	}
-	st := s.Stats()
-	if st.Hits != 3 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 3 hits / 2 misses", st)
-	}
 }
 
 // corruptFile flips one byte inside the payload region of a stored file.
@@ -140,8 +136,8 @@ func TestStoreDropsCorruptFilesAndFallsBack(t *testing.T) {
 	if s.Has(key, 2) {
 		t.Fatal("corrupt file survived Best")
 	}
-	if st := s.Stats(); st.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", st.Dropped)
+	if st := s.Stats(); st.Files != 1 {
+		t.Fatalf("Files = %d after dropping the corrupt file, want 1", st.Files)
 	}
 }
 
@@ -185,8 +181,8 @@ func TestStoreDropsIndexMismatch(t *testing.T) {
 	if _, _, ok := s.Best(key, 0, 0); ok {
 		t.Fatal("Best returned a checkpoint from an empty store")
 	}
-	if st := s.Stats(); st.Dropped != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 dropped, 1 miss", st)
+	if st := s.Stats(); st.Files != 0 {
+		t.Fatalf("stats = %+v, want the misnamed file dropped", st)
 	}
 }
 
@@ -243,7 +239,6 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					t.Errorf("Best returned index %d", m.Index)
 					return
 				}
-				s.NoteWarmStart(int64(i))
 				_ = s.Stats()
 			}
 		}(g)

@@ -1,6 +1,6 @@
-// Package daemon is critloadd's composition root: it wires the checkpoint
-// store, the durable job tier (write-ahead journal + on-disk result
-// store), the jobs manager, and the HTTP servers into one Run function.
+// Package daemon is critloadd's composition root: it wires the durable job
+// tier (write-ahead journal + on-disk result store), the jobs manager, and
+// the HTTP servers into one Run function.
 // It lives in a package of its own — rather than in cmd/critloadd — so
 // the crash-recovery harness can run a real daemon in a forked test
 // binary and kill it at arbitrary points.
@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"critload/internal/checkpoint"
 	"critload/internal/jobs"
 	"critload/internal/server"
 )
@@ -44,12 +43,6 @@ type Config struct {
 
 	// Workers, Queue and CacheEntries size the jobs manager.
 	Workers, Queue, CacheEntries int
-
-	// CacheDir holds the checkpoint store under <CacheDir>/checkpoints
-	// (empty disables checkpoint reuse); CacheDiskBytes is its eviction
-	// budget (0 = unbounded).
-	CacheDir       string
-	CacheDiskBytes int64
 
 	// DataDir enables the durable job tier: the write-ahead journal lives
 	// under <DataDir>/journal and the content-addressed result store under
@@ -78,21 +71,11 @@ func Run(ctx context.Context, cfg Config) error {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 
-	var ckpts *checkpoint.Store
-	if cfg.CacheDir != "" {
-		var err error
-		ckpts, err = checkpoint.Open(filepath.Join(cfg.CacheDir, "checkpoints"), cfg.CacheDiskBytes)
-		if err != nil {
-			return fmt.Errorf("opening checkpoint store: %w", err)
-		}
-		log.Info("checkpoint store open", "dir", ckpts.Dir(), "budget_bytes", cfg.CacheDiskBytes)
-	}
-
 	mcfg := jobs.Config{
 		Workers:      cfg.Workers,
 		QueueDepth:   cfg.Queue,
 		CacheEntries: cfg.CacheEntries,
-		Runner:       server.SimRunnerWith(ckpts),
+		Runner:       server.SimRunner(),
 	}
 	if cfg.DataDir != "" {
 		results, err := jobs.OpenResultStore(filepath.Join(cfg.DataDir, "results"), cfg.DataDiskBytes)
@@ -116,7 +99,7 @@ func Run(ctx context.Context, cfg Config) error {
 	}
 
 	httpSrv := NewAPIServer(cfg.Addr,
-		server.New(mgr, server.WithLogger(log), server.WithCheckpoints(ckpts)), cfg.IdleTimeout)
+		server.New(mgr, server.WithLogger(log)), cfg.IdleTimeout)
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.Grace)

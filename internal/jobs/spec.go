@@ -41,11 +41,9 @@ type Spec struct {
 	// deliberately excluded from the cache key: it bounds the run but
 	// never alters the result a successful run produces.
 	Timeout time.Duration `json:"timeout,omitempty"`
-	// ReuseCheckpoints lets a timing run warm-start from (and contribute to)
-	// the daemon's checkpoint store when one is configured. Like Timeout it
-	// is excluded from the cache key: warm starts are byte-identical to cold
-	// runs — the difftest checkpoint oracle enforces it — so the flag changes
-	// how fast a result arrives, never the result.
+	// ReuseCheckpoints is accepted for wire compatibility and ignored:
+	// every run simulates cold. It is excluded from the cache key, so the
+	// same job with or without it is one cache entry.
 	ReuseCheckpoints bool `json:"reuse_checkpoints,omitempty"`
 }
 

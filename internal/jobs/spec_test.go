@@ -122,8 +122,7 @@ func TestSpecKeyFieldAudit(t *testing.T) {
 		"MaxWarpInsts": true, "MaxCycles": true,
 	}
 	// Result-neutral by design: Timeout bounds a run without changing what
-	// a successful run produces; ReuseCheckpoints changes how fast a
-	// timing result arrives, never its bytes (difftest's checkpoint oracle).
+	// a successful run produces; ReuseCheckpoints is accepted and ignored.
 	excluded := map[string]bool{
 		"Timeout": true, "ReuseCheckpoints": true,
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"critload/internal/checkpoint"
 	"critload/internal/jobs"
 	"critload/internal/journal"
 	"critload/internal/obsv"
@@ -104,7 +103,7 @@ func TestStructRejectsUnclassifiedAndMalformedFields(t *testing.T) {
 	})
 }
 
-// TestStatsFieldAudit forces every exported numeric field of the four stats
+// TestStatsFieldAudit forces every exported numeric field of the three stats
 // structs behind /metrics to be classified: exported under the family its
 // metric tag names (with a help text), or marked metric:"-". Adding a
 // counter without deciding fails here — and at daemon start, where
@@ -130,7 +129,7 @@ func TestStatsFieldAudit(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range []any{jobs.Stats{}, checkpoint.Stats{}, jobs.ResultStoreStats{}, journal.Stats{}} {
+	for _, v := range []any{jobs.Stats{}, jobs.ResultStoreStats{}, journal.Stats{}} {
 		walk(reflect.TypeOf(v), reflect.TypeOf(v).String())
 	}
 	if t.Failed() {
@@ -138,7 +137,6 @@ func TestStatsFieldAudit(t *testing.T) {
 	}
 	r := obsv.NewRegistry()
 	obsv.Struct(r, func() jobs.Stats { return jobs.Stats{} }, "journal", "results")
-	obsv.Struct(r, func() checkpoint.Stats { return checkpoint.Stats{} })
 	obsv.Struct(r, func() jobs.ResultStoreStats { return jobs.ResultStoreStats{} })
 	obsv.Struct(r, func() journal.Stats { return journal.Stats{} })
 	out := expose(r)

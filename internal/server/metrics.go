@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"critload/internal/checkpoint"
 	"critload/internal/jobs"
 	"critload/internal/obsv"
 )
@@ -44,7 +43,7 @@ type metricsSet struct {
 // newMetricsSet builds the registry. endpoints is the bounded route-label
 // set, derived from the mux registrations (routeTable.labels); raw request
 // paths never become label values, so cardinality stays fixed.
-func newMetricsSet(mgr *jobs.Manager, ckpts *checkpoint.Store, start time.Time, endpoints []string) *metricsSet {
+func newMetricsSet(mgr *jobs.Manager, start time.Time, endpoints []string) *metricsSet {
 	reg := obsv.NewRegistry()
 	m := &metricsSet{
 		reg:      reg,
@@ -53,11 +52,11 @@ func newMetricsSet(mgr *jobs.Manager, ckpts *checkpoint.Store, start time.Time, 
 		requests: map[string]*obsv.Counter{},
 	}
 
-	// Job-manager, checkpoint-store, journal and result-store counters are
-	// declared on their stats structs' fields; each struct is snapshotted
-	// once per scrape (the store and journal snapshots include a scan of a
-	// budget-bounded directory). The checkpoint families exist only with
-	// -cache-dir, the journal and result-store families only with -data-dir.
+	// Job-manager, journal and result-store counters are declared on their
+	// stats structs' fields; each struct is snapshotted once per scrape (the
+	// store and journal snapshots include a scan of a budget-bounded
+	// directory). The journal and result-store families exist only with
+	// -data-dir.
 	var durable []string
 	if jnl := mgr.Journal(); jnl != nil {
 		durable = append(durable, "journal")
@@ -68,9 +67,6 @@ func newMetricsSet(mgr *jobs.Manager, ckpts *checkpoint.Store, start time.Time, 
 		obsv.Struct(reg, results.Stats)
 	}
 	obsv.Struct(reg, mgr.Stats, durable...)
-	if ckpts != nil {
-		obsv.Struct(reg, ckpts.Stats)
-	}
 	reg.GaugeFunc("critloadd_uptime_seconds",
 		"Seconds since the server started.", nil,
 		func() float64 { return time.Since(start).Seconds() })

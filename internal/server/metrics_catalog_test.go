@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"critload/internal/checkpoint"
 	"critload/internal/jobs"
 	"critload/internal/server"
 )
@@ -33,34 +32,29 @@ func catalog(body string) []string {
 	return lines
 }
 
-// conditionalFamily matches the families that exist only with -cache-dir
-// (checkpoint store) or -data-dir (journal + result store).
+// conditionalFamily matches the families that exist only with -data-dir
+// (journal + result store).
 var conditionalFamily = regexp.MustCompile(
-	`^# (HELP|TYPE) critloadd_(checkpoint_|journal_|resultstore_|jobs_recovered_total)`)
+	`^# (HELP|TYPE) critloadd_(journal_|resultstore_|jobs_recovered_total)`)
 
 // TestMetricsCatalogGolden pins the /metrics catalogue — every family's
-// name, type and help text — of a daemon with both a checkpoint store and
-// the durable tier, pins which of those families a plain daemon omits, and
+// name, type and help text — of a daemon with the durable tier, pins which of those families a plain daemon omits, and
 // requires docs/SERVICE.md's metric tables to list every family.
 // Regenerate deliberately with: go test ./internal/server -run Catalog -update-golden
 func TestMetricsCatalogGolden(t *testing.T) {
 	dir := t.TempDir()
-	ckpts, err := checkpoint.Open(filepath.Join(dir, "checkpoints"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	results, err := jobs.OpenResultStore(filepath.Join(dir, "results"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr, err := jobs.NewManager(jobs.Config{
-		Workers: 1, Runner: server.SimRunnerWith(ckpts),
+		Workers: 1, Runner: server.SimRunner(),
 		JournalDir: filepath.Join(dir, "journal"), Results: results,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(mgr, server.WithCheckpoints(ckpts)))
+	ts := httptest.NewServer(server.New(mgr))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -92,8 +86,8 @@ func TestMetricsCatalogGolden(t *testing.T) {
 			goldenPath, got, want)
 	}
 
-	// A daemon without -cache-dir and -data-dir exports the same catalogue
-	// minus the store and journal families.
+	// A daemon without -data-dir exports the same catalogue minus the store
+	// and journal families.
 	plain, _ := newService(t, server.SimRunner(), 1)
 	getJSON(t, plain.URL+"/healthz", nil)
 	var wantPlain []string

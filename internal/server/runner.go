@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"critload/internal/checkpoint"
 	"critload/internal/experiments"
 	"critload/internal/jobs"
 	"critload/internal/profiler"
@@ -81,14 +80,8 @@ func resultFromRun(spec jobs.Spec, r *experiments.Run) *RunResult {
 // simulator, both stopping at the next kernel-launch boundary once ctx is
 // cancelled. Kernel-launch boundaries also emit a progress heartbeat
 // (cycles, warp instructions) onto the job's API snapshot.
+// Every run simulates cold: ReuseCheckpoints is accepted and ignored.
 func SimRunner() jobs.Runner {
-	return SimRunnerWith(nil)
-}
-
-// SimRunnerWith is SimRunner backed by an optional checkpoint store: timing
-// specs submitted with ReuseCheckpoints warm-start from the store and save
-// new boundaries into it. A nil store disables checkpoint reuse entirely.
-func SimRunnerWith(ckpts *checkpoint.Store) jobs.Runner {
 	return func(ctx context.Context, spec jobs.Spec) (any, error) {
 		opts := experiments.Options{
 			Size:         spec.Size,
@@ -98,9 +91,6 @@ func SimRunnerWith(ckpts *checkpoint.Store) jobs.Runner {
 			Progress: func(cycles int64, warpInsts uint64) {
 				jobs.ReportProgress(ctx, cycles, warpInsts)
 			},
-		}
-		if spec.ReuseCheckpoints && spec.Mode == jobs.ModeTiming {
-			opts.Checkpoints = ckpts
 		}
 		var (
 			r   *experiments.Run

@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"critload/internal/checkpoint"
 	"critload/internal/dataflow"
 	"critload/internal/families"
 	"critload/internal/jobs"
@@ -62,7 +61,6 @@ type Server struct {
 	handler http.Handler
 	log     *slog.Logger
 	metrics *metricsSet
-	ckpts   *checkpoint.Store
 	start   time.Time
 }
 
@@ -77,12 +75,6 @@ func WithLogger(l *slog.Logger) Option {
 			s.log = l
 		}
 	}
-}
-
-// WithCheckpoints exposes a checkpoint store's effectiveness counters on
-// /metrics (critloadd_checkpoint_*). Pass the same store the runner uses.
-func WithCheckpoints(st *checkpoint.Store) Option {
-	return func(s *Server) { s.ckpts = st }
 }
 
 // New wires the API around a job manager. It installs itself as the
@@ -105,7 +97,7 @@ func New(mgr *jobs.Manager, opts ...Option) *Server {
 	s.route("GET /v1/workloads", s.handleWorkloads)
 	s.route("GET /healthz", s.handleHealth)
 	s.route("GET /metrics", s.handleMetrics)
-	s.metrics = newMetricsSet(mgr, s.ckpts, s.start, s.routes.labels())
+	s.metrics = newMetricsSet(mgr, s.start, s.routes.labels())
 	s.handler = obsv.Chain(s.mux,
 		obsv.RequestID(),
 		obsv.Instrument(s.routes.label, s.metrics.httpInFlight, s.metrics.observeRequest),
@@ -347,9 +339,8 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 // POST /v1/jobs, GET/DELETE /v1/jobs/{id}
 
 // handleSubmit decodes an api.JobSpec. A family spec is resolved to its
-// canonical workload name here, so caching, deduplication, checkpoint
-// prefixes and the durable journal see family jobs through the same string
-// identity as Table I jobs.
+// canonical workload name here, so caching, deduplication and the durable
+// journal see family jobs through the same string identity as Table I jobs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.JobSpec
 	dec := json.NewDecoder(r.Body)

@@ -72,6 +72,59 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
+// submitJob posts one job and returns its ID.
+func submitJob(t *testing.T, ts *httptest.Server, body map[string]any) string {
+	t.Helper()
+	var submitted jobs.JobInfo
+	if code := postJSON(t, ts.URL+"/v1/jobs", body, &submitted); code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	return submitted.ID
+}
+
+// runJob submits one job, polls it to a done state and returns its result.
+func runJob(t *testing.T, ts *httptest.Server, body map[string]any) server.RunResult {
+	t.Helper()
+	var r server.RunResult
+	if err := json.Unmarshal(pollDone(t, ts, submitJob(t, ts, body)).Result, &r); err != nil {
+		t.Fatalf("decoding result: %v", err)
+	}
+	return r
+}
+
+// TestJobsWithoutStoreIgnoreReuseFlag pins the compatibility contract of
+// reuse_checkpoints: the field is accepted and ignored, and it is outside
+// the job key, so the same job with and without it is one cache entry and
+// the second submit is served the first one's bytes.
+func TestJobsWithoutStoreIgnoreReuseFlag(t *testing.T) {
+	ts, _ := newService(t, server.SimRunner(), 1)
+	body := map[string]any{"workload": "dwt", "mode": "timing", "size": 64, "seed": 2}
+	first := pollDone(t, ts, submitJob(t, ts, body))
+
+	body["reuse_checkpoints"] = true
+	second := pollDone(t, ts, submitJob(t, ts, body))
+
+	spec := jobs.Spec{Workload: "dwt", Mode: jobs.ModeTiming, Size: 64, Seed: 2}
+	withFlag := spec
+	withFlag.ReuseCheckpoints = true
+	if spec.Key() != withFlag.Key() {
+		t.Fatalf("jobs.Key differs with reuse_checkpoints: %s vs %s", spec.Key(), withFlag.Key())
+	}
+	if first.Key != spec.Key().String() || second.Key != first.Key {
+		t.Fatalf("served keys %s and %s, want both %s", first.Key, second.Key, spec.Key())
+	}
+	if first.CacheHit || !second.CacheHit {
+		t.Fatalf("cache_hit = %v then %v, want false then true", first.CacheHit, second.CacheHit)
+	}
+	if !bytes.Equal(first.Result, second.Result) {
+		t.Fatalf("results differ:\n%s\n%s", first.Result, second.Result)
+	}
+	var r server.RunResult
+	if err := json.Unmarshal(first.Result, &r); err != nil || r.Cycles <= 0 {
+		t.Fatalf("result cycles = %d (%v), want > 0", r.Cycles, err)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	ts, _ := newService(t, server.SimRunner(), 1)
 	var body map[string]string

@@ -61,9 +61,9 @@ type Recovery struct {
 // JobSpec is the POST /v1/jobs body. Exactly one of Workload and Family
 // selects what to run: a Table I benchmark by name, or a parameterized
 // family instance that the daemon resolves to its canonical
-// "family:<name>?<knobs>" workload name, so caching, deduplication,
-// checkpoint prefixes and the durable journal all see family jobs through
-// the same string identity as Table I jobs.
+// "family:<name>?<knobs>" workload name, so caching, deduplication and
+// the durable journal all see family jobs through the same string identity
+// as Table I jobs.
 type JobSpec struct {
 	Workload     string      `json:"workload,omitempty"`
 	Family       *FamilySpec `json:"family,omitempty"`
@@ -74,9 +74,8 @@ type JobSpec struct {
 	MaxCycles    int64       `json:"max_cycles,omitempty"`
 	// TimeoutMillis bounds the job's wall time server-side (0 = none).
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// ReuseCheckpoints opts a timing job into the daemon's checkpoint store
-	// (ignored when critloadd runs without one). Results are byte-identical
-	// either way; only wall time changes.
+	// ReuseCheckpoints is accepted and ignored: every job simulates cold.
+	// It is kept so that clients which still send it are not refused.
 	ReuseCheckpoints bool `json:"reuse_checkpoints,omitempty"`
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"critload/internal/jobs/crashtest"
+	"critload/internal/journal"
 	"critload/pkg/client"
 )
 
@@ -308,6 +309,87 @@ func TestCrashRecoveryFullyCorruptJournal(t *testing.T) {
 	job, err := c2.RunJob(ctx, crashSpecs[4])
 	if err != nil || job.State != client.StateDone {
 		t.Fatalf("daemon unusable after corrupt-journal start: %v / %+v", err, job)
+	}
+	d2.Shutdown(t)
+}
+
+// TestCrashRecoveryCacheHitsAcked pins what a deferred completed record
+// costs. A completed record is not fsync'd on its own: it rides the next
+// group commit, so the daemon is killed the instant the last cache hit is
+// acknowledged, while that hit's completed record is still in the
+// process's write buffer. The restarted daemon must find every
+// acknowledged job done, with the cold run's bytes, and count every job
+// the journal on disk left live under completed_from_store.
+func TestCrashRecoveryCacheHitsAcked(t *testing.T) {
+	specs := crashSpecs[3:6] // functional: fast, and all three cold in one incarnation
+	dir := testDir(t)
+	d1 := crashtest.Start(t, dir)
+	c1 := d1.Client(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+
+	var acked []string
+	var want []json.RawMessage
+	for _, spec := range specs {
+		job, err := c1.RunJob(ctx, spec)
+		if err != nil || job.State != client.StateDone {
+			t.Fatalf("cold run %s: %v / %+v", spec.Workload, err, job)
+		}
+		acked, want = append(acked, job.ID), append(want, job.Result)
+	}
+	for i, spec := range specs {
+		job, err := c1.SubmitJob(ctx, spec)
+		if err != nil {
+			t.Fatalf("resubmitting %s: %v", spec.Workload, err)
+		}
+		if !job.CacheHit || job.State != client.StateDone {
+			t.Fatalf("resubmitted %s = %+v, want a finished cache hit", spec.Workload, job)
+		}
+		acked, want = append(acked, job.ID), append(want, want[i])
+	}
+	d1.Kill(t)
+
+	// Read what the kill left on disk: a job with a submitted record and no
+	// terminal one is live to the next incarnation.
+	submitted, live := map[string]bool{}, map[string]bool{}
+	if _, err := journal.Replay(filepath.Join(dir, "journal"), func(r journal.Record) error {
+		switch r.Type {
+		case journal.TypeSubmitted:
+			submitted[r.ID], live[r.ID] = true, true
+		case journal.TypeCompleted, journal.TypeFailed, journal.TypeCancelled:
+			delete(live, r.ID)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("replaying the killed daemon's journal: %v", err)
+	}
+	for _, id := range acked {
+		if !submitted[id] {
+			t.Fatalf("acked job %s has no submitted record on disk", id)
+		}
+	}
+	if len(live) == 0 {
+		t.Fatalf("every completed record reached disk before the kill; the deferred path went unexercised")
+	}
+	t.Logf("%d acked jobs, %d live in the journal at the kill", len(acked), len(live))
+
+	d2 := crashtest.Start(t, dir)
+	c2 := d2.Client(t)
+	hs, err := c2.HealthStatus(ctx)
+	if err != nil {
+		t.Fatalf("health after restart: %v", err)
+	}
+	if rec := hs.Recovery; rec == nil || rec.CompletedFromStore != len(live) || rec.Requeued != 0 || rec.Unrecoverable != 0 {
+		t.Fatalf("recovery = %+v, want the %d jobs the journal left live completed from the store", hs.Recovery, len(live))
+	}
+	for i, id := range acked {
+		job, err := c2.WaitJob(ctx, id, 0)
+		if err != nil || job.State != client.StateDone {
+			t.Fatalf("acked job %s after the crash: %v / %+v", id, err, job)
+		}
+		if !bytes.Equal(job.Result, want[i]) {
+			t.Fatalf("acked job %s result diverges from the cold run:\ncold: %s\ngot:  %s", id, want[i], job.Result)
+		}
 	}
 	d2.Shutdown(t)
 }

@@ -82,8 +82,9 @@ type Config struct {
 	// JournalSegmentBytes overrides the journal's segment rotation
 	// threshold (0 = journal.DefaultSegmentBytes).
 	JournalSegmentBytes int64
-	// JournalNoSync disables fsync on journal appends. Tests only: it
-	// trades away the durability the journal exists for.
+	// JournalNoSync disables the journal's fsyncs (group commits,
+	// compaction, close). Tests only: it trades away the durability the
+	// journal exists for.
 	JournalNoSync bool
 	// Results, when non-nil, backs the in-memory result cache with an
 	// on-disk content-addressed store: completed results are persisted
@@ -233,6 +234,13 @@ type Manager struct {
 	c       counters
 	obs     atomic.Pointer[ExecutionObserver]
 
+	// ready is closed once startup recovery has compacted the journal;
+	// executions it re-enqueued wait on it before they journal anything.
+	ready chan struct{}
+
+	// mu guards the registry. No fsync runs while it is held: records are
+	// appended under it and waited for (journal.AppendAsync) after it is
+	// released.
 	mu            sync.Mutex
 	journal       *journal.Journal
 	journalClosed bool
@@ -263,7 +271,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		results:  cfg.Results,
 		jobs:     map[string]*job{},
 		inflight: map[Key]*execution{},
+		ready:    make(chan struct{}),
 	}
+	defer close(m.ready)
 	if cfg.JournalDir != "" {
 		rs := newReplayState()
 		jnl, err := journal.Open(cfg.JournalDir, journal.Options{
@@ -312,10 +322,12 @@ func (m *Manager) SetExecutionObserver(fn ExecutionObserver) {
 // execution is joined instead of re-simulated; otherwise the spec is queued
 // on the pool, failing fast with ErrQueueFull when it is saturated.
 //
-// With journaling enabled the submission record is fsync'd before Submit
-// returns: an acknowledged job survives a crash. A journal write failure
-// therefore fails the Submit — durability the daemon cannot provide must
-// not be silently promised.
+// With journaling enabled the submission record is on disk before Submit
+// returns: an acknowledged job survives a crash. The record is written
+// under the manager lock and its fsync waited for after the lock is
+// released, so concurrent submissions share one group commit. A journal
+// failure fails the Submit and cancels the job — durability the daemon
+// cannot provide must not be silently promised.
 func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	if err := spec.Validate(); err != nil {
 		return JobInfo{}, err
@@ -326,8 +338,8 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		return JobInfo{}, fmt.Errorf("jobs: encoding spec: %w", err)
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return JobInfo{}, ErrClosed
 	}
 	m.nextID++
@@ -339,22 +351,55 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		created: time.Now(),
 		done:    make(chan struct{}),
 	}
-	if err := m.journalAppend(journal.Record{
+	commit, err := m.journalLocked(journal.Record{
 		Type: journal.TypeSubmitted, At: j.created, ID: j.id, Data: specJSON,
-	}, true); err != nil {
+	}, true)
+	if err != nil {
+		m.mu.Unlock()
 		return JobInfo{}, fmt.Errorf("jobs: journaling submission: %w", err)
 	}
+	res, hit, err := m.admitLocked(j)
+	if err != nil {
+		// The submission record is already written; mark the job cancelled
+		// so a crash before the next compaction does not resurrect it. The
+		// two records reach disk together, with the next commit.
+		m.journalLocked(journal.Record{Type: journal.TypeCancelled, At: time.Now(), ID: j.id}, false)
+		m.mu.Unlock()
+		return JobInfo{}, err
+	}
+	m.mu.Unlock()
 
-	if v, ok := m.cache.get(key); ok {
+	err = m.awaitJournal(commit)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil {
+		// The cancelled record is not waited for: the journal has just
+		// failed, and the job was never acknowledged.
+		m.cancelLocked(j)
+		return JobInfo{}, fmt.Errorf("jobs: journaling submission: %w", err)
+	}
+	if hit {
+		// Completed after the commit, so its record rides the next one:
+		// losing it replays as a live job whose result is in the store.
+		m.finalizeLocked(j, StateDone, res, nil)
+	}
+	return j.infoLocked(), nil
+}
+
+// admitLocked registers a freshly journalled job and routes it: a cached
+// or stored result is returned with hit set (the caller completes the
+// job), a matching in-flight execution is joined, anything else is
+// scheduled. It fails, leaving j unregistered, when the queue is full.
+func (m *Manager) admitLocked(j *job) (res any, hit bool, err error) {
+	if v, ok := m.cache.get(j.key); ok {
 		m.registerLocked(j)
 		m.c.cacheHits.Add(1)
 		j.cacheHit = true
-		m.finalizeLocked(j, StateDone, v, nil)
-		return j.infoLocked(), nil
+		return v, true, nil
 	}
 	m.c.cacheMisses.Add(1)
 
-	if e, ok := m.inflight[key]; ok {
+	if e, ok := m.inflight[j.key]; ok {
 		m.registerLocked(j)
 		m.c.deduped.Add(1)
 		j.exec = e
@@ -364,29 +409,25 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 			j.started = time.Now()
 			m.c.queued.Add(-1)
 			m.c.running.Add(1)
-			m.journalAppend(journal.Record{Type: journal.TypeStarted, At: j.started, ID: j.id}, false)
+			m.journalLocked(journal.Record{Type: journal.TypeStarted, At: j.started, ID: j.id}, false)
 		}
-		return j.infoLocked(), nil
+		return nil, false, nil
 	}
 
 	// The in-memory cache missed; the on-disk store may still hold the
 	// result from an earlier process.
-	if v, ok := m.resultFromStore(key); ok {
+	if v, ok := m.resultFromStore(j.key); ok {
 		m.registerLocked(j)
 		m.c.diskHits.Add(1)
 		j.cacheHit = true
-		m.finalizeLocked(j, StateDone, v, nil)
-		return j.infoLocked(), nil
+		return v, true, nil
 	}
 
 	if err := m.startLocked(j); err != nil {
-		// The submission record is already durable; mark the job cancelled
-		// so a crash before the next compaction does not resurrect it.
-		m.journalAppend(journal.Record{Type: journal.TypeCancelled, At: time.Now(), ID: j.id}, false)
-		return JobInfo{}, err
+		return nil, false, err
 	}
 	m.registerLocked(j)
-	return j.infoLocked(), nil
+	return nil, false, nil
 }
 
 // startLocked schedules a fresh execution for j — its spec's timeout (or a
@@ -424,20 +465,37 @@ func (m *Manager) resultFromStore(key Key) (any, bool) {
 	return raw, true
 }
 
-// journalAppend writes one record when journaling is enabled. A failed
-// synced append surfaces the error — the caller is about to acknowledge
-// the transition as durable; a failed unsynced append is only counted.
-func (m *Manager) journalAppend(r journal.Record, sync bool) error {
+// journalLocked writes one record when journaling is enabled. For a
+// durable record it returns the commit to pass to awaitJournal once m.mu
+// is released; any other record rides the next commit, Compact or Close.
+// A failed write is counted and returned.
+func (m *Manager) journalLocked(r journal.Record, durable bool) (commit func() error, err error) {
 	if m.journal == nil {
+		return nil, nil
+	}
+	if durable {
+		commit, err = m.journal.AppendAsync(r)
+	} else {
+		err = m.journal.Append(r, false)
+	}
+	if err != nil {
+		m.c.journalErrors.Add(1)
+	}
+	return commit, err
+}
+
+// awaitJournal waits, with m.mu released, until a record journalLocked
+// wrote is on disk; nil waits for nothing. A failure is counted. Records
+// reach disk in order, so waiting for the last of several covers all.
+func (m *Manager) awaitJournal(commit func() error) error {
+	if commit == nil {
 		return nil
 	}
-	if err := m.journal.Append(r, sync); err != nil {
+	err := commit()
+	if err != nil {
 		m.c.journalErrors.Add(1)
-		if sync {
-			return err
-		}
 	}
-	return nil
+	return err
 }
 
 // registerLocked adds the job to the registry and the queued gauge (every
@@ -451,16 +509,21 @@ func (m *Manager) registerLocked(j *job) {
 // run executes one singleflight execution on a pool worker.
 func (m *Manager) run(e *execution) {
 	defer e.cancel()
+	<-m.ready
 
 	m.mu.Lock()
 	if e.ctx.Err() != nil || len(e.jobs) == 0 {
 		// Cancelled (or abandoned) while still queued: never invoke the
 		// runner.
 		delete(m.inflight, e.key)
+		var commit func() error
 		for _, j := range e.jobs {
-			m.finalizeLocked(j, StateCancelled, nil, e.ctx.Err())
+			if c := m.finalizeLocked(j, StateCancelled, nil, e.ctx.Err()); c != nil {
+				commit = c
+			}
 		}
 		m.mu.Unlock()
+		m.awaitJournal(commit)
 		return
 	}
 	e.started = true
@@ -471,7 +534,7 @@ func (m *Manager) run(e *execution) {
 		j.started = now
 		m.c.queued.Add(-1)
 		m.c.running.Add(1)
-		m.journalAppend(journal.Record{Type: journal.TypeStarted, At: now, ID: j.id}, false)
+		m.journalLocked(journal.Record{Type: journal.TypeStarted, At: now, ID: j.id}, false)
 	}
 	ctx, spec := withProgress(e.ctx, e.progress), e.spec
 	m.mu.Unlock()
@@ -496,21 +559,25 @@ func (m *Manager) run(e *execution) {
 	}
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	delete(m.inflight, e.key)
 	if err == nil {
 		m.cache.add(e.key, res)
 	}
+	state := StateDone
+	switch {
+	case errors.Is(err, context.Canceled):
+		state, res = StateCancelled, nil
+	case err != nil:
+		state, res = StateFailed, nil
+	}
+	var commit func() error
 	for _, j := range e.jobs {
-		switch {
-		case err == nil:
-			m.finalizeLocked(j, StateDone, res, nil)
-		case errors.Is(err, context.Canceled):
-			m.finalizeLocked(j, StateCancelled, nil, err)
-		default:
-			m.finalizeLocked(j, StateFailed, nil, err)
+		if c := m.finalizeLocked(j, state, res, err); c != nil {
+			commit = c
 		}
 	}
+	m.mu.Unlock()
+	m.awaitJournal(commit)
 }
 
 // PanicError is the failure a job carries when its runner panicked: the
@@ -544,8 +611,12 @@ func (m *Manager) invoke(ctx context.Context, spec Spec) (res any, err error) {
 }
 
 // finalizeLocked moves a job to a terminal state, settles the gauges, wakes
-// waiters and trims the registry to the retention bound.
-func (m *Manager) finalizeLocked(j *job, s State, res any, err error) {
+// waiters, journals the outcome and trims the registry to the retention
+// bound. A failed or cancelled record must be durable: the caller passes
+// the returned commit to awaitJournal after releasing m.mu. A completed
+// record is not waited for; it rides the next commit, since losing it
+// replays as a live job whose result the store already holds.
+func (m *Manager) finalizeLocked(j *job, s State, res any, err error) (commit func() error) {
 	switch j.state {
 	case StateQueued:
 		m.c.queued.Add(-1)
@@ -571,7 +642,7 @@ func (m *Manager) finalizeLocked(j *job, s State, res any, err error) {
 	}
 	if m.journal != nil && !m.recovering { // recovery journals its outcome through compaction instead
 		if r, ok := m.terminalRecordLocked(j); ok {
-			m.journalAppend(r, true)
+			commit, _ = m.journalLocked(r, r.Type != journal.TypeCompleted)
 		}
 	}
 	m.doneOrder = append(m.doneOrder, j.id)
@@ -579,6 +650,7 @@ func (m *Manager) finalizeLocked(j *job, s State, res any, err error) {
 		delete(m.jobs, m.doneOrder[0])
 		m.doneOrder = m.doneOrder[1:]
 	}
+	return commit
 }
 
 // terminalRecordLocked maps a finished job to its journal record; ok is
@@ -624,13 +696,23 @@ func (m *Manager) Get(id string) (JobInfo, error) {
 // no-op returning its final snapshot.
 func (m *Manager) Cancel(id string) (JobInfo, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
+		m.mu.Unlock()
 		return JobInfo{}, ErrNotFound
 	}
+	commit := m.cancelLocked(j)
+	info := j.infoLocked()
+	m.mu.Unlock()
+	m.awaitJournal(commit)
+	return info, nil
+}
+
+// cancelLocked is Cancel under m.mu; it returns the cancelled record's
+// commit (nil for a job already finished).
+func (m *Manager) cancelLocked(j *job) (commit func() error) {
 	if j.state.Terminal() {
-		return j.infoLocked(), nil
+		return nil
 	}
 	if e := j.exec; e != nil {
 		live := e.jobs[:0]
@@ -644,8 +726,7 @@ func (m *Manager) Cancel(id string) (JobInfo, error) {
 			e.cancel()
 		}
 	}
-	m.finalizeLocked(j, StateCancelled, nil, context.Canceled)
-	return j.infoLocked(), nil
+	return m.finalizeLocked(j, StateCancelled, nil, context.Canceled)
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires, then
@@ -701,16 +782,18 @@ func (m *Manager) Close(ctx context.Context) error {
 }
 
 // closeJournal compacts the journal down to the retained jobs and closes
-// it. Best-effort: a failed compaction leaves the full (still valid)
-// history in place for the next replay.
+// it, fsyncing outside m.mu. Best-effort: a failed compaction leaves the
+// full (still valid) history in place for the next replay.
 func (m *Manager) closeJournal() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.journal == nil || m.journalClosed {
+		m.mu.Unlock()
 		return
 	}
 	m.journalClosed = true
-	if err := m.journal.Compact(m.liveRecordsLocked()); err != nil {
+	recs := m.liveRecordsLocked()
+	m.mu.Unlock()
+	if err := m.journal.Compact(recs); err != nil {
 		m.c.journalErrors.Add(1)
 	}
 	if err := m.journal.Close(); err != nil {

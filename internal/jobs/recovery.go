@@ -112,13 +112,12 @@ func (rs *replayState) terminal(id string, s State, msg string, at time.Time) {
 // from the store when their result is already durable and are re-enqueued
 // otherwise — re-execution is safe because results are content-addressed.
 // Jobs that cannot be carried forward fail with a *RecoveredError. The
-// whole pass holds the manager lock, so re-enqueued executions cannot
-// start (or journal) until the final compaction has run.
+// pass holds the manager lock; the compaction runs after it, and
+// re-enqueued executions wait on m.ready, so none can journal into the
+// log the compaction replaces.
 func (m *Manager) recover(rs *replayState) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.recovering = true
-	defer func() { m.recovering = false }()
 
 	m.nextID = rs.maxID
 	info := &m.recovery
@@ -176,7 +175,10 @@ func (m *Manager) recover(rs *replayState) {
 		}
 	}
 
-	if err := m.journal.Compact(m.liveRecordsLocked()); err != nil {
+	m.recovering = false
+	recs := m.liveRecordsLocked()
+	m.mu.Unlock()
+	if err := m.journal.Compact(recs); err != nil {
 		m.c.journalErrors.Add(1)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // durableConfig is a manager configuration with the durable tier enabled
 // on dir: a journal under dir/journal and a result store under dir/results.
 // NoSync keeps the tests fast; the crash harness exercises real fsyncs.
-func durableConfig(t *testing.T, dir string, runner Runner) Config {
+func durableConfig(t testing.TB, dir string, runner Runner) Config {
 	t.Helper()
 	rs, err := OpenResultStore(filepath.Join(dir, "results"), 0)
 	if err != nil {

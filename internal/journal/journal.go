@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -36,8 +37,9 @@ const DefaultSegmentBytes = 4 << 20
 type Options struct {
 	// SegmentBytes is the rotation threshold (0 = DefaultSegmentBytes).
 	SegmentBytes int64
-	// NoSync disables fsync on synced appends. Only tests use it: it
-	// trades away the durability the journal exists for.
+	// NoSync disables every fsync (group commits, Compact, Close); synced
+	// appends still flush to the file. Only tests use it: it trades away
+	// the durability the journal exists for.
 	NoSync bool
 }
 
@@ -71,18 +73,31 @@ type Stats struct {
 }
 
 // Journal is the append side of the write-ahead log. It is safe for
-// concurrent use; appends are serialized internally.
+// concurrent use; appends are serialized internally, and synced appends
+// share fsyncs (group commit): one fsync makes durable every record
+// written before it, and it runs with the append lock released.
 type Journal struct {
 	dir  string
 	opts Options
 
 	mu      sync.Mutex
+	synced  sync.Cond // on mu; broadcast when an in-flight group commit ends
 	f       *os.File
 	w       *bufio.Writer
-	seq     int   // current segment sequence number
-	size    int64 // current segment size including header
+	retired []*os.File // rotated-out segments, flushed but not yet fsync'd
+	seq     int        // current segment sequence number
+	size    int64      // current segment size including header
 	scratch []byte
 	closed  bool
+
+	// Group commit state. Every record written takes the next position;
+	// every record at or below durable is on disk. At most one group
+	// commit fsyncs at a time (syncing); syncErr is the failure of the
+	// last fsync that failed, reported to every record at or below
+	// failedThrough, which that fsync was to cover.
+	written, durable, failedThrough uint64
+	syncing                         bool
+	syncErr                         error
 
 	appends, syncs, rotations, compactions, appendedBytes uint64
 	replay                                                ReplayStats
@@ -218,6 +233,7 @@ func Open(dir string, opts Options, fn func(Record) error) (*Journal, error) {
 		return nil, fmt.Errorf("journal: open: %w", err)
 	}
 	j := &Journal{dir: dir, opts: opts}
+	j.synced.L = &j.mu
 
 	seqs, err := segments(dir)
 	if err != nil {
@@ -275,13 +291,15 @@ func Open(dir string, opts Options, fn func(Record) error) (*Journal, error) {
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// rotateLocked closes the current segment (if any) and starts segment seq.
+// rotateLocked starts segment seq. The current segment (if any) is
+// flushed and retired: the next group commit, Compact or Close fsyncs and
+// closes it, so a rotation never fsyncs inside an append.
 func (j *Journal) rotateLocked(seq int) error {
 	if j.f != nil {
-		if err := j.flushLocked(true); err != nil {
-			return err
+		if err := j.w.Flush(); err != nil {
+			return fmt.Errorf("journal: flush: %w", err)
 		}
-		j.f.Close()
+		j.retired = append(j.retired, j.f)
 		j.f = nil
 		j.rotations++
 	}
@@ -298,39 +316,16 @@ func (j *Journal) rotateLocked(seq int) error {
 	return nil
 }
 
-// flushLocked drains the buffered writer and, when sync is requested and
-// enabled, fsyncs the segment.
-func (j *Journal) flushLocked(sync bool) error {
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
-	}
-	if sync && !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: fsync: %w", err)
-		}
-		j.syncs++
-	}
-	return nil
-}
-
-// Append writes one record. With sync, the record is flushed and fsync'd
-// before Append returns — the caller may acknowledge the transition the
-// record describes. Without, the record sits in the write buffer until
-// the next synced append, rotation or close; a crash may lose it, which
-// is acceptable only for records whose loss merely re-does work
-// (progress heartbeats, started markers).
-func (j *Journal) Append(rec Record, sync bool) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("journal: closed")
-	}
+// writeLocked encodes rec into the write buffer and gives it the next
+// position. With rotate, a record that would overflow the current segment
+// starts a new one.
+func (j *Journal) writeLocked(rec Record, rotate bool) error {
 	buf, err := appendFrame(j.scratch[:0], rec)
 	if err != nil {
 		return err
 	}
 	j.scratch = buf[:0]
-	if j.size+int64(len(buf)) > j.opts.SegmentBytes && j.size > int64(segHeaderLen) {
+	if rotate && j.size+int64(len(buf)) > j.opts.SegmentBytes && j.size > int64(segHeaderLen) {
 		if err := j.rotateLocked(j.seq + 1); err != nil {
 			return err
 		}
@@ -339,12 +334,137 @@ func (j *Journal) Append(rec Record, sync bool) error {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.size += int64(len(buf))
-	j.appends++
 	j.appendedBytes += uint64(len(buf))
-	if sync {
-		return j.flushLocked(true)
+	j.written++
+	return nil
+}
+
+// fsync makes the retired segments and then cur durable, closing each
+// retired one. It touches no journal state, so a group commit runs it
+// with mu released.
+func (j *Journal) fsync(retired []*os.File, cur *os.File) error {
+	var err error
+	for _, f := range retired {
+		err = cmp.Or(err, j.syncFile(f))
+		f.Close() // read-only from here on: its records are synced or reported failed
+	}
+	return cmp.Or(err, j.syncFile(cur))
+}
+
+// syncFile fsyncs f unless the journal runs without fsync.
+func (j *Journal) syncFile(f *os.File) error {
+	if j.opts.NoSync {
+		return nil
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	return nil
+}
+
+// settleLocked records the outcome of an fsync that covered every record
+// up to target.
+func (j *Journal) settleLocked(target uint64, err error) {
+	if err != nil {
+		j.syncErr, j.failedThrough = err, target
+		return
+	}
+	if !j.opts.NoSync {
+		j.syncs++
+	}
+	j.durable = max(j.durable, target)
+}
+
+// syncLocked flushes and fsyncs everything written so far without
+// releasing mu, first waiting out any group commit in flight (its retired
+// segments are in its hands). Compact and Close use it: they must have
+// the old segments on disk before they close or remove them.
+func (j *Journal) syncLocked() error {
+	for j.syncing {
+		j.synced.Wait()
+	}
+	if err := j.w.Flush(); err != nil {
+		return fmt.Errorf("journal: flush: %w", err)
+	}
+	retired := j.retired
+	j.retired = nil
+	err := j.fsync(retired, j.f)
+	j.settleLocked(j.written, err)
+	return err
+}
+
+// commit blocks until the record at pos is durable. A caller whose record
+// an in-flight fsync covers waits for it; otherwise, once no fsync is in
+// flight, the caller leads a group commit: it flushes the buffer under mu,
+// then fsyncs with mu released, which makes durable every record written
+// before the flush, its own and any others.
+func (j *Journal) commit(pos uint64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.syncing && j.durable < pos {
+		j.synced.Wait()
+	}
+	if j.durable >= pos {
+		return nil
+	}
+	if pos <= j.failedThrough {
+		return j.syncErr
+	}
+	if err := j.w.Flush(); err != nil {
+		return fmt.Errorf("journal: flush: %w", err)
+	}
+	target, retired, cur := j.written, j.retired, j.f
+	j.retired = nil
+	j.syncing = true
+	j.mu.Unlock()
+	err := j.fsync(retired, cur)
+	j.mu.Lock()
+	j.syncing = false
+	j.synced.Broadcast()
+	j.settleLocked(target, err)
+	return err
+}
+
+// write appends rec to the buffer, rotating first when it would overflow
+// the segment, and returns its position.
+func (j *Journal) write(rec Record) (uint64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return 0, fmt.Errorf("journal: closed")
+	}
+	if err := j.writeLocked(rec, true); err != nil {
+		return 0, err
+	}
+	j.appends++
+	return j.written, nil
+}
+
+// Append writes one record. With sync, the record is on disk before
+// Append returns — the caller may acknowledge the transition the record
+// describes. The fsync is a group commit: concurrent synced appends share
+// it, and it runs without the append lock held. Without sync, the record
+// sits in the write buffer until the next group commit, Compact or Close;
+// a crash may lose it, which is acceptable only for records whose loss
+// merely re-does work (started markers, completions whose result is in
+// the result store).
+func (j *Journal) Append(rec Record, sync bool) error {
+	pos, err := j.write(rec)
+	if err != nil || !sync {
+		return err
+	}
+	return j.commit(pos)
+}
+
+// AppendAsync writes one record now and returns commit, which blocks
+// until the record is on disk, as Append(rec, true) does. It lets a caller
+// append under its own lock and wait for durability after releasing it.
+func (j *Journal) AppendAsync(rec Record) (commit func() error, err error) {
+	pos, err := j.write(rec)
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return j.commit(pos) }, nil
 }
 
 // Compact replaces the journal's entire contents with recs: they are
@@ -359,12 +479,14 @@ func (j *Journal) Compact(recs []Record) error {
 	if j.closed {
 		return fmt.Errorf("journal: closed")
 	}
+	// syncLocked may wait out a group commit with mu released, and appends
+	// meanwhile may rotate: list the segments to replace only after it.
+	if err := j.syncLocked(); err != nil {
+		return err
+	}
 	old, err := segments(j.dir)
 	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := j.flushLocked(true); err != nil {
-		return err
 	}
 	j.f.Close()
 	j.f = nil
@@ -372,18 +494,11 @@ func (j *Journal) Compact(recs []Record) error {
 		return err
 	}
 	for _, rec := range recs {
-		buf, err := appendFrame(j.scratch[:0], rec)
-		if err != nil {
-			return err
-		}
-		j.scratch = buf[:0]
-		if _, err := j.w.Write(buf); err != nil {
+		if err := j.writeLocked(rec, false); err != nil {
 			return fmt.Errorf("journal: compact: %w", err)
 		}
-		j.size += int64(len(buf))
-		j.appendedBytes += uint64(len(buf))
 	}
-	if err := j.flushLocked(true); err != nil {
+	if err := j.syncLocked(); err != nil {
 		return err
 	}
 	for _, seq := range old {
@@ -406,7 +521,7 @@ func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	err := j.flushLocked(true)
+	err := j.syncLocked()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}

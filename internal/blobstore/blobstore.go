@@ -8,6 +8,11 @@
 // full store scans once per budget/8 bytes written. A Store is safe for
 // concurrent use; concurrent processes sharing a directory are safe too,
 // because every write is an atomic rename and every read validates.
+//
+// Nothing is fsynced: both stores are caches of deterministic computations.
+// After a power loss a blob may be missing, empty or torn; the read
+// validation turns each of those into an absent blob, which the caller
+// recomputes.
 package blobstore
 
 import (
@@ -49,7 +54,6 @@ type Format struct {
 	Version   uint32 // files of another version are dropped, never decoded
 	Ext       string // file suffix, with the dot
 	HeaderLen int    // bytes of caller-owned header
-	Sync      bool   // fsync the temp file before the rename and the directory after it
 }
 
 // Encode frames header and payload; len(header) must be f.HeaderLen.
@@ -156,10 +160,9 @@ func (s *Store) Has(name string) bool {
 }
 
 // Write frames and stores one blob under name, replacing any existing file
-// atomically. Under Format.Sync the blob's bytes are on disk before the
-// rename and its directory entry after it, so a blob that Write reported is
-// still there after a power loss. If the write takes the store past its
-// byte budget, Write runs an eviction pass.
+// atomically. It does not fsync, so a power loss can lose or tear the blob;
+// Read then reports it absent. If the write takes the store past its byte
+// budget, Write runs an eviction pass.
 func (s *Store) Write(name string, header, payload []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "tmp-*"+s.format.Ext+partialExt)
 	if err != nil {
@@ -168,9 +171,6 @@ func (s *Store) Write(name string, header, payload []byte) error {
 	defer os.Remove(tmp.Name()) // a no-op once the rename has happened
 	blob := s.format.Encode(header, payload)
 	_, err = tmp.Write(blob)
-	if err == nil && s.format.Sync {
-		err = tmp.Sync()
-	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -178,28 +178,12 @@ func (s *Store) Write(name string, header, payload []byte) error {
 	if err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
-	if err == nil && s.format.Sync {
-		err = syncDir(s.dir)
-	}
 	if err != nil {
 		return err
 	}
 	s.writes.Add(1)
 	s.evict(path, int64(len(blob)))
 	return nil
-}
-
-// syncDir fsyncs a directory, making the renames into it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Read returns the validated header and payload stored under name and

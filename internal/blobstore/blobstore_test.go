@@ -18,7 +18,7 @@ import (
 // internal/jobs pin the wrappers' own Format values to the same bytes.
 var formats = map[string]Format{
 	"ckpt": {Magic: "CRITCKPT", Version: 1, Ext: ".ckpt", HeaderLen: 32},
-	"res":  {Magic: "CRITRES\x00", Version: 1, Ext: ".res", Sync: true},
+	"res":  {Magic: "CRITRES\x00", Version: 1, Ext: ".res"},
 }
 
 // eachFormat runs fn as a subtest per format over a fresh store.
@@ -386,7 +386,7 @@ func TestConcurrentAccess(t *testing.T) {
 // of 1.5 KiB under a 1 GiB budget: the put path when the store is far from
 // full. Each write replaces one of the files, so the count holds.
 func BenchmarkWrite(b *testing.B) {
-	f := formats["ckpt"] // Sync off: the cost measured is the store's, not the disk's
+	f := formats["ckpt"]
 	header, payload := make([]byte, f.HeaderLen), make([]byte, 1536)
 	blob := f.Encode(header, payload)
 	for _, files := range []int{100, 5000} {

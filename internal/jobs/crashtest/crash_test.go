@@ -1,11 +1,13 @@
 package crashtest_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -392,4 +394,78 @@ func TestCrashRecoveryCacheHitsAcked(t *testing.T) {
 		}
 	}
 	d2.Shutdown(t)
+}
+
+// TestCrashRecoveryLostResults pins what an unsynced result store costs.
+// Result files are not fsynced, so a power loss can leave one missing,
+// truncated or empty. With every job done, the daemon is killed and the
+// results directory damaged those three ways; the restarted daemon must
+// still finish every acknowledged job with the cold run's bytes, re-running
+// exactly the jobs whose files were damaged.
+func TestCrashRecoveryLostResults(t *testing.T) {
+	want := coldRun(t)
+	dir := testDir(t)
+	d1 := crashtest.Start(t, dir)
+	c1 := d1.Client(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	var acked []ackedJob
+	for i, spec := range crashSpecs {
+		job, err := c1.RunJob(ctx, spec)
+		if err != nil || job.State != client.StateDone {
+			t.Fatalf("running %s/%s: %v / %+v", spec.Workload, spec.Mode, err, job)
+		}
+		acked = append(acked, ackedJob{spec: i, id: job.ID})
+	}
+	d1.Kill(t)
+
+	files, err := filepath.Glob(filepath.Join(dir, "results", "*.res"))
+	if err != nil || len(files) != len(crashSpecs) {
+		t.Fatalf("result files = %v (%v), want one per spec", files, err)
+	}
+	damage := []func(string) error{
+		os.Remove,
+		func(p string) error {
+			info, err := os.Stat(p)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(p, info.Size()/2)
+		},
+		func(p string) error { return os.Truncate(p, 0) },
+	}
+	for i, fn := range damage {
+		if err := fn(files[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d2 := crashtest.Start(t, dir)
+	verifyRecovered(t, d2, acked, want)
+	if n := executions(t, d2); n != len(damage) {
+		t.Fatalf("restarted daemon ran %d executions, want %d: one per damaged result", n, len(damage))
+	}
+	d2.Shutdown(t)
+}
+
+// executions reads the daemon's runner-invocation counter from /metrics.
+func executions(t *testing.T, d *crashtest.Daemon) int {
+	t.Helper()
+	resp, err := http.Get("http://" + d.Addr() + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "critloadd_executions_total "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("critloadd_executions_total %q: %v", v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no critloadd_executions_total on /metrics (%v)", sc.Err())
+	return 0
 }

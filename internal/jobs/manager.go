@@ -87,9 +87,9 @@ type Config struct {
 	// journal exists for.
 	JournalNoSync bool
 	// Results, when non-nil, backs the in-memory result cache with an
-	// on-disk content-addressed store: completed results are persisted
-	// before their journal record, cache misses fall through to disk, and
-	// recovery serves replayed jobs from it instead of re-simulating.
+	// on-disk content-addressed store: completed results are written to it
+	// (not fsynced), cache misses fall through to disk, and recovery serves
+	// replayed jobs from it, re-running those whose result it cannot read.
 	Results *ResultStore
 }
 
@@ -240,7 +240,8 @@ type Manager struct {
 
 	// mu guards the registry. No fsync runs while it is held: records are
 	// appended under it and waited for (journal.AppendAsync) after it is
-	// released.
+	// released. Nor does result-store I/O, outside startup recovery and
+	// admitLocked's rare fallback read.
 	mu            sync.Mutex
 	journal       *journal.Journal
 	journalClosed bool
@@ -337,6 +338,15 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, fmt.Errorf("jobs: encoding spec: %w", err)
 	}
+	// Read the on-disk store before taking m.mu whenever memory lacks the
+	// key, so no file I/O stalls other requests behind the lock. Concurrent
+	// submits of one key may both read the file: it is content-addressed.
+	var stored json.RawMessage
+	_, inMemory := m.cache.get(key)
+	read := m.results != nil && !inMemory
+	if read {
+		stored, _ = m.results.Get(key)
+	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -358,7 +368,7 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		m.mu.Unlock()
 		return JobInfo{}, fmt.Errorf("jobs: journaling submission: %w", err)
 	}
-	res, hit, err := m.admitLocked(j)
+	res, hit, err := m.admitLocked(j, stored, read)
 	if err != nil {
 		// The submission record is already written; mark the job cancelled
 		// so a crash before the next compaction does not resurrect it. The
@@ -390,7 +400,7 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 // or stored result is returned with hit set (the caller completes the
 // job), a matching in-flight execution is joined, anything else is
 // scheduled. It fails, leaving j unregistered, when the queue is full.
-func (m *Manager) admitLocked(j *job) (res any, hit bool, err error) {
+func (m *Manager) admitLocked(j *job, stored json.RawMessage, read bool) (res any, hit bool, err error) {
 	if v, ok := m.cache.get(j.key); ok {
 		m.registerLocked(j)
 		m.c.cacheHits.Add(1)
@@ -415,12 +425,18 @@ func (m *Manager) admitLocked(j *job) (res any, hit bool, err error) {
 	}
 
 	// The in-memory cache missed; the on-disk store may still hold the
-	// result from an earlier process.
-	if v, ok := m.resultFromStore(j.key); ok {
+	// result. Submit read it into stored, unless memory held the key then
+	// (read is false): the LRU has evicted it since, and this rare case
+	// reads under the lock rather than simulate again.
+	if !read && m.results != nil {
+		stored, _ = m.results.Get(j.key)
+	}
+	if stored != nil {
+		m.cache.add(j.key, stored)
 		m.registerLocked(j)
 		m.c.diskHits.Add(1)
 		j.cacheHit = true
-		return v, true, nil
+		return stored, true, nil
 	}
 
 	if err := m.startLocked(j); err != nil {
@@ -450,9 +466,9 @@ func (m *Manager) startLocked(j *job) error {
 	return nil
 }
 
-// resultFromStore fetches a completed result from the on-disk store,
-// warming the in-memory cache on a hit. The raw stored JSON is returned:
-// it re-serializes byte-identically to the original result.
+// resultFromStore is startup recovery's read of the on-disk store; a hit
+// warms the in-memory cache. The raw stored JSON is returned: it
+// re-serializes byte-identically to the original result.
 func (m *Manager) resultFromStore(key Key) (any, bool) {
 	if m.results == nil {
 		return nil, false
@@ -548,10 +564,9 @@ func (m *Manager) run(e *execution) {
 		(*obs)(spec, wall, err)
 	}
 
-	// Persist the result before the completed record is journalled (from
-	// finalizeLocked below): a completed record must never refer to a
-	// result the filesystem does not hold. On a store failure the record
-	// is withheld (see terminalRecordLocked) so recovery re-runs the job.
+	// Fill the on-disk cache before the jobs complete, outside m.mu. The
+	// write is not fsynced, and a failed one is only counted: recovery
+	// re-runs a done job whose result it cannot read.
 	if err == nil && m.results != nil {
 		if perr := m.results.Put(e.key, res); perr != nil {
 			m.c.journalErrors.Add(1)
@@ -615,7 +630,7 @@ func (m *Manager) invoke(ctx context.Context, spec Spec) (res any, err error) {
 // bound. A failed or cancelled record must be durable: the caller passes
 // the returned commit to awaitJournal after releasing m.mu. A completed
 // record is not waited for; it rides the next commit, since losing it
-// replays as a live job whose result the store already holds.
+// replays as a live job, which completes from the store or runs again.
 func (m *Manager) finalizeLocked(j *job, s State, res any, err error) (commit func() error) {
 	switch j.state {
 	case StateQueued:
@@ -641,7 +656,7 @@ func (m *Manager) finalizeLocked(j *job, s State, res any, err error) (commit fu
 		m.c.cancelled.Add(1)
 	}
 	if m.journal != nil && !m.recovering { // recovery journals its outcome through compaction instead
-		if r, ok := m.terminalRecordLocked(j); ok {
+		if r, ok := terminalRecordLocked(j); ok {
 			commit, _ = m.journalLocked(r, r.Type != journal.TypeCompleted)
 		}
 	}
@@ -654,17 +669,12 @@ func (m *Manager) finalizeLocked(j *job, s State, res any, err error) (commit fu
 }
 
 // terminalRecordLocked maps a finished job to its journal record; ok is
-// false for a job that is still live. A completed record is also withheld
-// when the result store does not hold the result (the Put failed, or the
-// file was evicted) — replay then sees the job as still live and re-runs
-// it, which is idempotent.
-func (m *Manager) terminalRecordLocked(j *job) (r journal.Record, ok bool) {
+// false for a job that is still live. A completed record does not depend
+// on the result store: replay re-runs a done job whose result is gone.
+func terminalRecordLocked(j *job) (r journal.Record, ok bool) {
 	r = journal.Record{At: j.finished, ID: j.id}
 	switch j.state {
 	case StateDone:
-		if m.results != nil && !m.results.Has(j.key) {
-			return r, false
-		}
 		r.Type = journal.TypeCompleted
 	case StateFailed:
 		r.Type = journal.TypeFailed
@@ -821,7 +831,7 @@ func (m *Manager) liveRecordsLocked() []journal.Record {
 		recs = append(recs, journal.Record{
 			Type: journal.TypeSubmitted, At: j.created, ID: id, Data: specJSON,
 		})
-		if r, ok := m.terminalRecordLocked(j); ok {
+		if r, ok := terminalRecordLocked(j); ok {
 			recs = append(recs, r)
 		} else if j.state == StateRunning {
 			recs = append(recs, journal.Record{Type: journal.TypeStarted, At: j.started, ID: id})

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"regexp"
 	"strings"
@@ -407,6 +408,52 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	if third.CacheHit {
 		t.Fatal("distinct spec reported a cache hit")
+	}
+}
+
+// TestSubmitDiskHitsNeverResimulate: Submit reads the on-disk store before
+// it takes the manager lock, whenever memory lacks the key, and a one-entry
+// LRU can evict a key between Submit's look at memory and the locked admit.
+// Four goroutines race over results the store already holds; every submit
+// must be served from the cache or the disk, never from the runner.
+func TestSubmitDiskHitsNeverResimulate(t *testing.T) {
+	const k, rounds, submitters = 8, 200, 4
+	rs, err := OpenResultStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]Spec, k)
+	for i := range specs {
+		specs[i] = spec(fmt.Sprintf("wl%d", i))
+		if err := rs.Put(specs[i].Key(), specs[i].Workload+"-result"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newManager(t, Config{Workers: 1, CacheEntries: 1, Results: rs,
+		Runner: func(_ context.Context, s Spec) (any, error) {
+			t.Errorf("runner invoked for %s: a stored result was simulated again", s.Workload)
+			return nil, errors.New("runner must not be invoked")
+		}})
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for n := 0; n < k; n++ {
+					s := specs[(n*(2*g+1)+g)%k] // an odd stride: a different order per goroutine
+					info, err := m.Submit(s)
+					if err != nil || !info.CacheHit || info.State != StateDone {
+						t.Errorf("Submit(%s) = %+v, %v; want a finished cache hit", s.Workload, info, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := m.Stats(); st.Executions != 0 {
+		t.Fatalf("stats = %+v, want no executions", st)
 	}
 }
 

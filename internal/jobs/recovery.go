@@ -108,9 +108,10 @@ func (rs *replayState) terminal(id string, s State, msg string, at time.Time) {
 
 // recover rebuilds the manager's registry from a replayed journal, then
 // compacts the journal to the resulting state. Terminal jobs come back as
-// history (done jobs pull their result from the store); live jobs complete
-// from the store when their result is already durable and are re-enqueued
-// otherwise — re-execution is safe because results are content-addressed.
+// history (done jobs pull their result from the store); live jobs, and
+// done jobs whose result the store cannot return, complete from the store
+// when it holds their result and are re-enqueued otherwise — re-execution
+// is safe because results are content-addressed.
 // Jobs that cannot be carried forward fail with a *RecoveredError. The
 // pass holds the manager lock; the compaction runs after it, and
 // re-enqueued executions wait on m.ready, so none can journal into the
@@ -143,8 +144,9 @@ func (m *Manager) recover(rs *replayState) {
 			info.Unrecoverable++
 		case rj.state == StateDone:
 			res, ok := m.resultFromStore(j.key)
-			if !ok {
-				info.ResultsMissing++
+			if !ok { // the store is a cache a crash may have emptied
+				m.requeueLocked(j, rj, info, &info.ResultsMissing)
+				continue
 			}
 			m.finalizeLocked(j, StateDone, res, nil)
 		case rj.state == StateFailed:
@@ -158,7 +160,7 @@ func (m *Manager) recover(rs *replayState) {
 				m.finalizeLocked(j, StateDone, res, nil)
 				info.CompletedFromStore++
 			} else {
-				m.requeueLocked(j, rj, info)
+				m.requeueLocked(j, rj, info, &info.Requeued)
 				continue // keep the fresh queue timestamps
 			}
 		}
@@ -183,16 +185,16 @@ func (m *Manager) recover(rs *replayState) {
 	}
 }
 
-// requeueLocked re-enqueues a job that was live at the crash, joining an
-// execution already re-created for the same key (the singleflight rule
-// holds across restarts too). A full queue fails the job rather than the
-// startup.
-func (m *Manager) requeueLocked(j *job, rj *replayedJob, info *RecoveryInfo) {
+// requeueLocked re-enqueues a job for re-execution, joining an execution
+// already re-created for the same key (the singleflight rule holds across
+// restarts too), and counts it in *requeued. A full queue fails the job
+// rather than the startup.
+func (m *Manager) requeueLocked(j *job, rj *replayedJob, info *RecoveryInfo, requeued *int) {
 	if e, ok := m.inflight[j.key]; ok {
 		j.exec = e
 		e.jobs = append(e.jobs, j)
 		m.c.deduped.Add(1)
-		info.Requeued++
+		*requeued++
 		return
 	}
 	if err := m.startLocked(j); err != nil {
@@ -201,5 +203,5 @@ func (m *Manager) requeueLocked(j *job, rj *replayedJob, info *RecoveryInfo) {
 		info.Unrecoverable++
 		return
 	}
-	info.Requeued++
+	*requeued++
 }

@@ -261,23 +261,68 @@ func TestRecoveryCompletesFromStore(t *testing.T) {
 	}
 }
 
-// TestRecoveryResultMissing: a completed job whose stored result vanished
-// (evicted, or never durable) stays done — history is not rewritten — but
-// the gap is counted and the result payload is absent.
+// TestRecoveryResultMissing: the result store is a cache, not fsynced, so
+// a power loss can leave a completed job's result deleted, truncated,
+// empty or torn. Recovery re-runs such a job exactly once: it reaches done
+// with the runner's bytes, and results_missing counts the re-run.
 func TestRecoveryResultMissing(t *testing.T) {
-	dir := t.TempDir()
-	writeJournal(t, filepath.Join(dir, "journal"), []journal.Record{
-		submittedRec(t, "j00000001", spec("2mm")),
-		{Type: journal.TypeCompleted, At: time.Now(), ID: "j00000001"},
-	})
-	m := newManager(t, durableConfig(t, dir, instantRunner))
-	info, err := m.Get("j00000001")
-	if err != nil || info.State != StateDone || info.Result != nil {
-		t.Fatalf("job = %+v, %v", info, err)
+	damage := map[string]func(path string) error{
+		"deleted":  os.Remove,
+		"halved":   func(p string) error { return truncateTo(p, 0.5) },
+		"empty":    func(p string) error { return truncateTo(p, 0) },
+		"bit-flip": flipByte,
 	}
-	if rec := m.Recovery(); rec.ResultsMissing != 1 {
-		t.Fatalf("recovery info = %+v", rec)
+	for name, fn := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := spec("2mm")
+			want, _ := instantRunner(context.Background(), s)
+			rs, err := OpenResultStore(filepath.Join(dir, "results"), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Put(s.Key(), want); err != nil {
+				t.Fatal(err)
+			}
+			if err := fn(resultPath(rs, s.Key())); err != nil {
+				t.Fatal(err)
+			}
+			writeJournal(t, filepath.Join(dir, "journal"), []journal.Record{
+				submittedRec(t, "j00000001", s),
+				{Type: journal.TypeCompleted, At: time.Now(), ID: "j00000001"},
+			})
+			m := newManager(t, durableConfig(t, dir, instantRunner))
+			info, err := m.Wait(context.Background(), "j00000001")
+			if err != nil || info.State != StateDone || info.Result != want {
+				t.Fatalf("job = %+v, %v; want done with %q", info, err, want)
+			}
+			if rec := m.Recovery(); rec.ResultsMissing != 1 || rec.Requeued != 0 {
+				t.Fatalf("recovery info = %+v, want the one re-run under results_missing", rec)
+			}
+			if st := m.Stats(); st.Executions != 1 {
+				t.Fatalf("stats = %+v, want exactly one re-execution", st)
+			}
+		})
 	}
+}
+
+// truncateTo cuts the file at path to frac of its size.
+func truncateTo(path string, frac float64) error {
+	info, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	return os.Truncate(path, int64(float64(info.Size())*frac))
+}
+
+// flipByte inverts one byte in the middle of the file at path.
+func flipByte(path string) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	b[len(b)/2] ^= 0xff
+	return os.WriteFile(path, b, 0o644)
 }
 
 // TestRecoveryUnusableSpecFails: a submitted record whose payload no longer
@@ -498,12 +543,12 @@ func TestReplayAnyPrefixConsistent(t *testing.T) {
 	}
 }
 
-// TestResultPutFailureWithholdsCompletion covers the write half of the
-// durability contract: when the result store cannot persist a result the
-// failure is counted, the job still reaches done for its client, but no
-// completed record is journalled — so the next start sees the job as live
-// and re-runs it instead of recording a completion it cannot serve.
-func TestResultPutFailureWithholdsCompletion(t *testing.T) {
+// TestResultPutFailureRerunsAfterRestart: when the result store cannot
+// write a result the failure is counted and the job still reaches done for
+// its client, with its completed record journalled. The next start finds
+// the job done but its result unreadable, and re-runs it once to the same
+// bytes, which the healthy store then holds.
+func TestResultPutFailureRerunsAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	m1 := newManager(t, durableConfig(t, dir, instantRunner))
 	// A regular file where the results directory was fails CreateTemp with
@@ -530,17 +575,20 @@ func TestResultPutFailureWithholdsCompletion(t *testing.T) {
 	if err := m1.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	if !onDisk(t, dir, journal.TypeCompleted)[first.ID] {
+		t.Fatalf("no completed record for %s: a done job is journalled whatever the store holds", first.ID)
+	}
 
 	if err := os.Remove(resultsDir); err != nil {
 		t.Fatal(err)
 	}
 	m2 := newManager(t, durableConfig(t, dir, instantRunner))
-	if rec := m2.Recovery(); rec.Jobs != 1 || rec.Requeued != 1 || rec.ResultsMissing != 0 {
-		t.Fatalf("recovery info = %+v, want the job re-queued", rec)
+	if rec := m2.Recovery(); rec.Jobs != 1 || rec.ResultsMissing != 1 || rec.Requeued != 0 {
+		t.Fatalf("recovery info = %+v, want the done job re-run under results_missing", rec)
 	}
 	again, err := m2.Wait(ctx, first.ID)
 	if err != nil || again.State != StateDone || !again.Recovered {
-		t.Fatalf("re-queued job = %+v, %v", again, err)
+		t.Fatalf("re-run job = %+v, %v", again, err)
 	}
 	if st := m2.Stats(); st.Executions != 1 || st.JournalErrors != 0 {
 		t.Fatalf("stats = %+v, want one re-execution on the healthy store", st)
@@ -551,6 +599,6 @@ func TestResultPutFailureWithholdsCompletion(t *testing.T) {
 		t.Fatalf("re-executed result %s, want %s", got, want)
 	}
 	if raw, ok := m2.Results().Get(first.Spec.Key()); !ok || !bytes.Equal(raw, want) {
-		t.Fatalf("stored result = %s, %v; want %s durable after the re-run", raw, ok, want)
+		t.Fatalf("stored result = %s, %v; want %s in the store after the re-run", raw, ok, want)
 	}
 }

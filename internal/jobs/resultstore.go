@@ -15,10 +15,9 @@ import (
 const ResultStoreVersion = 1
 
 // resultFormat is the result file framing: internal/blobstore's, with no
-// header. Writes are fsync'd before the rename and the directory after it:
-// the completed journal record that follows a Put must never refer to a
-// result the filesystem could still lose.
-var resultFormat = blobstore.Format{Magic: "CRITRES\x00", Version: ResultStoreVersion, Ext: ".res", Sync: true}
+// header. Nothing is fsynced: a result is a pure function of its spec, so
+// one a power loss took reads as absent and recovery re-runs its job.
+var resultFormat = blobstore.Format{Magic: "CRITRES\x00", Version: ResultStoreVersion, Ext: ".res"}
 
 // ResultStoreStats is a point-in-time snapshot of store effectiveness
 // counters, exported on /metrics under the names in the field tags.
@@ -36,8 +35,9 @@ type ResultStoreStats struct {
 // a blobstore holding one <spec-key-hex>.res file per completed spec, so
 // writes are atomic, every read validates an integrity hash (a crash
 // mid-write can never poison a recovered daemon), and files are evicted
-// least-recently-used against the byte budget. Safe for concurrent use by
-// multiple goroutines and processes.
+// least-recently-used against the byte budget. It is a cache: writes are
+// not fsynced, and recovery re-runs a job whose file a crash took. Safe
+// for concurrent use by multiple goroutines and processes.
 type ResultStore struct {
 	blobs        *blobstore.Store
 	hits, misses atomic.Uint64
@@ -60,7 +60,7 @@ func (s *ResultStore) Dir() string { return s.blobs.Dir() }
 // key. Results are content-addressed — an identical spec produces an
 // identical result — so overwriting an existing file is a no-op.
 func (s *ResultStore) Put(key Key, v any) error {
-	if s.Has(key) {
+	if s.blobs.Has(key.String()) {
 		return nil
 	}
 	payload, err := json.Marshal(v)
@@ -87,9 +87,6 @@ func (s *ResultStore) Get(key Key) (json.RawMessage, bool) {
 	s.hits.Add(1)
 	return json.RawMessage(payload), true
 }
-
-// Has reports whether a result file exists for key without validating it.
-func (s *ResultStore) Has(key Key) bool { return s.blobs.Has(key.String()) }
 
 // Stats returns current counters plus an on-disk scan.
 func (s *ResultStore) Stats() ResultStoreStats {

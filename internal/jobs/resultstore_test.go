@@ -133,7 +133,7 @@ func TestResultStoreCorruptionDropped(t *testing.T) {
 			if _, ok := s.Get(key); ok {
 				t.Fatal("Get returned a corrupt result")
 			}
-			if s.Has(key) {
+			if _, err := os.Stat(path); err == nil {
 				t.Fatal("corrupt file not deleted")
 			}
 			if st := s.Stats(); st.Dropped != 1 || st.Misses != 1 || st.Hits != 0 {

@@ -85,16 +85,18 @@ type Journal struct {
 	f       *os.File
 	w       *bufio.Writer
 	retired []*os.File // rotated-out segments, flushed but not yet fsync'd
+	created bool       // a segment was created since the directory's last fsync
 	seq     int        // current segment sequence number
 	size    int64      // current segment size including header
 	scratch []byte
 	closed  bool
 
 	// Group commit state. Every record written takes the next position;
-	// every record at or below durable is on disk. At most one group
-	// commit fsyncs at a time (syncing); syncErr is the failure of the
-	// last fsync that failed, reported to every record at or below
-	// failedThrough, which that fsync was to cover.
+	// every record at or below durable is on disk, and so is the directory
+	// entry of the segment holding it. At most one group commit fsyncs at
+	// a time (syncing); syncErr is the failure of the last fsync that
+	// failed, reported to every record at or below failedThrough, which
+	// that fsync was to cover.
 	written, durable, failedThrough uint64
 	syncing                         bool
 	syncErr                         error
@@ -293,7 +295,8 @@ func (j *Journal) Dir() string { return j.dir }
 
 // rotateLocked starts segment seq. The current segment (if any) is
 // flushed and retired: the next group commit, Compact or Close fsyncs and
-// closes it, so a rotation never fsyncs inside an append.
+// closes it, and fsyncs the directory that now names the new segment, so a
+// rotation never fsyncs inside an append.
 func (j *Journal) rotateLocked(seq int) error {
 	if j.f != nil {
 		if err := j.w.Flush(); err != nil {
@@ -313,6 +316,7 @@ func (j *Journal) rotateLocked(seq int) error {
 		return fmt.Errorf("journal: rotate: %w", err)
 	}
 	j.f, j.w, j.seq, j.size = f, w, seq, int64(segHeaderLen)
+	j.created = true
 	return nil
 }
 
@@ -340,15 +344,36 @@ func (j *Journal) writeLocked(rec Record, rotate bool) error {
 }
 
 // fsync makes the retired segments and then cur durable, closing each
-// retired one. It touches no journal state, so a group commit runs it
-// with mu released.
-func (j *Journal) fsync(retired []*os.File, cur *os.File) error {
+// retired one, and then, with created, the directory entries of segments
+// created since its last fsync. It touches no journal state, so a group
+// commit runs it with mu released.
+func (j *Journal) fsync(retired []*os.File, cur *os.File, created bool) error {
 	var err error
 	for _, f := range retired {
 		err = cmp.Or(err, j.syncFile(f))
 		f.Close() // read-only from here on: its records are synced or reported failed
 	}
-	return cmp.Or(err, j.syncFile(cur))
+	err = cmp.Or(err, j.syncFile(cur))
+	if err == nil && created && !j.opts.NoSync {
+		if derr := syncDir(j.dir); derr != nil {
+			err = fmt.Errorf("journal: fsync directory: %w", derr)
+		}
+	}
+	return err
+}
+
+// syncDir fsyncs a directory, making the files created in it durable. It
+// is a variable so tests can count directory syncs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncFile fsyncs f unless the journal runs without fsync.
@@ -363,10 +388,12 @@ func (j *Journal) syncFile(f *os.File) error {
 }
 
 // settleLocked records the outcome of an fsync that covered every record
-// up to target.
-func (j *Journal) settleLocked(target uint64, err error) {
+// up to target and, with created, the directory. A failed fsync leaves the
+// directory to the next one.
+func (j *Journal) settleLocked(target uint64, created bool, err error) {
 	if err != nil {
 		j.syncErr, j.failedThrough = err, target
+		j.created = j.created || created
 		return
 	}
 	if !j.opts.NoSync {
@@ -386,10 +413,10 @@ func (j *Journal) syncLocked() error {
 	if err := j.w.Flush(); err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
 	}
-	retired := j.retired
-	j.retired = nil
-	err := j.fsync(retired, j.f)
-	j.settleLocked(j.written, err)
+	retired, created := j.retired, j.created
+	j.retired, j.created = nil, false
+	err := j.fsync(retired, j.f, created)
+	j.settleLocked(j.written, created, err)
 	return err
 }
 
@@ -413,15 +440,15 @@ func (j *Journal) commit(pos uint64) error {
 	if err := j.w.Flush(); err != nil {
 		return fmt.Errorf("journal: flush: %w", err)
 	}
-	target, retired, cur := j.written, j.retired, j.f
-	j.retired = nil
+	target, retired, cur, created := j.written, j.retired, j.f, j.created
+	j.retired, j.created = nil, false
 	j.syncing = true
 	j.mu.Unlock()
-	err := j.fsync(retired, cur)
+	err := j.fsync(retired, cur, created)
 	j.mu.Lock()
 	j.syncing = false
 	j.synced.Broadcast()
-	j.settleLocked(target, err)
+	j.settleLocked(target, created, err)
 	return err
 }
 
@@ -446,8 +473,7 @@ func (j *Journal) write(rec Record) (uint64, error) {
 // it, and it runs without the append lock held. Without sync, the record
 // sits in the write buffer until the next group commit, Compact or Close;
 // a crash may lose it, which is acceptable only for records whose loss
-// merely re-does work (started markers, completions whose result is in
-// the result store).
+// merely re-does work (started markers, completions).
 func (j *Journal) Append(rec Record, sync bool) error {
 	pos, err := j.write(rec)
 	if err != nil || !sync {
@@ -468,11 +494,12 @@ func (j *Journal) AppendAsync(rec Record) (commit func() error, err error) {
 }
 
 // Compact replaces the journal's entire contents with recs: they are
-// written to a fresh segment, fsync'd, and only then are all older
-// segments removed. Called on clean shutdown (with the retained terminal
-// jobs) and after recovery (with the replayed live state), it bounds
-// replay work to the state that still matters. On failure the old
-// segments are untouched and remain authoritative.
+// written to a fresh segment, which is fsync'd along with the directory
+// naming it, and only then are all older segments removed. Called on
+// clean shutdown (with the retained terminal jobs) and after recovery
+// (with the replayed live state), it bounds replay work to the state that
+// still matters. On failure the old segments are untouched and remain
+// authoritative.
 func (j *Journal) Compact(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -50,8 +50,8 @@ type Recovery struct {
 	// result was already durable, so they completed without re-running.
 	CompletedFromStore int `json:"completed_from_store"`
 	// ResultsMissing counts completed jobs whose stored result could not
-	// be found (evicted or never durable); they stay done, without a
-	// result payload.
+	// be read (evicted, or lost or torn by a crash: results are not
+	// fsynced); each was re-enqueued and re-runs to the same bytes.
 	ResultsMissing int `json:"results_missing"`
 	// Unrecoverable counts jobs the replay had to fail: their spec no
 	// longer decodes or validates, or the recovery queue was full.

@@ -169,7 +169,9 @@ type JobInfo struct {
 	// Recovered marks a job rebuilt from the journal after a restart
 	// rather than submitted through this process's API.
 	Recovered bool `json:"recovered,omitempty"`
-	Result    any  `json:"result,omitempty"`
+	// Result is the runner's value as JSON, encoded once when its run
+	// ended: the bytes the cache holds and the API serves.
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // job is the mutable record behind a JobInfo; every field is guarded by the
@@ -180,7 +182,7 @@ type job struct {
 	key       Key
 	state     State
 	err       error
-	result    any
+	result    json.RawMessage
 	cacheHit  bool
 	recovered bool
 	created   time.Time
@@ -229,8 +231,7 @@ type execution struct {
 type Manager struct {
 	cfg     Config
 	pool    *Pool
-	cache   *resultCache
-	results *ResultStore
+	results *cache
 	c       counters
 	obs     atomic.Pointer[ExecutionObserver]
 
@@ -240,8 +241,8 @@ type Manager struct {
 
 	// mu guards the registry. No fsync runs while it is held: records are
 	// appended under it and waited for (journal.AppendAsync) after it is
-	// released. Nor does result-store I/O, outside startup recovery and
-	// admitLocked's rare fallback read.
+	// released. Nor does result-store I/O, outside startup recovery, which
+	// runs before the daemon listens.
 	mu            sync.Mutex
 	journal       *journal.Journal
 	journalClosed bool
@@ -268,8 +269,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:      cfg,
 		pool:     NewPool(cfg.Workers, cfg.QueueDepth),
-		cache:    newResultCache(cfg.CacheEntries),
-		results:  cfg.Results,
+		results:  newCache(cfg.CacheEntries, cfg.Results),
 		jobs:     map[string]*job{},
 		inflight: map[Key]*execution{},
 		ready:    make(chan struct{}),
@@ -295,7 +295,7 @@ func NewManager(cfg Config) (*Manager, error) {
 func (m *Manager) Journal() *journal.Journal { return m.journal }
 
 // Results returns the on-disk result store, or nil when none is configured.
-func (m *Manager) Results() *ResultStore { return m.results }
+func (m *Manager) Results() *ResultStore { return m.results.store }
 
 // Recovery returns what the last startup replay did.
 func (m *Manager) Recovery() RecoveryInfo {
@@ -338,15 +338,10 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	if err != nil {
 		return JobInfo{}, fmt.Errorf("jobs: encoding spec: %w", err)
 	}
-	// Read the on-disk store before taking m.mu whenever memory lacks the
-	// key, so no file I/O stalls other requests behind the lock. Concurrent
-	// submits of one key may both read the file: it is content-addressed.
-	var stored json.RawMessage
-	_, inMemory := m.cache.get(key)
-	read := m.results != nil && !inMemory
-	if read {
-		stored, _ = m.results.Get(key)
-	}
+	// Look the result up before taking m.mu, so no file I/O stalls other
+	// requests behind the lock. Concurrent submits of one key may both read
+	// the file: it is content-addressed.
+	res, from := m.results.get(key)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -368,7 +363,7 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		m.mu.Unlock()
 		return JobInfo{}, fmt.Errorf("jobs: journaling submission: %w", err)
 	}
-	res, hit, err := m.admitLocked(j, stored, read)
+	res, err = m.admitLocked(j, res, from)
 	if err != nil {
 		// The submission record is already written; mark the job cancelled
 		// so a crash before the next compaction does not resurrect it. The
@@ -388,7 +383,7 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		m.cancelLocked(j)
 		return JobInfo{}, fmt.Errorf("jobs: journaling submission: %w", err)
 	}
-	if hit {
+	if res != nil {
 		// Completed after the commit, so its record rides the next one:
 		// losing it replays as a live job whose result is in the store.
 		m.finalizeLocked(j, StateDone, res, nil)
@@ -396,18 +391,28 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	return j.infoLocked(), nil
 }
 
-// admitLocked registers a freshly journalled job and routes it: a cached
-// or stored result is returned with hit set (the caller completes the
-// job), a matching in-flight execution is joined, anything else is
-// scheduled. It fails, leaving j unregistered, when the queue is full.
-func (m *Manager) admitLocked(j *job, stored json.RawMessage, read bool) (res any, hit bool, err error) {
-	if v, ok := m.cache.get(j.key); ok {
-		m.registerLocked(j)
-		m.c.cacheHits.Add(1)
-		j.cacheHit = true
-		return v, true, nil
+// admitLocked registers a freshly journalled job and routes it, given what
+// Submit's look-up found: a result, or one that reached memory since, is
+// returned (the caller completes the job), a matching in-flight execution
+// is joined, anything else is scheduled. It fails, leaving j unregistered,
+// when the queue is full.
+func (m *Manager) admitLocked(j *job, res json.RawMessage, from tier) (json.RawMessage, error) {
+	if from == missed { // a run may have finished since the look-up
+		res, from = m.results.peek(j.key)
 	}
-	m.c.cacheMisses.Add(1)
+	if from == fromMemory {
+		m.c.cacheHits.Add(1)
+	} else {
+		m.c.cacheMisses.Add(1)
+	}
+	if from != missed {
+		if from == fromDisk {
+			m.c.diskHits.Add(1)
+		}
+		m.registerLocked(j)
+		j.cacheHit = true
+		return res, nil
+	}
 
 	if e, ok := m.inflight[j.key]; ok {
 		m.registerLocked(j)
@@ -421,29 +426,13 @@ func (m *Manager) admitLocked(j *job, stored json.RawMessage, read bool) (res an
 			m.c.running.Add(1)
 			m.journalLocked(journal.Record{Type: journal.TypeStarted, At: j.started, ID: j.id}, false)
 		}
-		return nil, false, nil
+		return nil, nil
 	}
-
-	// The in-memory cache missed; the on-disk store may still hold the
-	// result. Submit read it into stored, unless memory held the key then
-	// (read is false): the LRU has evicted it since, and this rare case
-	// reads under the lock rather than simulate again.
-	if !read && m.results != nil {
-		stored, _ = m.results.Get(j.key)
-	}
-	if stored != nil {
-		m.cache.add(j.key, stored)
-		m.registerLocked(j)
-		m.c.diskHits.Add(1)
-		j.cacheHit = true
-		return stored, true, nil
-	}
-
 	if err := m.startLocked(j); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	m.registerLocked(j)
-	return nil, false, nil
+	return nil, nil
 }
 
 // startLocked schedules a fresh execution for j — its spec's timeout (or a
@@ -464,21 +453,6 @@ func (m *Manager) startLocked(j *job) error {
 	j.exec = e
 	m.inflight[j.key] = e
 	return nil
-}
-
-// resultFromStore is startup recovery's read of the on-disk store; a hit
-// warms the in-memory cache. The raw stored JSON is returned: it
-// re-serializes byte-identically to the original result.
-func (m *Manager) resultFromStore(key Key) (any, bool) {
-	if m.results == nil {
-		return nil, false
-	}
-	raw, ok := m.results.Get(key)
-	if !ok {
-		return nil, false
-	}
-	m.cache.add(key, raw)
-	return raw, true
 }
 
 // journalLocked writes one record when journaling is enabled. For a
@@ -557,27 +531,27 @@ func (m *Manager) run(e *execution) {
 
 	m.c.executions.Add(1)
 	t0 := time.Now()
-	res, err := m.invoke(ctx, spec)
+	v, err := m.invoke(ctx, spec)
 	wall := time.Since(t0)
 	m.c.wallNanos.Add(uint64(wall))
 	if obs := m.obs.Load(); obs != nil {
 		(*obs)(spec, wall, err)
 	}
 
-	// Fill the on-disk cache before the jobs complete, outside m.mu. The
-	// write is not fsynced, and a failed one is only counted: recovery
-	// re-runs a done job whose result it cannot read.
-	if err == nil && m.results != nil {
-		if perr := m.results.Put(e.key, res); perr != nil {
-			m.c.journalErrors.Add(1)
+	// Encode the result once and fill the cache before the jobs complete,
+	// outside m.mu. The disk write is not fsynced, and a failed one is only
+	// counted: recovery re-runs a done job whose result it cannot read.
+	var res json.RawMessage
+	if err == nil {
+		if res, err = json.Marshal(v); err != nil {
+			err = fmt.Errorf("jobs: encoding result: %w", err)
+		} else {
+			m.results.put(e.key, res)
 		}
 	}
 
 	m.mu.Lock()
 	delete(m.inflight, e.key)
-	if err == nil {
-		m.cache.add(e.key, res)
-	}
 	state := StateDone
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -631,7 +605,7 @@ func (m *Manager) invoke(ctx context.Context, spec Spec) (res any, err error) {
 // the returned commit to awaitJournal after releasing m.mu. A completed
 // record is not waited for; it rides the next commit, since losing it
 // replays as a live job, which completes from the store or runs again.
-func (m *Manager) finalizeLocked(j *job, s State, res any, err error) (commit func() error) {
+func (m *Manager) finalizeLocked(j *job, s State, res json.RawMessage, err error) (commit func() error) {
 	switch j.state {
 	case StateQueued:
 		m.c.queued.Add(-1)

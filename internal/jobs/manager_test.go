@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -18,6 +20,12 @@ import (
 // instantRunner completes immediately, echoing the workload name.
 func instantRunner(ctx context.Context, spec Spec) (any, error) {
 	return spec.Workload + "-result", nil
+}
+
+// resultOf is the encoded result instantRunner (or a released
+// blockingRunner) gives workload's job.
+func resultOf(workload string) json.RawMessage {
+	return json.RawMessage(`"` + workload + `-result"`)
 }
 
 // blockingRunner blocks until release is closed or ctx ends, recording the
@@ -99,8 +107,8 @@ func TestJobLifecycleToDone(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("final state = %q, want done", final.State)
 	}
-	if final.Result != "bfs-result" {
-		t.Fatalf("result = %v, want bfs-result", final.Result)
+	if !bytes.Equal(final.Result, resultOf("bfs")) {
+		t.Fatalf("result = %s, want %s", final.Result, resultOf("bfs"))
 	}
 	if final.Created.IsZero() || final.Started.IsZero() || final.Finished.IsZero() {
 		t.Fatalf("missing timestamps: %+v", final)
@@ -132,6 +140,40 @@ func TestJobFailureIsNotCached(t *testing.T) {
 	}
 	if st := m.Stats(); st.Executions != 2 || st.Failed != 2 || st.CacheHits != 0 {
 		t.Fatalf("stats = %+v, want 2 uncached executions", st)
+	}
+}
+
+// TestUnencodableResultFailsJob: a result is encoded once, when its run
+// ends. A value JSON cannot encode fails its job with the encoding error,
+// and nothing reaches memory or disk, so a repeat submission runs again.
+func TestUnencodableResultFailsJob(t *testing.T) {
+	rs, err := OpenResultStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newManager(t, Config{Workers: 1, Results: rs, Runner: func(context.Context, Spec) (any, error) {
+		return math.NaN(), nil
+	}})
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		info, err := m.Submit(spec("bfs"))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		final, err := m.Wait(ctx, info.ID)
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		if final.State != StateFailed || final.CacheHit || final.Result != nil ||
+			!strings.Contains(final.Error, "encoding result") || !strings.Contains(final.Error, "NaN") {
+			t.Fatalf("final = %+v, want failed with the encoding error", final)
+		}
+	}
+	if st := m.Stats(); st.Executions != 2 || st.Failed != 2 || st.CacheHits != 0 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want 2 uncached executions", st)
+	}
+	if st := rs.Stats(); st.Puts != 0 || st.Files != 0 {
+		t.Fatalf("result store stats = %+v, want nothing stored", st)
 	}
 }
 
@@ -366,7 +408,7 @@ func TestSingleflightDedup(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Wait(%s): %v", id, err)
 		}
-		if final.State != StateDone || final.Result != "bfs-result" {
+		if final.State != StateDone || !bytes.Equal(final.Result, resultOf("bfs")) {
 			t.Fatalf("job %s = %+v, want done with shared result", id, final)
 		}
 	}
@@ -394,7 +436,7 @@ func TestResultCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if second.State != StateDone || !second.CacheHit || second.Result != "bfs-result" {
+	if second.State != StateDone || !second.CacheHit || !bytes.Equal(second.Result, resultOf("bfs")) {
 		t.Fatalf("second = %+v, want immediate cached completion", second)
 	}
 	st := m.Stats()
@@ -425,7 +467,7 @@ func TestSubmitDiskHitsNeverResimulate(t *testing.T) {
 	specs := make([]Spec, k)
 	for i := range specs {
 		specs[i] = spec(fmt.Sprintf("wl%d", i))
-		if err := rs.Put(specs[i].Key(), specs[i].Workload+"-result"); err != nil {
+		if err := rs.Put(specs[i].Key(), resultOf(specs[i].Workload)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -143,8 +143,8 @@ func (m *Manager) recover(rs *replayState) {
 				&RecoveredError{State: rj.state, Reason: "journalled spec unusable: " + rj.specErr.Error()})
 			info.Unrecoverable++
 		case rj.state == StateDone:
-			res, ok := m.resultFromStore(j.key)
-			if !ok { // the store is a cache a crash may have emptied
+			res, from := m.results.get(j.key)
+			if from == missed { // the store is a cache a crash may have emptied
 				m.requeueLocked(j, rj, info, &info.ResultsMissing)
 				continue
 			}
@@ -154,7 +154,7 @@ func (m *Manager) recover(rs *replayState) {
 		case rj.state == StateCancelled:
 			m.finalizeLocked(j, StateCancelled, nil, context.Canceled)
 		default: // queued or running at the crash
-			if res, ok := m.resultFromStore(j.key); ok {
+			if res, from := m.results.get(j.key); from != missed {
 				j.cacheHit = true
 				m.c.diskHits.Add(1)
 				m.finalizeLocked(j, StateDone, res, nil)

@@ -97,15 +97,10 @@ func TestRecoveryRestoresHistory(t *testing.T) {
 		if info.State != StateDone || !info.Recovered || info.Spec.Workload != workload {
 			t.Fatalf("recovered job %s = %+v", id, info)
 		}
-		// The recovered result is the stored raw JSON; it must serialize
-		// byte-identically to the original in-memory result.
-		raw, ok := info.Result.(json.RawMessage)
-		if !ok {
-			t.Fatalf("recovered result has type %T", info.Result)
-		}
-		want, _ := json.Marshal(workload + "-result")
-		if !bytes.Equal(raw, want) {
-			t.Fatalf("recovered result %s, want %s", raw, want)
+		// The recovered result is the stored JSON: the bytes the first
+		// run encoded.
+		if want := resultOf(workload); !bytes.Equal(info.Result, want) {
+			t.Fatalf("recovered result %s, want %s", info.Result, want)
 		}
 	}
 	if st := m2.Stats(); st.Recovered != 2 {
@@ -236,7 +231,7 @@ func TestRecoveryCompletesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Put(s.Key(), "nw-result"); err != nil {
+	if err := rs.Put(s.Key(), resultOf("nw")); err != nil {
 		t.Fatal(err)
 	}
 	writeJournal(t, filepath.Join(dir, "journal"), []journal.Record{
@@ -276,7 +271,7 @@ func TestRecoveryResultMissing(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := spec("2mm")
-			want, _ := instantRunner(context.Background(), s)
+			want := resultOf(s.Workload)
 			rs, err := OpenResultStore(filepath.Join(dir, "results"), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -293,8 +288,8 @@ func TestRecoveryResultMissing(t *testing.T) {
 			})
 			m := newManager(t, durableConfig(t, dir, instantRunner))
 			info, err := m.Wait(context.Background(), "j00000001")
-			if err != nil || info.State != StateDone || info.Result != want {
-				t.Fatalf("job = %+v, %v; want done with %q", info, err, want)
+			if err != nil || info.State != StateDone || !bytes.Equal(info.Result, want) {
+				t.Fatalf("job = %+v, %v; want done with %s", info, err, want)
 			}
 			if rec := m.Recovery(); rec.ResultsMissing != 1 || rec.Requeued != 0 {
 				t.Fatalf("recovery info = %+v, want the one re-run under results_missing", rec)
@@ -569,8 +564,11 @@ func TestResultPutFailureRerunsAfterRestart(t *testing.T) {
 	if err != nil || first.State != StateDone {
 		t.Fatalf("job with a failing store = %+v, %v; the client must still get its result", first, err)
 	}
-	if st := m1.Stats(); st.JournalErrors < 1 {
-		t.Fatalf("stats = %+v, want the failed Put counted in JournalErrors", st)
+	if st := m1.Results().Stats(); st.PutErrors < 1 {
+		t.Fatalf("result store stats = %+v, want the failed Put counted in PutErrors", st)
+	}
+	if st := m1.Stats(); st.JournalErrors != 0 {
+		t.Fatalf("stats = %+v: a failed result write is not a journal error", st)
 	}
 	if err := m1.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -593,10 +591,9 @@ func TestResultPutFailureRerunsAfterRestart(t *testing.T) {
 	if st := m2.Stats(); st.Executions != 1 || st.JournalErrors != 0 {
 		t.Fatalf("stats = %+v, want one re-execution on the healthy store", st)
 	}
-	want, _ := json.Marshal(first.Result)
-	got, _ := json.Marshal(again.Result)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("re-executed result %s, want %s", got, want)
+	want := first.Result
+	if !bytes.Equal(again.Result, want) {
+		t.Fatalf("re-executed result %s, want %s", again.Result, want)
 	}
 	if raw, ok := m2.Results().Get(first.Spec.Key()); !ok || !bytes.Equal(raw, want) {
 		t.Fatalf("stored result = %s, %v; want %s in the store after the re-run", raw, ok, want)

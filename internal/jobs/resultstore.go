@@ -25,6 +25,7 @@ type ResultStoreStats struct {
 	Hits      uint64 `json:"hits" metric:"critloadd_resultstore_hits_total,counter" help:"Result reads served from the on-disk store."`
 	Misses    uint64 `json:"misses" metric:"critloadd_resultstore_misses_total,counter" help:"Result reads that found nothing on disk."`
 	Puts      uint64 `json:"puts" metric:"critloadd_resultstore_puts_total,counter" help:"Results persisted to the on-disk store."`
+	PutErrors uint64 `json:"put_errors" metric:"critloadd_resultstore_put_errors_total,counter" help:"Result writes to the on-disk store that failed."`
 	Evictions uint64 `json:"evictions" metric:"critloadd_resultstore_evictions_total,counter" help:"Result files evicted to stay under the disk budget."`
 	Dropped   uint64 `json:"dropped" metric:"critloadd_resultstore_dropped_total,counter" help:"Corrupt or version-mismatched result files deleted on read."`
 	Files     int    `json:"files" metric:"critloadd_resultstore_files,gauge" help:"Result files currently on disk."`
@@ -39,8 +40,8 @@ type ResultStoreStats struct {
 // not fsynced, and recovery re-runs a job whose file a crash took. Safe
 // for concurrent use by multiple goroutines and processes.
 type ResultStore struct {
-	blobs        *blobstore.Store
-	hits, misses atomic.Uint64
+	blobs                   *blobstore.Store
+	hits, misses, putErrors atomic.Uint64
 }
 
 // OpenResultStore creates (if needed) and opens a result store directory.
@@ -56,18 +57,13 @@ func OpenResultStore(dir string, budgetBytes int64) (*ResultStore, error) {
 // Dir returns the store directory.
 func (s *ResultStore) Dir() string { return s.blobs.Dir() }
 
-// Put serializes v to its canonical JSON and writes it atomically under
-// key. Results are content-addressed — an identical spec produces an
-// identical result — so overwriting an existing file is a no-op.
-func (s *ResultStore) Put(key Key, v any) error {
-	if s.blobs.Has(key.String()) {
-		return nil
-	}
-	payload, err := json.Marshal(v)
-	if err == nil {
-		err = s.blobs.Write(key.String(), nil, payload)
-	}
-	if err != nil {
+// Put writes a result's JSON encoding atomically under key. Results are
+// content-addressed — an identical spec produces identical bytes — so
+// overwriting an existing file rewrites the same bytes. A failure is
+// counted in PutErrors.
+func (s *ResultStore) Put(key Key, payload json.RawMessage) error {
+	if err := s.blobs.Write(key.String(), nil, payload); err != nil {
+		s.putErrors.Add(1)
 		return fmt.Errorf("jobs: result store put: %w", err)
 	}
 	return nil
@@ -75,12 +71,11 @@ func (s *ResultStore) Put(key Key, v any) error {
 
 // Get returns the stored result's JSON for key, or ok == false when the
 // store holds nothing usable (a corrupt or version-mismatched file is
-// deleted and reads as absent). The raw JSON is returned, not a decoded
-// value: it re-serializes byte-identically to the original result, which
-// is what the crash-recovery harness asserts.
+// deleted and reads as absent; no encoding is empty, so neither is a
+// result). The bytes are returned as Put was given them.
 func (s *ResultStore) Get(key Key) (json.RawMessage, bool) {
 	_, payload, err := s.blobs.Read(key.String())
-	if err != nil {
+	if err != nil || len(payload) == 0 {
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -92,7 +87,7 @@ func (s *ResultStore) Get(key Key) (json.RawMessage, bool) {
 func (s *ResultStore) Stats() ResultStoreStats {
 	b := s.blobs.Stats()
 	return ResultStoreStats{
-		Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: b.Writes,
+		Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: b.Writes, PutErrors: s.putErrors.Load(),
 		Evictions: b.Evictions, Dropped: b.Dropped, Files: b.Files, Bytes: b.Bytes,
 	}
 }

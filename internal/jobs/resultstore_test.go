@@ -40,6 +40,15 @@ func sampleResult(n int) *fakeResult {
 	return r
 }
 
+// sampleJSON is sampleResult(n) encoded, as the manager hands it to Put.
+func sampleJSON(n int) json.RawMessage {
+	b, err := json.Marshal(sampleResult(n))
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestResultStoreRoundTrip(t *testing.T) {
 	s, err := OpenResultStore(t.TempDir(), 0)
 	if err != nil {
@@ -47,15 +56,15 @@ func TestResultStoreRoundTrip(t *testing.T) {
 	}
 	key := testKey(1)
 	want := sampleResult(1)
-	if err := s.Put(key, want); err != nil {
+	if err := s.Put(key, sampleJSON(1)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	raw, ok := s.Get(key)
 	if !ok {
 		t.Fatal("Get missed a stored result")
 	}
-	// The stored JSON must be the value's canonical serialization: decoding
-	// yields a deep-equal value, and re-marshalling yields identical bytes.
+	// The stored JSON must be the bytes Put was given, the value's
+	// canonical serialization: decoding yields a deep-equal value.
 	var got fakeResult
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatalf("stored payload does not decode: %v", err)
@@ -79,12 +88,15 @@ func TestResultStorePutIsIdempotent(t *testing.T) {
 	}
 	key := testKey(1)
 	for i := 0; i < 3; i++ {
-		if err := s.Put(key, sampleResult(1)); err != nil {
+		if err := s.Put(key, sampleJSON(1)); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if st := s.Stats(); st.Puts != 1 || st.Files != 1 {
-		t.Fatalf("repeated Put not a no-op: %+v", st)
+	if st := s.Stats(); st.Files != 1 {
+		t.Fatalf("repeated Put left %d files, want 1: %+v", st.Files, st)
+	}
+	if raw, ok := s.Get(key); !ok || !bytes.Equal(raw, sampleJSON(1)) {
+		t.Fatalf("Get after repeated Put = %s, %v", raw, ok)
 	}
 }
 
@@ -119,7 +131,7 @@ func TestResultStoreCorruptionDropped(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := testKey(7)
-			if err := s.Put(key, sampleResult(7)); err != nil {
+			if err := s.Put(key, sampleJSON(7)); err != nil {
 				t.Fatal(err)
 			}
 			path := resultPath(s, key)
@@ -193,7 +205,7 @@ func TestResultStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				k := testKey(i % 10)
-				if err := s.Put(k, sampleResult(i%10)); err != nil {
+				if err := s.Put(k, sampleJSON(i%10)); err != nil {
 					t.Errorf("Put: %v", err)
 					return
 				}
@@ -225,7 +237,7 @@ func TestResultStoreIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(testKey(1), sampleResult(1)); err != nil {
+	if err := s.Put(testKey(1), sampleJSON(1)); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Files != 1 {

@@ -22,9 +22,9 @@ type Stats struct {
 	WallNanos   uint64 `json:"wall_nanos" metric:"critloadd_job_wall_seconds_total,counter" div:"1e9" help:"Total runner wall-clock time."`
 	DiskHits    uint64 `json:"disk_hits" metric:"critloadd_resultstore_disk_hits_total,counter" when:"results" help:"Submissions answered from the on-disk result store."`
 	Recovered   uint64 `json:"recovered" metric:"critloadd_jobs_recovered_total,counter" when:"journal" help:"Jobs rebuilt from the journal at startup."`
-	// JournalErrors counts durability failures: journal appends or result
-	// store writes that did not reach disk. Zero in a healthy daemon.
-	JournalErrors uint64 `json:"journal_errors" metric:"critloadd_journal_errors_total,counter" when:"journal" help:"Durability failures: journal appends or result writes that did not reach disk."`
+	// JournalErrors counts failed journal appends, fsyncs and compactions,
+	// zero in a healthy daemon. Failed result writes count in PutErrors.
+	JournalErrors uint64 `json:"journal_errors" metric:"critloadd_journal_errors_total,counter" when:"journal" help:"Journal appends or fsyncs that did not reach disk."`
 
 	// Current-state gauges.
 	Queued  int64 `json:"queued" metric:"critloadd_queue_depth,gauge" help:"Jobs waiting for a worker."`

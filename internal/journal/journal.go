@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -147,7 +149,7 @@ func segmentHeader() []byte {
 }
 
 // replaySegment scans one segment's bytes, delivering valid records to fn
-// and returning the number of valid bytes (header included). tail is true
+// and returning the number of valid bytes (header included). torn is true
 // when the segment ended at a corruption boundary rather than cleanly.
 func replaySegment(b []byte, fn func(Record) error) (valid int64, n uint64, torn bool, err error) {
 	if len(b) < segHeaderLen || string(b[:len(segMagic)]) != segMagic ||
@@ -171,41 +173,45 @@ func replaySegment(b []byte, fn func(Record) error) (valid int64, n uint64, torn
 	return int64(off), n, false, nil
 }
 
-// Replay reads every valid record in dir, in order, delivering each to fn.
-// It stops cleanly at the first invalid byte — a torn tail, a bit flip, a
-// foreign segment header — and reports how much it had to abandon; it
-// never fails on corruption, only on I/O errors or a non-nil fn error.
-// A missing directory replays as empty.
-func Replay(dir string, fn func(Record) error) (ReplayStats, error) {
+// segmentReport is what walk found in one segment.
+type segmentReport struct {
+	seq   int
+	valid int64 // valid bytes, header included
+	torn  bool  // the corruption boundary lies in this segment
+	past  bool  // past an earlier segment's boundary: abandoned unread
+}
+
+// walk replays dir's segments in order, delivering each valid record to fn,
+// up to the first corruption boundary: a later segment's records may depend
+// on lost ones, so every segment after it is abandoned unread. It reports
+// each segment and tallies the pass; it changes nothing on disk.
+func walk(dir string, fn func(Record) error) ([]segmentReport, ReplayStats, error) {
 	var st ReplayStats
 	seqs, err := segments(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return st, nil
-		}
-		return st, fmt.Errorf("journal: replay: %w", err)
+		return nil, st, fmt.Errorf("journal: %w", err)
 	}
+	reps := make([]segmentReport, 0, len(seqs))
 	boundary := false
 	for _, seq := range seqs {
 		path := segPath(dir, seq)
-		info, err := os.Stat(path)
-		if err != nil {
-			continue
-		}
 		if boundary {
-			// A corruption boundary in an earlier segment invalidates
-			// everything after it: later records may depend on lost ones.
-			st.TruncatedBytes += info.Size()
-			st.DroppedSegments++
+			if info, err := os.Stat(path); err == nil {
+				st.TruncatedBytes += info.Size()
+				st.DroppedSegments++
+				reps = append(reps, segmentReport{seq: seq, past: true})
+			}
 			continue
 		}
 		b, err := os.ReadFile(path)
-		if err != nil {
-			return st, fmt.Errorf("journal: replay %s: %w", path, err)
+		if os.IsNotExist(err) {
+			continue // gone since the listing
+		} else if err != nil {
+			return nil, st, fmt.Errorf("journal: read %s: %w", path, err)
 		}
 		valid, n, torn, err := replaySegment(b, fn)
 		if err != nil {
-			return st, err
+			return nil, st, err
 		}
 		st.Records += n
 		st.Bytes += valid
@@ -216,8 +222,22 @@ func Replay(dir string, fn func(Record) error) (ReplayStats, error) {
 				st.DroppedSegments++
 			}
 		}
+		reps = append(reps, segmentReport{seq: seq, valid: valid, torn: torn})
 	}
-	return st, nil
+	return reps, st, nil
+}
+
+// Replay reads every valid record in dir, in order, delivering each to fn.
+// It stops cleanly at the first invalid byte — a torn tail, a bit flip, a
+// foreign segment header — and reports how much it had to abandon; it
+// never fails on corruption, only on I/O errors or a non-nil fn error.
+// A missing directory replays as empty.
+func Replay(dir string, fn func(Record) error) (ReplayStats, error) {
+	_, st, err := walk(dir, fn)
+	if errors.Is(err, fs.ErrNotExist) {
+		return ReplayStats{}, nil
+	}
+	return st, err
 }
 
 // Open replays dir's records through fn (may be nil), repairs any torn
@@ -237,46 +257,24 @@ func Open(dir string, opts Options, fn func(Record) error) (*Journal, error) {
 	j := &Journal{dir: dir, opts: opts}
 	j.synced.L = &j.mu
 
-	seqs, err := segments(dir)
+	reps, st, err := walk(dir, fn)
 	if err != nil {
-		return nil, fmt.Errorf("journal: open: %w", err)
+		return nil, err
 	}
-	boundary := false
+	j.replay = st
 	lastSeq, lastValid := 0, int64(0)
-	for _, seq := range seqs {
-		path := segPath(dir, seq)
-		if boundary {
-			if info, err := os.Stat(path); err == nil {
-				j.replay.TruncatedBytes += info.Size()
-			}
-			j.replay.DroppedSegments++
+	for _, r := range reps {
+		path := segPath(dir, r.seq)
+		switch {
+		case r.past || r.valid == 0: // abandoned, or not even the header survived
 			os.Remove(path)
 			continue
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("journal: open %s: %w", path, err)
-		}
-		valid, n, torn, err := replaySegment(b, fn)
-		if err != nil {
-			return nil, err
-		}
-		j.replay.Records += n
-		j.replay.Bytes += valid
-		if torn {
-			boundary = true
-			j.replay.TruncatedBytes += int64(len(b)) - valid
-			if valid == 0 {
-				// Not even the header survived; drop the file entirely.
-				j.replay.DroppedSegments++
-				os.Remove(path)
-				continue
-			}
-			if err := os.Truncate(path, valid); err != nil {
+		case r.torn:
+			if err := os.Truncate(path, r.valid); err != nil {
 				return nil, fmt.Errorf("journal: repairing torn tail of %s: %w", path, err)
 			}
 		}
-		lastSeq, lastValid = seq, valid
+		lastSeq, lastValid = r.seq, r.valid
 	}
 
 	if lastSeq == 0 || lastValid >= opts.SegmentBytes {

@@ -4,9 +4,9 @@
 // a field renamed here is renamed on both ends of the wire at once.
 //
 // The one body kept out of this package is the job snapshot: the daemon
-// serializes jobs.JobInfo, whose Result is whatever the runner returned, and
-// pkg/client decodes it into client.Job, whose Result stays raw JSON. A test
-// in pkg/client pins the two declarations to each other.
+// serializes jobs.JobInfo, whose Result is the runner's value encoded once
+// as JSON, and pkg/client decodes it into client.Job, whose Result stays raw
+// JSON. A test in pkg/client pins the two declarations to each other.
 //
 // The package imports only the standard library.
 package api

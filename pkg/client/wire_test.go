@@ -51,7 +51,7 @@ func TestJobInfoMatchesClientJob(t *testing.T) {
 	done.Started, done.Finished = t0.Add(time.Millisecond), t0.Add(9*time.Millisecond)
 	done.QueuedMillis, done.WallMillis = 1, 8
 	done.CacheHit, done.Recovered = true, true
-	done.Result = map[string]any{"workload": "2mm", "cycles": 7855}
+	done.Result = json.RawMessage(`{"workload":"2mm","cycles":7855}`)
 
 	failed := base
 	failed.State = jobs.StateFailed

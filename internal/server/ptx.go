@@ -61,6 +61,14 @@ func (s *Server) handlePTX(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	resp := ptxResult(src, prog)
+	s.metrics.observePTX(true)
+	writePTX(w, &resp)
+}
+
+// ptxResult is an accepted program's response: its digest and every
+// kernel's shape and load classes.
+func ptxResult(src string, prog *ptx.Program) api.PTXResult {
 	resp := api.PTXResult{
 		SHA256:  fmt.Sprintf("%x", sha256.Sum256([]byte(src))),
 		Kernels: []api.PTXKernel{},
@@ -77,8 +85,7 @@ func (s *Server) handlePTX(w http.ResponseWriter, r *http.Request) {
 			Loads:            kj.Loads,
 		})
 	}
-	s.metrics.observePTX(true)
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // diagnostics maps a parse/validation error to the response diagnostic list.

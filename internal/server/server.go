@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"critload/internal/dataflow"
@@ -118,40 +117,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	s.handler.ServeHTTP(w, r)
 }
-
-// writeJSON emits one JSON response; encoding errors at this point can only
-// be I/O failures on a hung client, so they are dropped.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	j := jsonWriters.Get().(*jsonWriter)
-	j.buf.Reset()
-	if j.enc.Encode(v) == nil {
-		_, _ = w.Write(j.buf.Bytes())
-	}
-	if j.buf.Cap() <= maxPooledJSON {
-		jsonWriters.Put(j)
-	}
-}
-
-// jsonWriter is one pooled indenting encoder with its output buffer. A
-// json.Encoder keeps its indentation scratch between calls, so reusing one
-// saves re-growing both buffers for every response; the bytes written are
-// the same single Write a fresh Encoder on the ResponseWriter makes.
-type jsonWriter struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// maxPooledJSON keeps an occasional huge response from pinning its buffers.
-const maxPooledJSON = 1 << 20
-
-var jsonWriters = sync.Pool{New: func() any {
-	j := &jsonWriter{}
-	j.enc = json.NewEncoder(&j.buf)
-	j.enc.SetIndent("", "  ")
-	return j
-}}
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, api.Error{Message: fmt.Sprintf(format, args...)})
@@ -285,7 +250,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 				writeError(w, status, "%v", err)
 				return
 			}
-			writeJSON(w, http.StatusOK, resp)
+			writeClassify(w, resp)
 			return
 		}
 		src = req.PTX
@@ -295,7 +260,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeClassify(w, resp)
 }
 
 // ---------------------------------------------------------------------------
@@ -317,8 +282,16 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp := api.BatchResult{Items: make([]api.BatchItemResult, 0, len(req.Items))}
-	for _, it := range req.Items {
+	resp := classifyBatch(req.Items)
+	s.metrics.observeBatch(len(resp.Items), resp.Failed)
+	writeBatch(w, &resp)
+}
+
+// classifyBatch classifies each item on its own: a source that fails takes
+// the status the single endpoint would answer and fails only its slot.
+func classifyBatch(items []api.BatchItem) api.BatchResult {
+	resp := api.BatchResult{Items: make([]api.BatchItemResult, 0, len(items))}
+	for _, it := range items {
 		out := api.BatchItemResult{ID: it.ID}
 		res, status, err := classifySource(it.PTX)
 		out.Status = status
@@ -331,8 +304,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Items = append(resp.Items, out)
 	}
-	s.metrics.observeBatch(len(resp.Items), resp.Failed)
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // ---------------------------------------------------------------------------
@@ -374,7 +346,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	info, err := s.mgr.Submit(spec)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, info)
+		writeJob(w, http.StatusAccepted, &info)
 	case errors.Is(err, jobs.ErrQueueFull):
 		// Push-back responses carry Retry-After so well-behaved clients
 		// (pkg/client among them) know how long to hold off instead of
@@ -406,7 +378,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "no job %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		writeJob(w, http.StatusOK, &info)
 		return
 	}
 	info, err := s.mgr.Get(id)
@@ -414,7 +386,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJob(w, http.StatusOK, &info)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -423,7 +395,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	writeJob(w, http.StatusOK, &info)
 }
 
 // ---------------------------------------------------------------------------

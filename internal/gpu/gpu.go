@@ -182,7 +182,7 @@ func New(cfg Config, memory *mem.Memory, col *stats.Collector) (*GPU, error) {
 		col = stats.New()
 	}
 	if cfg.FastForward {
-		if g := poolOf(cfg).get(); g != nil {
+		if g := takeIdle(cfg); g != nil {
 			g.bind(cfg, memory, col)
 			return g, nil
 		}

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"critload/internal/mem"
@@ -16,78 +17,34 @@ import (
 // fast-forward device is reset to the state New builds and handed to the
 // next New of the same architecture instead.
 //
-// The pools are keyed by Config.Arch(), which clears the engine and the run
-// budgets, so a client's max_cycles or max_warp_insts cannot mint a new
-// pool; New sets the budgets again on every reuse. The garbage collector
-// bounds what idle devices retain: a device released before the previous
-// collection and not taken since is dropped at the next one, as sync.Pool
-// drops its items. A sync.Pool itself does not fit: a device Put from one P
-// sits in that P's private slot, which a Get on another P cannot see, so a
-// goroutine that migrates between runs builds a second device and the pool
-// ends up holding one per P. The naive engine never pools: it keeps building
-// fresh devices and stays the oracle.
-var pools sync.Map // Config (an Arch() value) → *pool
-
-// pool is one architecture's idle devices, newest last.
-type pool struct {
-	mu sync.Mutex
-	// fresh were released since the last collection, aged before it.
-	fresh, aged []*GPU
+// Idle devices wait in one process-wide list, newest last. New takes the
+// newest one whose Config.Arch() matches; Arch clears the engine and the run
+// budgets, so a client's max_cycles or max_warp_insts cannot keep a device
+// of its own, and New sets the budgets again on every reuse. The list holds
+// at most GOMAXPROCS devices, as many as runs that can execute at once, and
+// Release drops the oldest to make room. What the list keeps depends on this
+// rule alone: an idle device survives any number of collections. A
+// sync.Pool would hand that choice back to the collector, and hides a device
+// put on one P from a Get on another (docs/PERFORMANCE.md §16). The naive
+// engine never pools: it keeps building fresh devices and stays the oracle.
+var idle struct {
+	sync.Mutex
+	devs []*GPU
 }
 
-// poolOf returns the device pool of cfg's architecture.
-func poolOf(cfg Config) *pool {
-	key := cfg.Arch()
-	if p, ok := pools.Load(key); ok {
-		return p.(*pool)
-	}
-	p, _ := pools.LoadOrStore(key, new(pool))
-	return p.(*pool)
-}
-
-// get takes the most recently released device, nil when there is none.
-func (p *pool) get() *GPU {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, l := range []*[]*GPU{&p.fresh, &p.aged} {
-		if n := len(*l); n > 0 {
-			g := (*l)[n-1]
-			(*l)[n-1] = nil
-			*l = (*l)[:n-1]
+// takeIdle removes and returns the most recently released device of cfg's
+// architecture, nil when there is none.
+func takeIdle(cfg Config) *GPU {
+	arch := cfg.Arch()
+	idle.Lock()
+	defer idle.Unlock()
+	for i := len(idle.devs) - 1; i >= 0; i-- {
+		if g := idle.devs[i]; g.cfg.Arch() == arch {
+			idle.devs = slices.Delete(idle.devs, i, i+1)
 			return g
 		}
 	}
 	return nil
-}
-
-func (p *pool) put(g *GPU) {
-	p.mu.Lock()
-	p.fresh = append(p.fresh, g)
-	p.mu.Unlock()
-}
-
-// age drops the devices that stayed idle across a whole collection cycle and
-// ages the rest.
-func (p *pool) age() {
-	p.mu.Lock()
-	clear(p.aged)
-	p.aged, p.fresh = p.fresh, p.aged[:0]
-	p.mu.Unlock()
-}
-
-// gcTick's finalizer ages every pool once per collection and re-arms itself.
-// The pointer field keeps it out of the tiny allocator, whose objects may
-// never be finalized.
-type gcTick struct{ _ *byte }
-
-func init() { runtime.SetFinalizer(new(gcTick), onCollection) }
-
-func onCollection(t *gcTick) {
-	pools.Range(func(_, p any) bool {
-		p.(*pool).age()
-		return true
-	})
-	runtime.SetFinalizer(t, onCollection)
 }
 
 // Release hands a device whose run is over back for reuse by a later New of
@@ -102,7 +59,12 @@ func (g *GPU) Release() {
 		return
 	}
 	g.reset()
-	poolOf(g.cfg).put(g)
+	idle.Lock()
+	idle.devs = append(idle.devs, g)
+	if over := len(idle.devs) - runtime.GOMAXPROCS(0); over > 0 {
+		idle.devs = slices.Delete(idle.devs, 0, over)
+	}
+	idle.Unlock()
 }
 
 // reset returns a device at a clean boundary to the state build leaves it

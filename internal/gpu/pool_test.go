@@ -14,23 +14,31 @@ import (
 )
 
 // A pooled device is reachable only through client input, so client input
-// must not be able to balloon what the pools hold: a job's budgets cannot
-// mint a pool of their own, and an idle device keeps no earlier program.
+// must not be able to balloon what the idle list holds: a job's budgets
+// cannot keep a device of their own, and an idle device keeps no earlier
+// program.
 
 // TestPoolKeyIgnoresBudgets runs timing jobs with 50 distinct max_cycles
-// values: they share one pool, and every reuse runs under its own job's
-// bound, not the one the device last ran with.
+// values: they all run on one device, and every reuse runs under its own
+// job's bound, not the one the device last ran with.
 func TestPoolKeyIgnoresBudgets(t *testing.T) {
 	run := server.SimRunner()
-	before := gpu.PoolCount()
+	cfg := gpu.DefaultConfig()
+	var dev *gpu.GPU
 	for i := 0; i < 50; i++ {
 		spec := jobs.Spec{Workload: "srad", Mode: jobs.ModeTiming, Size: 32, Seed: int64(i), MaxCycles: 10_000_000 + int64(i)}
 		if _, err := run(context.Background(), spec); err != nil {
 			t.Fatalf("max_cycles %d: %v", spec.MaxCycles, err)
 		}
-	}
-	if n := gpu.PoolCount() - before; n > 1 {
-		t.Fatalf("50 max_cycles values made %d pools, want at most 1", n)
+		g := gpu.TakeIdle(cfg)
+		if g == nil {
+			t.Fatalf("max_cycles %d: the run left no idle device", spec.MaxCycles)
+		}
+		if i > 0 && g != dev {
+			t.Fatalf("max_cycles %d ran on a device other than the first job's", spec.MaxCycles)
+		}
+		dev = g
+		g.Release()
 	}
 	spec := jobs.Spec{Workload: "srad", Mode: jobs.ModeTiming, Size: 32, Seed: 1, MaxCycles: 1000}
 	if _, err := run(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "exceeded 1000 cycles") {
@@ -54,7 +62,7 @@ func TestIdleDeviceHoldsNoEarlierProgram(t *testing.T) {
 		}
 		g := gpu.TakeIdle(cfg)
 		if g == nil {
-			continue // collections aged the idle device out
+			t.Fatalf("%s: the run left no idle device", name)
 		}
 		for _, k := range g.ClassifiedKernels() {
 			if !slices.Contains(r.Instance.Prog.Kernels, k) {

@@ -3,8 +3,9 @@ package gpu
 import (
 	"bytes"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
-	"time"
 
 	"critload/internal/cache"
 	"critload/internal/mem"
@@ -58,7 +59,8 @@ func TestResetEqualsNew(t *testing.T) {
 }
 
 // TestReleasePoolsOnlyCleanBoundaries pins which devices Release pools: a
-// fast-forward device at a clean boundary, in its own architecture's pool.
+// fast-forward device at a clean boundary, taken only by its own
+// architecture.
 // A naive device, a budget-stopped one, one whose launch failed and one
 // whose Restore failed are dropped.
 func TestReleasePoolsOnlyCleanBoundaries(t *testing.T) {
@@ -76,18 +78,15 @@ func TestReleasePoolsOnlyCleanBoundaries(t *testing.T) {
 		}
 		return g, inst.Run(g.LaunchKernel)
 	}
-	// pooled releases g and reports whether it landed in cfg's pool, which
-	// it empties.
+	// pooled releases g and reports whether it landed in the idle list
+	// under cfg's architecture, whose devices it takes out.
 	pooled := func(cfg Config, g *GPU) bool {
 		g.Release()
 		found := false
-		for p := poolOf(cfg); ; {
-			d := p.get()
-			if d == nil {
-				return found
-			}
+		for d := takeIdle(cfg); d != nil; d = takeIdle(cfg) {
 			found = found || d == g
 		}
+		return found
 	}
 
 	g, err := srad(t, clean)
@@ -105,7 +104,7 @@ func TestReleasePoolsOnlyCleanBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pooled(clean, g) {
-		t.Errorf("an ablation device reached the default configuration's pool")
+		t.Errorf("an ablation device was taken for the default configuration")
 	}
 
 	naive := clean
@@ -143,36 +142,100 @@ func TestReleasePoolsOnlyCleanBoundaries(t *testing.T) {
 	}
 }
 
-// TestIdleDevicesAgeOut pins the pools' retention: a device idle across a
-// whole collection cycle is dropped at the next collection, and the
-// collector drives that without anyone calling into the package.
-func TestIdleDevicesAgeOut(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumSMs = 3 // an architecture of its own, so no other test's devices
-	p := poolOf(cfg)
-	g := MustNew(cfg, nil, nil)
-	g.Release()
-	p.age()
-	if d := p.get(); d != g {
-		t.Fatalf("a device released just before a collection was dropped")
+// idleDevices is the idle list as it stands, oldest first.
+func idleDevices() []*GPU {
+	idle.Lock()
+	defer idle.Unlock()
+	return slices.Clone(idle.devs)
+}
+
+// TestIdleDevicesBounded pins the idle list's retention rule: it keeps the
+// GOMAXPROCS most recently released devices whatever their architecture, New
+// takes the newest of its own architecture, and collections drop nothing.
+func TestIdleDevicesBounded(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// Two devices of one architecture must fit to tell newest from oldest.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	g.Release()
-	p.age()
-	p.age()
-	if p.get() != nil {
-		t.Fatalf("a device idle across a whole collection cycle was kept")
+	n := runtime.GOMAXPROCS(0)
+	// Architectures of their own, so no other test's devices match.
+	three, four := DefaultConfig(), DefaultConfig()
+	three.NumSMs, four.NumSMs = 3, 4
+	// Two devices of four, then n of three, released oldest first.
+	devs := make([]*GPU, n+2)
+	for i := range devs {
+		cfg := three
+		if i < 2 {
+			cfg = four
+		}
+		g, err := build(cfg, mem.New(), stats.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs[i] = g
 	}
-	g.Release()
-	idle := func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return len(p.fresh)+len(p.aged) > 0
-	}
-	for i := 0; i < 100 && idle(); i++ {
+	for _, g := range devs {
+		g.Release()
 		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
 	}
-	if idle() {
-		t.Fatalf("collections did not drain an idle device")
+	for i := 0; i < 3; i++ {
+		if got := idleDevices(); !slices.Equal(got, devs[2:]) {
+			t.Fatalf("after %d collections the idle list holds %d devices, want exactly the %d newest released", i, len(got), n)
+		}
+		runtime.GC()
 	}
+	if g := MustNew(four, nil, nil); slices.Contains(devs, g) {
+		t.Fatalf("New of architecture four took a dropped or foreign device")
+	}
+	for i := n + 1; i >= 2; i-- {
+		if g := MustNew(three, nil, nil); g != devs[i] {
+			t.Fatalf("New took released device %d, want %d, the newest left of its architecture", slices.Index(devs, g), i)
+		}
+		runtime.GC()
+	}
+	if g := MustNew(three, nil, nil); slices.Contains(devs, g) {
+		t.Fatalf("New took a device the idle list had dropped")
+	}
+}
+
+// TestIdleListConcurrent takes and releases devices of two architectures from
+// four goroutines: no device may be handed to two holders at once, and the
+// idle list never grows past GOMAXPROCS.
+func TestIdleListConcurrent(t *testing.T) {
+	three, four := DefaultConfig(), DefaultConfig()
+	three.NumSMs, four.NumSMs = 3, 4
+	var mu sync.Mutex
+	held := map[*GPU]bool{}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 25; r++ {
+				cfg := three
+				if (w+r)%2 == 1 {
+					cfg = four
+				}
+				g := MustNew(cfg, nil, nil)
+				mu.Lock()
+				twice := held[g]
+				held[g] = true
+				mu.Unlock()
+				if twice {
+					t.Errorf("a device was handed to two holders at once")
+					return
+				}
+				runtime.Gosched()
+				mu.Lock()
+				delete(held, g)
+				mu.Unlock()
+				g.Release()
+				if n := len(idleDevices()); n > runtime.GOMAXPROCS(0) {
+					t.Errorf("the idle list holds %d devices, more than GOMAXPROCS", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

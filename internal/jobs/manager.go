@@ -57,8 +57,8 @@ var (
 )
 
 // Config sizes a manager. Zero fields select the defaults; values beyond
-// DefaultLimits are rejected, so a mistyped flag cannot allocate an
-// unbounded queue or cache.
+// the package's upper bounds are rejected, so a mistyped flag cannot
+// allocate an unbounded queue or cache.
 type Config struct {
 	// Workers is the pool size (0 = runtime.NumCPU()).
 	Workers int
@@ -100,24 +100,16 @@ const (
 	DefaultMaxJobs      = 4096
 )
 
-// Limits are safety upper bounds on a manager configuration.
-type Limits struct {
-	MaxWorkers      int
-	MaxQueueDepth   int
-	MaxCacheEntries int
-	MaxJobs         int
-}
+// Upper bounds on a manager configuration, a guard for service deployments.
+var (
+	maxWorkers      = 4 * runtime.NumCPU()
+	maxQueueDepth   = 4096
+	maxCacheEntries = 1 << 16
+	maxJobs         = 1 << 16
+)
 
-// DefaultLimits is a conservative guard for service deployments.
-var DefaultLimits = Limits{
-	MaxWorkers:      4 * runtime.NumCPU(),
-	MaxQueueDepth:   4096,
-	MaxCacheEntries: 1 << 16,
-	MaxJobs:         1 << 16,
-}
-
-// withDefaults resolves zero fields and checks the result against limits.
-func (c Config) withDefaults(l Limits) (Config, error) {
+// withDefaults resolves zero fields and checks the result against the bounds.
+func (c Config) withDefaults() (Config, error) {
 	if c.Runner == nil {
 		return c, fmt.Errorf("jobs: config has no runner")
 	}
@@ -134,14 +126,14 @@ func (c Config) withDefaults(l Limits) (Config, error) {
 		c.MaxJobs = DefaultMaxJobs
 	}
 	switch {
-	case c.Workers < 0 || c.Workers > l.MaxWorkers:
-		return c, fmt.Errorf("jobs: workers %d outside (0, %d]", c.Workers, l.MaxWorkers)
-	case c.QueueDepth < 0 || c.QueueDepth > l.MaxQueueDepth:
-		return c, fmt.Errorf("jobs: queue depth %d outside (0, %d]", c.QueueDepth, l.MaxQueueDepth)
-	case c.CacheEntries > l.MaxCacheEntries:
-		return c, fmt.Errorf("jobs: cache entries %d beyond %d", c.CacheEntries, l.MaxCacheEntries)
-	case c.MaxJobs < 0 || c.MaxJobs > l.MaxJobs:
-		return c, fmt.Errorf("jobs: max jobs %d outside (0, %d]", c.MaxJobs, l.MaxJobs)
+	case c.Workers < 0 || c.Workers > maxWorkers:
+		return c, fmt.Errorf("jobs: workers %d outside (0, %d]", c.Workers, maxWorkers)
+	case c.QueueDepth < 0 || c.QueueDepth > maxQueueDepth:
+		return c, fmt.Errorf("jobs: queue depth %d outside (0, %d]", c.QueueDepth, maxQueueDepth)
+	case c.CacheEntries > maxCacheEntries:
+		return c, fmt.Errorf("jobs: cache entries %d beyond %d", c.CacheEntries, maxCacheEntries)
+	case c.MaxJobs < 0 || c.MaxJobs > maxJobs:
+		return c, fmt.Errorf("jobs: max jobs %d outside (0, %d]", c.MaxJobs, maxJobs)
 	}
 	return c, nil
 }
@@ -262,7 +254,7 @@ type Manager struct {
 // re-enqueued otherwise — a corrupt journal degrades to a shorter replay
 // (worst case an empty queue), never a failed start.
 func NewManager(cfg Config) (*Manager, error) {
-	cfg, err := cfg.withDefaults(DefaultLimits)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}

@@ -575,9 +575,10 @@ func TestManagerConfigValidation(t *testing.T) {
 		{"defaults", Config{Runner: instantRunner}, true},
 		{"no runner", Config{}, false},
 		{"negative workers", Config{Workers: -1, Runner: instantRunner}, false},
-		{"workers beyond limit", Config{Workers: DefaultLimits.MaxWorkers + 1, Runner: instantRunner}, false},
-		{"queue beyond limit", Config{QueueDepth: DefaultLimits.MaxQueueDepth + 1, Runner: instantRunner}, false},
-		{"cache beyond limit", Config{CacheEntries: DefaultLimits.MaxCacheEntries + 1, Runner: instantRunner}, false},
+		{"workers beyond limit", Config{Workers: maxWorkers + 1, Runner: instantRunner}, false},
+		{"queue beyond limit", Config{QueueDepth: maxQueueDepth + 1, Runner: instantRunner}, false},
+		{"cache beyond limit", Config{CacheEntries: maxCacheEntries + 1, Runner: instantRunner}, false},
+		{"max jobs beyond limit", Config{MaxJobs: maxJobs + 1, Runner: instantRunner}, false},
 		{"cache disabled", Config{CacheEntries: -1, Runner: instantRunner}, true},
 	}
 	for _, tt := range tests {

@@ -162,7 +162,10 @@ type JobInfo struct {
 	// rather than submitted through this process's API.
 	Recovered bool `json:"recovered,omitempty"`
 	// Result is the runner's value as JSON, encoded once when its run
-	// ended: the bytes the cache holds and the API serves.
+	// ended: the bytes the cache holds and the API serves. Fresh or read
+	// back from the result store, they are json.Marshal output — compact,
+	// with <, >, &, U+2028 and U+2029 escaped — so the server only indents
+	// them (TestResultIsMarshalOutput).
 	Result json.RawMessage `json:"result,omitempty"`
 }
 

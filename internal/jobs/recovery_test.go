@@ -599,3 +599,69 @@ func TestResultPutFailureRerunsAfterRestart(t *testing.T) {
 		t.Fatalf("stored result = %s, %v; want %s in the store after the re-run", raw, ok, want)
 	}
 }
+
+// TestResultIsMarshalOutput pins what the daemon's wire encoder relies on:
+// every Result a manager hands out is json.Marshal output — compact, with
+// <, >, &, U+2028 and U+2029 escaped — so json.Marshal gives it back
+// unchanged. It holds for a fresh run, a memory hit, a disk hit after the
+// memory tier evicted the result, and a job recovered after a restart.
+func TestResultIsMarshalOutput(t *testing.T) {
+	runner := func(_ context.Context, s Spec) (any, error) {
+		return map[string]any{
+			"workload": s.Workload,
+			"html":     "<&>",
+			"lines":    "\u2028\u2029",
+			"invalid":  "\xff\xe2\x80",
+			"raw":      json.RawMessage("{ \"a\" : [ 1 , \"<\" ] }\n"),
+		}, nil
+	}
+	check := func(how string, info JobInfo) {
+		t.Helper()
+		if info.State != StateDone || len(info.Result) == 0 {
+			t.Fatalf("%s: job = %+v", how, info)
+		}
+		if again, err := json.Marshal(info.Result); err != nil || !bytes.Equal(again, info.Result) {
+			t.Errorf("%s: result %s is not json.Marshal output (%s, %v)", how, info.Result, again, err)
+		}
+	}
+	dir := t.TempDir()
+	cfg := durableConfig(t, dir, runner)
+	cfg.CacheEntries = 1
+	m1 := newManager(t, cfg)
+	ctx := context.Background()
+	run := func(workload string) JobInfo {
+		t.Helper()
+		info, err := m1.Submit(spec(workload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info, err = m1.Wait(ctx, info.ID); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+
+	first := run("a")
+	check("fresh run", first)
+	if hit := run("a"); !hit.CacheHit {
+		t.Fatalf("resubmission = %+v, want a memory hit", hit)
+	} else {
+		check("memory hit", hit)
+	}
+	run("b") // evicts a's result from the one-entry memory tier
+	if hit := run("a"); !hit.CacheHit || m1.Stats().DiskHits != 1 {
+		t.Fatalf("resubmission = %+v, stats %+v; want a disk hit", hit, m1.Stats())
+	} else {
+		check("disk hit", hit)
+	}
+	if err := m1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newManager(t, durableConfig(t, dir, runner))
+	recovered, err := m2.Get(first.ID)
+	if err != nil || !recovered.Recovered || m2.Stats().Executions != 0 {
+		t.Fatalf("after restart: %+v, %v, stats %+v; want the job recovered from the store", recovered, err, m2.Stats())
+	}
+	check("recovered", recovered)
+}

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http"
 	"reflect"
@@ -17,10 +16,11 @@ import (
 )
 
 // The hot responses — classify, batch, PTX and job snapshots — are written
-// by hand, in one pass, into a pooled buffer. Their bytes are exactly what a
-// json.Encoder with SetIndent("", "  ") writes for the same value, and they
-// fail exactly where it fails; encoding/json stays the oracle in the tests
-// and the encoder of the cold responses (catalog, health, errors).
+// by hand, in one pass, into a pooled buffer; a job's result, already JSON,
+// goes through json.Indent. Their bytes are exactly what a json.Encoder with
+// SetIndent("", "  ") writes for the same value, and they fail exactly where
+// it fails; encoding/json stays the oracle in the tests and the encoder of
+// the cold responses (catalog, health, errors).
 
 // maxPooledJSON keeps an occasional huge response from pinning its buffer.
 const maxPooledJSON = 1 << 20
@@ -457,111 +457,19 @@ func badOffset(z []byte) bool {
 	return '0' <= z[0] && z[0] <= '9' || 10*(z[1]-'0')+(z[2]-'0') >= 24
 }
 
-// maxNestingDepth is encoding/json's scanner limit on open containers.
-const maxNestingDepth = 10000
-
-// raw splices stored result bytes in as a value at the writer's depth. In
-// one pass it validates them as encoding/json's scanner does, drops their
-// whitespace, escapes <, >, &, U+2028 and U+2029 in their strings as
-// json.Compact with HTML escaping does, and indents them. Invalid bytes fail
-// with the error encoding/json reports for a json.RawMessage.
+// raw appends a job's result as the value of its "result" member, one level
+// into the job object. The bytes are json.Marshal output (see
+// jobs.JobInfo.Result): compact, with <, >, &, U+2028 and U+2029 already
+// escaped, so indenting them is all a json.Encoder still does to them.
+// Bytes that are not one JSON value fail with the error encoding/json
+// gives for a json.RawMessage.
 func (w *wireWriter) raw(src []byte) error {
-	// isObject is a bit stack: bit n is set when open container n is an object.
-	var isObject [maxNestingDepth/64 + 1]uint64
-	limit := maxNestingDepth - w.depth
-	b, level := w.b, 0
-	i := skipSpace(src, 0)
-values:
-	for {
-		// A value starts at i.
-		if i == len(src) {
-			return rawError(src, 0)
-		}
-		switch c := src[i]; c {
-		case '{', '[':
-			if level == limit {
-				return rawError(src, c)
-			}
-			b = append(b, c)
-			if i = skipSpace(src, i+1); i < len(src) && src[i] == c+2 { // '}' or ']'
-				b = append(b, c+2)
-				i++
-				break
-			}
-			isObject[level/64] &^= 1 << (level % 64)
-			if c == '{' {
-				isObject[level/64] |= 1 << (level % 64)
-			}
-			level++
-			b = appendNewline(b, w.depth+level)
-			if c == '{' {
-				var ok bool
-				if b, i, ok = rawKey(b, src, i); !ok {
-					return rawError(src, 0)
-				}
-			}
-			continue values
-		case '"':
-			var ok bool
-			if b, i, ok = rawString(b, src, i); !ok {
-				return rawError(src, 0)
-			}
-		case 't', 'f', 'n':
-			lit := "null"
-			if c == 't' {
-				lit = "true"
-			} else if c == 'f' {
-				lit = "false"
-			}
-			if len(src)-i < len(lit) || string(src[i:i+len(lit)]) != lit {
-				return rawError(src, 0)
-			}
-			b = append(b, lit...)
-			i += len(lit)
-		default:
-			end := rawNumber(src, i)
-			if end < 0 {
-				return rawError(src, 0)
-			}
-			b = append(b, src[i:end]...)
-			i = end
-		}
-		// A value ended: close what it completes, then a comma or the end.
-		for {
-			i = skipSpace(src, i)
-			if level == 0 {
-				if i != len(src) {
-					return rawError(src, 0)
-				}
-				w.b = b
-				return nil
-			}
-			if i == len(src) {
-				return rawError(src, 0)
-			}
-			inObject := isObject[(level-1)/64]&(1<<((level-1)%64)) != 0
-			switch c := src[i]; {
-			case c == ',':
-				b = append(b, ',')
-				b = appendNewline(b, w.depth+level)
-				i = skipSpace(src, i+1)
-				if inObject {
-					var ok bool
-					if b, i, ok = rawKey(b, src, i); !ok {
-						return rawError(src, 0)
-					}
-				}
-				continue values
-			case c == '}' && inObject, c == ']' && !inObject:
-				level--
-				b = appendNewline(b, w.depth+level)
-				b = append(b, c)
-				i++
-			default:
-				return rawError(src, 0)
-			}
-		}
+	buf := bytes.NewBuffer(w.b)
+	if err := json.Indent(buf, src, "  ", "  "); err != nil {
+		return &json.MarshalerError{Type: rawMessageType, Err: err}
 	}
+	w.b = buf.Bytes()
+	return nil
 }
 
 func appendNewline(b []byte, depth int) []byte {
@@ -570,127 +478,4 @@ func appendNewline(b []byte, depth int) []byte {
 		b = append(b, ' ', ' ')
 	}
 	return b
-}
-
-func skipSpace(src []byte, i int) int {
-	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// rawKey copies an object key at i and its colon, leaving i at the value.
-func rawKey(b, src []byte, i int) ([]byte, int, bool) {
-	if i == len(src) || src[i] != '"' {
-		return b, i, false
-	}
-	b, i, ok := rawString(b, src, i)
-	if i = skipSpace(src, i); !ok || i == len(src) || src[i] != ':' {
-		return b, i, false
-	}
-	return append(b, ':', ' '), skipSpace(src, i+1), true
-}
-
-// rawString copies the string literal at i, escaping as json.Compact with
-// HTML escaping does. Bytes that are not UTF-8 pass through unchanged.
-func rawString(b, src []byte, i int) ([]byte, int, bool) {
-	b = append(b, '"')
-	i++
-	start := i
-	for i < len(src) {
-		switch c := src[i]; {
-		case c == '"':
-			b = append(b, src[start:i]...)
-			return append(b, '"'), i + 1, true
-		case c < ' ':
-			return b, i, false
-		case c == '\\':
-			if i+1 == len(src) {
-				return b, i, false
-			}
-			switch src[i+1] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i += 2
-			case 'u':
-				if i+6 > len(src) || !isHex(src[i+2]) || !isHex(src[i+3]) || !isHex(src[i+4]) || !isHex(src[i+5]) {
-					return b, i, false
-				}
-				i += 6
-			default:
-				return b, i, false
-			}
-		case c == '<' || c == '>' || c == '&':
-			b = append(b, src[start:i]...)
-			b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			i++
-			start = i
-		case c == 0xE2 && i+2 < len(src) && src[i+1] == 0x80 && src[i+2]&^1 == 0xA8:
-			b = append(b, src[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[src[i+2]&0xF])
-			i += 3
-			start = i
-		default:
-			i++
-		}
-	}
-	return b, i, false
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-func isDigit(src []byte, i int) bool { return i < len(src) && '0' <= src[i] && src[i] <= '9' }
-
-// rawNumber returns the end of the JSON number at i, or -1 if there is none.
-func rawNumber(src []byte, i int) int {
-	if i < len(src) && src[i] == '-' {
-		i++
-	}
-	if !isDigit(src, i) {
-		return -1
-	}
-	if src[i] == '0' {
-		i++
-	} else {
-		for isDigit(src, i) {
-			i++
-		}
-	}
-	if i < len(src) && src[i] == '.' {
-		if i++; !isDigit(src, i) {
-			return -1
-		}
-		for isDigit(src, i) {
-			i++
-		}
-	}
-	if i < len(src) && (src[i] == 'e' || src[i] == 'E') {
-		if i++; i < len(src) && (src[i] == '+' || src[i] == '-') {
-			i++
-		}
-		if !isDigit(src, i) {
-			return -1
-		}
-		for isDigit(src, i) {
-			i++
-		}
-	}
-	return i
-}
-
-// rawError is the error encoding/json gives for result bytes raw rejected.
-// Compaction, which runs first, reports every syntax error and nesting past
-// its limit as a MarshalerError. Bytes it accepts can still be one level too
-// deep once spliced under the job object, which its indent pass rejects at
-// the opening byte deep, passed here.
-func rawError(src []byte, deep byte) error {
-	var discard bytes.Buffer
-	if err := json.Compact(&discard, src); err != nil {
-		return &json.MarshalerError{Type: rawMessageType, Err: err}
-	}
-	if deep != 0 {
-		return errors.New("invalid character '" + string(rune(deep)) + "' exceeded max depth")
-	}
-	return errors.New("server: result bytes the wire encoder rejects are valid JSON")
 }

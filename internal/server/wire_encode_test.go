@@ -162,7 +162,16 @@ var wireT0 = time.Date(2024, 5, 1, 12, 0, 0, 123456789, time.UTC)
 func jobStates() map[string]jobs.JobInfo {
 	spec := jobs.Spec{Workload: "2mm", Mode: jobs.ModeTiming, Size: 32, Seed: 1, MaxWarpInsts: 20000}
 	base := jobs.JobInfo{ID: "j00000007", Spec: spec, Key: spec.Key().String(), Created: wireT0}
-	result := json.RawMessage(`{"workload":"2mm","mode":"timing","cycles":7855,"counters":{"a<b":1,"c":[]},"summary":{"x":{},"y":[1,-2.5e-3,true,false,null,"&"]}}`)
+	// A result is json.Marshal output, as the manager stores it: the HTML
+	// specials and U+2028 in it arrive escaped, and the wire must keep them so.
+	result, err := json.Marshal(map[string]any{
+		"workload": "2mm", "mode": "timing", "cycles": 7855,
+		"counters": map[string]any{"a<b": 1, "c": []int{}},
+		"summary":  map[string]any{"x": struct{}{}, "y": []any{1, -2.5e-3, 1e21, 1e-7, true, false, nil, "&\u2028"}},
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	out := map[string]jobs.JobInfo{}
 	queued := base
@@ -359,32 +368,43 @@ func TestWireEncodeRates(t *testing.T) {
 }
 
 // TestWireEncodeResults compares the result splice with encoding/json on
-// stored result bytes: valid JSON in any layout, and bytes it refuses.
+// result bytes. A valid result is fed as the manager stores it, through
+// json.Marshal; bytes encoding/json refuses are fed as they are.
 func TestWireEncodeResults(t *testing.T) {
-	deep := func(n int) string { return strings.Repeat("[", n) + "1" + strings.Repeat("]", n) }
 	for _, raw := range []string{
 		`{}`, `[]`, `0`, `-0`, `1.5e+10`, `-2E-3`, `0.001`, `"s"`, `true`, `false`, `null`,
 		" \t\r\n{ \"a\" : [ 1 , 2 , { } , [ ] , \"<&>\" ] , \"b\" : { \"c\" : null } } \n",
 		`{"a":{"b":{"c":[[],[{}],[[1]]]}},"d":[]}`,
 		"[\"\xe2\x80\xa8\xe2\x80\xa9\",\"\xff\xfe\",\"\xe2\x80\",\"\x7f\",\"\\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\uD83D\"]",
 		`{"<":">","&":"&&"}`,
-		// Invalid: encoding/json refuses every one.
+	} {
+		stored, err := json.Marshal(json.RawMessage(raw))
+		if err != nil {
+			t.Fatalf("%q: %v", raw, err)
+		}
+		sameResult(t, raw, stored)
+	}
+	// Invalid: encoding/json refuses every one. The last nests one level
+	// past the scanner's limit, and json.Indent writes about 100 MB of
+	// indentation before it fails.
+	for _, raw := range []string{
 		``, ` `, `{`, `}`, `[1,]`, `{"a":1,}`, `{"a" 1}`, `{1:2}`, `[1 2]`, `01`, `-`, `1.`, `1e`, `1e+`, `.5`,
 		`+1`, `tru`, `nul`, `falsey`, `"abc`, "\"a\x01\"", `"\x"`, `"\u12G4"`, `"\u12"`, `1 2`, `{}}`, `[]]`,
 		`{"a":1]`, `[1}`, `<`, "\"\\", "\xe2\x80\xa8",
-		// Nesting: json.Compact takes 10000 levels, but spliced under the
-		// job object they are one too many for the indent pass. Each case
-		// writes about 100 MB of indentation before it fails.
-		deep(10000), deep(10001),
+		strings.Repeat("[", 10001) + "1" + strings.Repeat("]", 10001),
 	} {
-		info := jobStates()["done"]
-		info.Result = json.RawMessage(raw)
-		name := raw
-		if len(name) > 40 {
-			name = name[:40]
-		}
-		sameJob(t, "result "+strconv.Quote(name), info)
+		sameResult(t, raw, []byte(raw))
 	}
+}
+
+func sameResult(t *testing.T, raw string, result []byte) {
+	t.Helper()
+	info := jobStates()["done"]
+	info.Result = result
+	if len(raw) > 40 {
+		raw = raw[:40]
+	}
+	sameJob(t, "result "+strconv.Quote(raw), info)
 }
 
 // TestWriteWireEncodesBeforeStatus pins the failure rule: a value that

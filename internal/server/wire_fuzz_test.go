@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -175,9 +176,10 @@ func (f *fuzzInput) job(result []byte) jobs.JobInfo {
 }
 
 // FuzzWireEncoding builds one value of each hand-encoded type from the fuzz
-// bytes, the job's result from the second input as stored bytes that may
-// not be JSON, and compares the hand encoder's bytes or error with
-// encoding/json's.
+// bytes and the job's result from the second input, and compares the hand
+// encoder's bytes or error with encoding/json's. A result that is JSON is
+// stored as the manager stores it, through json.Marshal; one that is not is
+// kept as it is.
 func FuzzWireEncoding(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("\x01\x02\x83\x00\x01\x02\x81\x07\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c"), []byte(`{"a":[1,{},[],"x"]}`))
@@ -190,6 +192,9 @@ func FuzzWireEncoding(f *testing.F) {
 		// nesting limit.
 		if len(result) > 1024 {
 			result = result[:1024]
+		}
+		if stored, err := json.Marshal(json.RawMessage(result)); err == nil {
+			result = stored
 		}
 		in := fuzzInput(data)
 		c := in.classify()
